@@ -8,6 +8,36 @@ type t = {
   out0 : bool array array;
 }
 
+(* Mirror slots in one pass over all adjacency entries.  The rows are
+   sorted, so sweeping [u] upward visits the occurrences of [u] inside
+   each [nbrs.(w)] in row order: a per-node cursor is exactly the index
+   of [u] in [nbrs.(w)].  O(sum of degrees).  A final pass checks every
+   slot against its mirror, which rejects unsorted, asymmetric or
+   out-of-range rows in the same O(sum of degrees). *)
+let of_rows ~destination ~out nbrs =
+  let n = Array.length nbrs in
+  let mirror = Array.map (fun row -> Array.make (Array.length row) 0) nbrs in
+  let cursor = Array.make n 0 in
+  let malformed () = invalid_arg "Fast_graph.of_rows: rows not sorted and symmetric" in
+  for u = 0 to n - 1 do
+    let row = nbrs.(u) in
+    for i = 0 to Array.length row - 1 do
+      let w = row.(i) in
+      if w < 0 || w >= n || w = u || (i > 0 && row.(i - 1) >= w) then malformed ();
+      mirror.(u).(i) <- cursor.(w);
+      cursor.(w) <- cursor.(w) + 1
+    done
+  done;
+  for u = 0 to n - 1 do
+    let row = nbrs.(u) in
+    for i = 0 to Array.length row - 1 do
+      let k = mirror.(u).(i) in
+      if k >= Array.length nbrs.(row.(i)) || nbrs.(row.(i)).(k) <> u then malformed ()
+    done
+  done;
+  let out0 = Array.mapi (fun u row -> Array.map (fun w -> out u w) row) nbrs in
+  { n; destination; nbrs; mirror; out0 }
+
 let of_instance inst =
   let g = inst.Generators.graph in
   let nodes = Digraph.nodes g in
@@ -18,28 +48,9 @@ let of_instance inst =
     Array.init n (fun u ->
         Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
   in
-  (* Mirror slots in one pass over all adjacency entries.  The rows are
-     sorted, so sweeping [u] upward visits the occurrences of [u] inside
-     each [nbrs.(w)] in row order: a per-node cursor is exactly the
-     index of [u] in [nbrs.(w)].  O(sum of degrees), where the old
-     per-pair linear scan was O(sum of degrees squared). *)
-  let mirror = Array.init n (fun u -> Array.make (Array.length nbrs.(u)) 0) in
-  let cursor = Array.make n 0 in
-  for u = 0 to n - 1 do
-    let row = nbrs.(u) in
-    for i = 0 to Array.length row - 1 do
-      let w = row.(i) in
-      mirror.(u).(i) <- cursor.(w);
-      cursor.(w) <- cursor.(w) + 1
-    done
-  done;
-  let out0 =
-    Array.init n (fun u ->
-        Array.map
-          (fun w -> Digraph.direction_equal (Digraph.dir g u w) Digraph.Out)
-          nbrs.(u))
-  in
-  { n; destination = inst.Generators.destination; nbrs; mirror; out0 }
+  of_rows ~destination:inst.Generators.destination
+    ~out:(fun u w -> Digraph.direction_equal (Digraph.dir g u w) Digraph.Out)
+    nbrs
 
 let of_config config =
   of_instance

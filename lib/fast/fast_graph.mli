@@ -26,6 +26,18 @@ val of_instance : Generators.instance -> t
     (use {!Lr_graph.Generators} outputs, which satisfy this). *)
 
 val of_config : Linkrev.Config.t -> t
+
+val of_rows : destination:int -> out:(int -> int -> bool) -> int array array -> t
+(** The direct edge-array constructor, with no persistent graph in
+    between: [of_rows ~destination ~out rows] takes [rows.(u)] as [u]'s
+    neighbour ids, strictly ascending, with every edge present in both
+    endpoints' rows; [out u w] gives the initial orientation of the edge
+    [{u, w}] as seen from [u] (so [out w u = not (out u w)]).  The rows
+    are kept, not copied.  O(sum of degrees).  {!of_instance} is this
+    constructor applied to a [Digraph]'s sorted neighbour sets.
+    @raise Invalid_argument if a row is unsorted, holds a self-loop or
+    an out-of-range id, or the rows are not symmetric. *)
+
 val degree : t -> int -> int
 
 val fingerprint : t -> bool array array -> int64

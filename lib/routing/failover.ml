@@ -104,10 +104,8 @@ let elect_after_destination_failure rule config =
               loop ()
       in
       loop ();
-      let oriented =
-        Node.Set.for_all
-          (fun u -> Digraph.has_path !graph u leader)
-          members
-      in
+      (* Every member reaches the leader iff all members lie in the
+         leader's backward closure: one BFS, O(n + m). *)
+      let oriented = Node.Set.subset members (Digraph.reaches !graph leader) in
       { leader; members; node_steps = !steps; oriented })
     components

@@ -6,7 +6,12 @@
     reversal from Welch–Walter.  The election rule here is the simple
     deterministic one (highest node id wins); the interesting part is
     the re-orientation, which is plain Partial/Full Reversal with the
-    new leader as destination. *)
+    new leader as destination.
+
+    This is the persistent reference: the service's fast tier fails
+    over natively ({!Fast_maintenance.survivor_components},
+    {!Fast_maintenance.reroot}) and tests and benches check it against
+    this module. *)
 
 open Lr_graph
 

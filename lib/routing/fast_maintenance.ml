@@ -725,27 +725,26 @@ let fail_node t u =
 
 (* {1 Construction} *)
 
-let create ?(index = Uf) rule config =
-  let core = G.of_config config in
+(* The constructor core shared by [create] and [reroot]: [rows] are the
+   skeleton's adjacency rows (ascending, symmetric) and [rank] is a
+   topological order of the initial orientation.  Heights are seeded
+   from the rank exactly as the reference seeds them from its
+   embedding, then the session stabilizes. *)
+let build ~index rule ~dest rows rank =
+  let core = G.of_rows ~destination:dest ~out:(fun u w -> rank.(u) < rank.(w)) rows in
   let n = core.G.n in
   let ha = Array.make n 0 and hb = Array.make n 0 in
-  Node.Set.iter
-    (fun u ->
-      let r = Embedding.rank config.Config.embedding u in
-      match rule with
-      | Maintenance.Partial_reversal ->
-          ha.(u) <- 0;
-          hb.(u) <- -r
-      | Maintenance.Full_reversal ->
-          ha.(u) <- n - r;
-          hb.(u) <- 0)
-    (Config.nodes config);
+  for u = 0 to n - 1 do
+    match rule with
+    | Maintenance.Partial_reversal -> hb.(u) <- -rank.(u)
+    | Maintenance.Full_reversal -> ha.(u) <- n - rank.(u)
+  done;
   let adj = G.Dyn.of_graph core in
   let t =
     {
       n;
       rule;
-      dest = config.Config.destination;
+      dest;
       index;
       adj;
       ha;
@@ -778,8 +777,8 @@ let create ?(index = Uf) rule config =
       stamp = 0;
     }
   in
-  (* The embedding is a topological order of G'_init, so the initial
-     orientation is exactly the height order — in-degrees follow. *)
+  (* The rank is a topological order of the initial orientation, so
+     that orientation is exactly the height order — in-degrees follow. *)
   for u = 0 to n - 1 do
     let d = G.Dyn.degree t.adj u in
     let incoming = ref 0 in
@@ -805,6 +804,112 @@ let create ?(index = Uf) rule config =
   done;
   ignore (stabilize t);
   t
+
+(* A configuration enters the core as its sorted adjacency rows and its
+   embedding's ranks. *)
+let create ?(index = Uf) rule config =
+  let g = config.Config.initial in
+  let nodes = Digraph.nodes g in
+  let n = Node.Set.cardinal nodes in
+  if not (Node.Set.equal nodes (Node.Set.of_range 0 (n - 1))) then
+    invalid_arg "Fast_maintenance.create: node ids must be 0..n-1";
+  let rows =
+    Array.init n (fun u -> Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
+  in
+  let rank = Array.init n (fun u -> Embedding.rank config.Config.embedding u) in
+  build ~index rule ~dest:config.Config.destination rows rank
+
+(* {1 Failover} *)
+
+(* One labelling BFS over every node but the destination, which is
+   pre-marked so no walk crosses it. *)
+let survivor_components t =
+  let q = t.queue and seen = t.seen in
+  Array.fill seen 0 t.n false;
+  seen.(t.dest) <- true;
+  let found = ref [] in
+  for s = 0 to t.n - 1 do
+    if not seen.(s) then begin
+      seen.(s) <- true;
+      q.(0) <- s;
+      let head = ref 0 and tail = ref 1 and top = ref s in
+      while !head < !tail do
+        let x = q.(!head) in
+        incr head;
+        if x > !top then top := x;
+        for i = 0 to G.Dyn.degree t.adj x - 1 do
+          let w = G.Dyn.nbr t.adj x i in
+          if not seen.(w) then begin
+            seen.(w) <- true;
+            q.(!tail) <- w;
+            incr tail
+          end
+        done
+      done;
+      found := (!tail, !top) :: !found
+    end
+  done;
+  List.rev !found
+
+(* The crash-stripped topology as constructor input.  Rows drop the old
+   destination and are re-sorted, so the adjacency equals what a fresh
+   [create] would build.  The rank replays [Digraph.topological_sort]
+   over the current derived orientation exactly: a LIFO stack seeded
+   with the zero-in-degree nodes in ascending id (the largest pops
+   first), each popped node pushing its newly freed out-neighbours in
+   ascending id. *)
+let reroot t ~leader =
+  if (not (mem_node t leader)) || leader = t.dest then
+    invalid_arg "Fast_maintenance.reroot: leader must be a node other than the destination";
+  let n = t.n and old = t.dest in
+  let rows =
+    Array.init n (fun u ->
+        if u = old then [||]
+        else begin
+          let d = G.Dyn.degree t.adj u in
+          let kept = ref 0 in
+          for i = 0 to d - 1 do
+            if G.Dyn.nbr t.adj u i <> old then incr kept
+          done;
+          let row = Array.make !kept 0 and j = ref 0 in
+          for i = 0 to d - 1 do
+            let w = G.Dyn.nbr t.adj u i in
+            if w <> old then begin
+              row.(!j) <- w;
+              incr j
+            end
+          done;
+          Array.sort Int.compare row;
+          row
+        end)
+  in
+  let indeg = Array.make n 0 in
+  Array.iteri
+    (fun u row -> Array.iter (fun w -> if edge_out t w u then indeg.(u) <- indeg.(u) + 1) row)
+    rows;
+  let stack = Array.make (max n 1) 0 and sp = ref 0 in
+  let push u =
+    stack.(!sp) <- u;
+    incr sp
+  in
+  for u = 0 to n - 1 do
+    if indeg.(u) = 0 then push u
+  done;
+  let rank = Array.make n 0 and next = ref 0 in
+  while !sp > 0 do
+    decr sp;
+    let u = stack.(!sp) in
+    rank.(u) <- !next;
+    incr next;
+    Array.iter
+      (fun w ->
+        if edge_out t u w then begin
+          indeg.(w) <- indeg.(w) - 1;
+          if indeg.(w) = 0 then push w
+        end)
+      rows.(u)
+  done;
+  build ~index:t.index t.rule ~dest:leader rows rank
 
 let set_observer t obs = t.obs <- obs
 

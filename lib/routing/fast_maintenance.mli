@@ -102,8 +102,30 @@ val index_stats : t -> index_stats
 
 val graph : t -> Digraph.t
 (** Materialized snapshot of the current oriented topology (orientation
-    derived from heights).  For tests and the rare failover path — not
-    the hot path. *)
+    derived from heights).  For tests, oracles and the packet plane's
+    one-off seeding — no serving path calls it per op, and failover
+    ({!reroot}) never does. *)
+
+val survivor_components : t -> (int * Node.t) list
+(** The connected components the topology falls into when the
+    destination and its links are removed, as [(size, max id)] pairs,
+    one per component, in ascending order of smallest member.  The
+    election input of a destination crash; one O(n + m) labelling BFS.
+    The destination itself is in no component. *)
+
+val reroot : t -> leader:Node.t -> t
+(** [reroot t ~leader] is the session a destination crash leaves
+    behind: the old destination's links are stripped, and a fresh
+    session toward [leader] is built and stabilized from a topological
+    order of the stripped, currently derived orientation (Thm 4.3/5.5
+    keeps that orientation acyclic, so the order always exists).  The
+    result is identical — heights, adjacency order, work, routes — to
+    {!create} on [Config.make] of the stripped {!graph} with destination
+    [leader], without materializing either: O(n + m log Δ).  Index and
+    rule carry over; work and cache counters start from zero; no
+    observer is attached.  [t] itself is left unchanged.
+    @raise Invalid_argument if [leader] is unknown or is the current
+    destination. *)
 
 val route : t -> Node.t -> Node.t list option
 (** Same paths as {!Maintenance.route}, served through the next-hop

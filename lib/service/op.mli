@@ -15,7 +15,7 @@ type t =
           crashed node. *)
   | Crash_destination of { shard : int }
       (** The shard's destination crashed; elect a replacement
-          ({!Failover}) and re-orient toward it. *)
+          ({!Shard.elect}) and re-orient toward it. *)
   | Inject of { shard : int; src : int; count : int }
       (** Offer [count] packets at [src] to the shard's forwarding
           plane ({!Lr_packet.Plane}); a full source queue drops the

@@ -24,15 +24,14 @@ type t = {
   mutable work_base : int;  (* total_work of retired maintenance sessions *)
 }
 
-let make_engine kind rule config =
-  match kind with
-  | Fast -> E_fast (Fast_maintenance.create rule config)
-  | Reference -> E_ref (Maintenance.create rule config)
-
 let create ?(engine = Fast) ?(packet_queue = 64) ~rule ~id config =
   if packet_queue < 1 then invalid_arg "Shard.create: packet_queue must be >= 1";
-  { sid = id; rule; kind = engine; packet_queue;
-    m = make_engine engine rule config; plane = None;
+  let m =
+    match engine with
+    | Fast -> E_fast (Fast_maintenance.create rule config)
+    | Reference -> E_ref (Maintenance.create rule config)
+  in
+  { sid = id; rule; kind = engine; packet_queue; m; plane = None;
     dead = Node.Set.empty; epoch = 0; work_base = 0 }
 
 let id t = t.sid
@@ -218,66 +217,69 @@ let link_up t u v =
       validation_failures = 0 }
   end
 
+(* The failover election, one rule for both tiers: among the
+   surviving components [(size, leader)] whose leader (the component's
+   greatest id) is live, the most members win, then the greater leader
+   id.  Both keys are compared explicitly (ints and [Node.compare]) so
+   the order can never silently drift with either representation. *)
+let better (size, leader) (best_size, best_leader) =
+  match Int.compare size best_size with
+  | 0 -> Node.compare leader best_leader > 0
+  | c -> c > 0
+
+let elect ~live components =
+  List.fold_left
+    (fun best ((_, leader) as c) ->
+      match best with
+      | _ when not (live leader) -> best
+      | Some b when not (better c b) -> best
+      | _ -> Some c)
+    None components
+  |> Option.map snd
+
+(* The reference tier's election input: the components of the
+   crash-stripped skeleton, less the isolated old destination. *)
+let ref_survivors stripped old =
+  Undirected.connected_components (Digraph.skeleton stripped)
+  |> List.filter_map (fun c ->
+         if Node.Set.mem old c then None
+         else Some (Node.Set.cardinal c, Node.Set.max_elt c))
+
 let crash_destination t =
   let old = destination t in
-  let g = graph t in
   let live u = not (Node.Set.mem u t.dead) in
-  if
-    not
-      (Node.Set.exists
-         (fun u -> live u && not (Node.equal u old))
-         (Digraph.nodes g))
-  then { response = Op.Noop; work = 0; validation_failures = 0 }
-  else
-    match Linkrev.Config.make g ~destination:old with
-    | Error _ ->
-        (* The serving graph went inconsistent — count it, don't crash. *)
-        { response = Op.Noop; work = 0; validation_failures = 1 }
-    | Ok config ->
-        let outcomes = Failover.elect_after_destination_failure t.rule config in
-        let candidates =
-          List.filter (fun o -> live o.Failover.leader) outcomes
-        in
-        (* Primary: most members, then the greater leader id.  Both
-           components of the key are compared explicitly (ints and
-           [Node.compare]) so the order can never silently drift with
-           the representation of either. *)
-        let better o b =
-          let co = Node.Set.cardinal o.Failover.members
-          and cb = Node.Set.cardinal b.Failover.members in
-          if co <> cb then co > cb
-          else Node.compare o.Failover.leader b.Failover.leader > 0
-        in
-        let primary =
-          List.fold_left
-            (fun best o ->
-              match best with
-              | None -> Some o
-              | Some b -> if better o b then Some o else Some b)
-            None candidates
-        in
-        (match primary with
-        | None -> { response = Op.Noop; work = 0; validation_failures = 0 }
-        | Some o ->
-            let leader = o.Failover.leader in
-            let stripped =
-              Node.Set.fold
-                (fun v g -> Digraph.remove_edge g old v)
-                (Digraph.neighbors g old) g
-            in
-            t.work_base <- total_work t;
-            t.dead <- Node.Set.add old t.dead;
-            t.m <-
-              make_engine t.kind t.rule
-                (Linkrev.Config.make_exn stripped ~destination:leader);
-            t.plane <- None;
-            t.epoch <- t.epoch + 1;
-            (* The adoption work is the fresh session's stabilization —
-               the reversals actually performed on this shard's state
-               (Failover's own re-orientation ran on a throwaway copy). *)
-            let node_steps = total_work t - t.work_base in
-            { response = Op.New_destination { leader; node_steps };
-              work = node_steps; validation_failures = 0 })
+  let noop = { response = Op.Noop; work = 0; validation_failures = 0 } in
+  let adopt leader m =
+    t.work_base <- total_work t;
+    t.dead <- Node.Set.add old t.dead;
+    t.m <- m;
+    t.plane <- None;
+    t.epoch <- t.epoch + 1;
+    (* The adoption work is the fresh session's stabilization — the
+       reversals actually performed on this shard's state. *)
+    let node_steps = total_work t - t.work_base in
+    { response = Op.New_destination { leader; node_steps }; work = node_steps;
+      validation_failures = 0 }
+  in
+  match t.m with
+  | E_fast f -> (
+      match elect ~live (Fast_maintenance.survivor_components f) with
+      | None -> noop
+      | Some leader -> adopt leader (E_fast (Fast_maintenance.reroot f ~leader)))
+  | E_ref m -> (
+      let g = Maintenance.graph m in
+      let stripped =
+        Node.Set.fold (fun v g -> Digraph.remove_edge g old v) (Digraph.neighbors g old) g
+      in
+      match elect ~live (ref_survivors stripped old) with
+      | None -> noop
+      | Some leader -> (
+          match Linkrev.Config.make stripped ~destination:leader with
+          | Error _ ->
+              (* The serving graph went inconsistent — count it, don't
+                 crash. *)
+              { noop with validation_failures = 1 }
+          | Ok config -> adopt leader (E_ref (Maintenance.create t.rule config))))
 
 (* The shard's forwarding plane, snapshotting the current graph and
    destination on first use.  [Config.make] failing means the serving

@@ -6,11 +6,13 @@
     destination, and a [No_route] answer must be honest (the source
     really has no directed path) — so the serving layer continuously
     re-checks the paper's acyclicity guarantee on live traffic instead
-    of trusting the engine.  A destination crash is delegated to
-    {!Lr_routing.Failover} for the election; the shard then adopts the
-    elected leader by rebuilding its maintenance session on the
-    crash-stripped graph (the crashed node stays in the skeleton,
-    isolated and marked dead). *)
+    of trusting the engine.  A destination crash elects a leader among
+    the surviving components ({!elect}) and rebuilds the maintenance
+    session toward it on the crash-stripped graph (the crashed node
+    stays in the skeleton, isolated and marked dead).  On the fast tier
+    both steps run on flat arrays ({!Lr_routing.Fast_maintenance.survivor_components},
+    {!Lr_routing.Fast_maintenance.reroot}); no persistent graph is
+    built. *)
 
 open Lr_graph
 open Lr_routing
@@ -81,6 +83,13 @@ val apply : ?validate:bool -> t -> Op.t -> outcome
     raises [Invalid_argument]).  [validate] (default [true]) controls
     the in-service route check and the post-heal consistency check of
     the chaos ops ([Corrupt]/[Flip]). *)
+
+val elect : live:(Node.t -> bool) -> (int * Node.t) list -> Node.t option
+(** The failover election rule both tiers share.  Given the components
+    left by a destination crash as [(size, leader)] pairs (the leader
+    being the component's greatest id), it picks, among those whose
+    leader is [live], the one with the most members, then the greater
+    leader id.  [None] when no component has a live leader. *)
 
 val hostile_height : seed:int -> magnitude:int -> int -> int * int
 (** The canonical hostile height assignment a [Corrupt] fault adopts: a

@@ -100,6 +100,33 @@ let test_already_oriented_no_work () =
   check_int "zero work" 0 out.F.work;
   check_bool "oriented" true out.F.destination_oriented
 
+(* [of_rows] is [of_instance] without the persistent graph: the same
+   adjacency, mirrors and orientation from the same sorted rows, and a
+   typed rejection of rows that would corrupt the mirror slots. *)
+let test_of_rows () =
+  let module G = Lr_fast.Fast_graph in
+  let config = random_config ~seed:17 12 in
+  let g = config.Config.initial in
+  let want = G.of_config config in
+  let rows = Array.map Array.copy want.G.nbrs in
+  let got =
+    G.of_rows ~destination:config.Config.destination
+      ~out:(fun u w -> Digraph.direction_equal (Digraph.dir g u w) Digraph.Out)
+      rows
+  in
+  check_bool "same rows" true (got.G.nbrs = want.G.nbrs);
+  check_bool "same mirrors" true (got.G.mirror = want.G.mirror);
+  check_bool "same orientation" true (got.G.out0 = want.G.out0);
+  let rejects rows =
+    try ignore (G.of_rows ~destination:0 ~out:(fun u w -> u < w) rows); false
+    with Invalid_argument _ -> true
+  in
+  check_bool "unsorted row rejected" true (rejects [| [| 2; 1 |]; [| 0 |]; [| 0 |] |]);
+  check_bool "asymmetric rows rejected" true (rejects [| [| 1 |]; [||] |]);
+  check_bool "self-loop rejected" true (rejects [| [| 0 |] |]);
+  check_bool "out-of-range id rejected" true (rejects [| [| 5 |] |]);
+  check_bool "well-formed rows accepted" false (rejects [| [| 1; 2 |]; [| 0 |]; [| 0 |] |])
+
 let () =
   Alcotest.run "fast_engine"
     [
@@ -116,5 +143,6 @@ let () =
           case "max_steps pause and resume" test_max_steps_resume;
           case "sparse node ids rejected" test_rejects_sparse_ids;
           case "oriented instances need no work" test_already_oriented_no_work;
+          case "of_rows builds what of_instance builds" test_of_rows;
         ];
     ]
