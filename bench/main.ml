@@ -1640,17 +1640,14 @@ type storm_result = {
   st_identical : bool;
 }
 
-(* One rung of the churn-storm ladder: the same op tape replayed on the
-   union-find index and (up to n = 10^4, where it is still affordable)
-   on the eager rescan baseline it replaced. *)
+(* One rung of the churn-storm ladder: an op tape replayed on the fast
+   engine and its union-find component index. *)
 type rung = {
   lr_n : int;
   lr_events : int;
-  lr_create_seconds : float;  (* Uf engine construction *)
-  lr_uf_seconds : float;  (* Uf storm replay *)
-  lr_scan_seconds : float option;  (* Scan storm replay, when run *)
-  lr_identical : bool option;  (* Scan vs Uf, when both ran *)
-  lr_consistent : bool;  (* Uf index cross-check after the storm *)
+  lr_create_seconds : float;  (* engine construction *)
+  lr_uf_seconds : float;  (* storm replay *)
+  lr_consistent : bool;  (* index cross-check after the storm *)
   lr_slots : int;
   lr_rebuilds : int;
 }
@@ -1686,31 +1683,13 @@ let write_maintenance_json ~file storms ~ladder ~route_heavy ~svc_parity =
       Printf.fprintf oc "  ],\n  \"ladder\": [\n";
       List.iteri
         (fun i r ->
-          let scan_s =
-            match r.lr_scan_seconds with
-            | Some s -> Printf.sprintf "%.4f" s
-            | None -> "null"
-          in
-          let speedup =
-            match r.lr_scan_seconds with
-            | Some s -> Printf.sprintf "%.2f" (s /. Float.max 1e-9 r.lr_uf_seconds)
-            | None -> "null"
-          in
-          let identical =
-            match r.lr_identical with
-            | Some b -> string_of_bool b
-            | None -> "null"
-          in
           Printf.fprintf oc
             "    {\"n\": %d, \"events\": %d, \"uf_create_seconds\": %.4f, \
-             \"uf_storm_seconds\": %.4f, \"scan_storm_seconds\": %s, \
-             \"speedup_vs_scan\": %s, \"events_per_s\": %.0f, \
-             \"identical\": %s, \"consistent\": %b, \"slots\": %d, \
-             \"rebuilds\": %d}%s\n"
-            r.lr_n r.lr_events r.lr_create_seconds r.lr_uf_seconds scan_s
-            speedup
+             \"uf_storm_seconds\": %.4f, \"events_per_s\": %.0f, \
+             \"consistent\": %b, \"slots\": %d, \"rebuilds\": %d}%s\n"
+            r.lr_n r.lr_events r.lr_create_seconds r.lr_uf_seconds
             (float_of_int r.lr_events /. Float.max 1e-9 r.lr_uf_seconds)
-            identical r.lr_consistent r.lr_slots r.lr_rebuilds
+            r.lr_consistent r.lr_slots r.lr_rebuilds
             (if i = List.length ladder - 1 then "" else ","))
         ladder;
       Printf.fprintf oc "  ],\n";
@@ -1842,11 +1821,9 @@ let maintenance () =
             ])
           storms));
   (* -- churn-storm ladder ------------------------------------------- *)
-  (* Scale rungs for the union-find component index, with the eager
-     rescan baseline it replaced timed on the same tape up to
-     n = 10^4 (past that the Scan column is the regression being
-     fixed, not a budgetable comparison).  The tape is generated from
-     a pure edge-set model — unlike [gen_storm]'s pair toggles, whose
+  (* Scale rungs for the union-find component index, each checked by
+     [FM.consistent] after its storm.  The tape is generated from a
+     pure edge-set model — unlike [gen_storm]'s pair toggles, whose
      removal probability vanishes at scale — so half the events are
      real link-downs and the membership paths (split checks, absorbs,
      partition reports) carry the cost.  The ladder runs at full rung
@@ -1904,9 +1881,10 @@ let maintenance () =
     done;
     List.rev !ops
   in
-  let replay ~index rule config ops =
-    let fm = FM.create ~index rule config in
-    let (), seconds =
+  (* Construction and the storm are timed apart. *)
+  let replay rule config ops =
+    let fm, create_seconds = P.timed (fun () -> FM.create rule config) in
+    let (), storm_seconds =
       P.timed (fun () ->
           List.iter
             (function
@@ -1915,77 +1893,36 @@ let maintenance () =
               | S_fail u -> ignore (FM.fail_node fm u))
             ops)
     in
-    (fm, seconds)
+    (fm, create_seconds, storm_seconds)
   in
-  let rung ~seed ~scan ~events n =
+  let rung ~seed ~events n =
     let config = random_config ~seed n in
     let ops = gen_churn ~seed ~events config n in
-    let uf_fm, lr_create_seconds =
-      P.timed (fun () -> FM.create ~index:FM.Uf M.Partial_reversal config)
-    in
-    let (), lr_uf_seconds =
-      P.timed (fun () ->
-          List.iter
-            (function
-              | S_down (u, v) -> ignore (FM.fail_link uf_fm u v)
-              | S_up (u, v) -> FM.add_link uf_fm u v
-              | S_fail u -> ignore (FM.fail_node uf_fm u))
-            ops)
-    in
-    let lr_consistent = FM.consistent uf_fm in
-    let stats = FM.index_stats uf_fm in
-    let lr_scan_seconds, lr_identical =
-      if not scan then (None, None)
-      else begin
-        let scan_fm, seconds = replay ~index:FM.Scan M.Partial_reversal config ops in
-        let routes_agree = ref true in
-        for u = 0 to n - 1 do
-          if FM.route scan_fm u <> FM.route uf_fm u then routes_agree := false
-        done;
-        let identical =
-          FM.total_work scan_fm = FM.total_work uf_fm
-          && FM.component_size scan_fm = FM.component_size uf_fm
-          && Digraph.fingerprint (FM.graph scan_fm)
-             = Digraph.fingerprint (FM.graph uf_fm)
-          && !routes_agree
-        in
-        (Some seconds, Some identical)
-      end
-    in
+    let fm, lr_create_seconds, lr_uf_seconds = replay M.Partial_reversal config ops in
+    let stats = FM.index_stats fm in
     {
       lr_n = n;
       lr_events = List.length ops;
       lr_create_seconds;
       lr_uf_seconds;
-      lr_scan_seconds;
-      lr_identical;
-      lr_consistent;
+      lr_consistent = FM.consistent fm;
       lr_slots = stats.FM.slots;
       lr_rebuilds = stats.FM.rebuilds;
     }
   in
   let ladder =
-    if smoke then
-      [
-        rung ~seed:11 ~scan:true ~events:2_000 1_000;
-        rung ~seed:12 ~scan:true ~events:8_192 4_096;
-      ]
+    if smoke then [ rung ~seed:11 ~events:2_000 1_000; rung ~seed:12 ~events:8_192 4_096 ]
     else
       [
-        rung ~seed:11 ~scan:true ~events:6_000 1_000;
-        rung ~seed:12 ~scan:true ~events:24_576 4_096;
-        rung ~seed:13 ~scan:true ~events:30_000 10_000;
-        rung ~seed:14 ~scan:false ~events:100_000 100_000;
+        rung ~seed:11 ~events:6_000 1_000;
+        rung ~seed:12 ~events:24_576 4_096;
+        rung ~seed:13 ~events:30_000 10_000;
+        rung ~seed:14 ~events:100_000 100_000;
       ]
   in
-  T.print
-    ~title:
-      "churn-storm ladder: union-find index vs eager rescan baseline (same \
-       tape; scan column capped at n=10^4)"
+  T.print ~title:"churn-storm ladder: union-find component index"
     (T.make
-       ~headers:
-         [ "n"; "events"; "uf create"; "uf storm"; "scan storm"; "speedup";
-           "identical"; "consistent"; "slots" ]
+       ~headers:[ "n"; "events"; "create"; "storm"; "consistent"; "slots"; "rebuilds" ]
        (List.map
           (fun r ->
             [
@@ -1993,18 +1930,9 @@ let maintenance () =
               string_of_int r.lr_events;
               Printf.sprintf "%.3f s" r.lr_create_seconds;
               Printf.sprintf "%.3f s" r.lr_uf_seconds;
-              (match r.lr_scan_seconds with
-              | Some s -> Printf.sprintf "%.3f s" s
-              | None -> "—");
-              (match r.lr_scan_seconds with
-              | Some s ->
-                  Printf.sprintf "%.1fx" (s /. Float.max 1e-9 r.lr_uf_seconds)
-              | None -> "—");
-              (match r.lr_identical with
-              | Some b -> string_of_bool b
-              | None -> "—");
               string_of_bool r.lr_consistent;
               string_of_int r.lr_slots;
+              string_of_int r.lr_rebuilds;
             ])
           ladder));
   (* -- reference-oracle leg at n=4096 -------------------------------- *)
@@ -2019,7 +1947,7 @@ let maintenance () =
           let o_n = 4_096 in
           let config = random_config ~seed:21 o_n in
           let ops = gen_churn ~seed:21 ~events:384 config o_n in
-          let fm, fast_seconds = replay ~index:FM.Uf rule config ops in
+          let fm, _, fast_seconds = replay rule config ops in
           let m, ref_seconds =
             P.timed (fun () ->
                 let m = M.create rule config in
@@ -2150,26 +2078,6 @@ let maintenance () =
   if ladder_inconsistent then
     Printf.printf
       "FAILURE: union-find engine inconsistent after a ladder storm\n";
-  let ladder_mismatch =
-    List.exists (fun r -> r.lr_identical = Some false) ladder
-  in
-  if ladder_mismatch then
-    Printf.printf
-      "FAILURE: union-find and rescan engines diverged on a ladder rung\n";
-  let speedup_short =
-    (not smoke)
-    && List.exists
-         (fun r ->
-           r.lr_n = 4_096
-           &&
-           match r.lr_scan_seconds with
-           | Some s -> s /. Float.max 1e-9 r.lr_uf_seconds < 5.0
-           | None -> false)
-         ladder
-  in
-  if speedup_short then
-    Printf.printf
-      "FAILURE: union-find index under 5x vs the rescan baseline at n=4096\n";
   if not !rh_agree then
     Printf.printf "FAILURE: fast and reference routes differ on the route-heavy instance\n";
   if not sp_identical then
@@ -2177,8 +2085,8 @@ let maintenance () =
   if fast_vf > 0 || ref_vf > 0 then
     Printf.printf "FAILURE: route validation failures (fast %d, reference %d)\n"
       fast_vf ref_vf;
-  if storm_mismatch || ladder_inconsistent || ladder_mismatch || speedup_short
-     || (not !rh_agree) || (not sp_identical) || fast_vf > 0 || ref_vf > 0
+  if storm_mismatch || ladder_inconsistent || (not !rh_agree) || (not sp_identical)
+     || fast_vf > 0 || ref_vf > 0
   then exit 1
 
 (* ------------------------------------------------------------------ *)

@@ -1731,15 +1731,6 @@ module Storm_cli = struct
   module M = Lr_routing.Maintenance
   module FM = Lr_routing.Fast_maintenance
 
-  let index_conv =
-    let parse = function
-      | "uf" -> Ok FM.Uf
-      | "scan" -> Ok FM.Scan
-      | s -> Error (`Msg (Printf.sprintf "unknown index %S (uf or scan)" s))
-    in
-    Arg.conv
-      (parse, fun ppf i -> Fmt.string ppf (match i with FM.Uf -> "uf" | FM.Scan -> "scan"))
-
   let nodes_arg =
     Arg.(
       value & opt int 10_000
@@ -1762,15 +1753,14 @@ module Storm_cli = struct
   let sseed_arg =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-  let sindex_arg =
-    Arg.(
-      value & opt index_conv FM.Uf
-      & info [ "index" ] ~docv:"INDEX"
-          ~doc:
-            "Component index: uf (union-find seniority index, the \
-             default) or scan (the eager rescan baseline).")
-
-  let storm nodes events rule seed index phases =
+  (* The churn model of the D-S2 ladder: every 41st event fails a
+     random non-destination node, every other even event takes down a
+     link drawn uniformly from the present edge set, and the rest try
+     to link a random absent pair.  Random pairs alone would almost
+     never hit a present link at this scale.  Links are kept as keys
+     [u * n + v] (u < v) in a swap-remove array with a position table,
+     plus per-node neighbour tables for node failures. *)
+  let storm nodes events rule seed phases =
     if nodes < 2 then `Error (false, "--nodes must be at least 2")
     else begin
       let events = if events <= 0 then 2 * nodes else events in
@@ -1781,36 +1771,67 @@ module Storm_cli = struct
       in
       let config = Config.of_instance inst in
       let fm, create_s =
-        Lr_parallel.Pool.timed (fun () -> FM.create ~index rule config)
+        Lr_parallel.Pool.timed (fun () -> FM.create rule config)
       in
+      let initial = Digraph.directed_edges config.Config.initial in
+      let links = Array.make (List.length initial + events) 0 and m = ref 0 in
+      let pos = Hashtbl.create (4 * nodes) in
+      let nbrs = Array.init nodes (fun _ -> Hashtbl.create 4) in
+      let key u v = if u < v then (u * nodes) + v else (v * nodes) + u in
+      let put u v =
+        links.(!m) <- key u v;
+        Hashtbl.replace pos (key u v) !m;
+        incr m;
+        Hashtbl.replace nbrs.(u) v ();
+        Hashtbl.replace nbrs.(v) u ()
+      in
+      let del u v =
+        let i = Hashtbl.find pos (key u v) in
+        Hashtbl.remove pos (key u v);
+        decr m;
+        if i < !m then begin
+          links.(i) <- links.(!m);
+          Hashtbl.replace pos links.(i) i
+        end;
+        Hashtbl.remove nbrs.(u) v;
+        Hashtbl.remove nbrs.(v) u
+      in
+      List.iter (fun (u, v) -> put u v) initial;
       let erng = Random.State.make [| 0x57; 0xbad; seed |] in
       let downs = ref 0 and ups = ref 0 and fails = ref 0 in
       let partitions = ref 0 in
+      let count_cut = function
+        | M.Partitioned _ -> incr partitions
+        | M.Stabilized _ -> ()
+      in
       let bad_phase = ref (-1) in
       let per_phase = (events + phases - 1) / phases in
       let (), storm_s =
         Lr_parallel.Pool.timed (fun () ->
             for k = 1 to events do
-              let u = Random.State.int erng nodes
-              and v = Random.State.int erng nodes in
-              if u <> v then
-                if k mod 41 = 0 then begin
-                  let victim = if u = FM.destination fm then v else u in
-                  incr fails;
-                  match FM.fail_node fm victim with
-                  | M.Partitioned _ -> incr partitions
-                  | M.Stabilized _ -> ()
-                end
-                else if FM.mem_edge fm u v then begin
-                  incr downs;
-                  match FM.fail_link fm u v with
-                  | M.Partitioned _ -> incr partitions
-                  | M.Stabilized _ -> ()
-                end
-                else begin
+              if k mod 41 = 0 then begin
+                let u = Random.State.int erng nodes in
+                let victim = if u = FM.destination fm then (u + 1) mod nodes else u in
+                Hashtbl.iter (fun w () -> del victim w) (Hashtbl.copy nbrs.(victim));
+                incr fails;
+                count_cut (FM.fail_node fm victim)
+              end
+              else if k land 1 = 0 && !m > 0 then begin
+                let e = links.(Random.State.int erng !m) in
+                let u = e / nodes and v = e mod nodes in
+                del u v;
+                incr downs;
+                count_cut (FM.fail_link fm u v)
+              end
+              else begin
+                let u = Random.State.int erng nodes
+                and v = Random.State.int erng nodes in
+                if u <> v && not (FM.mem_edge fm u v) then begin
+                  put u v;
                   incr ups;
                   FM.add_link fm u v
-                end;
+                end
+              end;
               if k mod per_phase = 0 || k = events then
                 if !bad_phase < 0 && not (FM.consistent fm) then
                   bad_phase := k
@@ -1823,12 +1844,11 @@ module Storm_cli = struct
         nodes events !downs !ups !fails !partitions;
       Format.printf
         "create %.3f s; storm %.3f s (%.0f events/s); component %d/%d; \
-         index %s: %d slots, %d rebuilds; work %d@."
+         index: %d slots, %d rebuilds; work %d@."
         create_s storm_s
         (float_of_int events /. Float.max 1e-9 storm_s)
-        (FM.component_size fm) nodes
-        (match index with FM.Uf -> "uf" | FM.Scan -> "scan")
-        stats.FM.slots stats.FM.rebuilds (FM.total_work fm);
+        (FM.component_size fm) nodes stats.FM.slots stats.FM.rebuilds
+        (FM.total_work fm);
       if !bad_phase >= 0 then
         `Error
           ( false,
@@ -1851,14 +1871,15 @@ module Storm_cli = struct
               value
               & opt Service_cli.rule_conv Lr_routing.Maintenance.Partial_reversal
               & info [ "rule" ] ~docv:"RULE" ~doc:"partial (pr) or full (fr).")
-          $ sseed_arg $ sindex_arg $ phases_arg))
+          $ sseed_arg $ phases_arg))
     in
     Cmd.v
       (Cmd.info "storm"
          ~doc:
            "Stream a seeded link-churn storm through the fast maintenance \
-            engine and cross-check its union-find component index against \
-            a fresh BFS at every phase boundary (exit 1 on divergence).")
+            engine, drawing link-downs from the present edge set, and \
+            cross-check its union-find component index against a fresh \
+            BFS at every phase boundary (exit 1 on divergence).")
       term
 end
 

@@ -2,7 +2,6 @@ type t = {
   mutable parent : int array;
   (* Valid at roots only: *)
   mutable size_ : int array;
-  mutable epoch_ : int array;
   mutable dirty_ : bool array;
   (* Valid at every live slot (consulted at roots by [union]): *)
   mutable rank_ : int array;
@@ -15,7 +14,6 @@ let create n =
   {
     parent = Array.init cap (fun i -> i);
     size_ = Array.make cap 1;
-    epoch_ = Array.make cap 0;
     dirty_ = Array.make cap false;
     rank_ = Array.make cap 0;
     len = n;
@@ -54,8 +52,6 @@ let union t a b =
     in
     t.parent.(junior) <- senior;
     t.size_.(senior) <- t.size_.(senior) + t.size_.(junior);
-    if t.epoch_.(junior) > t.epoch_.(senior) then
-      t.epoch_.(senior) <- t.epoch_.(junior);
     if t.dirty_.(junior) then t.dirty_.(senior) <- true;
     senior
   end
@@ -71,7 +67,6 @@ let ensure t cap =
     in
     t.parent <- grow t.parent 0;
     t.size_ <- grow t.size_ 0;
-    t.epoch_ <- grow t.epoch_ 0;
     t.dirty_ <- grow t.dirty_ false;
     t.rank_ <- grow t.rank_ 0
   end
@@ -82,26 +77,13 @@ let fresh t ~rank =
   t.len <- t.len + 1;
   t.parent.(s) <- s;
   t.size_.(s) <- 1;
-  t.epoch_.(s) <- 0;
   t.dirty_.(s) <- false;
   t.rank_.(s) <- rank;
   s
 
 let retire t s =
   let r = find t s in
-  t.size_.(r) <- t.size_.(r) - 1;
-  t.epoch_.(r) <- t.epoch_.(r) + 1
+  t.size_.(r) <- t.size_.(r) - 1
 
-let mark_dirty t s =
-  let r = find t s in
-  t.dirty_.(r) <- true;
-  t.epoch_.(r) <- t.epoch_.(r) + 1
-
+let mark_dirty t s = t.dirty_.(find t s) <- true
 let dirty t s = t.dirty_.(find t s)
-
-let clear_dirty t s =
-  let r = find t s in
-  t.dirty_.(r) <- false;
-  t.epoch_.(r) <- t.epoch_.(r) + 1
-
-let epoch t s = t.epoch_.(find t s)

@@ -1,5 +1,5 @@
 (** Growable flat-array union-find with seniority-ranked
-    representatives and per-class split epochs.
+    representatives and per-class dirty bits.
 
     This is the component index behind {e Fast_maintenance}: merges
     (link-up) are O(α) unions, membership is O(α) finds, and splits
@@ -17,23 +17,21 @@
     highest-degree node, then the lowest id — anchors its class and
     per-node caches keyed near it survive merges untouched.
 
-    Each class root also carries an {e epoch} and a {e dirty} bit for
-    lazy split handling: a caller that cannot (or chooses not to)
-    resolve a disconnection immediately calls {!mark_dirty}, turning
-    the class into a sound {e over-approximation} of connectivity —
-    membership of a dirty class means "was connected when last exact".
-    Queries against a clean class are exact; callers repair a dirty
-    class (retire/fresh of the side they can enumerate, then
-    {!clear_dirty}) only when exactness starts to matter.  The epoch
-    counts every knowledge change (retire, dirty mark, clear), so
-    validators can cheaply assert "unchanged since I last looked". *)
+    Each class root also carries a {e dirty} bit for lazy split
+    handling: a caller that cannot (or chooses not to) resolve a
+    disconnection immediately calls {!mark_dirty}, turning the class
+    into a sound {e over-approximation} of connectivity — membership of
+    a dirty class means "was connected when last exact".  Queries
+    against a clean class are exact.  A dirty class is never cleaned in
+    place: the caller re-identifies the side it can enumerate onto
+    {!fresh} (clean) slots when exactness starts to matter, and the
+    rest keeps the dirty class. *)
 
 type t
 
 val create : int -> t
 (** [create n] is [n] singleton classes on slots [0 .. n-1], every
-    rank 0, every epoch 0, all clean.  @raise Invalid_argument when
-    [n < 0]. *)
+    rank 0, all clean.  @raise Invalid_argument when [n < 0]. *)
 
 val length : t -> int
 (** Slots allocated so far (initial [n] plus every {!fresh}).  Grows
@@ -59,33 +57,25 @@ val set_rank : t -> int -> int -> unit
 
 val union : t -> int -> int -> int
 (** Merge two classes and return the surviving representative: the
-    root of higher rank (ties: lower slot).  Sizes add, the epoch is
-    the max of the two, and dirtiness is inherited from either side.
-    Returns the common root unchanged when already joined. *)
+    root of higher rank (ties: lower slot).  Sizes add, and dirtiness
+    is inherited from either side.  Returns the common root unchanged
+    when already joined. *)
 
 val fresh : t -> rank:int -> int
-(** Allocate a new singleton slot (clean, epoch 0) with the given
-    rank.  Backing arrays grow by doubling. *)
+(** Allocate a new singleton slot (clean) with the given rank.
+    Backing arrays grow by doubling. *)
 
 val retire : t -> int -> unit
 (** Remove one live member from the slot's class: its size drops by
-    one and its epoch advances.  The slot itself becomes a ghost — it
-    keeps forwarding [find] traffic through the old tree, but the
-    caller must never use it as an identity again (pair with {!fresh}
-    to give the element its next identity). *)
+    one.  The slot itself becomes a ghost — it keeps forwarding [find]
+    traffic through the old tree, but the caller must never use it as
+    an identity again (pair with {!fresh} to give the element its next
+    identity). *)
 
 val mark_dirty : t -> int -> unit
 (** Mark the slot's class dirty — its membership is now an
     over-approximation (a disconnection happened inside it that has
-    not been resolved) — and advance its epoch. *)
+    not been resolved). *)
 
 val dirty : t -> int -> bool
 (** Whether the slot's class is dirty. *)
-
-val clear_dirty : t -> int -> unit
-(** Declare the slot's class exact again (after the caller repaired
-    it) and advance its epoch. *)
-
-val epoch : t -> int -> int
-(** The class's knowledge epoch: bumped by {!retire}, {!mark_dirty}
-    and {!clear_dirty}, inherited as the max across {!union}. *)

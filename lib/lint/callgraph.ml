@@ -11,10 +11,15 @@
 
    Cross-module references in the typed tree are fully qualified
    (dune's [Lib__Module] mangling flattens to [Lib.Module]), including
-   through [open]; the only indirection left is local module aliases
+   through [open]; the indirections left are local module aliases
    ([module P = Lr_parallel.Pool]) and functor instantiations
    ([module H = Order.Make (...)]), both handled by a per-unit alias
-   table expanded at lookup time. *)
+   table expanded at lookup time; values an [include] brings in,
+   linked to the included module's nodes once every unit is
+   registered; and calls through a first-class module ([let module E
+   = (val e)] or a [(module E : S)] parameter), where [E.f] resolves
+   to [f] of every module packed at [E]'s module type [S] anywhere in
+   the tree. *)
 
 type root_kind = Parallel | Resident
 
@@ -195,6 +200,9 @@ type unit_ctx = {
   (* binding-location key -> node id, to reattach pass-2 traversal to
      the nodes pass 1 registered. *)
   anchors : (string, int) Hashtbl.t;
+  (* Ident.unique_name of a module bound by unpacking a first-class
+     value -> its qualified module type. *)
+  unpacked : (string, string) Hashtbl.t;
 }
 
 type builder = {
@@ -203,6 +211,12 @@ type builder = {
   by_id : (int, node) Hashtbl.t;
   by_qname : (string, int) Hashtbl.t;
   mutable ctxs : (Cmt_unit.t * unit_ctx) list;
+  (* Values brought in by [include]: (unit, ident, qualified name in
+     the including module, qualified name in the included one). *)
+  mutable includes : (unit_ctx * Ident.t * string * string) list;
+  (* First-class packings: (qualified module type, packing unit, packed
+     module as written there). *)
+  mutable packs : (string * unit_ctx * string) list;
 }
 
 let fresh b ~name ~unit_name (loc : Location.t) =
@@ -239,6 +253,12 @@ let rec module_head (me : Typedtree.module_expr) =
   | Typedtree.Tmod_constraint (me, _, _, _) -> module_head me
   | _ -> None
 
+(* A module type's qualified name; a path rooted in the unit itself
+   gets the unit prefix. *)
+let qualify ctx p =
+  let name = Walk.flatten_dunder (Path.name p) in
+  if Ident.global (Path.head p) then name else ctx.pretty ^ "." ^ name
+
 (* Pass 1: register a node for every toplevel binding (and per-unit
    alias table entries), so pass-2 bodies can resolve references into
    any unit regardless of scan order. *)
@@ -250,6 +270,7 @@ let register_unit b (u : Cmt_unit.t) (str : Typedtree.structure) =
       idents = Hashtbl.create 64;
       aliases = Hashtbl.create 8;
       anchors = Hashtbl.create 64;
+      unpacked = Hashtbl.create 8;
     }
   in
   let register_binding prefix (vb : Typedtree.value_binding) =
@@ -292,6 +313,21 @@ let register_unit b (u : Cmt_unit.t) (str : Typedtree.structure) =
           | None -> None
         in
         register_module prefix mod_name mb.Typedtree.mb_expr
+    | Typedtree.Tstr_include incl -> (
+        match module_head incl.Typedtree.incl_mod with
+        | Some target ->
+            List.iter
+              (function
+                | Types.Sig_value (id, _, _) ->
+                    b.includes <-
+                      ( ctx,
+                        id,
+                        ctx.pretty ^ "." ^ prefix ^ Ident.name id,
+                        target ^ "." ^ Ident.name id )
+                      :: b.includes
+                | _ -> ())
+              incl.Typedtree.incl_type
+        | None -> ())
     | Typedtree.Tstr_recmodule mbs ->
         List.iter
           (fun (mb : Typedtree.module_binding) ->
@@ -331,43 +367,80 @@ let register_unit b (u : Cmt_unit.t) (str : Typedtree.structure) =
     | _ -> ()
   in
   List.iter (register_item "") str.Typedtree.str_items;
+  let expr it (e : Typedtree.expression) =
+    (match (e.Typedtree.exp_desc, Types.get_desc e.Typedtree.exp_type) with
+    | Typedtree.Texp_pack me, Types.Tpackage (mty, _) -> (
+        match module_head me with
+        | Some head -> b.packs <- (qualify ctx mty, ctx, head) :: b.packs
+        | None -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.Tast_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with Tast_iterator.expr } in
+  it.Tast_iterator.structure it str;
   b.ctxs <- (u, ctx) :: b.ctxs
 
+(* After every unit is registered: an included value resolves to the
+   included module's node, unless the including module rebinds it. *)
+let link_includes b =
+  List.iter
+    (fun (ctx, id, qname, target) ->
+      match Hashtbl.find_opt b.by_qname target with
+      | Some n ->
+          if not (Hashtbl.mem b.by_qname qname) then Hashtbl.replace b.by_qname qname n;
+          if not (Hashtbl.mem ctx.idents (Ident.unique_name id)) then
+            Hashtbl.replace ctx.idents (Ident.unique_name id) n
+      | None -> ())
+    b.includes
+
 (* --- pass 2: walk bodies ------------------------------------------ *)
+
+let resolve_name b ctx name =
+  match Hashtbl.find_opt b.by_qname name with
+  | Some id -> Some id
+  | None -> (
+      (* expand a leading local-module alias and retry *)
+      let rec expand name fuel =
+        if fuel = 0 then None
+        else
+          match String.index_opt name '.' with
+          | None -> None
+          | Some i -> (
+              let head = String.sub name 0 i in
+              let rest = String.sub name i (String.length name - i) in
+              match Hashtbl.find_opt ctx.aliases head with
+              | None -> None
+              | Some target -> (
+                  let name' = target ^ rest in
+                  match Hashtbl.find_opt b.by_qname name' with
+                  | Some id -> Some id
+                  | None -> expand name' (fuel - 1)))
+      in
+      match expand name 4 with
+      | Some id -> Some id
+      | None ->
+          (* same-unit nested module: [Persistent.run] inside
+             pool.ml is [Lr_parallel.Pool.Persistent.run] *)
+          Hashtbl.find_opt b.by_qname (ctx.pretty ^ "." ^ name))
 
 let resolve b ctx path =
   match path with
   | Path.Pident id -> Hashtbl.find_opt ctx.idents (Ident.unique_name id)
-  | _ -> (
-      let name = Walk.flatten_dunder (Path.name path) in
-      match Hashtbl.find_opt b.by_qname name with
-      | Some id -> Some id
-      | None ->
-          (* expand a leading local-module alias and retry *)
-          let rec expand name fuel =
-            if fuel = 0 then None
-            else
-              match String.index_opt name '.' with
-              | None -> None
-              | Some i -> (
-                  let head = String.sub name 0 i in
-                  let rest =
-                    String.sub name i (String.length name - i)
-                  in
-                  match Hashtbl.find_opt ctx.aliases head with
-                  | None -> None
-                  | Some target -> (
-                      let name' = target ^ rest in
-                      match Hashtbl.find_opt b.by_qname name' with
-                      | Some id -> Some id
-                      | None -> expand name' (fuel - 1)))
-          in
-          (match expand name 4 with
-          | Some id -> Some id
-          | None ->
-              (* same-unit nested module: [Persistent.run] inside
-                 pool.ml is [Lr_parallel.Pool.Persistent.run] *)
-              Hashtbl.find_opt b.by_qname (ctx.pretty ^ "." ^ name)))
+  | _ -> resolve_name b ctx (Walk.flatten_dunder (Path.name path))
+
+(* [E.f] through a module unpacked from a first-class value: [f] of
+   every module packed at [E]'s module type. *)
+let resolve_packed b ctx path =
+  match path with
+  | Path.Pdot (Path.Pident id, f) -> (
+      match Hashtbl.find_opt ctx.unpacked (Ident.unique_name id) with
+      | Some mty ->
+          List.filter_map
+            (fun (m, pctx, head) ->
+              if String.equal m mty then resolve_name b pctx (head ^ "." ^ f) else None)
+            b.packs
+      | None -> [])
+  | _ -> []
 
 let node_of b id = Hashtbl.find b.by_id id
 
@@ -465,12 +538,38 @@ let is_alloc_expr (e : Typedtree.expression) =
       | None -> false)
   | _ -> false
 
+(* A module bound by unpacking a first-class value of type [ty]. *)
+let record_unpack ctx id ty =
+  match Types.get_desc ty with
+  | Types.Tpackage (mty, _) ->
+      Hashtbl.replace ctx.unpacked (Ident.unique_name id) (qualify ctx mty)
+  | _ -> ()
+
+(* [fun (module E : S) -> ...] binds [E] by a pattern, not a
+   [let module]. *)
+let walk_pat :
+    type k. unit_ctx -> Tast_iterator.iterator -> k Typedtree.general_pattern -> unit =
+ fun ctx it p ->
+  (match p.Typedtree.pat_desc with
+  | Typedtree.Tpat_alias (inner, id, _)
+    when List.exists
+           (function Typedtree.Tpat_unpack, _, _ -> true | _ -> false)
+           inner.Typedtree.pat_extra ->
+      record_unpack ctx id p.Typedtree.pat_type
+  | _ -> ());
+  Tast_iterator.default_iterator.Tast_iterator.pat it p
+
 let rec walk_expr st it (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_ident (p, _, _) -> (
       match resolve st.b st.ctx p with
       | Some id -> record_edge st id
-      | None -> ())
+      | None -> List.iter (record_edge st) (resolve_packed st.b st.ctx p))
+  | Typedtree.Texp_letmodule
+      (Some id, _, _, { Typedtree.mod_desc = Typedtree.Tmod_unpack (packed, _); _ }, _)
+    ->
+      record_unpack st.ctx id packed.Typedtree.exp_type;
+      Tast_iterator.default_iterator.Tast_iterator.expr it e
   | Typedtree.Texp_apply (f, args) -> walk_apply st it e f args
   | Typedtree.Texp_try (body, cases) ->
       st.try_depth <- st.try_depth + 1;
@@ -708,6 +807,7 @@ let walk_unit b (u : Cmt_unit.t) ctx (str : Typedtree.structure) =
     {
       Tast_iterator.default_iterator with
       Tast_iterator.expr = (fun it e -> walk_expr st it e);
+      pat = (fun it p -> walk_pat ctx it p);
     }
   in
   let rec walk_item (item : Typedtree.structure_item) =
@@ -756,6 +856,8 @@ let build units =
       by_id = Hashtbl.create 256;
       by_qname = Hashtbl.create 256;
       ctxs = [];
+      includes = [];
+      packs = [];
     }
   in
   let with_structure =
@@ -767,6 +869,7 @@ let build units =
       units
   in
   List.iter (fun (u, s) -> register_unit b u s) with_structure;
+  link_includes b;
   let ctx_of u =
     List.find_map
       (fun ((u' : Cmt_unit.t), ctx) ->

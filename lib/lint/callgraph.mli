@@ -5,7 +5,11 @@
     of their enclosing node), and synthetic nodes for function literals
     passed directly to a domain-crossing entry point.  An edge [a → b]
     means [a]'s body references an identifier resolving to [b],
-    applied or not.
+    applied or not.  A value brought in by [include] resolves to the
+    included module's binding, and [E.f] on a module unpacked from a
+    first-class value resolves to [f] of every module packed at [E]'s
+    module type — so a caller that picks its implementation at run
+    time keeps edges to all of them.
 
     Alongside edges, each node carries the facts the domain-safety
     rules ({!Domain_safety}) consume: blocking-primitive call sites,

@@ -226,28 +226,12 @@ let inject t ~src ~count =
   done;
   (!accepted, !dropped)
 
-(* One partial-reversal height raise — the same arithmetic as
-   [Fast_maintenance.step] under [Partial_reversal], without the
-   worklist (reversal scheduling here is queue-driven). *)
+(* One partial-reversal height raise — the maintenance engine's own,
+   without its worklist (reversal scheduling here is queue-driven). *)
 let pr_step t u =
-  let d = G.Dyn.degree t.adj u in
-  if d > 0 then begin
-    let min_a = ref max_int in
-    for i = 0 to d - 1 do
-      let w = G.Dyn.nbr t.adj u i in
-      if t.ha.(w) < !min_a then min_a := t.ha.(w)
-    done;
-    let new_a = !min_a + 1 in
-    let min_b = ref max_int and same = ref false in
-    for i = 0 to d - 1 do
-      let w = G.Dyn.nbr t.adj u i in
-      if t.ha.(w) = new_a then begin
-        same := true;
-        if t.hb.(w) < !min_b then min_b := t.hb.(w)
-      end
-    done;
-    t.ha.(u) <- new_a;
-    if !same then t.hb.(u) <- !min_b - 1;
+  if G.Dyn.degree t.adj u > 0 then begin
+    Lr_routing.Fast_maintenance.raise_height Lr_routing.Maintenance.Partial_reversal t.adj
+      t.ha t.hb u;
     t.reversals <- t.reversals + 1
   end
 

@@ -38,22 +38,7 @@ let elect_after_destination_failure rule config =
   let height u = Node.Map.find u !heights in
   let raise_height u =
     let nbrs = Digraph.neighbors !graph u in
-    let hs = Node.Set.fold (fun v acc -> height v :: acc) nbrs [] in
-    match (rule, hs) with
-    | _, [] -> height u
-    | Maintenance.Partial_reversal, _ ->
-        let min_a = List.fold_left (fun m h -> min m h.Heights.pa) max_int hs in
-        let new_a = min_a + 1 in
-        let same = List.filter (fun h -> h.Heights.pa = new_a) hs in
-        let new_b =
-          match same with
-          | [] -> (height u).Heights.pb
-          | _ -> List.fold_left (fun m h -> min m h.Heights.pb) max_int same - 1
-        in
-        { Heights.pa = new_a; pb = new_b; pid = u }
-    | Maintenance.Full_reversal, _ ->
-        let max_a = List.fold_left (fun m h -> max m h.Heights.pa) min_int hs in
-        { Heights.pa = max_a + 1; pb = 0; pid = u }
+    Maintenance.raise_height rule (height u) (Node.Set.fold (fun v acc -> height v :: acc) nbrs [])
   in
   let reorient_at u =
     let hu = height u in

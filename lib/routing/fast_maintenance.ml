@@ -4,7 +4,6 @@ module G = Lr_fast.Fast_graph
 module Uf = Union_find
 
 type cache_stats = { hits : int; misses : int; invalidations : int }
-type index = Scan | Uf
 type index_stats = { slots : int; rebuilds : int }
 
 (* Next-hop cache cells. *)
@@ -15,20 +14,16 @@ type t = {
   n : int;
   rule : Maintenance.rule;
   dest : int;
-  index : index;
   adj : G.Dyn.t;
   (* PR/FR heights, keyed by slot; the pid component is the id itself.
      Edge orientation is derived: higher endpoint -> lower endpoint. *)
   ha : int array;
   hb : int array;
   in_deg : int array;
-  (* Membership in the destination's component.  [Scan] keeps the
-     eager bits + size below; [Uf] keeps the union-find index. *)
-  comp : bool array;
-  mutable comp_size : int;
-  (* [Uf] component index: a growable slot arena.  [slot.(u)] is [u]'s
-     current live slot; retired slots stay behind as ghosts so the
-     survivors' find paths keep resolving (see {!Union_find}). *)
+  (* Component index: a union-find over a growable slot arena.
+     [slot.(u)] is [u]'s current live slot; retired slots stay behind
+     as ghosts so the survivors' find paths keep resolving (see
+     {!Union_find}). *)
   mutable uf : Uf.t;
   slot : int array;
   (* Per-class pending-sink bags (intrusive lists).  [bag_head]/
@@ -74,7 +69,6 @@ type t = {
 let destination t = t.dest
 let num_nodes t = t.n
 let total_work t = t.work
-let index t = t.index
 let mem_node t u = u >= 0 && u < t.n
 let mem_edge t u v = G.Dyn.mem_edge t.adj u v
 let cache_stats t = { hits = t.hits; misses = t.misses; invalidations = t.invalidations }
@@ -94,21 +88,9 @@ let is_sink t u =
 
 (* {1 Component membership} *)
 
-let in_comp t u =
-  match t.index with
-  | Scan -> t.comp.(u)
-  | Uf -> Uf.same t.uf t.slot.(u) t.slot.(t.dest)
-
-let comp_size_now t =
-  match t.index with
-  | Scan -> t.comp_size
-  | Uf -> Uf.size t.uf t.slot.(t.dest)
-
+let in_comp t u = Uf.same t.uf t.slot.(u) t.slot.(t.dest)
 let in_dest_component t u = mem_node t u && in_comp t u
-let component_size t = comp_size_now t
-
-let component_epoch t =
-  match t.index with Scan -> 0 | Uf -> Uf.epoch t.uf t.slot.(t.dest)
+let component_size t = Uf.size t.uf t.slot.(t.dest)
 
 (* Seniority rank of a node: the destination outranks everything, then
    higher degree, then lower id — so the most stable endpoint anchors
@@ -120,10 +102,7 @@ let node_rank t u =
   if u = t.dest then max_int
   else (G.Dyn.degree t.adj u lsl id_bits) lor (id_mask - (u land id_mask))
 
-let refresh_rank t u =
-  match t.index with
-  | Scan -> ()
-  | Uf -> Uf.set_rank t.uf t.slot.(u) (node_rank t u)
+let refresh_rank t u = Uf.set_rank t.uf t.slot.(u) (node_rank t u)
 
 (* {1 Worklist} *)
 
@@ -250,10 +229,10 @@ let bag_drain_into_heap t r =
   done
 
 (* The minimum-id valid sink, or -1: exactly the node the reference's
-   ascending-order component scan would select.  In [Uf] mode a popped
-   sink outside the destination's component is parked in its class's
-   bag instead of dropped, so a later absorb requeues it without
-   rescanning the side. *)
+   ascending-order component scan would select.  A popped sink outside
+   the destination's component is parked in its class's bag instead of
+   dropped, so a later absorb requeues it without rescanning the
+   side. *)
 let rec pop_sink t =
   if t.heap_len = 0 then -1
   else
@@ -261,7 +240,7 @@ let rec pop_sink t =
     if u <> t.dest && is_sink t u then
       if in_comp t u then u
       else begin
-        (match t.index with Scan -> () | Uf -> bag_add t u);
+        bag_add t u;
         pop_sink t
       end
     else pop_sink t
@@ -301,6 +280,36 @@ let next_hop t v =
 
 (* {1 Repair} *)
 
+(* {!Maintenance.raise_height} on flat arrays. *)
+let raise_height rule adj ha hb u =
+  let d = G.Dyn.degree adj u in
+  match rule with
+  | Maintenance.Partial_reversal ->
+      let min_a = ref max_int in
+      for i = 0 to d - 1 do
+        let w = G.Dyn.nbr adj u i in
+        if ha.(w) < !min_a then min_a := ha.(w)
+      done;
+      let new_a = !min_a + 1 in
+      let min_b = ref max_int and same = ref false in
+      for i = 0 to d - 1 do
+        let w = G.Dyn.nbr adj u i in
+        if ha.(w) = new_a then begin
+          same := true;
+          if hb.(w) < !min_b then min_b := hb.(w)
+        end
+      done;
+      ha.(u) <- new_a;
+      if !same then hb.(u) <- !min_b - 1
+  | Maintenance.Full_reversal ->
+      let max_a = ref min_int in
+      for i = 0 to d - 1 do
+        let w = G.Dyn.nbr adj u i in
+        if ha.(w) > !max_a then max_a := ha.(w)
+      done;
+      ha.(u) <- !max_a + 1;
+      hb.(u) <- 0
+
 (* One reversal at the sink [u]: raise its height per the rule, adjust
    in-degrees along the (derived) flipped edges, queue any neighbour
    that just became a sink, and drop the cache entries whose choice the
@@ -308,32 +317,7 @@ let next_hop t v =
    neighbour's out-set, being a sink). *)
 let step t u =
   let d = G.Dyn.degree t.adj u in
-  (match t.rule with
-  | Maintenance.Partial_reversal ->
-      let min_a = ref max_int in
-      for i = 0 to d - 1 do
-        let w = G.Dyn.nbr t.adj u i in
-        if t.ha.(w) < !min_a then min_a := t.ha.(w)
-      done;
-      let new_a = !min_a + 1 in
-      let min_b = ref max_int and same = ref false in
-      for i = 0 to d - 1 do
-        let w = G.Dyn.nbr t.adj u i in
-        if t.ha.(w) = new_a then begin
-          same := true;
-          if t.hb.(w) < !min_b then min_b := t.hb.(w)
-        end
-      done;
-      t.ha.(u) <- new_a;
-      if !same then t.hb.(u) <- !min_b - 1
-  | Maintenance.Full_reversal ->
-      let max_a = ref min_int in
-      for i = 0 to d - 1 do
-        let w = G.Dyn.nbr t.adj u i in
-        if t.ha.(w) > !max_a then max_a := t.ha.(w)
-      done;
-      t.ha.(u) <- !max_a + 1;
-      t.hb.(u) <- 0);
+  raise_height t.rule t.adj t.ha t.hb u;
   invalidate t u;
   let flipped = ref 0 in
   for i = 0 to d - 1 do
@@ -358,7 +342,7 @@ let stabilize ?budget t =
     match budget with
     | Some b -> b
     | None ->
-        let s = comp_size_now t in
+        let s = component_size t in
         (4 * s * s) + 1000
   in
   let steps = ref 0 in
@@ -377,62 +361,7 @@ let stabilize ?budget t =
   t.work <- t.work + !steps;
   Maintenance.Stabilized { node_steps = !steps; affected = !affected }
 
-(* {1 Scan-mode component maintenance (the PR-8 eager baseline)} *)
-
-(* After a disconnecting change inside the destination's component:
-   re-derive the component by BFS and report the nodes that fell out of
-   it (removal can only shrink it). *)
-let recompute_comp t =
-  let q = t.queue and seen = t.seen in
-  Array.fill seen 0 t.n false;
-  seen.(t.dest) <- true;
-  q.(0) <- t.dest;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let x = q.(!head) in
-    incr head;
-    for i = 0 to G.Dyn.degree t.adj x - 1 do
-      let w = G.Dyn.nbr t.adj x i in
-      if not seen.(w) then begin
-        seen.(w) <- true;
-        q.(!tail) <- w;
-        incr tail
-      end
-    done
-  done;
-  let lost = ref Node.Set.empty in
-  for x = 0 to t.n - 1 do
-    if t.comp.(x) && not seen.(x) then lost := Node.Set.add x !lost;
-    t.comp.(x) <- seen.(x)
-  done;
-  t.comp_size <- !tail;
-  !lost
-
-(* A new link reattached [start]'s side to the destination's component:
-   absorb it and queue its pending sinks (a partitioned side is left
-   unrepaired, so it can hold sinks the reference's full component scan
-   would now find). *)
-let absorb_scan t start =
-  let q = t.queue in
-  t.comp.(start) <- true;
-  q.(0) <- start;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let x = q.(!head) in
-    incr head;
-    push_if_sink t x;
-    for i = 0 to G.Dyn.degree t.adj x - 1 do
-      let w = G.Dyn.nbr t.adj x i in
-      if not t.comp.(w) then begin
-        t.comp.(w) <- true;
-        q.(!tail) <- w;
-        incr tail
-      end
-    done
-  done;
-  t.comp_size <- t.comp_size + !tail
-
-(* {1 Uf-mode component maintenance} *)
+(* {1 Component maintenance} *)
 
 (* Bidirectional alternating BFS after the edge [{a, b}] was removed
    from inside one (exact) class.  Expands one node per side per round,
@@ -513,7 +442,7 @@ let detach_lost t q k =
    dirty class over-approximates — only [attach]'s actual component
    joins, found by a class-guarded BFS; the unreachable remainder keeps
    the old (still dirty) class, repaired if and when it reattaches. *)
-let absorb_uf t attach =
+let absorb t attach =
   let old_root = Uf.find t.uf t.slot.(attach) in
   if not (Uf.dirty t.uf old_root) then begin
     let droot = uf_union t t.slot.(t.dest) t.slot.(attach) in
@@ -583,10 +512,7 @@ let rebuild_index t =
     if u <> t.dest && is_sink t u && not (in_comp t u) then bag_add t u
   done
 
-let maybe_rebuild t =
-  match t.index with
-  | Scan -> ()
-  | Uf -> if Uf.length t.uf > (8 * t.n) + 64 then rebuild_index t
+let maybe_rebuild t = if Uf.length t.uf > (8 * t.n) + 64 then rebuild_index t
 
 (* {1 Topology changes} *)
 
@@ -604,34 +530,25 @@ let fail_link t u v =
   push_if_sink t v;
   refresh_rank t u;
   refresh_rank t v;
-  match t.index with
-  | Scan ->
-      let lost = if was_in_comp then recompute_comp t else Node.Set.empty in
-      if Node.Set.is_empty lost then stabilize t
-      else begin
+  if not was_in_comp then begin
+    (* A detached class may have split — membership becomes an
+       over-approximation until the side reattaches. *)
+    Uf.mark_dirty t.uf t.slot.(u);
+    stabilize t
+  end
+  else begin
+    match split_after_removal t u v with
+    | None -> stabilize t
+    | Some (q, k) ->
+        let lost = ref Node.Set.empty in
+        for i = 0 to k - 1 do
+          lost := Node.Set.add q.(i) !lost
+        done;
+        detach_lost t q k;
         ignore (stabilize t);
-        Maintenance.Partitioned lost
-      end
-  | Uf ->
-      if not was_in_comp then begin
-        (* A detached class may have split — membership becomes an
-           over-approximation until the side reattaches. *)
-        Uf.mark_dirty t.uf t.slot.(u);
-        stabilize t
-      end
-      else begin
-        match split_after_removal t u v with
-        | None -> stabilize t
-        | Some (q, k) ->
-            let lost = ref Node.Set.empty in
-            for i = 0 to k - 1 do
-              lost := Node.Set.add q.(i) !lost
-            done;
-            detach_lost t q k;
-            ignore (stabilize t);
-            maybe_rebuild t;
-            Maintenance.Partitioned !lost
-      end
+        maybe_rebuild t;
+        Maintenance.Partitioned !lost
+  end
 
 let add_link t u v =
   if u = v then invalid_arg "Maintenance.add_link: self-loop";
@@ -650,78 +567,54 @@ let add_link t u v =
   push_if_sink t v;
   refresh_rank t u;
   refresh_rank t v;
-  (match t.index with
-  | Scan ->
-      if t.comp.(u) && not t.comp.(v) then absorb_scan t v
-      else if t.comp.(v) && not t.comp.(u) then absorb_scan t u
-  | Uf ->
-      let du = in_comp t u and dv = in_comp t v in
-      if du && not dv then absorb_uf t v
-      else if dv && not du then absorb_uf t u
-      else if not (du || dv) then ignore (uf_union t t.slot.(u) t.slot.(v)));
+  let du = in_comp t u and dv = in_comp t v in
+  if du && not dv then absorb t v
+  else if dv && not du then absorb t u
+  else if not (du || dv) then ignore (uf_union t t.slot.(u) t.slot.(v));
   ignore (stabilize t);
   maybe_rebuild t
 
 let fail_node t u =
   if u = t.dest then invalid_arg "Maintenance.fail_node: cannot fail the destination";
   if not (mem_node t u) then invalid_arg "Maintenance.fail_node: unknown node";
-  match t.index with
-  | Scan ->
-      let was_in_comp = t.comp.(u) in
-      while G.Dyn.degree t.adj u > 0 do
-        let w = G.Dyn.nbr t.adj u 0 in
-        G.Dyn.remove_edge t.adj u w;
-        if compare_heights t u w > 0 then t.in_deg.(w) <- t.in_deg.(w) - 1;
-        invalidate t w;
-        push_if_sink t w
-      done;
-      t.in_deg.(u) <- 0;
-      invalidate t u;
-      let lost = if was_in_comp then recompute_comp t else Node.Set.empty in
-      if Node.Set.is_empty lost then stabilize t
-      else begin
-        ignore (stabilize t);
-        Maintenance.Partitioned lost
-      end
-  | Uf ->
-      (* Sequentially: each removal either keeps [u] attached (cheap
-         bidirectional probe), splits off a side (enumerated exactly —
-         its nodes accumulate into the lost set, matching the
-         reference's before-minus-after component difference), or
-         happens inside an already-detached class (dirty mark only).
-         The last removal always strands [u] itself. *)
-      let lost = ref Node.Set.empty in
-      while G.Dyn.degree t.adj u > 0 do
-        let w = G.Dyn.nbr t.adj u 0 in
-        G.Dyn.remove_edge t.adj u w;
-        if compare_heights t u w > 0 then t.in_deg.(w) <- t.in_deg.(w) - 1;
-        invalidate t w;
-        push_if_sink t w;
-        refresh_rank t w;
-        if in_comp t u then begin
-          match split_after_removal t u w with
-          | None -> ()
-          | Some (q, k) ->
-              for i = 0 to k - 1 do
-                lost := Node.Set.add q.(i) !lost
-              done;
-              detach_lost t q k
-        end
-        else Uf.mark_dirty t.uf t.slot.(u)
-      done;
-      t.in_deg.(u) <- 0;
-      invalidate t u;
-      refresh_rank t u;
-      if Node.Set.is_empty !lost then begin
-        let r = stabilize t in
-        maybe_rebuild t;
-        r
-      end
-      else begin
-        ignore (stabilize t);
-        maybe_rebuild t;
-        Maintenance.Partitioned !lost
-      end
+  (* Sequentially: each removal either keeps [u] attached (cheap
+     bidirectional probe), splits off a side (enumerated exactly — its
+     nodes accumulate into the lost set, matching the reference's
+     before-minus-after component difference), or happens inside an
+     already-detached class (dirty mark only).  The last removal always
+     strands [u] itself. *)
+  let lost = ref Node.Set.empty in
+  while G.Dyn.degree t.adj u > 0 do
+    let w = G.Dyn.nbr t.adj u 0 in
+    G.Dyn.remove_edge t.adj u w;
+    if compare_heights t u w > 0 then t.in_deg.(w) <- t.in_deg.(w) - 1;
+    invalidate t w;
+    push_if_sink t w;
+    refresh_rank t w;
+    if in_comp t u then begin
+      match split_after_removal t u w with
+      | None -> ()
+      | Some (q, k) ->
+          for i = 0 to k - 1 do
+            lost := Node.Set.add q.(i) !lost
+          done;
+          detach_lost t q k
+    end
+    else Uf.mark_dirty t.uf t.slot.(u)
+  done;
+  t.in_deg.(u) <- 0;
+  invalidate t u;
+  refresh_rank t u;
+  if Node.Set.is_empty !lost then begin
+    let r = stabilize t in
+    maybe_rebuild t;
+    r
+  end
+  else begin
+    ignore (stabilize t);
+    maybe_rebuild t;
+    Maintenance.Partitioned !lost
+  end
 
 (* {1 Construction} *)
 
@@ -730,7 +623,7 @@ let fail_node t u =
    topological order of the initial orientation.  Heights are seeded
    from the rank exactly as the reference seeds them from its
    embedding, then the session stabilizes. *)
-let build ~index rule ~dest rows rank =
+let build rule ~dest rows rank =
   let core = G.of_rows ~destination:dest ~out:(fun u w -> rank.(u) < rank.(w)) rows in
   let n = core.G.n in
   let ha = Array.make n 0 and hb = Array.make n 0 in
@@ -745,13 +638,10 @@ let build ~index rule ~dest rows rank =
       n;
       rule;
       dest;
-      index;
       adj;
       ha;
       hb;
       in_deg = Array.make n 0;
-      comp = Array.make n false;
-      comp_size = 0;
       uf = Uf.create n;
       slot = Array.init n (fun u -> u);
       bag_head = Array.make (max n 1) (-1);
@@ -787,18 +677,15 @@ let build ~index rule ~dest rows rank =
     done;
     t.in_deg.(u) <- !incoming
   done;
-  (match index with
-  | Scan -> ignore (recompute_comp t)
-  | Uf ->
-      for u = 0 to n - 1 do
-        Uf.set_rank t.uf u (node_rank t u)
-      done;
-      for u = 0 to n - 1 do
-        for i = 0 to G.Dyn.degree t.adj u - 1 do
-          let w = G.Dyn.nbr t.adj u i in
-          if w > u then ignore (uf_union t u w)
-        done
-      done);
+  for u = 0 to n - 1 do
+    Uf.set_rank t.uf u (node_rank t u)
+  done;
+  for u = 0 to n - 1 do
+    for i = 0 to G.Dyn.degree t.adj u - 1 do
+      let w = G.Dyn.nbr t.adj u i in
+      if w > u then ignore (uf_union t u w)
+    done
+  done;
   for u = 0 to n - 1 do
     push_if_sink t u
   done;
@@ -807,7 +694,7 @@ let build ~index rule ~dest rows rank =
 
 (* A configuration enters the core as its sorted adjacency rows and its
    embedding's ranks. *)
-let create ?(index = Uf) rule config =
+let create rule config =
   let g = config.Config.initial in
   let nodes = Digraph.nodes g in
   let n = Node.Set.cardinal nodes in
@@ -817,7 +704,7 @@ let create ?(index = Uf) rule config =
     Array.init n (fun u -> Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
   in
   let rank = Array.init n (fun u -> Embedding.rank config.Config.embedding u) in
-  build ~index rule ~dest:config.Config.destination rows rank
+  build rule ~dest:config.Config.destination rows rank
 
 (* {1 Failover} *)
 
@@ -909,7 +796,7 @@ let reroot t ~leader =
         end)
       rows.(u)
   done;
-  build ~index:t.index t.rule ~dest:leader rows rank
+  build t.rule ~dest:leader rows rank
 
 let set_observer t obs = t.obs <- obs
 
@@ -918,10 +805,10 @@ let set_observer t obs = t.obs <- obs
 (* Overwrite every height with an arbitrary (adversarial) value and
    self-heal: the derived orientation of any height assignment is
    acyclic, so the ordinary sink worklist converges from it.  Same
-   recipe as [create] — recount in-degrees, re-derive the component,
-   reseed the worklist — plus a full next-hop cache drop, since every
-   cached choice may now be stale.  The [Uf] index is untouched:
-   heights do not move nodes between components. *)
+   recipe as [create] — recount in-degrees, reseed the worklist — plus
+   a full next-hop cache drop, since every cached choice may now be
+   stale.  The component index is untouched: heights do not move nodes
+   between components. *)
 let adopt_heights t f =
   for u = 0 to t.n - 1 do
     let a, b = f u in
@@ -937,7 +824,6 @@ let adopt_heights t f =
     done;
     t.in_deg.(u) <- !incoming
   done;
-  (match t.index with Scan -> ignore (recompute_comp t) | Uf -> ());
   for u = 0 to t.n - 1 do
     push_if_sink t u
   done;
@@ -1048,13 +934,13 @@ let graph t =
 
 (* {1 Self-check} *)
 
-(* Cross-check the [Uf] index against ground truth: a full component
-   labelling of the current topology.  The destination's class must be
-   exact; a clean class must be exactly one component; a dirty class
-   may over-approximate but no single component may straddle two
-   classes (every edge's endpoints share a class); sizes must match the
-   live-member counts; and the bag structure must account for exactly
-   the pending detached sinks. *)
+(* Cross-check the component index against ground truth: a full
+   component labelling of the current topology.  The destination's
+   class must be exact; a clean class must be exactly one component; a
+   dirty class may over-approximate but no single component may
+   straddle two classes (every edge's endpoints share a class); sizes
+   must match the live-member counts; and the bag structure must
+   account for exactly the pending detached sinks. *)
 let uf_consistent t seen dest_tail =
   let ok = ref true in
   (* Destination-class exactness. *)
@@ -1178,16 +1064,8 @@ let consistent t =
       end
     done
   done;
-  (match t.index with
-  | Scan ->
-      if !tail <> t.comp_size then ok := false;
-      for u = 0 to t.n - 1 do
-        if t.comp.(u) <> seen.(u) then ok := false
-      done
-  | Uf ->
-      (* [uf_consistent] reuses [t.queue]; [seen] is stable. *)
-      let snapshot = Array.copy seen in
-      if not (uf_consistent t snapshot !tail) then ok := false);
+  (* [uf_consistent] reuses [t.queue]; [seen] is stable. *)
+  if not (uf_consistent t (Array.copy seen) !tail) then ok := false;
   (* A stabilized engine holds no repairable sink. *)
   for u = 0 to t.n - 1 do
     if in_comp t u && u <> t.dest && is_sink t u then ok := false

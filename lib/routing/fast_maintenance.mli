@@ -19,16 +19,14 @@
       and refilled only with the neighbours of just-reversed nodes — no
       per-step component rescan;
     - membership in the destination's component is a {!Union_find}
-      {e seniority index} ({!Uf}, the default): merges are O(α) unions
-      anchored at the most senior endpoint (destination, then degree,
-      then low id), splits are handled lazily — a link-down inside a
-      detached class only dirties it, and the actually-reattached side
-      is re-identified by an incremental BFS when it rejoins.  Pending
-      sinks of detached sides wait in per-class {e bags}, so absorbing
-      a side requeues them by splicing one list instead of rescanning.
-      The eager PR-8 baseline ({!Scan}: one full BFS per disconnecting
-      change, one side scan per reconnecting one) is kept selectable
-      for before/after benchmarking;
+      {e seniority index}, the engine's one membership path: merges are
+      O(α) unions anchored at the most senior endpoint (destination,
+      then degree, then low id), splits are handled lazily — a
+      link-down inside a detached class only dirties it, and the
+      actually-reattached side is re-identified by an incremental BFS
+      when it rejoins.  Pending sinks of detached sides wait in
+      per-class {e bags}, so absorbing a side requeues them by splicing
+      one list instead of rescanning;
     - a per-node {e next-hop cache} makes repeated route queries on a
       quiescent engine O(path length) array hops with zero height
       comparisons; entries are invalidated exactly where a height or an
@@ -39,20 +37,12 @@ open Linkrev
 
 type t
 
-(** Component-membership strategy.  [Uf] is the union-find seniority
-    index (the default); [Scan] is the eager rescan baseline it
-    replaced, kept for differential tests and honest before/after
-    bench columns.  Responses, counters and fingerprints are
-    byte-identical across the two. *)
-type index = Scan | Uf
-
-val create : ?index:index -> Maintenance.rule -> Config.t -> t
+val create : Maintenance.rule -> Config.t -> t
 (** Starts from [G'_init] and stabilizes it, like
     {!Maintenance.create}.  Node ids must be [0 .. n-1]
     ({!Lr_graph.Generators} outputs and service shard configs satisfy
     this); @raise Invalid_argument otherwise. *)
 
-val index : t -> index
 val destination : t -> Node.t
 val num_nodes : t -> int
 val mem_node : t -> Node.t -> bool
@@ -75,8 +65,8 @@ val total_work : t -> int
 val is_destination_oriented : t -> bool
 
 val in_dest_component : t -> Node.t -> bool
-(** Membership in the destination's component — O(α) under [Uf], O(1)
-    under [Scan]; false for unknown nodes.  Between operations the
+(** Membership in the destination's component — O(α) through the
+    union-find index; false for unknown nodes.  Between operations the
     engine is stabilized and its component destination-oriented, so
     this also answers "does a directed path to the destination exist"
     without the BFS of {!has_path} — the serving layer's fast
@@ -85,20 +75,12 @@ val in_dest_component : t -> Node.t -> bool
 val component_size : t -> int
 (** Live size of the destination's component. *)
 
-val component_epoch : t -> int
-(** Knowledge epoch of the destination's component class under [Uf]:
-    advances whenever the component loses members, absorbs a side, or
-    the index is rebuilt — a cheap "unchanged since I last looked"
-    token for layers caching component-derived answers.  May reset
-    after compaction; always [0] under [Scan]. *)
-
 type index_stats = { slots : int; rebuilds : int }
 
 val index_stats : t -> index_stats
-(** [Uf] arena accounting: [slots] allocated so far (live + ghosts —
-    compaction rebuilds the arena when this passes [8n + 64]) and how
-    many such [rebuilds] have happened.  Under [Scan]: [slots = n],
-    [rebuilds = 0]. *)
+(** Union-find arena accounting: [slots] allocated so far (live +
+    ghosts — compaction rebuilds the arena when this passes [8n + 64])
+    and how many such [rebuilds] have happened. *)
 
 val graph : t -> Digraph.t
 (** Materialized snapshot of the current oriented topology (orientation
@@ -121,9 +103,9 @@ val reroot : t -> leader:Node.t -> t
     keeps that orientation acyclic, so the order always exists).  The
     result is identical — heights, adjacency order, work, routes — to
     {!create} on [Config.make] of the stripped {!graph} with destination
-    [leader], without materializing either: O(n + m log Δ).  Index and
-    rule carry over; work and cache counters start from zero; no
-    observer is attached.  [t] itself is left unchanged.
+    [leader], without materializing either: O(n + m log Δ).  The rule
+    carries over; work and cache counters start from zero; no observer
+    is attached.  [t] itself is left unchanged.
     @raise Invalid_argument if [leader] is unknown or is the current
     destination. *)
 
@@ -170,12 +152,20 @@ val cache_stats : t -> cache_stats
     [misses] entries recomputed, [invalidations] entries discarded. *)
 
 val consistent : t -> bool
-(** Internal invariant check for tests: in-degrees match a recount,
-    the component index matches a fresh BFS from the destination —
-    under [Uf] additionally: the destination's class is exact and
-    clean, clean classes are exact components, no physical component
-    straddles two classes, class sizes match live-member counts, and
-    the per-class pending-sink bags account for exactly the detached
-    sinks — every worklist-eligible sink is queued, bagged or outside
-    the destination's component, and the destination's component is
+(** Internal invariant check for tests: in-degrees match a recount;
+    the component index matches a fresh BFS from the destination (the
+    destination's class is exact and clean, clean classes are exact
+    components, no physical component straddles two classes, class
+    sizes match live-member counts, and the per-class pending-sink bags
+    account for exactly the detached sinks); every worklist-eligible
+    sink is queued, bagged or outside the destination's component; no
+    cached next hop is stale; and the destination's component is
     destination-oriented. *)
+
+val raise_height :
+  Maintenance.rule -> Lr_fast.Fast_graph.Dyn.t -> int array -> int array -> Node.t -> unit
+(** [raise_height rule adj ha hb u] is one reversal's height raise at
+    [u] on flat [(pa, pb)] arrays: {!Maintenance.raise_height} over
+    [u]'s neighbours in [adj], written into [ha.(u)] and [hb.(u)].  The
+    engine's own step and the {e lr_packet} forwarding plane's
+    reversals share it.  [u] must have at least one neighbour. *)

@@ -16,6 +16,7 @@ type change_result =
   | Partitioned of Node.Set.t
 
 let graph t = t.graph
+let rule t = t.rule
 let destination t = t.destination
 let total_work t = t.work
 
@@ -37,24 +38,26 @@ let height_pair t u =
 let compare_heights t u v =
   Heights.compare_pr_height (height t u) (height t v)
 
-let raise_height t u =
-  let nbrs = Digraph.neighbors t.graph u in
-  let hs = Node.Set.fold (fun v acc -> height t v :: acc) nbrs [] in
-  match (t.rule, hs) with
-  | _, [] -> height t u
+let raise_height rule cur hs =
+  match (rule, hs) with
+  | _, [] -> cur
   | Partial_reversal, _ ->
       let min_a = List.fold_left (fun m h -> min m h.Heights.pa) max_int hs in
       let new_a = min_a + 1 in
       let same = List.filter (fun h -> h.Heights.pa = new_a) hs in
       let new_b =
         match same with
-        | [] -> (height t u).Heights.pb
+        | [] -> cur.Heights.pb
         | _ -> List.fold_left (fun m h -> min m h.Heights.pb) max_int same - 1
       in
-      { Heights.pa = new_a; pb = new_b; pid = u }
+      { cur with Heights.pa = new_a; pb = new_b }
   | Full_reversal, _ ->
       let max_a = List.fold_left (fun m h -> max m h.Heights.pa) min_int hs in
-      { Heights.pa = max_a + 1; pb = 0; pid = u }
+      { cur with Heights.pa = max_a + 1; pb = 0 }
+
+let raise_at t u =
+  let nbrs = Digraph.neighbors t.graph u in
+  raise_height t.rule (height t u) (Node.Set.fold (fun v acc -> height t v :: acc) nbrs [])
 
 (* Re-derive the orientation of [u]'s incident edges from heights. *)
 let reorient_at t u =
@@ -108,7 +111,7 @@ let stabilize ?budget t =
       match find_sink () with
       | None -> ()
       | Some u ->
-          t.heights <- Node.Map.add u (raise_height t u) t.heights;
+          t.heights <- Node.Map.add u (raise_at t u) t.heights;
           reorient_at t u;
           affected := Node.Set.add u !affected;
           incr steps;

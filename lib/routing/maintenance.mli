@@ -32,6 +32,10 @@ val create : rule -> Config.t -> t
     be destination-oriented). *)
 
 val graph : t -> Digraph.t
+
+val rule : t -> rule
+(** The reversal rule the session was created with. *)
+
 val destination : t -> Node.t
 val is_destination_oriented : t -> bool
 val total_work : t -> int
@@ -40,6 +44,18 @@ val total_work : t -> int
 val route : t -> Node.t -> Node.t list option
 (** A directed path from the node to the destination, if the node is
     currently connected to it. *)
+
+val raise_height : rule -> Heights.pr_height -> Heights.pr_height list -> Heights.pr_height
+(** [raise_height rule h hs] is the height a sink at height [h] takes
+    when it reverses, given its neighbours' heights [hs] (in any
+    order): under PR, [pa] becomes one above the lowest neighbour's and
+    [pb] one below the lowest [pb] among the neighbours at that new
+    [pa] (unchanged when there are none); under FR, [pa] becomes one
+    above the highest neighbour's and [pb] is 0.  The id component is
+    kept; [h] itself is returned when [hs] is empty.  Every persistent
+    engine ({!Failover} too) reverses through it, and
+    {!Fast_maintenance.raise_height} is the same arithmetic on flat
+    arrays. *)
 
 val compare_heights : t -> Node.t -> Node.t -> int
 (** Order of the two nodes' current heights (positive when the first is

@@ -3,63 +3,212 @@ open Lr_routing
 
 type engine_kind = Fast | Reference
 
-type engine = E_fast of Fast_maintenance.t | E_ref of Maintenance.t
+(* What a shard asks of its maintenance tier.  [Fast_maintenance]
+   answers it directly; [Maintenance] answers it through the oracle
+   glue of [Reference_tier].  A shard picks its tier once, in
+   [create], and every op after that runs the same code on either. *)
+module type ENGINE = sig
+  type t
 
-type t = {
-  sid : int;
-  rule : Maintenance.rule;
-  kind : engine_kind;
-  packet_queue : int;
-  mutable m : engine;
-  (* The packet-forwarding plane, created lazily at the first packet op
-     from a snapshot of the then-current graph and kept in sync with
-     the engine through every subsequent link event.  Seeded from a
-     deterministic topological order of that snapshot — never from
-     engine internals — so responses stay byte-identical across
-     maintenance tiers.  A failover discards it (in-flight packets go
-     down with the crashed destination). *)
-  mutable plane : Lr_packet.Plane.t option;
-  mutable dead : Node.Set.t;
-  mutable epoch : int;
-  mutable work_base : int;  (* total_work of retired maintenance sessions *)
-}
+  val kind : engine_kind
+  val create : Maintenance.rule -> Linkrev.Config.t -> t
+  val destination : t -> Node.t
+  val graph : t -> Digraph.t
+  val total_work : t -> int
+  val cache_stats : t -> Fast_maintenance.cache_stats option
+  val mem_node : t -> Node.t -> bool
+  val mem_edge : t -> Node.t -> Node.t -> bool
+  val edge_out : t -> Node.t -> Node.t -> bool
+  val compare_heights : t -> Node.t -> Node.t -> int
+  val height : t -> Node.t -> int * int
+  val route : t -> Node.t -> Node.t list option
+
+  (* A directed path from the node to the destination exists: the
+     honesty check behind a [No_route] answer. *)
+  val reaches_destination : t -> Node.t -> bool
+
+  val in_dest_component : t -> Node.t -> bool
+  val component_size : t -> int
+  val fail_link : t -> Node.t -> Node.t -> Maintenance.change_result
+  val add_link : t -> Node.t -> Node.t -> unit
+  val adopt_heights : t -> (Node.t -> int * int) -> Maintenance.change_result
+
+  (* The components a destination crash leaves, as [(size, greatest
+     id)], and the session toward the elected leader on the
+     crash-stripped graph — [None] when that graph is no valid
+     configuration. *)
+  val survivor_components : t -> (int * Node.t) list
+  val reroot : t -> leader:Node.t -> t option
+
+  (* Acyclic, and the destination's component destination-oriented. *)
+  val consistent : t -> bool
+end
+
+(* The fast tier answers the signature directly.  Its acyclicity is
+   structural (orientation is the strict height order), so its
+   [consistent] recounts the incremental state and checks the route
+   cache for staleness instead. *)
+module Fast_tier = struct
+  include Fast_maintenance
+
+  let kind = Fast
+  let cache_stats t = Some (cache_stats t)
+
+  (* Between ops the engine is stabilized, so membership in the
+     destination's component coincides with "a directed path exists" —
+     O(α) instead of a BFS. *)
+  let reaches_destination = in_dest_component
+  let reroot t ~leader = Some (reroot t ~leader)
+end
+
+(* The persistent reference tier, kept as the differential oracle.  The
+   glue below computes on persistent graphs what the fast tier keeps
+   in arrays; none of it is on the fast tier's path. *)
+module Reference_tier = struct
+  module M = Maintenance
+
+  type t = M.t
+
+  let kind = Reference
+  let create = M.create
+  let destination = M.destination
+  let graph = M.graph
+  let total_work = M.total_work
+  let cache_stats _ = None
+  let mem_node m u = Node.Set.mem u (Digraph.nodes (M.graph m))
+  let mem_edge m u v = Digraph.mem_edge (M.graph m) u v
+
+  let edge_out m u v =
+    Digraph.direction_equal (Digraph.dir (M.graph m) u v) Digraph.Out
+
+  let compare_heights = M.compare_heights
+  let height = M.height_pair
+  let route = M.route
+  let reaches_destination m src = Digraph.has_path (M.graph m) src (M.destination m)
+
+  (* The destination's undirected component, walked afresh. *)
+  let dest_component m =
+    let g = M.graph m in
+    let rec grow frontier seen =
+      if Node.Set.is_empty frontier then seen
+      else
+        let next =
+          Node.Set.fold
+            (fun u acc -> Node.Set.union acc (Digraph.neighbors g u))
+            frontier Node.Set.empty
+        in
+        let fresh = Node.Set.diff next seen in
+        grow fresh (Node.Set.union seen fresh)
+    in
+    let d = Node.Set.singleton (M.destination m) in
+    grow d d
+
+  let in_dest_component m u = mem_node m u && Node.Set.mem u (dest_component m)
+  let component_size m = Node.Set.cardinal (dest_component m)
+  let fail_link = M.fail_link
+  let add_link = M.add_link
+  let adopt_heights = M.adopt_heights
+
+  (* The graph with the destination's links removed; the node itself
+     stays, isolated. *)
+  let stripped m =
+    let g = M.graph m and old = M.destination m in
+    Node.Set.fold (fun v g -> Digraph.remove_edge g old v) (Digraph.neighbors g old) g
+
+  (* The components of the crash-stripped skeleton, less the isolated
+     old destination. *)
+  let survivor_components m =
+    let old = M.destination m in
+    Undirected.connected_components (Digraph.skeleton (stripped m))
+    |> List.filter_map (fun c ->
+           if Node.Set.mem old c then None
+           else Some (Node.Set.cardinal c, Node.Set.max_elt c))
+
+  let reroot m ~leader =
+    match Linkrev.Config.make (stripped m) ~destination:leader with
+    | Error _ -> None
+    | Ok config -> Some (M.create (M.rule m) config)
+
+  let consistent m = Digraph.is_acyclic (M.graph m) && M.is_destination_oriented m
+end
+
+(* Packed once here, so every shard shares one module block per tier. *)
+let fast_tier : (module ENGINE with type t = Fast_maintenance.t) = (module Fast_tier)
+let reference_tier : (module ENGINE with type t = Maintenance.t) = (module Reference_tier)
+
+type t =
+  | Shard : {
+      engine : (module ENGINE with type t = 'e);
+      mutable m : 'e;
+      sid : int;
+      packet_queue : int;
+      (* The packet-forwarding plane, created lazily at the first packet
+         op from a snapshot of the then-current graph and kept in sync
+         with the engine through every subsequent link event.  Seeded
+         from a deterministic topological order of that snapshot —
+         never from engine internals — so responses stay byte-identical
+         across maintenance tiers.  A failover discards it (in-flight
+         packets go down with the crashed destination). *)
+      mutable plane : Lr_packet.Plane.t option;
+      mutable dead : Node.Set.t;
+      mutable epoch : int;
+      mutable work_base : int;  (* total_work of retired maintenance sessions *)
+    }
+      -> t
+
+let make (type e) (engine : (module ENGINE with type t = e)) ~packet_queue ~rule ~id
+    config =
+  let module E = (val engine) in
+  Shard
+    { engine; m = E.create rule config; sid = id; packet_queue; plane = None;
+      dead = Node.Set.empty; epoch = 0; work_base = 0 }
 
 let create ?(engine = Fast) ?(packet_queue = 64) ~rule ~id config =
   if packet_queue < 1 then invalid_arg "Shard.create: packet_queue must be >= 1";
-  let m =
-    match engine with
-    | Fast -> E_fast (Fast_maintenance.create rule config)
-    | Reference -> E_ref (Maintenance.create rule config)
-  in
-  { sid = id; rule; kind = engine; packet_queue; m; plane = None;
-    dead = Node.Set.empty; epoch = 0; work_base = 0 }
+  match engine with
+  | Fast -> make fast_tier ~packet_queue ~rule ~id config
+  | Reference -> make reference_tier ~packet_queue ~rule ~id config
 
-let id t = t.sid
-let engine_kind t = t.kind
+let id (Shard s) = s.sid
 
-let destination t =
-  match t.m with
-  | E_fast f -> Fast_maintenance.destination f
-  | E_ref m -> Maintenance.destination m
+let engine_kind (Shard s) =
+  let module E = (val s.engine) in
+  E.kind
 
-let graph t =
-  match t.m with
-  | E_fast f -> Fast_maintenance.graph f
-  | E_ref m -> Maintenance.graph m
+let destination (Shard s) =
+  let module E = (val s.engine) in
+  E.destination s.m
 
-let dead t = t.dead
-let epoch t = t.epoch
+let graph (Shard s) =
+  let module E = (val s.engine) in
+  E.graph s.m
 
-let total_work t =
-  t.work_base
-  + (match t.m with
-    | E_fast f -> Fast_maintenance.total_work f
-    | E_ref m -> Maintenance.total_work m)
+let dead (Shard s) = s.dead
+let epoch (Shard s) = s.epoch
 
-let cache_stats t =
-  match t.m with
-  | E_fast f -> Some (Fast_maintenance.cache_stats f)
-  | E_ref _ -> None
+let total_work (Shard s) =
+  let module E = (val s.engine) in
+  s.work_base + E.total_work s.m
+
+let cache_stats (Shard s) =
+  let module E = (val s.engine) in
+  E.cache_stats s.m
+
+let in_dest_component (Shard s) u =
+  let module E = (val s.engine) in
+  E.in_dest_component s.m u
+
+let component_size (Shard s) =
+  let module E = (val s.engine) in
+  E.component_size s.m
+
+let height_pair (Shard s) u =
+  let module E = (val s.engine) in
+  E.height s.m u
+
+let consistent (Shard s) =
+  let module E = (val s.engine) in
+  E.consistent s.m
 
 type outcome = {
   response : Op.response;
@@ -67,92 +216,30 @@ type outcome = {
   validation_failures : int;
 }
 
-let mem_node t u =
-  match t.m with
-  | E_fast f -> Fast_maintenance.mem_node f u
-  | E_ref m -> Node.Set.mem u (Digraph.nodes (Maintenance.graph m))
-
-let mem_edge t u v =
-  match t.m with
-  | E_fast f -> Fast_maintenance.mem_edge f u v
-  | E_ref m -> Digraph.mem_edge (Maintenance.graph m) u v
-
-let edge_out t u v =
-  match t.m with
-  | E_fast f -> Fast_maintenance.edge_out f u v
-  | E_ref m ->
-      Digraph.direction_equal (Digraph.dir (Maintenance.graph m) u v) Digraph.Out
-
-let compare_heights t u v =
-  match t.m with
-  | E_fast f -> Fast_maintenance.compare_heights f u v
-  | E_ref m -> Maintenance.compare_heights m u v
-
-let engine_route t src =
-  match t.m with
-  | E_fast f -> Fast_maintenance.route f src
-  | E_ref m -> Maintenance.route m src
-
-(* Undirected component of the destination on the reference tier — the
-   oracle path, not the hot one. *)
-let ref_dest_component m =
-  let g = Maintenance.graph m in
-  let rec grow frontier seen =
-    if Node.Set.is_empty frontier then seen
-    else
-      let next =
-        Node.Set.fold
-          (fun u acc -> Node.Set.union acc (Digraph.neighbors g u))
-          frontier Node.Set.empty
-      in
-      let fresh = Node.Set.diff next seen in
-      grow fresh (Node.Set.union seen fresh)
-  in
-  let d = Node.Set.singleton (Maintenance.destination m) in
-  grow d d
-
-let in_dest_component t u =
-  match t.m with
-  | E_fast f -> Fast_maintenance.in_dest_component f u
-  | E_ref m -> mem_node t u && Node.Set.mem u (ref_dest_component m)
-
-let component_size t =
-  match t.m with
-  | E_fast f -> Fast_maintenance.component_size f
-  | E_ref m -> Node.Set.cardinal (ref_dest_component m)
-
-(* Between ops the engine is stabilized, so membership in the
-   destination's component coincides with "a directed path exists" —
-   the fast tier answers the honesty check in O(α) instead of a BFS. *)
-let has_path_to_destination t src =
-  match t.m with
-  | E_fast f -> Fast_maintenance.in_dest_component f src
-  | E_ref m -> Digraph.has_path (Maintenance.graph m) src (Maintenance.destination m)
+let noop = { response = Op.Noop; work = 0; validation_failures = 0 }
 
 (* The in-service checker: a path must start at the source, end at the
    destination, and descend strictly in both the orientation and the
    height order at every hop.  Strict height descent rules out loops on
    its own, so a validated path is a witness of acyclicity along the
    route. *)
-let path_valid t ~src path =
-  let dest = destination t in
+let path_valid (type e) (module E : ENGINE with type t = e) (m : e) ~src path =
+  let dest = E.destination m in
   let rec hops = function
     | a :: (b :: _ as rest) ->
-        mem_edge t a b
-        && edge_out t a b
-        && compare_heights t a b > 0
-        && hops rest
+        E.mem_edge m a b && E.edge_out m a b && E.compare_heights m a b > 0 && hops rest
     | [ last ] -> Node.equal last dest
     | [] -> false
   in
   match path with first :: _ -> Node.equal first src && hops path | [] -> false
 
-let route ~validate t src =
-  if not (mem_node t src) then { response = Op.Noop; work = 0; validation_failures = 0 }
+let route ~validate (Shard s) src =
+  let module E = (val s.engine) in
+  if not (E.mem_node s.m src) then noop
   else
-    match engine_route t src with
+    match E.route s.m src with
     | Some path ->
-        let bad = validate && not (path_valid t ~src path) in
+        let bad = validate && not (path_valid s.engine s.m ~src path) in
         {
           response = Op.Path path;
           work = 0;
@@ -162,37 +249,24 @@ let route ~validate t src =
         (* An honest No_route means the source really cannot reach the
            destination; a directed path existing despite the refusal is
            an engine bug the validator must surface. *)
-        let bad = validate && has_path_to_destination t src in
+        let bad = validate && E.reaches_destination s.m src in
         { response = Op.No_route; work = 0; validation_failures = (if bad then 1 else 0) }
 
-(* Mirror a link event into the forwarding plane (when one exists): the
-   plane's skeleton was snapshotted from the engine's graph and every
-   non-noop link op lands on both, so they can never drift. *)
-let plane_link_down t u v =
-  match t.plane with
-  | Some p -> Lr_packet.Plane.remove_link p u v
-  | None -> ()
-
-let plane_link_up t u v =
-  match t.plane with
-  | Some p -> Lr_packet.Plane.add_link p u v
-  | None -> ()
-
-let link_down t u v =
-  if Node.equal u v || (not (mem_node t u)) || (not (mem_node t v))
-     || not (mem_edge t u v)
-  then { response = Op.Noop; work = 0; validation_failures = 0 }
+(* Every non-noop link op lands on both the engine and the forwarding
+   plane (when one exists): the plane's skeleton was snapshotted from
+   the engine's graph, so they can never drift. *)
+let link_down (Shard s) u v =
+  let module E = (val s.engine) in
+  if Node.equal u v || (not (E.mem_node s.m u)) || (not (E.mem_node s.m v))
+     || not (E.mem_edge s.m u v)
+  then noop
   else begin
-    plane_link_down t u v;
-    let before = total_work t in
-    let result =
-      match t.m with
-      | E_fast f -> Fast_maintenance.fail_link f u v
-      | E_ref m -> Maintenance.fail_link m u v
-    in
+    (match s.plane with Some p -> Lr_packet.Plane.remove_link p u v | None -> ());
+    let before = E.total_work s.m in
+    let result = E.fail_link s.m u v in
     (* [Partitioned] still stabilizes the destination's side; the work
        delta covers both branches. *)
-    let work = total_work t - before in
+    let work = E.total_work s.m - before in
     match result with
     | Maintenance.Stabilized { node_steps; _ } ->
         { response = Op.Repaired { node_steps }; work; validation_failures = 0 }
@@ -201,18 +275,17 @@ let link_down t u v =
           validation_failures = 0 }
   end
 
-let link_up t u v =
-  if Node.equal u v || (not (mem_node t u)) || (not (mem_node t v))
-     || mem_edge t u v
-     || Node.Set.mem u t.dead || Node.Set.mem v t.dead
-  then { response = Op.Noop; work = 0; validation_failures = 0 }
+let link_up (Shard s) u v =
+  let module E = (val s.engine) in
+  if Node.equal u v || (not (E.mem_node s.m u)) || (not (E.mem_node s.m v))
+     || E.mem_edge s.m u v
+     || Node.Set.mem u s.dead || Node.Set.mem v s.dead
+  then noop
   else begin
-    plane_link_up t u v;
-    let before = total_work t in
-    (match t.m with
-    | E_fast f -> Fast_maintenance.add_link f u v
-    | E_ref m -> Maintenance.add_link m u v);
-    let node_steps = total_work t - before in
+    (match s.plane with Some p -> Lr_packet.Plane.add_link p u v | None -> ());
+    let before = E.total_work s.m in
+    E.add_link s.m u v;
+    let node_steps = E.total_work s.m - before in
     { response = Op.Linked { node_steps }; work = node_steps;
       validation_failures = 0 }
   end
@@ -237,81 +310,61 @@ let elect ~live components =
     None components
   |> Option.map snd
 
-(* The reference tier's election input: the components of the
-   crash-stripped skeleton, less the isolated old destination. *)
-let ref_survivors stripped old =
-  Undirected.connected_components (Digraph.skeleton stripped)
-  |> List.filter_map (fun c ->
-         if Node.Set.mem old c then None
-         else Some (Node.Set.cardinal c, Node.Set.max_elt c))
-
-let crash_destination t =
-  let old = destination t in
-  let live u = not (Node.Set.mem u t.dead) in
-  let noop = { response = Op.Noop; work = 0; validation_failures = 0 } in
-  let adopt leader m =
-    t.work_base <- total_work t;
-    t.dead <- Node.Set.add old t.dead;
-    t.m <- m;
-    t.plane <- None;
-    t.epoch <- t.epoch + 1;
-    (* The adoption work is the fresh session's stabilization — the
-       reversals actually performed on this shard's state. *)
-    let node_steps = total_work t - t.work_base in
-    { response = Op.New_destination { leader; node_steps }; work = node_steps;
-      validation_failures = 0 }
-  in
-  match t.m with
-  | E_fast f -> (
-      match elect ~live (Fast_maintenance.survivor_components f) with
-      | None -> noop
-      | Some leader -> adopt leader (E_fast (Fast_maintenance.reroot f ~leader)))
-  | E_ref m -> (
-      let g = Maintenance.graph m in
-      let stripped =
-        Node.Set.fold (fun v g -> Digraph.remove_edge g old v) (Digraph.neighbors g old) g
-      in
-      match elect ~live (ref_survivors stripped old) with
-      | None -> noop
-      | Some leader -> (
-          match Linkrev.Config.make stripped ~destination:leader with
-          | Error _ ->
-              (* The serving graph went inconsistent — count it, don't
-                 crash. *)
-              { noop with validation_failures = 1 }
-          | Ok config -> adopt leader (E_ref (Maintenance.create t.rule config))))
+let crash_destination (Shard s) =
+  let module E = (val s.engine) in
+  let live u = not (Node.Set.mem u s.dead) in
+  match elect ~live (E.survivor_components s.m) with
+  | None -> noop
+  | Some leader -> (
+      match E.reroot s.m ~leader with
+      | None ->
+          (* The serving graph went inconsistent — count it, don't
+             crash. *)
+          { noop with validation_failures = 1 }
+      | Some m ->
+          s.work_base <- s.work_base + E.total_work s.m;
+          s.dead <- Node.Set.add (E.destination s.m) s.dead;
+          s.m <- m;
+          s.plane <- None;
+          s.epoch <- s.epoch + 1;
+          (* The adoption work is the fresh session's stabilization —
+             the reversals actually performed on this shard's state. *)
+          let node_steps = E.total_work m in
+          { response = Op.New_destination { leader; node_steps }; work = node_steps;
+            validation_failures = 0 })
 
 (* The shard's forwarding plane, snapshotting the current graph and
    destination on first use.  [Config.make] failing means the serving
    graph went inconsistent — surfaced as a validation failure, like the
    crash path. *)
-let ensure_plane t =
-  match t.plane with
-  | Some p -> Some p
+let ensure_plane (Shard s) =
+  match s.plane with
+  | Some _ as p -> p
   | None -> (
-      match Linkrev.Config.make (graph t) ~destination:(destination t) with
+      let module E = (val s.engine) in
+      match Linkrev.Config.make (E.graph s.m) ~destination:(E.destination s.m) with
       | Error _ -> None
       | Ok config ->
-          let p = Lr_packet.Plane.create ~qcap:t.packet_queue config in
-          t.plane <- Some p;
+          let p = Lr_packet.Plane.create ~qcap:s.packet_queue config in
+          s.plane <- Some p;
           Some p)
 
-let inject t src count =
-  if count < 0 || not (mem_node t src) then
-    { response = Op.Noop; work = 0; validation_failures = 0 }
+let inject (Shard s as t) src count =
+  let module E = (val s.engine) in
+  if count < 0 || not (E.mem_node s.m src) then noop
   else
     match ensure_plane t with
-    | None -> { response = Op.Noop; work = 0; validation_failures = 1 }
+    | None -> { noop with validation_failures = 1 }
     | Some p ->
         let accepted, dropped = Lr_packet.Plane.inject p ~src ~count in
         { response = Op.Injected { accepted; dropped }; work = 0;
           validation_failures = 0 }
 
 let forward t slots =
-  if slots < 1 then { response = Op.Noop; work = 0; validation_failures = 0 }
+  if slots < 1 then noop
   else
     match ensure_plane t with
-    | None -> { response = Op.Noop; work = 0; validation_failures = 1 }
+    | None -> { noop with validation_failures = 1 }
     | Some p ->
         let before = Lr_packet.Plane.counters p in
         for _ = 1 to slots do
@@ -331,19 +384,8 @@ let forward t slots =
           validation_failures = 0;
         }
 
-let plane_queued t =
-  match t.plane with Some p -> Lr_packet.Plane.queued p | None -> 0
-
-let consistent t =
-  match t.m with
-  | E_fast f ->
-      (* Acyclicity is structural for the fast engine (orientation is
-         the strict height order); [consistent] additionally recounts
-         its incremental state and checks the cache for staleness. *)
-      Fast_maintenance.consistent f
-  | E_ref m ->
-      Digraph.is_acyclic (Maintenance.graph m)
-      && Maintenance.is_destination_oriented m
+let plane_queued (Shard s) =
+  match s.plane with Some p -> Lr_packet.Plane.queued p | None -> 0
 
 (* {1 Chaos faults} *)
 
@@ -358,27 +400,18 @@ let hostile_height ~seed ~magnitude u =
   let pb = Random.State.int st ((2 * m) + 1) - m in
   (pa, pb)
 
-let height_pair t u =
-  match t.m with
-  | E_fast f -> Fast_maintenance.height f u
-  | E_ref m -> Maintenance.height_pair m u
-
-let adopt t f =
-  match t.m with
-  | E_fast fm -> Fast_maintenance.adopt_heights fm f
-  | E_ref m -> Maintenance.adopt_heights m f
-
 (* Adopt a corrupted height assignment and report the self-healing
    work.  Validation re-runs the full consistency check afterwards —
    recovery, not just quiescence, is what the chaos SLO is stated
    over. *)
-let heal ~validate t f =
-  let before = total_work t in
-  let result = adopt t f in
-  let work = total_work t - before in
+let heal ~validate (Shard s) f =
+  let module E = (val s.engine) in
+  let before = E.total_work s.m in
+  let result = E.adopt_heights s.m f in
+  let work = E.total_work s.m - before in
   match result with
   | Maintenance.Stabilized { node_steps; _ } ->
-      let bad = validate && not (consistent t) in
+      let bad = validate && not (E.consistent s.m) in
       { response = Op.Healed { node_steps }; work;
         validation_failures = (if bad then 1 else 0) }
   | Maintenance.Partitioned _ ->
@@ -386,16 +419,15 @@ let heal ~validate t f =
       assert false
 
 let corrupt ~validate t ~seed ~magnitude =
-  if magnitude < 0 then { response = Op.Noop; work = 0; validation_failures = 0 }
-  else heal ~validate t (hostile_height ~seed ~magnitude)
+  if magnitude < 0 then noop else heal ~validate t (hostile_height ~seed ~magnitude)
 
-let flip_bit ~validate t ~node ~bit =
-  if (not (mem_node t node)) || bit < 0 || bit > 61 then
-    { response = Op.Noop; work = 0; validation_failures = 0 }
+let flip_bit ~validate (Shard s as t) ~node ~bit =
+  let module E = (val s.engine) in
+  if (not (E.mem_node s.m node)) || bit < 0 || bit > 61 then noop
   else
-    let pa, pb = height_pair t node in
+    let pa, pb = E.height s.m node in
     let flipped = (pa lxor (1 lsl bit), pb) in
-    heal ~validate t (fun u -> if u = node then flipped else height_pair t u)
+    heal ~validate t (fun u -> if u = node then flipped else E.height s.m u)
 
 let apply ?(validate = true) t op =
   match op with

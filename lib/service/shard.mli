@@ -26,7 +26,15 @@ type engine_kind = Fast | Reference
     {!Lr_routing.Maintenance}.  The two are byte-equivalent in every
     response, counter and fingerprint (the fast engine replicates the
     reference's sink-selection order exactly); [Reference] stays
-    available as the differential oracle and as a fallback. *)
+    available as the differential oracle and as a fallback.
+
+    Both tiers satisfy one internal engine signature — route, link
+    down/up, heights and adoption, membership, survivors and reroot,
+    work, consistency — so a shard is a single code path: {!create}
+    picks the tier once and no op decides it again.  The reference
+    tier's glue (component walks, the crash-stripped skeleton, a
+    [Config]-based reroot, a BFS [No_route] honesty check) lives
+    beside it in the shard, off the fast tier's path. *)
 
 val create :
   ?engine:engine_kind ->

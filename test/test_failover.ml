@@ -55,6 +55,22 @@ let test_both_rules_work () =
         (F.elect_after_destination_failure rule config))
     [ M.Partial_reversal; M.Full_reversal ]
 
+(* The re-orientation work per rule, pinned on two instances where the
+   rules differ, so a swapped or altered raise shows. *)
+let test_rule_work_pinned () =
+  List.iter
+    (fun (seed, pr, fr) ->
+      let config =
+        Config.of_instance
+          (Generators.random_connected_dag (Random.State.make [| seed |]) ~n:12 ~extra_edges:8)
+      in
+      let steps rule =
+        List.map (fun o -> o.F.node_steps) (F.elect_after_destination_failure rule config)
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "seed %d PR" seed) [ pr ] (steps M.Partial_reversal);
+      Alcotest.(check (list int)) (Printf.sprintf "seed %d FR" seed) [ fr ] (steps M.Full_reversal))
+    [ (1, 8, 11); (4, 17, 12) ]
+
 let test_members_partition_survivors () =
   let config = random_config ~seed:12 12 in
   let outcomes = F.elect_after_destination_failure M.Partial_reversal config in
@@ -85,8 +101,7 @@ let oracle_failover rule ~live f =
       let stripped =
         Node.Set.fold (fun v g -> Digraph.remove_edge g old v) (Digraph.neighbors g old) g
       in
-      (outcomes, Some (leader, FM.create ~index:(FM.index f) rule
-                                 (Config.make_exn stripped ~destination:leader)))
+      (outcomes, Some (leader, FM.create rule (Config.make_exn stripped ~destination:leader)))
 
 let native_failover ~live f =
   match Shard.elect ~live (FM.survivor_components f) with
@@ -124,11 +139,11 @@ let observe f log =
    answer [Noop]. *)
 let test_reroot_matches_oracle () =
   List.iter
-    (fun (rule, index, seed) ->
+    (fun (rule, seed) ->
       let n = 16 in
       let config = random_config ~extra_edges:10 ~seed n in
-      let oracle = ref (FM.create ~index rule config)
-      and native = ref (FM.create ~index rule config) in
+      let oracle = ref (FM.create rule config)
+      and native = ref (FM.create rule config) in
       let log_o = ref [] and log_n = ref [] in
       observe !oracle log_o;
       observe !native log_n;
@@ -181,8 +196,8 @@ let test_reroot_matches_oracle () =
         | None, Some _ -> Alcotest.failf "%s: only the native path elected" what
       done;
       check_bool "crashed down to no live candidate" true (!crashes >= 2))
-    [ (M.Partial_reversal, FM.Uf, 61); (M.Full_reversal, FM.Uf, 62);
-      (M.Partial_reversal, FM.Scan, 63); (M.Partial_reversal, FM.Uf, 64) ]
+    [ (M.Partial_reversal, 61); (M.Full_reversal, 62); (M.Partial_reversal, 63);
+      (M.Partial_reversal, 64) ]
 
 let crash shard = Shard.apply shard (Op.Crash_destination { shard = 0 })
 
@@ -317,6 +332,7 @@ let () =
           case "star crash isolates leaves" test_star_crash_splits_into_singletons;
           case "middle crash splits a chain" test_chain_crash_in_middle;
           case "both reversal rules work" test_both_rules_work;
+          case "reversal work pinned per rule" test_rule_work_pinned;
           case "members partition the survivors" test_members_partition_survivors;
         ];
       suite "native"

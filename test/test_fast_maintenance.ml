@@ -21,9 +21,19 @@ let make rule config =
 
 let route_testable = Alcotest.(option (list int))
 
-(* Full-state agreement: work, orientation, height order, routes. *)
+let dest_component m =
+  List.find (Node.Set.mem (M.destination m))
+    (Undirected.connected_components (Digraph.skeleton (M.graph m)))
+
+(* Full-state agreement: work, orientation, height order, routes, and
+   the union-find's membership answers against the reference's
+   destination component. *)
 let agree what sys =
   check_int (what ^ ": total work") (M.total_work sys.m) (FM.total_work sys.f);
+  let comp = dest_component sys.m in
+  check_int (what ^ ": component size") (Node.Set.cardinal comp) (FM.component_size sys.f);
+  check_bool (what ^ ": unknown node is no member") false
+    (FM.in_dest_component sys.f sys.n);
   Alcotest.check digraph_testable
     (what ^ ": oriented graph")
     (M.graph sys.m) (FM.graph sys.f);
@@ -37,7 +47,10 @@ let agree what sys =
     done;
     Alcotest.check route_testable
       (Printf.sprintf "%s: route from %d" what u)
-      (M.route sys.m u) (FM.route sys.f u)
+      (M.route sys.m u) (FM.route sys.f u);
+    check_bool
+      (Printf.sprintf "%s: membership of %d" what u)
+      (Node.Set.mem u comp) (FM.in_dest_component sys.f u)
   done;
   check_bool
     (what ^ ": destination oriented")
@@ -91,13 +104,14 @@ let test_lockstep_churn_fr () =
 
 let test_lockstep_churn_sparse () =
   (* A near-tree graph partitions on almost every removal, exercising
-     the incremental component membership and the absorb-side sink
-     scan on every reconnection. *)
+     the union-find's split probes and the absorb-side bag drain on
+     every reconnection. *)
   churn ~rule:M.Partial_reversal ~seed:13 ~events:200 ~extra_edges:1 12
 
 (* A partitioned side accumulates sinks the reference only repairs
    after reconnection (its component scan sees them then); the fast
-   engine must find them via the absorb-side scan, not the worklist. *)
+   engine must find them in the absorbed class's pending-sink bag, not
+   the worklist. *)
 let test_reconnection_finds_stale_sinks () =
   let config =
     Config.make_exn
@@ -167,8 +181,6 @@ let test_partition_heal_pinned () =
   List.iter
     (fun rule ->
       let sys = make rule config in
-      check_bool "engine under test is the union-find index" true
-        (FM.index sys.f = FM.Uf);
       agree "create" sys;
       (* Phase 1: sever the whole right branch (both entry points). *)
       check_result "cut 0-4" (M.fail_link sys.m 0 4) (FM.fail_link sys.f 0 4);
@@ -207,58 +219,13 @@ let test_partition_heal_pinned () =
         (FM.is_destination_oriented sys.f))
     [ M.Partial_reversal; M.Full_reversal ]
 
-(* The union-find index against the eager rescan baseline it
-   replaced, in lockstep under seeded churn: responses, counters,
-   fingerprints and both engines' own invariants must match at every
-   event. *)
-let test_scan_uf_differential () =
+(* Sparse seeded churn in lockstep with the reference: near-tree
+   graphs, so removals often split a side off and additions often
+   reattach one, each event checked through [agree] — membership and
+   component size included. *)
+let test_seeded_sparse_churn () =
   List.iter
-    (fun (rule, seed) ->
-      let config = random_config ~extra_edges:2 ~seed 16 in
-      let scan = FM.create ~index:FM.Scan rule config in
-      let uf = FM.create ~index:FM.Uf rule config in
-      let rand = rng (seed + 101) in
-      let both what f =
-        let a = f scan and b = f uf in
-        check_result what a b
-      in
-      let settled what =
-        check_int (what ^ ": total work") (FM.total_work scan)
-          (FM.total_work uf);
-        check_int (what ^ ": component size") (FM.component_size scan)
-          (FM.component_size uf);
-        Alcotest.check digraph_testable (what ^ ": graph") (FM.graph scan)
-          (FM.graph uf);
-        for u = 0 to 15 do
-          Alcotest.check route_testable
-            (Printf.sprintf "%s: route %d" what u)
-            (FM.route scan u) (FM.route uf u);
-          check_bool
-            (Printf.sprintf "%s: membership %d" what u)
-            (FM.in_dest_component scan u)
-            (FM.in_dest_component uf u)
-        done;
-        check_bool (what ^ ": scan consistent") true (FM.consistent scan);
-        check_bool (what ^ ": uf consistent") true (FM.consistent uf)
-      in
-      settled "create";
-      for k = 1 to 240 do
-        let u = Random.State.int rand 16 and v = Random.State.int rand 16 in
-        if u <> v then begin
-          let what = Printf.sprintf "event %d (%d,%d)" k u v in
-          if k mod 23 = 0 then begin
-            let victim = if u = FM.destination scan then v else u in
-            both what (fun f -> FM.fail_node f victim)
-          end
-          else if FM.mem_edge scan u v then
-            both what (fun f -> FM.fail_link f u v)
-          else begin
-            FM.add_link scan u v;
-            FM.add_link uf u v
-          end;
-          settled what
-        end
-      done)
+    (fun (rule, seed) -> churn ~rule ~seed ~events:240 ~extra_edges:2 16)
     [ (M.Partial_reversal, 31); (M.Full_reversal, 32); (M.Partial_reversal, 33) ]
 
 (* Repeated partition→heal cycles leak ghost slots until the arena
@@ -370,8 +337,7 @@ let () =
         [
           case "partition→heal cycles byte-identical (pinned)"
             test_partition_heal_pinned;
-          case "union-find vs rescan baseline in lockstep"
-            test_scan_uf_differential;
+          case "seeds 31-33 match the reference" test_seeded_sparse_churn;
           case "ghost-slot pressure triggers compaction"
             test_compaction_rebuilds;
           case "membership answers reachability"

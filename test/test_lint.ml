@@ -220,6 +220,17 @@ let test_l7_escaping_exception () =
           d.Diagnostic.message)
     diags
 
+(* The same rule through first-class modules: a [let module E = (val
+   ...)] and a [(module E : S)] parameter each hide one raise, and the
+   call graph must resolve [E.f] to the packed module's [f]. *)
+let test_l7_through_first_class_modules () =
+  let diags =
+    run (config ~dirs:[ "test/lint_fixtures_packed" ] ~rules:[ Rule.L7 ] ())
+  in
+  Alcotest.check loc_list "L7 fires on both raises behind the unpacks"
+    [ ("fix_packed.ml", 12); ("fix_packed.ml", 13) ]
+    (locs Rule.L7 diags)
+
 let test_l8_single_domain_atomic () =
   let diags = run (config ~rules:[ Rule.L8 ] ()) in
   Alcotest.check loc_list "L8 fires on the atomic that never crosses"
@@ -419,6 +430,8 @@ let () =
             test_l6_blocking_in_resident_loop;
           Alcotest.test_case "L7 escaping exception" `Quick
             test_l7_escaping_exception;
+          Alcotest.test_case "L7 through first-class modules" `Quick
+            test_l7_through_first_class_modules;
           Alcotest.test_case "L8 single-domain atomic" `Quick
             test_l8_single_domain_atomic;
         ] );

@@ -165,6 +165,33 @@ let test_plane_engine_height_seeding () =
     done
   done
 
+(* A blocked node's reversal is the maintenance engines' PR raise.  Node
+   2 holds a packet and sits below all three neighbours, one of them
+   (node 1) at the [pa] the raise lands on: partial reversal keeps 2
+   below 1, full reversal would lift it above every neighbour. *)
+let test_plane_reversal_is_the_pr_raise () =
+  let module M = Lr_routing.Maintenance in
+  let module H = Linkrev.Heights in
+  let config =
+    Linkrev.Config.make_exn
+      (Lr_graph.Digraph.of_directed_edges [ (2, 0); (2, 1); (2, 3); (1, 0); (3, 0) ])
+      ~destination:0
+  in
+  let ha = [| 0; 1; 0; 0 |] and hb = [| 5; 0; 1; 2 |] in
+  let height u = { H.pa = ha.(u); pb = hb.(u); pid = u } in
+  let p = Plane.create ~heights:(ha, hb) config in
+  ignore (Plane.inject p ~src:2 ~count:1 : int * int);
+  check_int "the blocked node reverses once" 1 (Plane.slot p).Plane.reversals;
+  let raised = M.raise_height M.Partial_reversal (height 2) (List.map height [ 0; 1; 3 ]) in
+  List.iter
+    (fun w ->
+      check_bool
+        (Printf.sprintf "2-%d oriented by the shared raise" w)
+        (H.compare_pr_height raised (height w) > 0)
+        (Plane.edge_out p 2 w))
+    [ 0; 1; 3 ];
+  check_bool "2 stays below 1" false (Plane.edge_out p 2 1)
+
 (* {1 Geo} *)
 
 let test_geo_generate_connected () =
@@ -241,6 +268,7 @@ let () =
           case "random backpressure stays acyclic" test_plane_random_backpressure;
           case "churn strands then recovers" test_plane_churn_strands_then_recovers;
           case "engine height seeding" test_plane_engine_height_seeding;
+          case "reversal is the shared PR raise" test_plane_reversal_is_the_pr_raise;
         ];
       suite "geo"
         [

@@ -2,7 +2,7 @@
    index: random union/find/retire+fresh/dirty interleavings checked
    against a naive relabelling oracle, plus focused units for the
    seniority rule (the senior representative survives every merge —
-   the property the next-hop cache relies on) and the dirty/epoch
+   the property the next-hop cache relies on) and the dirty-bit
    bookkeeping of lazy splits. *)
 
 open Linkrev
@@ -12,8 +12,8 @@ module U = Union_find
 (* {1 Oracle}
 
    One label per slot, unions merge by full relabelling; per label a
-   [(dirty, epoch)] pair maintained by the documented rules (union:
-   or / max; retire, mark, clear: epoch + 1).  Retired slots become
+   dirty bit maintained by the documented rules (union: or; mark:
+   set; fresh: clean).  Retired slots become
    ghosts: they keep their label (so relabelling stays closed) but
    leave the live set — the driver never uses them as operands again,
    and class sizes count live slots only. *)
@@ -23,7 +23,6 @@ type oracle = {
   mutable live : bool array;
   mutable o_len : int;
   dirty : (int, bool) Hashtbl.t; (* label -> *)
-  epoch : (int, int) Hashtbl.t;
 }
 
 let o_create n =
@@ -32,17 +31,14 @@ let o_create n =
     live = Array.make n true;
     o_len = n;
     dirty = Hashtbl.create 64;
-    epoch = Hashtbl.create 64;
   }
 
 let o_dirty o l = Option.value ~default:false (Hashtbl.find_opt o.dirty l)
-let o_epoch o l = Option.value ~default:0 (Hashtbl.find_opt o.epoch l)
 
 let o_union o a b =
   let la = o.label.(a) and lb = o.label.(b) in
   if la <> lb then begin
     Hashtbl.replace o.dirty la (o_dirty o la || o_dirty o lb);
-    Hashtbl.replace o.epoch la (max (o_epoch o la) (o_epoch o lb));
     Array.iteri (fun i l -> if l = lb then o.label.(i) <- la) o.label
   end
 
@@ -62,10 +58,7 @@ let o_fresh o =
   o.o_len <- s + 1;
   s
 
-let o_retire o s =
-  o.live.(s) <- false;
-  let l = o.label.(s) in
-  Hashtbl.replace o.epoch l (o_epoch o l + 1)
+let o_retire o s = o.live.(s) <- false
 
 let o_size o s =
   let l = o.label.(s) in
@@ -100,9 +93,7 @@ let test_random_vs_oracle () =
       (U.size u s);
     let l = o.label.(s) and r = U.find u s in
     check_bool (Printf.sprintf "%s: dirty of %d" what s) (o_dirty o l)
-      (U.dirty u r);
-    check_int (Printf.sprintf "%s: epoch of %d" what s) (o_epoch o l)
-      (U.epoch u r)
+      (U.dirty u r)
   in
   for k = 1 to ops do
     let what = Printf.sprintf "op %d" k in
@@ -141,7 +132,6 @@ let test_random_vs_oracle () =
         let fo = o_fresh o in
         check_int (what ^ ": fresh slot ids in lockstep") fo f;
         check_int (what ^ ": fresh singleton size") 1 (U.size u f);
-        check_int (what ^ ": fresh epoch is 0") 0 (U.epoch u f);
         check_bool (what ^ ": fresh is clean") false (U.dirty u f);
         (* Ghosts keep forwarding: retiring never re-roots, so the
            retired slot still resolves into its old class. *)
@@ -153,16 +143,7 @@ let test_random_vs_oracle () =
     else if roll < 70 then begin
       let s = pick () in
       U.mark_dirty u s;
-      let l = o.label.(s) in
-      Hashtbl.replace o.dirty l true;
-      Hashtbl.replace o.epoch l (o_epoch o l + 1)
-    end
-    else if roll < 80 then begin
-      let s = pick () in
-      U.clear_dirty u s;
-      let l = o.label.(s) in
-      Hashtbl.replace o.dirty l false;
-      Hashtbl.replace o.epoch l (o_epoch o l + 1)
+      Hashtbl.replace o.dirty o.label.(s) true
     end
     else begin
       (* pure queries keep the path-halving structure moving *)
@@ -214,25 +195,24 @@ let test_rank_update_affects_future_unions () =
   U.set_rank u 2 9;
   check_int "2 wins after its promotion" 2 (U.union u 0 2)
 
-(* {1 Dirty / epoch units} *)
+(* {1 Dirty-bit units} *)
 
-let test_dirty_epoch_lifecycle () =
+let test_dirty_lifecycle () =
   let u = U.create 4 in
   check_bool "clean at birth" false (U.dirty u 1);
-  check_int "epoch at birth" 0 (U.epoch u 1);
   U.mark_dirty u 1;
   check_bool "marked" true (U.dirty u 1);
-  check_int "mark advances the epoch" 1 (U.epoch u 1);
-  (* dirtiness and epoch survive a merge: or / max *)
+  (* dirtiness survives a merge and is seen through any member *)
   let r = U.union u 1 2 in
   check_bool "union inherits dirt" true (U.dirty u r);
-  check_int "union takes the max epoch" 1 (U.epoch u r);
-  U.clear_dirty u 2;
-  check_bool "cleared through any member" false (U.dirty u 1);
-  check_int "clear advances the epoch" 2 (U.epoch u 1);
+  check_bool "seen through the junior member" true (U.dirty u 2);
+  check_bool "an untouched class stays clean" false (U.dirty u 3);
   U.retire u 2;
-  check_int "retire advances the epoch" 3 (U.epoch u 1);
-  check_int "retire drops the live size" 1 (U.size u 1)
+  check_int "retire drops the live size" 1 (U.size u 1);
+  check_bool "retiring keeps the class dirty" true (U.dirty u 1);
+  (* re-identification: a fresh slot is a clean singleton *)
+  let f = U.fresh u ~rank:0 in
+  check_bool "fresh slot is clean" false (U.dirty u f)
 
 let test_ghosts_forward_after_churn () =
   (* Build a chain of unions, retire interior slots, and check the
@@ -265,7 +245,7 @@ let () =
         ];
       suite "lazy splits"
         [
-          case "dirty/epoch lifecycle" test_dirty_epoch_lifecycle;
+          case "dirty-bit lifecycle" test_dirty_lifecycle;
           case "ghosts keep forwarding" test_ghosts_forward_after_churn;
         ];
     ]
