@@ -38,10 +38,10 @@ let () =
     let edges = Digraph.directed_edges (M.graph m) in
     let u, v = List.nth edges (Random.State.int rng (List.length edges)) in
     (match M.fail_link m u v with
-    | M.Stabilized { node_steps; affected } ->
+    | M.Stabilized { node_steps } ->
         incr failures;
-        Format.printf "round %2d: link {%a,%a} failed, repaired with %d reversals by %a@."
-          round Node.pp u Node.pp v node_steps Node.Set.pp affected
+        Format.printf "round %2d: link {%a,%a} failed, repaired with %d reversals@."
+          round Node.pp u Node.pp v node_steps
     | M.Partitioned lost ->
         incr partitions;
         Format.printf "round %2d: link {%a,%a} failed, PARTITION — lost %a@."

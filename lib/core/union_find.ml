@@ -71,6 +71,17 @@ let ensure t cap =
     t.rank_ <- grow t.rank_ 0
   end
 
+let reset t n =
+  if n < 0 then invalid_arg "Union_find.reset: negative size";
+  ensure t n;
+  for s = 0 to n - 1 do
+    t.parent.(s) <- s;
+    t.size_.(s) <- 1;
+    t.dirty_.(s) <- false;
+    t.rank_.(s) <- 0
+  done;
+  t.len <- n
+
 let fresh t ~rank =
   ensure t (t.len + 1);
   let s = t.len in

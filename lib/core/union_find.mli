@@ -33,10 +33,18 @@ val create : int -> t
 (** [create n] is [n] singleton classes on slots [0 .. n-1], every
     rank 0, all clean.  @raise Invalid_argument when [n < 0]. *)
 
+val reset : t -> int -> unit
+(** [reset t n] turns [t] into [create n] in place: [n] clean
+    singletons of rank 0 on slots [0 .. n-1], every ghost and later
+    slot dropped.  The backing arrays keep their capacity, so a reset
+    to at most the slots [t] already holds allocates nothing.
+    @raise Invalid_argument when [n < 0]. *)
+
 val length : t -> int
-(** Slots allocated so far (initial [n] plus every {!fresh}).  Grows
-    monotonically — callers watching for compaction pressure compare
-    this against their live-element count. *)
+(** Slots allocated so far (initial [n] plus every {!fresh} since
+    {!create} or the last {!reset}).  Grows monotonically in between —
+    callers watching for compaction pressure compare this against their
+    live-element count. *)
 
 val find : t -> int -> int
 (** Representative slot of the class of a slot (path halving,

@@ -161,4 +161,44 @@ module Dyn = struct
        once per row), so [j] stays valid for the second removal. *)
     remove_slot t u i;
     remove_slot t v j
+
+  (* Each edge leaves the far row through its mirror slot, so nothing
+     is looked up.  [remove_slot] only rewrites rows other than [u]'s
+     ([u] occurs once in each far row), so [u]'s slots stay valid while
+     they are walked. *)
+  let isolate t u =
+    for i = t.deg.(u) - 1 downto 0 do
+      remove_slot t t.nbr.(u).(i) t.mir.(u).(i)
+    done;
+    t.deg.(u) <- 0
+
+  (* Sweeping [u] upward and appending it to each neighbour's row is a
+     transposition; the rows are symmetric, so it rebuilds every row in
+     ascending order.  It writes into the mirror rows, which have the
+     same capacity, and swaps them in; [of_rows]' cursor pass then
+     refills the mirrors. *)
+  let sort_rows t ~scratch:cursor =
+    Array.fill cursor 0 t.n 0;
+    for u = 0 to t.n - 1 do
+      let row = t.nbr.(u) in
+      for i = 0 to t.deg.(u) - 1 do
+        let w = row.(i) in
+        t.mir.(w).(cursor.(w)) <- u;
+        cursor.(w) <- cursor.(w) + 1
+      done
+    done;
+    for u = 0 to t.n - 1 do
+      let row = t.nbr.(u) in
+      t.nbr.(u) <- t.mir.(u);
+      t.mir.(u) <- row
+    done;
+    Array.fill cursor 0 t.n 0;
+    for u = 0 to t.n - 1 do
+      let row = t.nbr.(u) and mir = t.mir.(u) in
+      for i = 0 to t.deg.(u) - 1 do
+        let w = row.(i) in
+        mir.(i) <- cursor.(w);
+        cursor.(w) <- cursor.(w) + 1
+      done
+    done
 end

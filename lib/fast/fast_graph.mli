@@ -59,7 +59,8 @@ val initial_in_degree : t -> int array
     maintenance engine).  Removal swap-deletes within a row and fixes
     the moved entry's mirror, so both operations are O(degree) with no
     allocation in the steady state.  Rows lose their sorted order after
-    the first removal — callers must not rely on it. *)
+    the first removal — callers must not rely on it until
+    {!sort_rows} restores it. *)
 module Dyn : sig
   type graph := t
   type t
@@ -82,4 +83,15 @@ module Dyn : sig
 
   val remove_edge : t -> int -> int -> unit
   (** @raise Invalid_argument if the edge is absent. *)
+
+  val isolate : t -> int -> unit
+  (** [isolate t u] removes every edge of [u], in O(degree u) with no
+      allocation. *)
+
+  val sort_rows : t -> scratch:int array -> unit
+  (** Puts every row back in ascending order and recomputes the mirror
+      slots, in place, so the adjacency order is again the one
+      {!of_graph} gives a fresh {!of_rows} of the same edge set.
+      O(n + sum of degrees), with no allocation.  [scratch] must hold
+      at least [num_nodes t] ints; its contents are overwritten. *)
 end

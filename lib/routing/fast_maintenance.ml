@@ -13,7 +13,7 @@ let nh_none = -1
 type t = {
   n : int;
   rule : Maintenance.rule;
-  dest : int;
+  mutable dest : int;
   adj : G.Dyn.t;
   (* PR/FR heights, keyed by slot; the pid component is the id itself.
      Edge orientation is derived: higher endpoint -> lower endpoint. *)
@@ -24,7 +24,7 @@ type t = {
      [slot.(u)] is [u]'s current live slot; retired slots stay behind
      as ghosts so the survivors' find paths keep resolving (see
      {!Union_find}). *)
-  mutable uf : Uf.t;
+  uf : Uf.t;
   slot : int array;
   (* Per-class pending-sink bags (intrusive lists).  [bag_head]/
      [bag_tail] are slot-indexed and meaningful at class roots;
@@ -85,6 +85,17 @@ let height t u = (t.ha.(u), t.hb.(u))
 let is_sink t u =
   let d = G.Dyn.degree t.adj u in
   d > 0 && t.in_deg.(u) = d
+
+(* In-degrees recounted from the derived orientation. *)
+let recount_in_degrees t =
+  for u = 0 to t.n - 1 do
+    let d = G.Dyn.degree t.adj u in
+    let incoming = ref 0 in
+    for i = 0 to d - 1 do
+      if compare_heights t u (G.Dyn.nbr t.adj u i) < 0 then incr incoming
+    done;
+    t.in_deg.(u) <- !incoming
+  done
 
 (* {1 Component membership} *)
 
@@ -346,7 +357,6 @@ let stabilize ?budget t =
         (4 * s * s) + 1000
   in
   let steps = ref 0 in
-  let affected = ref Node.Set.empty in
   let running = ref true in
   while !running do
     if !steps > budget then
@@ -355,11 +365,10 @@ let stabilize ?budget t =
     | -1 -> running := false
     | u ->
         step t u;
-        affected := Node.Set.add u !affected;
         incr steps
   done;
   t.work <- t.work + !steps;
-  Maintenance.Stabilized { node_steps = !steps; affected = !affected }
+  Maintenance.Stabilized { node_steps = !steps }
 
 (* {1 Component maintenance} *)
 
@@ -488,13 +497,11 @@ let absorb t attach =
     done
   end
 
-(* Compaction: ghosts accumulate one per detached node per split, so
-   when the arena outgrows 8n + 64 rebuild it from the live topology —
-   every class comes back exact (and clean) and the bags are re-seeded
-   from the current sinks.  Called between operations (heap empty). *)
-let rebuild_index t =
-  t.rebuilds <- t.rebuilds + 1;
-  t.uf <- Uf.create t.n;
+(* The component index from the live topology, on the arena reset in
+   place: every node back on its own slot, one union per edge, every
+   bag empty.  Every class comes back exact and clean. *)
+let reindex t =
+  Uf.reset t.uf t.n;
   Array.fill t.bag_head 0 (Array.length t.bag_head) (-1);
   Array.fill t.bag_tail 0 (Array.length t.bag_tail) (-1);
   Array.fill t.in_bag 0 t.n false;
@@ -507,7 +514,15 @@ let rebuild_index t =
       let w = G.Dyn.nbr t.adj u i in
       if w > u then ignore (uf_union t u w)
     done
-  done;
+  done
+
+(* Compaction: ghosts accumulate one per detached node per split, so
+   when the arena outgrows 8n + 64 rebuild it from the live topology
+   and re-seed the bags from the current sinks.  Called between
+   operations (heap empty). *)
+let rebuild_index t =
+  t.rebuilds <- t.rebuilds + 1;
+  reindex t;
   for u = 0 to t.n - 1 do
     if u <> t.dest && is_sink t u && not (in_comp t u) then bag_add t u
   done
@@ -618,32 +633,62 @@ let fail_node t u =
 
 (* {1 Construction} *)
 
-(* The constructor core shared by [create] and [reroot]: [rows] are the
-   skeleton's adjacency rows (ascending, symmetric) and [rank] is a
-   topological order of the initial orientation.  Heights are seeded
-   from the rank exactly as the reference seeds them from its
-   embedding, then the session stabilizes. *)
-let build rule ~dest rows rank =
-  let core = G.of_rows ~destination:dest ~out:(fun u w -> rank.(u) < rank.(w)) rows in
-  let n = core.G.n in
-  let ha = Array.make n 0 and hb = Array.make n 0 in
+(* The seeding core of [create] and [reroot].  [rank] is a topological
+   order of the orientation on [t.adj]; heights are seeded from it
+   exactly as the reference seeds them from its embedding, so that
+   orientation becomes the height order.  Everything else — in-degrees,
+   component index, next-hop cache, counters — is derived or reset in
+   place, and the session stabilizes. *)
+let seed t rank =
+  let n = t.n in
   for u = 0 to n - 1 do
-    match rule with
-    | Maintenance.Partial_reversal -> hb.(u) <- -rank.(u)
-    | Maintenance.Full_reversal -> ha.(u) <- n - rank.(u)
+    match t.rule with
+    | Maintenance.Partial_reversal ->
+        t.ha.(u) <- 0;
+        t.hb.(u) <- -rank.(u)
+    | Maintenance.Full_reversal ->
+        t.ha.(u) <- n - rank.(u);
+        t.hb.(u) <- 0
   done;
-  let adj = G.Dyn.of_graph core in
+  recount_in_degrees t;
+  reindex t;
+  t.rebuilds <- 0;
+  Array.fill t.nh 0 n nh_unset;
+  t.obs <- None;
+  t.work <- 0;
+  t.hits <- 0;
+  t.misses <- 0;
+  t.invalidations <- 0;
+  for u = 0 to n - 1 do
+    push_if_sink t u
+  done;
+  ignore (stabilize t)
+
+(* A configuration enters as its sorted adjacency rows and its
+   embedding's ranks. *)
+let create rule config =
+  let g = config.Config.initial in
+  let nodes = Digraph.nodes g in
+  let n = Node.Set.cardinal nodes in
+  if not (Node.Set.equal nodes (Node.Set.of_range 0 (n - 1))) then
+    invalid_arg "Fast_maintenance.create: node ids must be 0..n-1";
+  let rows =
+    Array.init n (fun u -> Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
+  in
+  let rank = Array.init n (fun u -> Embedding.rank config.Config.embedding u) in
+  let dest = config.Config.destination in
+  let core = G.of_rows ~destination:dest ~out:(fun u w -> rank.(u) < rank.(w)) rows in
   let t =
     {
       n;
       rule;
       dest;
-      adj;
-      ha;
-      hb;
+      adj = G.Dyn.of_graph core;
+      ha = Array.make n 0;
+      hb = Array.make n 0;
       in_deg = Array.make n 0;
       uf = Uf.create n;
-      slot = Array.init n (fun u -> u);
+      slot = Array.make n 0;
       bag_head = Array.make (max n 1) (-1);
       bag_tail = Array.make (max n 1) (-1);
       bag_next = Array.make (max n 1) (-1);
@@ -667,44 +712,8 @@ let build rule ~dest rows rank =
       stamp = 0;
     }
   in
-  (* The rank is a topological order of the initial orientation, so
-     that orientation is exactly the height order — in-degrees follow. *)
-  for u = 0 to n - 1 do
-    let d = G.Dyn.degree t.adj u in
-    let incoming = ref 0 in
-    for i = 0 to d - 1 do
-      if compare_heights t u (G.Dyn.nbr t.adj u i) < 0 then incr incoming
-    done;
-    t.in_deg.(u) <- !incoming
-  done;
-  for u = 0 to n - 1 do
-    Uf.set_rank t.uf u (node_rank t u)
-  done;
-  for u = 0 to n - 1 do
-    for i = 0 to G.Dyn.degree t.adj u - 1 do
-      let w = G.Dyn.nbr t.adj u i in
-      if w > u then ignore (uf_union t u w)
-    done
-  done;
-  for u = 0 to n - 1 do
-    push_if_sink t u
-  done;
-  ignore (stabilize t);
+  seed t rank;
   t
-
-(* A configuration enters the core as its sorted adjacency rows and its
-   embedding's ranks. *)
-let create rule config =
-  let g = config.Config.initial in
-  let nodes = Digraph.nodes g in
-  let n = Node.Set.cardinal nodes in
-  if not (Node.Set.equal nodes (Node.Set.of_range 0 (n - 1))) then
-    invalid_arg "Fast_maintenance.create: node ids must be 0..n-1";
-  let rows =
-    Array.init n (fun u -> Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
-  in
-  let rank = Array.init n (fun u -> Embedding.rank config.Config.embedding u) in
-  build rule ~dest:config.Config.destination rows rank
 
 (* {1 Failover} *)
 
@@ -738,65 +747,54 @@ let survivor_components t =
   done;
   List.rev !found
 
-(* The crash-stripped topology as constructor input.  Rows drop the old
-   destination and are re-sorted, so the adjacency equals what a fresh
-   [create] would build.  The rank replays [Digraph.topological_sort]
-   over the current derived orientation exactly: a LIFO stack seeded
-   with the zero-in-degree nodes in ascending id (the largest pops
-   first), each popped node pushing its newly freed out-neighbours in
-   ascending id. *)
+(* The crash-stripped topology, reseeded in place.  The old
+   destination's links go, with in-degrees kept exact, and the rows are
+   re-sorted, so the adjacency equals what a fresh [create] would
+   build.  The rank replays [Digraph.topological_sort] over the current
+   derived orientation exactly: a LIFO stack seeded with the
+   zero-in-degree nodes in ascending id (the largest pops first), each
+   popped node pushing its newly freed out-neighbours in ascending id.
+   The counts, stack and rank live in the BFS and split-probe queues,
+   which [seed] does not touch. *)
 let reroot t ~leader =
   if (not (mem_node t leader)) || leader = t.dest then
     invalid_arg "Fast_maintenance.reroot: leader must be a node other than the destination";
   let n = t.n and old = t.dest in
-  let rows =
-    Array.init n (fun u ->
-        if u = old then [||]
-        else begin
-          let d = G.Dyn.degree t.adj u in
-          let kept = ref 0 in
-          for i = 0 to d - 1 do
-            if G.Dyn.nbr t.adj u i <> old then incr kept
-          done;
-          let row = Array.make !kept 0 and j = ref 0 in
-          for i = 0 to d - 1 do
-            let w = G.Dyn.nbr t.adj u i in
-            if w <> old then begin
-              row.(!j) <- w;
-              incr j
-            end
-          done;
-          Array.sort Int.compare row;
-          row
-        end)
-  in
-  let indeg = Array.make n 0 in
-  Array.iteri
-    (fun u row -> Array.iter (fun w -> if edge_out t w u then indeg.(u) <- indeg.(u) + 1) row)
-    rows;
-  let stack = Array.make (max n 1) 0 and sp = ref 0 in
-  let push u =
-    stack.(!sp) <- u;
-    incr sp
-  in
-  for u = 0 to n - 1 do
-    if indeg.(u) = 0 then push u
+  for i = 0 to G.Dyn.degree t.adj old - 1 do
+    let w = G.Dyn.nbr t.adj old i in
+    if edge_out t old w then t.in_deg.(w) <- t.in_deg.(w) - 1
   done;
-  let rank = Array.make n 0 and next = ref 0 in
+  G.Dyn.isolate t.adj old;
+  t.in_deg.(old) <- 0;
+  G.Dyn.sort_rows t.adj ~scratch:t.queue;
+  let indeg = t.queue and stack = t.bq_a and rank = t.bq_b in
+  Array.blit t.in_deg 0 indeg 0 n;
+  let sp = ref 0 in
+  for u = 0 to n - 1 do
+    if indeg.(u) = 0 then begin
+      stack.(!sp) <- u;
+      incr sp
+    end
+  done;
+  let next = ref 0 in
   while !sp > 0 do
     decr sp;
     let u = stack.(!sp) in
     rank.(u) <- !next;
     incr next;
-    Array.iter
-      (fun w ->
-        if edge_out t u w then begin
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then push w
-        end)
-      rows.(u)
+    for i = 0 to G.Dyn.degree t.adj u - 1 do
+      let w = G.Dyn.nbr t.adj u i in
+      if edge_out t u w then begin
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then begin
+          stack.(!sp) <- w;
+          incr sp
+        end
+      end
+    done
   done;
-  build t.rule ~dest:leader rows rank
+  t.dest <- leader;
+  seed t rank
 
 let set_observer t obs = t.obs <- obs
 
@@ -816,14 +814,7 @@ let adopt_heights t f =
     t.hb.(u) <- b;
     invalidate t u
   done;
-  for u = 0 to t.n - 1 do
-    let d = G.Dyn.degree t.adj u in
-    let incoming = ref 0 in
-    for i = 0 to d - 1 do
-      if compare_heights t u (G.Dyn.nbr t.adj u i) < 0 then incr incoming
-    done;
-    t.in_deg.(u) <- !incoming
-  done;
+  recount_in_degrees t;
   for u = 0 to t.n - 1 do
     push_if_sink t u
   done;

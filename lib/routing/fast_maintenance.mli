@@ -78,9 +78,10 @@ val component_size : t -> int
 type index_stats = { slots : int; rebuilds : int }
 
 val index_stats : t -> index_stats
-(** Union-find arena accounting: [slots] allocated so far (live +
-    ghosts — compaction rebuilds the arena when this passes [8n + 64])
-    and how many such [rebuilds] have happened. *)
+(** Union-find arena accounting since [create] or the last
+    {!reroot}: [slots] allocated so far (live + ghosts — compaction
+    rebuilds the arena when this passes [8n + 64]) and how many such
+    [rebuilds] have happened. *)
 
 val graph : t -> Digraph.t
 (** Materialized snapshot of the current oriented topology (orientation
@@ -95,19 +96,23 @@ val survivor_components : t -> (int * Node.t) list
     election input of a destination crash; one O(n + m) labelling BFS.
     The destination itself is in no component. *)
 
-val reroot : t -> leader:Node.t -> t
-(** [reroot t ~leader] is the session a destination crash leaves
-    behind: the old destination's links are stripped, and a fresh
-    session toward [leader] is built and stabilized from a topological
-    order of the stripped, currently derived orientation (Thm 4.3/5.5
-    keeps that orientation acyclic, so the order always exists).  The
-    result is identical — heights, adjacency order, work, routes — to
-    {!create} on [Config.make] of the stripped {!graph} with destination
-    [leader], without materializing either: O(n + m log Δ).  The rule
-    carries over; work and cache counters start from zero; no observer
-    is attached.  [t] itself is left unchanged.
-    @raise Invalid_argument if [leader] is unknown or is the current
-    destination. *)
+val reroot : t -> leader:Node.t -> unit
+(** [reroot t ~leader] turns [t] into the session a destination crash
+    leaves behind, in place, and so consumes [t]'s current session: the
+    old destination's links are stripped, and [t] is reseeded toward
+    [leader] and stabilized from a topological order of the stripped,
+    currently derived orientation (Thm 4.3/5.5 keeps that orientation
+    acyclic, so the order always exists).  The result is identical —
+    heights, adjacency order, work, routes, cache and index counters —
+    to {!create} on [Config.make] of the stripped {!graph} with
+    destination [leader], without materializing either, and without
+    allocating beyond a constant number of words: O(n + m) plus the
+    stabilization.  The rule carries over; work and cache counters
+    restart from zero; the observer is detached.  Read what is still
+    wanted of the old session (its destination, its {!total_work})
+    before the call.
+    @raise Invalid_argument, leaving [t] unchanged, if [leader] is
+    unknown or is the current destination. *)
 
 val route : t -> Node.t -> Node.t list option
 (** Same paths as {!Maintenance.route}, served through the next-hop
@@ -148,8 +153,9 @@ val set_observer : t -> (Node.t -> int array -> int -> unit) option -> unit
 type cache_stats = { hits : int; misses : int; invalidations : int }
 
 val cache_stats : t -> cache_stats
-(** Next-hop cache counters since [create]: [hits] cached hops taken,
-    [misses] entries recomputed, [invalidations] entries discarded. *)
+(** Next-hop cache counters since [create] or the last {!reroot}:
+    [hits] cached hops taken, [misses] entries recomputed,
+    [invalidations] entries discarded. *)
 
 val consistent : t -> bool
 (** Internal invariant check for tests: in-degrees match a recount;

@@ -12,7 +12,7 @@ type t = {
 }
 
 type change_result =
-  | Stabilized of { node_steps : int; affected : Node.Set.t }
+  | Stabilized of { node_steps : int }
   | Partitioned of Node.Set.t
 
 let graph t = t.graph
@@ -80,7 +80,6 @@ let dest_component t =
    than the destination remains there. *)
 let stabilize ?budget t =
   let comp = dest_component t in
-  let affected = ref Node.Set.empty in
   let steps = ref 0 in
   let budget =
     match budget with
@@ -113,13 +112,12 @@ let stabilize ?budget t =
       | Some u ->
           t.heights <- Node.Map.add u (raise_at t u) t.heights;
           reorient_at t u;
-          affected := Node.Set.add u !affected;
           incr steps;
           loop ()
   in
   loop ();
   t.work <- t.work + !steps;
-  Stabilized { node_steps = !steps; affected = !affected }
+  Stabilized { node_steps = !steps }
 
 let create rule config =
   let heights =

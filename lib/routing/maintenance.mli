@@ -21,9 +21,10 @@ type rule = Full_reversal | Partial_reversal
 type t
 
 type change_result =
-  | Stabilized of { node_steps : int; affected : Node.Set.t }
-      (** Reversal work performed to restore destination orientation;
-          [affected] are the nodes that reversed. *)
+  | Stabilized of { node_steps : int }
+      (** Reversal work performed to restore destination orientation.
+          Each step strictly raises the height of the node that
+          reversed, so which nodes stepped shows in {!height_pair}. *)
   | Partitioned of Node.Set.t
       (** Nodes cut off from the destination; no reversals performed. *)
 

@@ -36,7 +36,9 @@ module type ENGINE = sig
   (* The components a destination crash leaves, as [(size, greatest
      id)], and the session toward the elected leader on the
      crash-stripped graph — [None] when that graph is no valid
-     configuration. *)
+     configuration.  [reroot] may build that session in [t] itself and
+     return it, so whatever the caller still needs of the old session
+     must be read before the call. *)
   val survivor_components : t -> (int * Node.t) list
   val reroot : t -> leader:Node.t -> t option
 
@@ -58,7 +60,11 @@ module Fast_tier = struct
      destination's component coincides with "a directed path exists" —
      O(α) instead of a BFS. *)
   let reaches_destination = in_dest_component
-  let reroot t ~leader = Some (reroot t ~leader)
+
+  (* In place: the session returned is [t] itself. *)
+  let reroot t ~leader =
+    reroot t ~leader;
+    Some t
 end
 
 (* The persistent reference tier, kept as the differential oracle.  The
@@ -316,14 +322,16 @@ let crash_destination (Shard s) =
   match elect ~live (E.survivor_components s.m) with
   | None -> noop
   | Some leader -> (
+      (* Read before [reroot], which may reuse the session. *)
+      let old = E.destination s.m and retired = E.total_work s.m in
       match E.reroot s.m ~leader with
       | None ->
           (* The serving graph went inconsistent — count it, don't
              crash. *)
           { noop with validation_failures = 1 }
       | Some m ->
-          s.work_base <- s.work_base + E.total_work s.m;
-          s.dead <- Node.Set.add (E.destination s.m) s.dead;
+          s.work_base <- s.work_base + retired;
+          s.dead <- Node.Set.add old s.dead;
           s.m <- m;
           s.plane <- None;
           s.epoch <- s.epoch + 1;

@@ -11,8 +11,8 @@
     session toward it on the crash-stripped graph (the crashed node
     stays in the skeleton, isolated and marked dead).  On the fast tier
     both steps run on flat arrays ({!Lr_routing.Fast_maintenance.survivor_components},
-    {!Lr_routing.Fast_maintenance.reroot}); no persistent graph is
-    built. *)
+    {!Lr_routing.Fast_maintenance.reroot}), the rebuild in place on the
+    session's own arrays; no persistent graph is built. *)
 
 open Lr_graph
 open Lr_routing

@@ -106,13 +106,26 @@ let oracle_failover rule ~live f =
 let native_failover ~live f =
   match Shard.elect ~live (FM.survivor_components f) with
   | None -> None
-  | Some leader -> Some (leader, FM.reroot f ~leader)
+  | Some leader ->
+      FM.reroot f ~leader;
+      Some (leader, f)
 
 let route_testable = Alcotest.(option (list int))
 
+(* Counters first, before the routes below move the cache's: a reroot
+   that forgets to reset one shows here. *)
 let same_session what a b =
   check_int (what ^ ": destination") (FM.destination a) (FM.destination b);
   check_int (what ^ ": total work") (FM.total_work a) (FM.total_work b);
+  let ia = FM.index_stats a and ib = FM.index_stats b in
+  Alcotest.(check (pair int int))
+    (what ^ ": index slots/rebuilds")
+    (ia.FM.slots, ia.FM.rebuilds) (ib.FM.slots, ib.FM.rebuilds);
+  let ca = FM.cache_stats a and cb = FM.cache_stats b in
+  Alcotest.(check (triple int int int))
+    (what ^ ": cache hits/misses/invalidations")
+    (ca.FM.hits, ca.FM.misses, ca.FM.invalidations)
+    (cb.FM.hits, cb.FM.misses, cb.FM.invalidations);
   Alcotest.check digraph_testable (what ^ ": oriented graph") (FM.graph a) (FM.graph b);
   for u = 0 to FM.num_nodes a - 1 do
     Alcotest.(check (pair int int))
@@ -199,6 +212,69 @@ let test_reroot_matches_oracle () =
     [ (M.Partial_reversal, 61); (M.Full_reversal, 62); (M.Partial_reversal, 63);
       (M.Partial_reversal, 64) ]
 
+(* A reroot after the union-find arena has compacted: the rebuild count
+   is session state like the cache counters, so it must restart too. *)
+let test_reroot_after_compaction () =
+  let config =
+    Config.make_exn
+      (Digraph.of_directed_edges
+         [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 7) ])
+      ~destination:0
+  in
+  let f = FM.create M.Partial_reversal config in
+  for _ = 1 to 48 do
+    ignore (FM.fail_link f 3 4);
+    FM.add_link f 3 4
+  done;
+  check_bool "compacted before the crash" true ((FM.index_stats f).FM.rebuilds >= 1);
+  let live _ = true in
+  (* The oracle reads [f]; the native path then consumes it. *)
+  let _, expected = oracle_failover M.Partial_reversal ~live f in
+  match (expected, native_failover ~live f) with
+  | Some (lo, fo), Some (ln, fn) ->
+      check_int "leader" lo ln;
+      same_session "after compaction" fo fn
+  | _ -> Alcotest.fail "both paths must elect"
+
+(* Words [f ()] allocates, minor plus major.  [Gc.minor_words] and
+   [Gc.counters]' major figure count at once, where [Gc.quick_stat]'s
+   lag on OCaml 5.1: young words until the next minor collection,
+   pooled major blocks until a later flush.  Collecting first keeps
+   older objects' promotion out of the major figure. *)
+let words_allocated f =
+  let major () =
+    let _, _, words = Gc.counters () in
+    words
+  in
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and major0 = major () in
+  f ();
+  let minor1 = Gc.minor_words () and major1 = major () in
+  minor1 -. minor0 +. (major1 -. major0)
+
+(* [reroot] reseeds the session it is given instead of building one, so
+   on a churned 1024-node engine it must allocate under a word per node
+   in all (a rebuilt session costs over a hundred per node). *)
+let test_reroot_allocates_under_a_word_per_node () =
+  let n = 1024 in
+  let f = FM.create M.Partial_reversal (random_config ~extra_edges:2048 ~seed:91 n) in
+  let rand = rng 910 in
+  for _ = 1 to 400 do
+    let u = Random.State.int rand n and v = Random.State.int rand n in
+    if u <> v then
+      if FM.mem_edge f u v then ignore (FM.fail_link f u v) else FM.add_link f u v
+  done;
+  let leader =
+    match Shard.elect ~live:(fun _ -> true) (FM.survivor_components f) with
+    | Some leader -> leader
+    | None -> Alcotest.fail "no leader elected"
+  in
+  let words = words_allocated (fun () -> FM.reroot f ~leader) in
+  if words >= float_of_int n then
+    Alcotest.failf "reroot allocated %.0f words on %d nodes" words n;
+  check_int "rerooted to the leader" leader (FM.destination f);
+  check_bool "consistent after reroot" true (FM.consistent f)
+
 let crash shard = Shard.apply shard (Op.Crash_destination { shard = 0 })
 
 let on_both_tiers config f =
@@ -256,6 +332,55 @@ let test_crash_with_plane_attached () =
   match !answers with
   | [ r; f ] -> Alcotest.(check (list string)) "tiers answer alike" f r
   | _ -> Alcotest.fail "expected two tiers"
+
+(* Crashes through [Shard] on both tiers, with link churn between them.
+   The shard's own bookkeeping — retired work, the dead set, the epoch
+   — must agree: the fast tier reroots in place, so a shard that read
+   the old session's destination or work after [reroot] would book the
+   new session's instead. *)
+let test_shard_bookkeeping_agrees () =
+  List.iter
+    (fun (rule, seed) ->
+      let n = 16 in
+      let config = random_config ~extra_edges:10 ~seed n in
+      let fast = Shard.create ~engine:Shard.Fast ~rule ~id:0 config
+      and refr = Shard.create ~engine:Shard.Reference ~rule ~id:0 config in
+      let rand = rng (seed + 700) in
+      let apply what op =
+        let a = Shard.apply fast op and b = Shard.apply refr op in
+        Alcotest.(check string)
+          (what ^ ": " ^ Op.to_line op)
+          (Op.response_to_string b.Shard.response)
+          (Op.response_to_string a.Shard.response);
+        check_int (what ^ ": op work") b.Shard.work a.Shard.work;
+        a.Shard.response
+      in
+      let books what =
+        check_int (what ^ ": total work") (Shard.total_work refr) (Shard.total_work fast);
+        check_node_set (what ^ ": dead") (Shard.dead refr) (Shard.dead fast);
+        check_int (what ^ ": epoch") (Shard.epoch refr) (Shard.epoch fast);
+        check_int (what ^ ": destination") (Shard.destination refr) (Shard.destination fast)
+      in
+      let rec go crashes =
+        let what = Printf.sprintf "rule/seed %d crash %d" seed crashes in
+        for _ = 1 to 20 do
+          let u = Random.State.int rand n and v = Random.State.int rand n in
+          ignore
+            (apply what
+               (if Random.State.bool rand then Op.Link_down { shard = 0; u; v }
+                else Op.Link_up { shard = 0; u; v }))
+        done;
+        books (what ^ " before");
+        match apply what (Op.Crash_destination { shard = 0 }) with
+        | Op.New_destination _ ->
+            books (what ^ " after");
+            go (crashes + 1)
+        | _ ->
+            books (what ^ " at Noop");
+            crashes
+      in
+      check_bool "crashed at least twice" true (go 0 >= 2))
+    [ (M.Partial_reversal, 81); (M.Full_reversal, 82) ]
 
 (* {1 Exhaustive small graphs} *)
 
@@ -338,10 +463,14 @@ let () =
       suite "native"
         [
           case "reroot matches the config/elect/create path" test_reroot_matches_oracle;
+          case "reroot after a compaction" test_reroot_after_compaction;
+          case "reroot allocates under a word per node"
+            test_reroot_allocates_under_a_word_per_node;
           case "no live candidate answers Noop" test_crash_with_everyone_dead_is_noop;
           case "equal singletons elect the greatest live id"
             test_singletons_elect_greatest_live;
           case "crash with a packet plane attached" test_crash_with_plane_attached;
+          case "shard bookkeeping agrees across tiers" test_shard_bookkeeping_agrees;
         ];
       suite "exhaustive"
         [ case "every graph on <= 5 nodes, every destination" test_exhaustive_small_graphs ];
