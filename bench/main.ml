@@ -1,10 +1,12 @@
 (* Experiment harness for the "Partial Reversal Acyclicity" reproduction.
 
    The paper is a proof paper without tables or figures, so every
-   experiment below is *derived* (see DESIGN.md §4): D-T* validate the
-   paper's theorems/invariants/simulation relations at scale, D-F*
-   reproduce the quantitative context the paper cites, and D-B1 is a
-   Bechamel micro-benchmark of per-step costs.
+   experiment is *derived* (see DESIGN.md §4).  One module per family:
+   D_t (theorems, invariants, simulation relations), D_f (the cited
+   quantitative context), D_p1 (domain pool), D_o1 (traces), D_s1
+   (routing service), D_s2 (fast maintenance), D_b1 (Bechamel
+   micro-benchmarks), D_b2 (packet forwarding), D_c1 (chaos) and D_l
+   (the linter); Harness holds what they share.
 
    Run everything:      dune exec bench/main.exe
    Run one experiment:  dune exec bench/main.exe -- t1
@@ -13,2760 +15,73 @@
 
    --jobs N (or -j N) runs the trial loops on an N-domain pool; trial
    results are identical for every N (deterministic per-trial seeding).
-   --trials N truncates the trial loops of t1/f1/parallel/trace so a CI
-   smoke run finishes in seconds.  *)
-
-open Lr_graph
-open Linkrev
-module A = Lr_automata
-module W = Lr_analysis.Work
-module T = Lr_analysis.Table
-module P = Lr_parallel.Pool
-
-let jobs = ref 1
-
-(* --trials N truncates the trial loops of t1/f1/parallel/trace so CI
-   smoke runs finish in seconds; 0 (the default) = full scale. *)
-let trials = ref 0
-
-let section id title =
-  Printf.printf "\n################ %s — %s ################\n\n" id title
-
-let rng seed = Random.State.make [| 0xbe; seed |]
-
-let random_config ~seed n =
-  Config.of_instance
-    (Generators.random_connected_dag (rng seed) ~n ~extra_edges:(n / 2))
-
-(* ------------------------------------------------------------------ *)
-(* D-T1: acyclicity (Theorems 4.3 / 5.5) over many random executions. *)
-
-let t1_automata_states config seed =
-  [
-    ( "PR",
-      List.map
-        (fun (s : Pr.state) -> s.Pr.graph)
-        (A.Execution.states
-           (A.Execution.run
-              ~scheduler:(A.Scheduler.random (rng seed))
-              (Pr.automaton ~mode:Pr.Singletons_and_max config))) );
-    ( "OneStepPR",
-      List.map
-        (fun (s : Pr.state) -> s.Pr.graph)
-        (A.Execution.states
-           (A.Execution.run
-              ~scheduler:(A.Scheduler.random (rng (seed + 1)))
-              (One_step_pr.automaton config))) );
-    ( "NewPR",
-      List.map
-        (fun (s : New_pr.state) -> s.New_pr.graph)
-        (A.Execution.states
-           (A.Execution.run
-              ~scheduler:(A.Scheduler.random (rng (seed + 2)))
-              (New_pr.automaton config))) );
-    ( "FR",
-      List.map
-        (fun (s : Full_reversal.state) -> s.Full_reversal.graph)
-        (A.Execution.states
-           (A.Execution.run
-              ~scheduler:(A.Scheduler.random (rng (seed + 3)))
-              (Full_reversal.automaton config))) );
-  ]
-
-let t1_sizes = [ 10; 25; 50; 100; 200 ]
-
-let t1_trials =
-  Array.of_list
-    (List.concat_map
-       (fun n -> List.init 10 (fun seed -> (n, seed)))
-       t1_sizes)
-
-(* One self-contained trial: everything (instance, schedulers) is
-   derived from the trial's (n, seed), so the pool can run trials in
-   any interleaving without changing a single count. *)
-let t1_trial (n, seed) =
-  let config = random_config ~seed:(seed + (1000 * n)) n in
-  List.map
-    (fun (name, graphs) ->
-      let cyclic =
-        List.fold_left
-          (fun acc g -> if Digraph.is_acyclic g then acc else acc + 1)
-          0 graphs
-      in
-      (name, List.length graphs, cyclic))
-    (t1_automata_states config seed)
-
-let t1_active_trials () =
-  if !trials > 0 then
-    Array.sub t1_trials 0 (min !trials (Array.length t1_trials))
-  else t1_trials
-
-let t1_run ~jobs =
-  let active = t1_active_trials () in
-  (* lr:owner trial: each acyclicity trial owns its generator, executor
-     and certificate state; only the result array slot is shared. *)
-  P.map_range ~jobs (Array.length active) (fun i -> t1_trial active.(i))
-
-let t1 () =
-  section "D-T1" "acyclicity in every observed state (Thm 4.3 / 5.5)";
-  let per_trial = t1_run ~jobs:!jobs in
-  let totals = Hashtbl.create 8 in
-  let violations = ref 0 in
-  Array.iter
-    (List.iter (fun (name, states, cyclic) ->
-         let k = Hashtbl.find_opt totals name |> Option.value ~default:0 in
-         Hashtbl.replace totals name (k + states);
-         violations := !violations + cyclic))
-    per_trial;
-  let rows =
-    [ "PR"; "OneStepPR"; "NewPR"; "FR" ]
-    |> List.map (fun name ->
-           [ name; string_of_int (Hashtbl.find totals name); "0" ])
-  in
-  T.print
-    ~title:"states checked for acyclicity (random DAGs, n in 10..200, 10 seeds each)"
-    (T.make ~headers:[ "automaton"; "states checked"; "cyclic states" ] rows);
-  Printf.printf "total violations: %d  (paper: must be 0)\n" !violations
-
-(* ------------------------------------------------------------------ *)
-(* D-T2: the list/parity invariants along executions. *)
-
-let t2 () =
-  section "D-T2" "Invariants 3.1/3.2 (+Cor 3.3/3.4) and 4.1/4.2 along executions";
-  let pr_states = ref 0 and np_states = ref 0 and bad = ref 0 in
-  let sizes = [ 10; 25; 50; 100 ] in
-  List.iter
-    (fun n ->
-      for seed = 0 to 9 do
-        let config = random_config ~seed:(seed + (77 * n)) n in
-        let exec_pr =
-          A.Execution.run
-            ~scheduler:(A.Scheduler.random (rng seed))
-            (Pr.automaton ~mode:Pr.Singletons_and_max config)
-        in
-        pr_states := !pr_states + A.Execution.length exec_pr + 1;
-        (match
-           A.Invariant.check_execution (Invariants.pr_all config) exec_pr
-         with
-        | None -> ()
-        | Some v ->
-            incr bad;
-            Format.printf "PR violation: %a@." A.Invariant.pp_violation v);
-        let exec_np =
-          A.Execution.run
-            ~scheduler:(A.Scheduler.random (rng (seed + 1)))
-            (New_pr.automaton config)
-        in
-        np_states := !np_states + A.Execution.length exec_np + 1;
-        match
-          A.Invariant.check_execution (Invariants.newpr_all config) exec_np
-        with
-        | None -> ()
-        | Some v ->
-            incr bad;
-            Format.printf "NewPR violation: %a@." A.Invariant.pp_violation v
-      done)
-    sizes;
-  T.print
-    ~title:"invariant checks (random DAGs, n in 10..100, 10 seeds each)"
-    (T.make
-       ~headers:[ "invariant set"; "states checked"; "violations" ]
-       [
-         [ "3.1, 3.2, 3.3, 3.4, acyclic (PR)"; string_of_int !pr_states; "0" ];
-         [ "4.1, 4.2, acyclic (NewPR)"; string_of_int !np_states; "0" ];
-       ]);
-  Printf.printf "total violations: %d  (paper: must be 0)\n" !bad
-
-(* ------------------------------------------------------------------ *)
-(* D-T3: simulation relations along executions. *)
-
-let t3 () =
-  section "D-T3" "simulation relations R', R, composition, and the reverse direction";
-  let results = ref [] in
-  let try_rel name check =
-    let ok = ref 0 and fail = ref 0 in
-    for seed = 0 to 19 do
-      let config = random_config ~seed:(seed * 13) (10 + (seed mod 4 * 10)) in
-      match check config seed with
-      | Ok _ -> incr ok
-      | Error e ->
-          incr fail;
-          Printf.printf "%s FAILED (seed %d): %s\n" name seed e
-    done;
-    results := (name, !ok, !fail) :: !results
-  in
-  try_rel "R' (PR -> OneStepPR)" (fun config seed ->
-      let exec =
-        A.Execution.run
-          ~scheduler:(A.Scheduler.random (rng seed))
-          (Pr.automaton ~mode:Pr.Singletons_and_max config)
-      in
-      A.Simulation.check_guided
-        ~b:(One_step_pr.automaton config)
-        (Simulation_rel.r_prime config) exec);
-  try_rel "R (OneStepPR -> NewPR)" (fun config seed ->
-      let exec =
-        A.Execution.run
-          ~scheduler:(A.Scheduler.random (rng seed))
-          (One_step_pr.automaton config)
-      in
-      A.Simulation.check_guided ~b:(New_pr.automaton config)
-        (Simulation_rel.r config) exec);
-  try_rel "R' o R (PR -> NewPR)" (fun config seed ->
-      Simulation_rel.check_r_composed
-        ~scheduler:(A.Scheduler.random (rng seed))
-        config);
-  try_rel "reverse (NewPR -> OneStepPR)" (fun config seed ->
-      Simulation_rel.check_r_reverse
-        ~scheduler:(A.Scheduler.random (rng seed))
-        config);
-  T.print ~title:"guided simulation checks (20 random instances each)"
-    (T.make
-       ~headers:[ "relation"; "passed"; "failed" ]
-       (List.rev_map
-          (fun (name, ok, fail) ->
-            [ name; string_of_int ok; string_of_int fail ])
-          !results));
-  Printf.printf "(paper: all must pass; the reverse direction is §6 future work)\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-T4: exhaustive model check on all small instances. *)
-
-let t4 () =
-  section "D-T4" "exhaustive model check (every reachable state, every small instance)";
-  let fams = Lr_modelcheck.Modelcheck.exhaustive_families ~max_nodes:4 in
-  let per_kind = Hashtbl.create 8 in
-  let violations = ref 0 in
-  List.iter
-    (fun config ->
-      List.iter
-        (fun (r : Lr_modelcheck.Modelcheck.report) ->
-          let states, count =
-            Hashtbl.find_opt per_kind r.automaton |> Option.value ~default:(0, 0)
-          in
-          Hashtbl.replace per_kind r.automaton (states + r.states, count + 1);
-          if r.violation <> None then incr violations)
-        (Lr_modelcheck.Modelcheck.check_all config))
-    fams;
-  let rows =
-    Hashtbl.fold
-      (fun name (states, count) acc ->
-        [ name; string_of_int count; string_of_int states ] :: acc)
-      per_kind []
-    |> List.sort compare
-  in
-  T.print
-    ~title:
-      (Printf.sprintf
-         "exhaustive checks over all %d connected DAG instances with <= 4 nodes"
-         (List.length fams))
-    (T.make ~headers:[ "check"; "instances"; "reachable states (total)" ] rows);
-  Printf.printf "violations: %d  (paper: must be 0)\n" !violations
-
-(* ------------------------------------------------------------------ *)
-(* D-T5: exact state-space measurements and termination proofs. *)
-
-let t5 () =
-  section "D-T5"
-    "exact termination: state graphs are acyclic, longest executions measured";
-  let instances =
-    [
-      ("bad chain n=4", Config.of_instance (Generators.bad_chain 4));
-      ("bad chain n=5", Config.of_instance (Generators.bad_chain 5));
-      ("bad chain n=6", Config.of_instance (Generators.bad_chain 6));
-      ("sawtooth n=4", Config.of_instance (Generators.sawtooth 4));
-      ("sawtooth n=6", Config.of_instance (Generators.sawtooth 6));
-      ("diamond+tail",
-        Config.make_exn
-          (Digraph.of_directed_edges [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ])
-          ~destination:0);
-      ("grid 2x3", Config.of_instance (Generators.grid ~rows:2 ~cols:3));
-    ]
-  in
-  let rows =
-    List.map
-      (fun (name, config) ->
-        let term = Lr_modelcheck.Modelcheck.check_termination config in
-        match Lr_modelcheck.Modelcheck.state_space_stats config with
-        | Error e -> [ name; "-"; "-"; "-"; "ERROR: " ^ e ]
-        | Ok stats ->
-            [
-              name;
-              string_of_int stats.Lr_modelcheck.Modelcheck.pr_states;
-              string_of_int stats.Lr_modelcheck.Modelcheck.newpr_states;
-              string_of_int stats.Lr_modelcheck.Modelcheck.longest_execution;
-              (match term.Lr_modelcheck.Modelcheck.violation with
-              | None -> "proved"
-              | Some v -> "VIOLATION: " ^ v);
-            ])
-      instances
-  in
-  T.print
-    ~title:"reachable states and exact worst-case work (exhaustive enumeration)"
-    (T.make
-       ~headers:
-         [ "instance"; "PR states"; "NewPR states"; "longest execution"; "termination" ]
-       rows);
-  Printf.printf
-    "note: 'longest execution' is the exact worst-case work of the instance\n(schedule-independence makes all fair executions equally long).\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-F1: the Θ(n_b²) worst case, for FR and PR on their bad families. *)
-
-let f1_sizes = [ 8; 16; 32; 64; 128; 256 ]
-
-let f1_active_sizes () =
-  if !trials > 0 then
-    List.filteri (fun i _ -> i < max 1 (!trials / 3)) f1_sizes
-  else f1_sizes
-
-(* The three D-F1 sweeps as one flat row list — deterministic families,
-   so the pool and the sequential loop must agree exactly.  Served by
-   the fast engines: work is schedule-independent for FR and PR and the
-   engines are differentially tested against the persistent automata,
-   so the rows match the executor's, without its ~13 s of quadratic
-   persistent-map churn on the n=256 instances. *)
-let f1_sweeps () =
-  let sizes = f1_active_sizes () in
-  [
-    ("FR bad chain", fun ~jobs -> W.sweep_fast ~jobs W.FR ~family:Generators.bad_chain ~sizes ());
-    ("PR sawtooth", fun ~jobs -> W.sweep_fast ~jobs W.PR ~family:Generators.sawtooth ~sizes ());
-    ("PR bad chain", fun ~jobs -> W.sweep_fast ~jobs W.PR ~family:Generators.bad_chain ~sizes ());
-  ]
-
-let f1_run ~jobs = List.map (fun (_, sweep) -> sweep ~jobs) (f1_sweeps ())
-
-let f1 () =
-  section "D-F1" "worst-case work: Theta(nb^2) for both FR and PR (cited bound)";
-  let sizes = f1_sizes in
-  let run algo family name expected =
-    let rows = W.sweep_fast ~jobs:!jobs algo ~family ~sizes () in
-    T.print ~title:(Printf.sprintf "%s on %s" (W.algorithm_name algo) name)
-      (W.rows_to_table algo rows);
-    Printf.printf "growth exponent: %.2f (%s)\n\n" (W.exponent rows) expected
-  in
-  run W.FR Generators.bad_chain
-    "bad chain (all edges away from destination)"
-    "expected 2.0 — quadratic";
-  run W.PR Generators.sawtooth
-    "sawtooth chain (alternating orientation)"
-    "expected 2.0 — quadratic: PR shares FR's worst case";
-  run W.PR Generators.bad_chain
-    "bad chain (contrast case)"
-    "expected 1.0 — PR fixes this family in n-1 steps";
-  (* figure: the shapes side by side *)
-  let series algo family =
-    List.map
-      (fun r ->
-        (Printf.sprintf "n=%d" r.W.n, float_of_int r.W.work))
-      (W.sweep_fast algo ~family ~sizes:[ 8; 16; 32; 64; 128 ] ())
-  in
-  print_endline "figure D-F1a: FR work on the bad chain (quadratic)";
-  print_string
-    (Lr_analysis.Histogram.render
-       (List.map
-          (fun (label, value) -> { Lr_analysis.Histogram.label; value })
-          (series W.FR Generators.bad_chain)));
-  print_endline "\nfigure D-F1b: PR work, sawtooth (quadratic) vs bad chain (linear)";
-  print_string
-    (Lr_analysis.Histogram.render_compare ~labels:("saw", "chain")
-       (List.map2
-          (fun (label, a) (_, b) -> (label, a, b))
-          (series W.PR Generators.sawtooth)
-          (series W.PR Generators.bad_chain)))
-
-(* ------------------------------------------------------------------ *)
-(* D-F2: average-case efficiency, PR vs FR on random DAGs. *)
-
-let f2 () =
-  section "D-F2" "average work on random DAGs: PR <= FR in practice";
-  let sizes = [ 16; 32; 64; 128 ] in
-  let rows =
-    List.map
-      (fun n ->
-        let ratios, pr_w, fr_w =
-          List.fold_left
-            (fun (rs, ps, fs) seed ->
-              let config = random_config ~seed:(seed + (17 * n)) n in
-              let w algo = (W.run_one ~seed algo config).Executor.total_node_steps in
-              let pr = w W.PR and fr = w W.FR in
-              let r =
-                if fr = 0 then 1.0 else float_of_int pr /. float_of_int fr
-              in
-              (r :: rs, ps + pr, fs + fr))
-            ([], 0, 0) (List.init 20 Fun.id)
-        in
-        [
-          string_of_int n;
-          string_of_int pr_w;
-          string_of_int fr_w;
-          Printf.sprintf "%.2f" (Lr_analysis.Stats.mean ratios);
-          Printf.sprintf "%.2f" (Lr_analysis.Stats.maximum ratios);
-        ])
-      sizes
-  in
-  T.print
-    ~title:"total work over 20 random DAGs per size (work ratio = PR/FR)"
-    (T.make
-       ~headers:[ "n"; "PR work"; "FR work"; "mean PR/FR"; "max PR/FR" ]
-       rows);
-  Printf.printf
-    "expected shape: mean ratio < 1 (PR cheaper on average), while max > 1 on\n\
-     some instances — either algorithm can lose a particular race, which is\n\
-     the counter-intuitive backdrop (equal worst cases) the paper recalls.\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-F3: NewPR's dummy-step overhead (paper §4.1 discussion). *)
-
-let f3 () =
-  section "D-F3" "NewPR dummy-step overhead vs OneStepPR (paper 4.1)";
-  let families =
-    [
-      ("sawtooth (many initial sinks/sources)", Generators.sawtooth, [ 8; 16; 32; 64 ]);
-      ("bad chain (one initial sink)", Generators.bad_chain, [ 8; 16; 32; 64 ]);
-      ( "star out (source centre)",
-        (fun n -> Generators.star ~center:0 ~leaves:(n - 1) ~inward:false),
-        [ 8; 16; 32 ] );
-    ]
-  in
-  List.iter
-    (fun (name, family, sizes) ->
-      let rows =
-        List.map
-          (fun n ->
-            let config = Config.of_instance (family n) in
-            let w algo = (W.run_one algo config).Executor.total_node_steps in
-            let pr = w W.PR and np = w W.NewPR in
-            [
-              string_of_int n;
-              string_of_int pr;
-              string_of_int np;
-              string_of_int (np - pr);
-            ])
-          sizes
-      in
-      T.print ~title:name
-        (T.make
-           ~headers:[ "n"; "OneStepPR steps"; "NewPR steps"; "dummy steps" ]
-           rows);
-      print_newline ())
-    families;
-  Printf.printf
-    "expected shape: overhead = number of dummy steps, >= 0, largest on graphs\nwith many initial sinks/sources.\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-F4: the reversal game (Charron-Bost et al., cited in §1). *)
-
-let f4 () =
-  section "D-F4" "reversal game: FR profile is an NE with max social cost";
-  let module G = Lr_analysis.Game in
-  let instances =
-    [
-      ("bad chain n=6", Config.of_instance (Generators.bad_chain 6));
-      ("sawtooth n=6", Config.of_instance (Generators.sawtooth 6));
-      ( "diamond+tail",
-        Config.make_exn
-          (Digraph.of_directed_edges [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ])
-          ~destination:0 );
-      ("random n=7", random_config ~seed:3 7);
-      ("random n=8", random_config ~seed:8 8);
-    ]
-  in
-  let rows =
-    List.map
-      (fun (name, config) ->
-        let fr = G.uniform G.Full config and pr = G.uniform G.Partial config in
-        let rf = G.play config fr and rp = G.play config pr in
-        let _, opt = G.social_optimum config in
-        [
-          name;
-          string_of_int rf.G.social_cost;
-          string_of_bool (G.is_nash config fr);
-          string_of_int rp.G.social_cost;
-          string_of_bool (G.is_nash config pr);
-          string_of_int opt.G.social_cost;
-        ])
-      instances
-  in
-  T.print
-    ~title:"strategy profiles: social cost and Nash equilibria (exhaustive)"
-    (T.make
-       ~headers:
-         [ "instance"; "all-FR cost"; "FR is NE"; "all-PR cost"; "PR is NE"; "optimum" ]
-       rows);
-  Printf.printf
-    "expected shape (cited results): FR always an NE; PR cost <= FR cost;\nwhen all-PR is an NE its cost equals the optimum.\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-F5: routing convergence under failures, FR vs PR heights. *)
-
-let f5 () =
-  section "D-F5" "route maintenance cost under link failures, FR vs PR";
-  let module M = Lr_routing.Maintenance in
-  let trial rule seed =
-    let config =
-      Config.of_instance
-        (Generators.random_connected_dag (rng seed) ~n:40 ~extra_edges:50)
-    in
-    let m = M.create rule config in
-    let r = rng (seed + 1) in
-    let repairs = ref 0 and work = ref 0 and partitions = ref 0 in
-    for _ = 1 to 30 do
-      let edges = Digraph.directed_edges (M.graph m) in
-      let u, v = List.nth edges (Random.State.int r (List.length edges)) in
-      match M.fail_link m u v with
-      | M.Stabilized { node_steps; _ } ->
-          incr repairs;
-          work := !work + node_steps
-      | M.Partitioned _ ->
-          incr partitions;
-          M.add_link m u v
-    done;
-    (!repairs, !work, !partitions)
-  in
-  let rows =
-    List.concat_map
-      (fun (name, rule) ->
-        List.map
-          (fun seed ->
-            let repairs, work, partitions = trial rule seed in
-            [
-              name;
-              string_of_int seed;
-              string_of_int repairs;
-              string_of_int partitions;
-              string_of_int work;
-              (if repairs = 0 then "-"
-               else
-                 Printf.sprintf "%.2f"
-                   (float_of_int work /. float_of_int repairs));
-            ])
-          [ 1; 2; 3 ])
-      [ ("PR", M.Partial_reversal); ("FR", M.Full_reversal) ]
-  in
-  T.print
-    ~title:"30 random link failures on 40-node networks (3 seeds per rule)"
-    (T.make
-       ~headers:[ "rule"; "seed"; "repairs"; "partitions"; "total work"; "work/repair" ]
-       rows);
-  Printf.printf
-    "expected shape: most single-link failures repaired with little work;\nPR's average repair cost <= FR's.\n";
-  let module HP = Lr_routing.Height_protocol in
-  let rows =
-    List.concat_map
-      (fun (fname, family) ->
-        List.map
-          (fun n ->
-            let config = Config.of_instance (family n) in
-            let p = HP.run ~mode:HP.Partial config in
-            let f = HP.run ~mode:HP.Full config in
-            [
-              fname;
-              string_of_int n;
-              string_of_int p.HP.total_raises;
-              string_of_int p.HP.stats.Lr_sim.Network.sent;
-              string_of_int f.HP.total_raises;
-              string_of_int f.HP.stats.Lr_sim.Network.sent;
-            ])
-          [ 20; 40; 80 ])
-      [
-        ( "random DAG",
-          fun n -> Generators.random_connected_dag (rng (n * 3)) ~n ~extra_edges:n );
-        ( "unit disk",
-          fun n -> Generators.unit_disk (rng (n * 7)) ~n ~radius:(2.0 /. sqrt (float_of_int n)) );
-      ]
-  in
-  print_newline ();
-  T.print
-    ~title:
-      "asynchronous height protocol (message-passing simulation; unit disk = radio model)"
-    (T.make
-       ~headers:[ "topology"; "n"; "PR raises"; "PR msgs"; "FR raises"; "FR msgs" ]
-       rows)
-
-(* ------------------------------------------------------------------ *)
-(* D-F6: schedule independence — the ablation behind all work numbers. *)
-
-let f6 () =
-  section "D-F6"
-    "ablation: per-node work is schedule independent (Gafni-Bertsekas)";
-  let schedulers () =
-    [
-      ("first (deterministic adversary)", A.Scheduler.first ());
-      ("last", A.Scheduler.last ());
-      ("round-robin", A.Scheduler.round_robin ~index:(fun (One_step_pr.Reverse u) -> u) ());
-      ("random seed 1", A.Scheduler.random (rng 1));
-      ("random seed 2", A.Scheduler.random (rng 2));
-    ]
-  in
-  let rows = ref [] in
-  let mismatches = ref 0 in
-  List.iter
-    (fun (fname, family) ->
-      List.iter
-        (fun n ->
-          let config = Config.of_instance (family n) in
-          let works =
-            List.map
-              (fun (sname, sched) ->
-                let out =
-                  Executor.run ~scheduler:sched
-                    ~destination:config.Config.destination
-                    (One_step_pr.algo config)
-                in
-                (sname, out.Executor.total_node_steps, out.Executor.node_steps))
-              (schedulers ())
-          in
-          let _, w0, per0 = List.hd works in
-          let all_equal =
-            List.for_all
-              (fun (_, w, per) -> w = w0 && Node.Map.equal Int.equal per per0)
-              works
-          in
-          if not all_equal then incr mismatches;
-          rows :=
-            [ fname; string_of_int n; string_of_int w0;
-              string_of_bool all_equal ]
-            :: !rows)
-        [ 16; 32; 64 ])
-    [ ("sawtooth", Generators.sawtooth);
-      ("bad chain", Generators.bad_chain);
-      ("random", fun n -> Generators.random_connected_dag (rng n) ~n ~extra_edges:(n / 2)) ];
-  T.print
-    ~title:"PR work under 5 schedulers (equal = identical per-node counts)"
-    (T.make
-       ~headers:[ "family"; "n"; "work"; "all 5 schedulers equal" ]
-       (List.rev !rows));
-  Printf.printf "mismatches: %d  (theory: 0 — reversal work is schedule independent)\n"
-    !mismatches
-
-(* ------------------------------------------------------------------ *)
-(* D-F7: TORA under a failure storm. *)
-
-let f7 () =
-  section "D-F7" "TORA: failure storm on 30-node networks";
-  let trial seed =
-    let config =
-      Config.of_instance
-        (Generators.random_connected_dag_dest (rng seed) ~n:30 ~extra_edges:25
-           ~destination:0)
-    in
-    let t = Lr_routing.Tora.create config in
-    let r = rng (seed + 1000) in
-    let repaired = ref 0 and partitions = ref 0 and heals = ref 0 in
-    for _ = 1 to 40 do
-      let edges =
-        Edge.Set.elements (Undirected.edges (Lr_routing.Tora.skeleton t))
-      in
-      if edges <> [] then begin
-        let e = List.nth edges (Random.State.int r (List.length edges)) in
-        let u, v = Edge.endpoints e in
-        match Lr_routing.Tora.fail_link t u v with
-        | Lr_routing.Tora.Maintained _ -> incr repaired
-        | Lr_routing.Tora.Partition_detected { cleared; _ } ->
-            incr partitions;
-            (match Node.Set.choose_opt cleared with
-            | Some w
-              when not (Undirected.mem_edge (Lr_routing.Tora.skeleton t) w 0) ->
-                incr heals;
-                ignore (Lr_routing.Tora.add_link t w 0)
-            | _ -> ())
-      end
-    done;
-    ( !repaired,
-      !partitions,
-      !heals,
-      Lr_routing.Tora.reactions_total t,
-      Lr_routing.Tora.routed_fraction t,
-      Lr_routing.Tora.acyclic t )
-  in
-  let rows =
-    List.map
-      (fun seed ->
-        let repaired, partitions, heals, reactions, routed, acyclic =
-          trial seed
-        in
-        [
-          string_of_int seed;
-          string_of_int repaired;
-          string_of_int partitions;
-          string_of_int heals;
-          string_of_int reactions;
-          Printf.sprintf "%.0f%%" (100.0 *. routed);
-          string_of_bool acyclic;
-        ])
-      [ 1; 2; 3; 4; 5 ]
-  in
-  T.print ~title:"40 random link failures per trial (partitions healed)"
-    (T.make
-       ~headers:
-         [ "seed"; "repaired"; "partitions"; "heals"; "reactions"; "routed"; "acyclic" ]
-       rows);
-  Printf.printf
-    "expected shape: routes always restored, acyclic throughout; partitions\ndetected by case 4 (a node's own reflected reference level returning).\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-F8: time vs work — greedy maximal-parallel rounds. *)
-
-let f8 () =
-  section "D-F8" "parallel time: rounds with all sinks stepping at once";
-  let rows =
-    List.concat_map
-      (fun (fname, family) ->
-        List.map
-          (fun n ->
-            let config = Config.of_instance (family n) in
-            (* Greedy: fire the largest enabled sink set each round. *)
-            let greedy =
-              A.Scheduler.greedy
-                ~score:(fun (Pr.Reverse s) -> Node.Set.cardinal s)
-                ()
-            in
-            let out_par =
-              Executor.run ~scheduler:greedy
-                ~destination:config.Config.destination
-                (Pr.algo ~mode:Pr.Singletons_and_max config)
-            in
-            let out_seq =
-              Executor.run
-                ~scheduler:(A.Scheduler.first ())
-                ~destination:config.Config.destination
-                (Pr.algo ~mode:Pr.Singletons config)
-            in
-            [
-              fname;
-              string_of_int n;
-              string_of_int out_seq.Executor.steps;
-              string_of_int out_par.Executor.steps;
-              string_of_int out_par.Executor.total_node_steps;
-              Printf.sprintf "%.1f"
-                (float_of_int out_seq.Executor.steps
-                /. float_of_int (max 1 out_par.Executor.steps));
-            ])
-          [ 16; 32; 64; 128 ])
-      [
-        ("sawtooth", Generators.sawtooth);
-        ("bad chain", Generators.bad_chain);
-        ( "random",
-          fun n -> Generators.random_connected_dag (rng (5 * n)) ~n ~extra_edges:(n / 2) );
-      ]
-  in
-  T.print
-    ~title:"sequential steps vs greedy concurrent rounds (same total work)"
-    (T.make
-       ~headers:[ "family"; "n"; "seq steps"; "rounds"; "total work"; "speedup" ]
-       rows);
-  Printf.printf
-    "expected shape: total work is invariant; concurrent rounds expose the\nparallelism the paper's reverse(S) action models (sinks are independent).\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-F9: scale — the array engine on large instances. *)
-
-let f9 () =
-  section "D-F9" "scale: the array engines (lr_fast) on large instances";
-  let module F = Lr_fast.Fast_engine in
-  let module FN = Lr_fast.Fast_new_pr in
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
-  in
-  let pr rule inst () =
-    let engine, t_build = time (fun () -> F.create inst) in
-    let out, t_run = time (fun () -> F.run rule engine) in
-    (out, t_build, t_run)
-  in
-  let newpr inst () =
-    let engine, t_build = time (fun () -> FN.create inst) in
-    let out, t_run = time (fun () -> FN.run engine) in
-    (out, t_build, t_run)
-  in
-  let rows =
-    List.map
-      (fun (name, inst, runner) ->
-        let (out : Lr_fast.Fast_outcome.t), t_build, t_run = runner () in
-        [
-          name;
-          string_of_int (Lr_graph.Digraph.num_nodes inst.Generators.graph);
-          string_of_int out.work;
-          string_of_bool (out.quiescent && out.destination_oriented);
-          Printf.sprintf "%.0f ms" (1000.0 *. (t_build +. t_run));
-          (if out.work = 0 then "-"
-           else Printf.sprintf "%.0f ns" (1e9 *. t_run /. float_of_int out.work));
-        ])
-      (let saw2k = Generators.sawtooth 2_000 in
-       let saw6k = Generators.sawtooth 6_000 in
-       let chain4k = Generators.bad_chain 4_000 in
-       let rand100k =
-         Generators.random_connected_dag (rng 3) ~n:100_000 ~extra_edges:50_000
-       in
-       let disk20k = Generators.unit_disk (rng 4) ~n:20_000 ~radius:0.02 in
-       [
-         ("PR sawtooth 2k (10^6 steps)", saw2k, pr F.Partial saw2k);
-         ("PR sawtooth 6k (9*10^6 steps)", saw6k, pr F.Partial saw6k);
-         ("FR bad chain 4k (8*10^6 steps)", chain4k, pr F.Full chain4k);
-         ("PR random 100k nodes", rand100k, pr F.Partial rand100k);
-         ("PR unit disk 20k nodes", disk20k, pr F.Partial disk20k);
-         ("NewPR sawtooth 6k", saw6k, newpr saw6k);
-         ("NewPR bad chain 4k", chain4k, newpr chain4k);
-         ("NewPR random 100k nodes", rand100k, newpr rand100k);
-       ])
-  in
-  T.print ~title:"array engines: work, wall time, cost per reversal"
-    (T.make
-       ~headers:[ "instance"; "nodes"; "work"; "correct"; "time"; "per step" ]
-       rows);
-  Printf.printf
-    "note: both engines are differentially tested against the persistent automata\n(same work, same per-node counts, same final graph) in test_fast_engine.ml\nand test_fast_new_pr.ml.\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-P1: the domain pool — speedup and scheduling-independence. *)
-
-type parallel_result = {
-  id : string;
-  trials : int;
-  seq_seconds : float;
-  par_seconds : float;
-  identical : bool;
-  per_trial_seconds : float array;
-      (* wall clock of each work item during the sequential pass *)
-}
-
-let fprintf_float_array oc a =
-  Printf.fprintf oc "[%s]"
-    (String.concat ", "
-       (Array.to_list (Array.map (Printf.sprintf "%.4f") a)))
-
-let write_parallel_json ~file ~par_jobs results =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"generated_by\": \"bench/main.exe parallel\",\n\
-        \  \"domains_used\": %d,\n\
-        \  \"recommended_domains\": %d,\n\
-        \  \"experiments\": [\n" par_jobs
-        (P.recommended_jobs ());
-      List.iteri
-        (fun i r ->
-          let pct =
-            Lr_analysis.Stats.percentiles (Array.to_list r.per_trial_seconds)
-          in
-          Printf.fprintf oc
-            "    {\"id\": %S, \"trials\": %d, \"seq_seconds\": %.4f, \
-             \"par_seconds\": %.4f, \"speedup\": %.2f, \
-             \"identical_outcomes\": %b,\n\
-            \     \"per_trial_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"p99\": \
-             %.3f},\n\
-            \     \"per_trial_seconds\": "
-            r.id r.trials r.seq_seconds r.par_seconds
-            (r.seq_seconds /. Float.max 1e-9 r.par_seconds)
-            r.identical
-            (1000.0 *. pct.Lr_analysis.Stats.p50)
-            (1000.0 *. pct.Lr_analysis.Stats.p95)
-            (1000.0 *. pct.Lr_analysis.Stats.p99);
-          fprintf_float_array oc r.per_trial_seconds;
-          Printf.fprintf oc "}%s\n"
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      Printf.fprintf oc "  ]\n}\n")
-
-let parallel () =
-  section "D-P1" "domain pool: wall-clock speedup with identical per-seed outcomes";
-  let par_jobs = if !jobs > 1 then !jobs else P.recommended_jobs () in
-  (* The sequential pass times every work item individually (the
-     per-trial wall clocks land in BENCH_parallel.json); the parallel
-     pass must reproduce the items bit for bit. *)
-  let t1_result =
-    (* Without the n=200 tail: the pool's speedup shows just as well on
-       the n<=100 trials, and trimming the sweep's worst instances keeps
-       the whole experiment in single-digit seconds (the f1 sweeps below
-       are already served by the fast engines).  D-T1 itself still runs
-       the full sizes. *)
-    let active =
-      Array.of_list
-        (List.filter (fun (n, _) -> n <= 100)
-           (Array.to_list (t1_active_trials ())))
-    in
-    let timed = Array.map (fun tr -> P.timed (fun () -> t1_trial tr)) active in
-    let seq_out = Array.map fst timed in
-    let per_trial_seconds = Array.map snd timed in
-    let seq_seconds = Array.fold_left ( +. ) 0.0 per_trial_seconds in
-    let par_out, par_seconds =
-      P.timed (fun () ->
-          (* lr:owner trial: same per-trial ownership as [t1_run]. *)
-          P.map_range ~jobs:par_jobs (Array.length active) (fun i ->
-              t1_trial active.(i)))
-    in
-    {
-      id =
-        Printf.sprintf
-          "D-T1 trial sweep (%d random-DAG acyclicity trials, n<=100)"
-          (Array.length active);
-      trials = Array.length active;
-      seq_seconds;
-      par_seconds;
-      identical = seq_out = par_out;
-      per_trial_seconds;
-    }
-  in
-  let f1_result =
-    let sweeps = f1_sweeps () in
-    let timed =
-      List.map (fun (_, sweep) -> P.timed (fun () -> sweep ~jobs:1)) sweeps
-    in
-    let seq_out = List.map fst timed in
-    let per_trial_seconds = Array.of_list (List.map snd timed) in
-    let seq_seconds = Array.fold_left ( +. ) 0.0 per_trial_seconds in
-    let par_out, par_seconds = P.timed (fun () -> f1_run ~jobs:par_jobs) in
-    {
-      id = "D-F1 work sweeps (FR/PR on bad chain and sawtooth)";
-      trials = 3 * List.length (f1_active_sizes ());
-      seq_seconds;
-      par_seconds;
-      identical = seq_out = par_out;
-      per_trial_seconds;
-    }
-  in
-  let results = [ t1_result; f1_result ] in
-  T.print
-    ~title:
-      (Printf.sprintf "sequential vs %d-domain pool (host reports %d domains)"
-         par_jobs (P.recommended_jobs ()))
-    (T.make
-       ~headers:
-         [ "experiment"; "trials"; "jobs=1"; Printf.sprintf "jobs=%d" par_jobs;
-           "speedup"; "identical outcomes" ]
-       (List.map
-          (fun r ->
-            [
-              r.id;
-              string_of_int r.trials;
-              Printf.sprintf "%.3f s" r.seq_seconds;
-              Printf.sprintf "%.3f s" r.par_seconds;
-              Printf.sprintf "%.2fx" (r.seq_seconds /. Float.max 1e-9 r.par_seconds);
-              string_of_bool r.identical;
-            ])
-          results));
-  let file = "BENCH_parallel.json" in
-  write_parallel_json ~file ~par_jobs results;
-  Printf.printf "wrote %s\n" file;
-  if List.exists (fun r -> not r.identical) results then begin
-    Printf.printf "FAILURE: pool and sequential outcomes differ\n";
-    exit 1
-  end;
-  if P.recommended_jobs () = 1 then
-    Printf.printf
-      "note: this host exposes a single domain; speedup ~1.0x is expected here\n\
-       and the pool only shows its >= 2x gain on multicore hardware.\n"
-
-(* ------------------------------------------------------------------ *)
-(* D-O1: trace recording overhead, replay, and differential replay. *)
-
-type trace_workload = {
-  tw_id : string;
-  tw_work : int;
-  tw_events : int;
-  tw_bytes : int;
-  tw_bare_seconds : float;
-  tw_record_seconds : float;
-  tw_overhead : float;
-  tw_replay_ok : bool;
-  tw_replay_error : string;
-}
-
-let write_trace_json ~file workloads ~diff_trials ~diff_passed =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let available_domains = Domain.recommended_domain_count () in
-      Printf.fprintf oc
-        "{\n\
-        \  \"generated_by\": \"bench/main.exe trace\",\n\
-        \  \"available_domains\": %d,\n\
-        \  \"scaling_valid\": %b,\n\
-        \  \"workloads\": [\n"
-        available_domains
-        (available_domains >= 1);
-      List.iteri
-        (fun i w ->
-          Printf.fprintf oc
-            "    {\"id\": %S, \"work\": %d, \"events\": %d, \"bytes\": %d, \
-             \"bare_seconds\": %.4f, \"record_seconds\": %.4f, \
-             \"overhead\": %.3f, \"replay_ok\": %b}%s\n"
-            w.tw_id w.tw_work w.tw_events w.tw_bytes w.tw_bare_seconds
-            w.tw_record_seconds w.tw_overhead w.tw_replay_ok
-            (if i = List.length workloads - 1 then "" else ","))
-        workloads;
-      Printf.fprintf oc
-        "  ],\n\
-        \  \"max_overhead\": %.3f,\n\
-        \  \"differential_replay\": {\"trials\": %d, \"passed\": %d}\n\
-         }\n"
-        (List.fold_left (fun a w -> Float.max a w.tw_overhead) 0.0 workloads)
-        diff_trials diff_passed)
-
-let trace () =
-  section "D-O1" "trace recording overhead, replay, and cross-engine differential replay";
-  let module F = Lr_fast.Fast_engine in
-  let module FN = Lr_fast.Fast_new_pr in
-  let module Record = Lr_trace.Record in
-  let module Replay = Lr_trace.Replay in
-  let module Writer = Lr_trace.Writer in
-  let smoke = !trials > 0 in
-  let with_tmp f =
-    let path = Filename.temp_file "lr_trace_bench" ".lrt" in
-    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () -> f path)
-  in
-  (* 1. recording overhead on the D-F9 large workloads: run each engine
-     bare, then with a recording sink, and replay the trace.  [bare] and
-     [record] are setup functions returning the thunk to time, so engine
-     construction and header serialization (identical one-time costs on
-     both sides) stay outside the measurement — the ratio isolates the
-     marginal cost of recording a run.  Each side is timed best-of-3:
-     the minimum is the noise-robust estimator here, since disk
-     writeback stalls inflate individual recorded runs by several
-     hundred percent. *)
-  let repeats = if smoke then 1 else 3 in
-  let best_of setup =
-    let best_r = ref None and best_s = ref infinity in
-    for _ = 1 to repeats do
-      let thunk = setup () in
-      let r, s = P.timed thunk in
-      if s < !best_s then begin
-        best_r := Some r;
-        best_s := s
-      end
-    done;
-    (Option.get !best_r, !best_s)
-  in
-  let workload tw_id ~bare ~record =
-    with_tmp (fun path ->
-        let bare_work, tw_bare_seconds = best_of bare in
-        let (work, stats), tw_record_seconds =
-          best_of (fun () -> record path)
-        in
-        assert (work = bare_work);
-        let tw_replay_ok, tw_replay_error =
-          match Replay.file path with
-          | Ok r ->
-              (r.Replay.steps + r.Replay.dummies = work, "")
-          | Error e -> (false, e)
-        in
-        {
-          tw_id;
-          tw_work = work;
-          tw_events = stats.Writer.events;
-          tw_bytes = stats.Writer.bytes;
-          tw_bare_seconds;
-          tw_record_seconds;
-          tw_overhead =
-            tw_record_seconds /. Float.max 1e-9 tw_bare_seconds;
-          tw_replay_ok;
-          tw_replay_error;
-        })
-  in
-  let saw = Generators.sawtooth (if smoke then 400 else 6_000) in
-  let chain = Generators.bad_chain (if smoke then 400 else 4_000) in
-  let rand =
-    let n = if smoke then 5_000 else 100_000 in
-    Generators.random_connected_dag (rng 3) ~n ~extra_edges:(n / 2)
-  in
-  let module Event = Lr_trace.Event in
-  let fast_workload id rule inst =
-    let config = Config.of_instance inst in
-    let tag = match rule with F.Partial -> Event.Pr | F.Full -> Event.Fr in
-    workload id
-      ~bare:(fun () ->
-        let engine = F.of_config config in
-        fun () -> (F.run rule engine).F.work)
-      ~record:(fun path ->
-        let engine = F.of_config config in
-        let writer = Writer.create path (Event.header_of_config tag config) in
-        let s, flush = Record.sink writer in
-        F.set_sink engine (Some s);
-        fun () ->
-          let out, dt = P.timed (fun () -> F.run rule engine) in
-          F.set_sink engine None;
-          flush ();
-          let stats =
-            Writer.close writer
-              {
-                Event.work = out.F.work;
-                edge_reversals = out.F.edge_reversals;
-                wall_ns = int_of_float (dt *. 1e9);
-                final_fingerprint = F.fingerprint engine;
-              }
-          in
-          (out.F.work, stats))
-  in
-  let newpr_workload id inst =
-    let config = Config.of_instance inst in
-    workload id
-      ~bare:(fun () ->
-        let engine = FN.of_config config in
-        fun () -> (FN.run engine).FN.work)
-      ~record:(fun path ->
-        let engine = FN.of_config config in
-        let writer =
-          Writer.create path (Event.header_of_config Event.New_pr config)
-        in
-        let s, flush = Record.sink writer in
-        FN.set_sink engine (Some s);
-        fun () ->
-          let out, dt = P.timed (fun () -> FN.run engine) in
-          FN.set_sink engine None;
-          flush ();
-          let stats =
-            Writer.close writer
-              {
-                Event.work = out.FN.work;
-                edge_reversals = out.FN.edge_reversals;
-                wall_ns = int_of_float (dt *. 1e9);
-                final_fingerprint = FN.fingerprint engine;
-              }
-          in
-          (out.FN.work, stats))
-  in
-  let workloads =
-    [
-      fast_workload "PR sawtooth" F.Partial saw;
-      fast_workload "FR bad chain" F.Full chain;
-      newpr_workload "NewPR sawtooth" saw;
-      fast_workload "PR random DAG" F.Partial rand;
-    ]
-  in
-  T.print ~title:"recording overhead (bare engine vs engine + trace sink)"
-    (T.make
-       ~headers:
-         [ "workload"; "work"; "events"; "bytes"; "bare"; "recorded";
-           "overhead"; "replay" ]
-       (List.map
-          (fun w ->
-            [
-              w.tw_id;
-              string_of_int w.tw_work;
-              string_of_int w.tw_events;
-              string_of_int w.tw_bytes;
-              Printf.sprintf "%.3f s" w.tw_bare_seconds;
-              Printf.sprintf "%.3f s" w.tw_record_seconds;
-              Printf.sprintf "%.2fx" w.tw_overhead;
-              (if w.tw_replay_ok then "OK" else "FAIL: " ^ w.tw_replay_error);
-            ])
-          workloads));
-  (* 2. cross-engine differential replay on the D-T1 random-DAG sweep:
-     traces recorded on the flat engines must replay clean on the
-     persistent reference automata — same preconditions, same final
-     orientation, same work totals. *)
-  let diff_cases =
-    let all =
-      List.concat_map
-        (fun n ->
-          List.concat_map
-            (fun seed ->
-              List.map (fun engine -> (n, seed, engine)) [ `Pr; `Fr; `New_pr ])
-            [ 0; 1; 2 ])
-        t1_sizes
-    in
-    if smoke then List.filteri (fun i _ -> i < !trials) all else all
-  in
-  let diff_passed = ref 0 in
-  let diff_failures = ref [] in
-  List.iter
-    (fun (n, seed, engine) ->
-      with_tmp (fun path ->
-          let config = random_config ~seed:(seed + (1000 * n)) n in
-          let label =
-            Printf.sprintf "%s n=%d seed=%d"
-              (match engine with `Pr -> "pr" | `Fr -> "fr" | `New_pr -> "newpr")
-              n seed
-          in
-          (match engine with
-          | `Pr -> ignore (Record.fast ~seed ~path ~rule:F.Partial config)
-          | `Fr -> ignore (Record.fast ~seed ~path ~rule:F.Full config)
-          | `New_pr -> ignore (Record.fast_new_pr ~seed ~path config));
-          match Replay.file path with
-          | Error e -> diff_failures := (label, "fast: " ^ e) :: !diff_failures
-          | Ok _ -> (
-              match Replay.against_automaton path with
-              | Error e ->
-                  diff_failures := (label, "automaton: " ^ e) :: !diff_failures
-              | Ok _ -> incr diff_passed)))
-    diff_cases;
-  Printf.printf
-    "\ndifferential replay (fast engine traces on the persistent automata):\n\
-     %d/%d passed\n"
-    !diff_passed (List.length diff_cases);
-  List.iter
-    (fun (label, e) -> Printf.printf "  FAILED %s: %s\n" label e)
-    (List.rev !diff_failures);
-  let file = "BENCH_trace.json" in
-  write_trace_json ~file workloads ~diff_trials:(List.length diff_cases)
-    ~diff_passed:!diff_passed;
-  Printf.printf "wrote %s\n" file;
-  let max_overhead =
-    List.fold_left (fun a w -> Float.max a w.tw_overhead) 0.0 workloads
-  in
-  Printf.printf
-    "max recording overhead: %.2fx  (target: <= 2x on the large workloads)\n"
-    max_overhead;
-  (* correctness failures are fatal; overhead is reported, not enforced
-     (CI machines have noisy clocks) *)
-  if List.exists (fun w -> not w.tw_replay_ok) workloads
-     || !diff_passed < List.length diff_cases
-  then begin
-    Printf.printf "FAILURE: replay divergence\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* D-S1: the sharded routing service — barrier-free ring dispatch vs
-   the windowed oracle: throughput, latency SLOs, differential
-   determinism (free-running must reproduce the oracle's responses and
-   counters byte-for-byte), ring/steal observability, and bounded-queue
-   backpressure under overload in both modes. *)
-
-type service_run = {
-  sr_jobs : int;
-  sr_mode : string;  (* "free" (ring dispatch) | "windowed" (oracle) *)
-  sr_seconds : float;  (* best wall time over [sr_repeats] runs *)
-  sr_repeats : int;
-  sr_throughput : float;
-  sr_latency : Lr_analysis.Stats.percentiles;
-  sr_totals : Lr_service.Metrics.totals;
-  sr_rings : Lr_service.Metrics.ring_totals;
-  sr_fingerprint : string;
-}
-
-let fprint_service_run oc ~(base : service_run) (r : service_run) =
-  let module Metrics = Lr_service.Metrics in
-  let module Stats = Lr_analysis.Stats in
-  Printf.fprintf oc
-    "{\"jobs\": %d, \"mode\": %S, \"seconds\": %.4f, \"repeats\": %d, \
-     \"throughput_ops_per_s\": %.0f, \"speedup_vs_1job\": %.2f,\n\
-    \     \"latency_ms\": {\"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f, \
-     \"p999\": %.4f, \"max\": %.4f},\n\
-    \     \"ring\": {\"max_depth\": %d, \"mean_depth\": %.2f, \
-     \"steal_attempts\": %d, \"stolen\": %d},\n\
-    \     \"served\": %d, \"routes\": %d, \"no_routes\": %d, \
-     \"rejected\": %d, \"reversal_steps\": %d, \"validation_failures\": %d,\n\
-    \     \"fingerprint\": %S}"
-    r.sr_jobs r.sr_mode r.sr_seconds r.sr_repeats r.sr_throughput
-    (base.sr_seconds /. Float.max 1e-9 r.sr_seconds)
-    (1000.0 *. r.sr_latency.Stats.p50)
-    (1000.0 *. r.sr_latency.Stats.p95)
-    (1000.0 *. r.sr_latency.Stats.p99)
-    (1000.0 *. r.sr_latency.Stats.p999)
-    (1000.0 *. r.sr_latency.Stats.max)
-    r.sr_rings.Metrics.max_depth r.sr_rings.Metrics.mean_depth
-    r.sr_rings.Metrics.steal_attempts r.sr_rings.Metrics.stolen
-    r.sr_totals.Metrics.served r.sr_totals.Metrics.routes
-    r.sr_totals.Metrics.no_routes r.sr_totals.Metrics.rejected
-    r.sr_totals.Metrics.reversal_steps
-    r.sr_totals.Metrics.validation_failures r.sr_fingerprint
-
-let fprint_workload_spec oc (spec : Lr_service.Workload.spec) =
-  Printf.fprintf oc
-    "{\"shards\": %d, \"nodes\": %d, \"extra_edges\": %d, \"seed\": %d, \
-     \"ops\": %d, \"skew\": %.2f}"
-    spec.Lr_service.Workload.shards spec.Lr_service.Workload.nodes
-    spec.Lr_service.Workload.extra_edges spec.Lr_service.Workload.seed
-    spec.Lr_service.Workload.ops spec.Lr_service.Workload.skew
-
-(* [available_domains] is what the host actually exposes; when it is
-   below the largest jobs level benched, the speedup column is
-   time-slicing, not scaling, and [scaling_valid] says so
-   machine-readably. *)
-let write_service_json ~file ~(spec : Lr_service.Workload.spec)
-    ~available_domains ~scaling_valid runs ~deterministic
-    ~free_matches_oracle ~overload_free:(of_rej, of_leak)
-    ~overload_windowed:(ow_rej, ow_leak)
-    ~large:(lspec, lruns, lcapped, lcap) =
-  let base = List.find (fun r -> r.sr_jobs = 1 && r.sr_mode = "free") runs in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"generated_by\": \"bench/main.exe service\",\n\
-        \  \"available_domains\": %d,\n\
-        \  \"recommended_domains\": %d,\n\
-        \  \"scaling_valid\": %b,\n\
-        \  \"workload\": "
-        available_domains (P.recommended_jobs ()) scaling_valid;
-      fprint_workload_spec oc spec;
-      Printf.fprintf oc ",\n  \"runs\": [\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc "    ";
-          fprint_service_run oc ~base r;
-          Printf.fprintf oc "%s\n"
-            (if i = List.length runs - 1 then "" else ","))
-        runs;
-      Printf.fprintf oc
-        "  ],\n\
-        \  \"deterministic_across_jobs\": %b,\n\
-        \  \"free_matches_deterministic\": %b,\n\
-        \  \"overload\": {\n\
-        \    \"free\": {\"jobs\": 2, \"rejected\": %d, \"leaked\": %b},\n\
-        \    \"windowed\": {\"jobs\": 1, \"rejected\": %d, \"leaked\": %b}\n\
-        \  },\n\
-        \  \"large_topology\": {\n\
-        \    \"workload\": "
-        deterministic free_matches_oracle of_rej of_leak ow_rej ow_leak;
-      fprint_workload_spec oc lspec;
-      Printf.fprintf oc
-        ",\n    \"seconds_cap\": %.0f,\n    \"capped\": %b,\n    \"runs\": [\n"
-        lcap lcapped;
-      let lbase = match lruns with r :: _ -> r | [] -> base in
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc "      ";
-          fprint_service_run oc ~base:lbase r;
-          Printf.fprintf oc "%s\n"
-            (if i = List.length lruns - 1 then "" else ","))
-        lruns;
-      Printf.fprintf oc "    ]\n  }\n}\n")
-
-let service () =
-  section "D-S1"
-    "routing service: barrier-free ring dispatch vs the windowed oracle";
-  let module Wl = Lr_service.Workload in
-  let module Svc = Lr_service.Service in
-  let module Metrics = Lr_service.Metrics in
-  let module Stats = Lr_analysis.Stats in
-  let smoke = !trials > 0 in
-  let spec =
-    {
-      Wl.shards = 16;
-      nodes = 24;
-      extra_edges = 16;
-      seed = 42;
-      ops = (if smoke then 3_000 else 240_000);
-      (* default-mix proportions, but crashes at 0.2%: a 1% crash rate
-         over 60k ops kills ~37 destinations per 24-node shard, leaving
-         mostly honest No_routes — real fleets crash destinations far
-         less often than they query. *)
-      mix = { Wl.route = 900; churn = 98; crash = 2 };
-      pmix = Wl.no_packets;
-      burst = 4;
-      skew = 0.8;
-      stats_every = 1_000;
-    }
-  in
-  let ops = Wl.generate spec in
-  let configs = Wl.shard_configs spec in
-  let default_repeats = if smoke then 2 else 9 in
-  let leaked = ref false in
-  let unstable = ref [] in
-  (* One timed run.  The ring capacity defaults to 4096: deep enough
-     that the sweep stream (per-shard depth between stats quiesces is
-     bounded by stats_every) never rejects, small enough that per-run
-     ring allocation does not dominate the minor heap.  "free-pinned"
-     is the free-running dispatcher with [pin_loops]: it spawns the
-     full jobs-1 loops even past the hardware, exercising the
-     token/steal protocol (and reporting real steal counters) on any
-     host; the clamped "free" rows are what production would do. *)
-  let run_once ~mode ~jobs ?(queue_bound = 4_096) ~repeats (spec : Wl.spec)
-      ops configs =
-    (* The free-vs-windowed differential below only holds when nothing
-       rejects, and per-shard ring depth between stats quiesces is
-       bounded by stats_every — so the bound must clear it, by
-       construction rather than by luck. *)
-    if spec.Wl.stats_every > 0 && spec.Wl.stats_every >= queue_bound then
-      invalid_arg
-        (Printf.sprintf
-           "D-S1: stats_every (%d) must stay below queue_bound (%d) or the \
-            differential can reject"
-           spec.Wl.stats_every queue_bound);
-    let deterministic = mode = "windowed" in
-    let svc =
-      Svc.create
-        { Svc.default_config with Svc.jobs; queue_bound; deterministic;
-          pin_loops = mode = "free-pinned" }
-        configs
-    in
-    Fun.protect
-      ~finally:(fun () -> Svc.shutdown svc)
-      (fun () ->
-        let responses, sr_seconds = P.timed (fun () -> Svc.run svc ops) in
-        let snap = Svc.metrics svc in
-        if
-          Svc.rejected_in responses
-          <> snap.Metrics.snapshot_totals.Metrics.rejected
-        then leaked := true;
-        {
-          sr_jobs = jobs;
-          sr_mode = mode;
-          sr_seconds;
-          sr_repeats = repeats;
-          sr_throughput =
-            float_of_int spec.Wl.ops /. Float.max 1e-9 sr_seconds;
-          sr_latency = snap.Metrics.latency;
-          sr_totals = snap.Metrics.snapshot_totals;
-          sr_rings = snap.Metrics.rings_totals;
-          sr_fingerprint = Svc.fingerprint responses snap;
-        })
-  in
-  (* Interleaved best-of-N: each repeat round runs every configuration
-     once and we keep each configuration's best round.  Hammering one
-     configuration N times in a row would let slow drift in VM and
-     allocator state penalize whichever configuration runs last;
-     interleaving spreads the drift across all of them.  Every
-     round's fingerprint must match the configuration's first, or the
-     configuration is flagged non-reproducible. *)
-  let sweep ?(repeats = default_repeats) plan spec ops configs =
-    let plan = Array.of_list plan in
-    let best = Array.map (fun _ -> None) plan in
-    for _rep = 1 to repeats do
-      Array.iteri
-        (fun i (mode, jobs) ->
-          let r = run_once ~mode ~jobs ~repeats spec ops configs in
-          match best.(i) with
-          | None -> best.(i) <- Some r
-          | Some b ->
-              if r.sr_fingerprint <> b.sr_fingerprint then
-                unstable := Printf.sprintf "%s jobs=%d" mode jobs :: !unstable;
-              if r.sr_seconds < b.sr_seconds then best.(i) <- Some r)
-        plan
-    done;
-    Array.to_list best
-    |> List.filter_map (fun b -> b)
-  in
-  let job_levels =
-    List.sort_uniq compare (1 :: 2 :: 4 :: 8 :: [ P.recommended_jobs () ])
-  in
-  let plan =
-    List.map (fun j -> ("free", j)) job_levels
-    @ [ ("free-pinned", 4); ("windowed", 1); ("windowed", 4) ]
-  in
-  let runs = sweep plan spec ops configs in
-  let mode_runs m = List.filter (fun r -> r.sr_mode = m) runs in
-  let free_runs = mode_runs "free" in
-  let pinned_runs = mode_runs "free-pinned" in
-  let windowed_runs = mode_runs "windowed" in
-  let base = List.find (fun r -> r.sr_jobs = 1) free_runs in
-  T.print
-    ~title:(Printf.sprintf "service over %s" (Wl.describe spec))
-    (T.make
-       ~headers:
-         [ "mode"; "jobs"; "wall"; "ops/s"; "speedup"; "p50 ms"; "p99 ms";
-           "max ring"; "stolen"; "rejected"; "validation failures" ]
-       (List.map
-          (fun r ->
-            [
-              r.sr_mode;
-              string_of_int r.sr_jobs;
-              Printf.sprintf "%.3f s" r.sr_seconds;
-              Printf.sprintf "%.0f" r.sr_throughput;
-              Printf.sprintf "%.2fx"
-                (base.sr_seconds /. Float.max 1e-9 r.sr_seconds);
-              Printf.sprintf "%.3f" (1000.0 *. r.sr_latency.Stats.p50);
-              Printf.sprintf "%.3f" (1000.0 *. r.sr_latency.Stats.p99);
-              string_of_int r.sr_rings.Metrics.max_depth;
-              string_of_int r.sr_rings.Metrics.stolen;
-              string_of_int r.sr_totals.Metrics.rejected;
-              string_of_int r.sr_totals.Metrics.validation_failures;
-            ])
-          runs));
-  let deterministic =
-    List.for_all
-      (fun r -> r.sr_fingerprint = base.sr_fingerprint)
-      (free_runs @ pinned_runs)
-  in
-  let free_matches_oracle =
-    List.for_all (fun r -> r.sr_fingerprint = base.sr_fingerprint) windowed_runs
-  in
-  Printf.printf "free-running responses + counters identical across %s: %b\n"
-    (String.concat "/"
-       (List.map
-          (fun r ->
-            Printf.sprintf "%sjobs=%d"
-              (if r.sr_mode = "free-pinned" then "pinned " else "")
-              r.sr_jobs)
-          (free_runs @ pinned_runs)))
-    deterministic;
-  Printf.printf
-    "free-running matches the windowed oracle (responses + counters): %b\n"
-    free_matches_oracle;
-  (match pinned_runs with
-  | r :: _ ->
-      Printf.printf "rings at pinned jobs=%d: %s\n" r.sr_jobs
-        (Metrics.ring_line r.sr_rings)
-  | [] -> ());
-  (* Domain honesty: on a box with fewer domains than the largest jobs
-     level, the sweep time-slices one core and "speedup" is overhead
-     measurement, not scaling. *)
-  let available_domains = Domain.recommended_domain_count () in
-  let max_jobs = List.fold_left (fun a j -> max a j) 1 job_levels in
-  let scaling_valid = available_domains >= max_jobs in
-  if not scaling_valid then
-    Printf.printf
-      "WARNING: host exposes %d domain(s) but the sweep benches up to jobs=%d;\n\
-       multi-job runs are time-sliced and the speedup column measures dispatch\n\
-       overhead, NOT shard-parallel scaling (scaling_valid: false in the JSON).\n"
-      available_domains max_jobs;
-  (* Overload: a tiny ring against a hot-shard workload must shed load
-     as explicit rejections — and account for every one of them — in
-     both dispatch modes.  The free-running rejection COUNT is a
-     wall-clock fact (recorded, not asserted); the windowed one is
-     deterministic. *)
-  let overload_spec =
-    { spec with Wl.shards = 4; ops = (if smoke then 1_000 else 5_000);
-      skew = 3.0 }
-  in
-  let overload_ops = Wl.generate overload_spec in
-  let overload ~mode ~jobs =
-    let osvc =
-      Svc.create
-        (* pin_loops: the free overload run needs a real consumer loop
-           (with zero loops the dispatcher drains a full ring inline and
-           nothing is ever rejected), even on a single-domain host. *)
-        { Svc.default_config with Svc.jobs; queue_bound = 4; window = 128;
-          deterministic = (mode = "windowed"); pin_loops = true }
-        (Wl.shard_configs overload_spec)
-    in
-    Fun.protect
-      ~finally:(fun () -> Svc.shutdown osvc)
-      (fun () ->
-        let responses = Svc.run osvc overload_ops in
-        let t = (Svc.metrics osvc).Metrics.snapshot_totals in
-        (t.Metrics.rejected, Svc.rejected_in responses <> t.Metrics.rejected))
-  in
-  let of_rej, of_leak = overload ~mode:"free" ~jobs:2 in
-  let ow_rej, ow_leak = overload ~mode:"windowed" ~jobs:1 in
-  Printf.printf
-    "overload (4 hot shards, ring capacity 4): free jobs=2 %d/%d rejected \
-     (leak %b), windowed %d/%d rejected (leak %b)\n"
-    of_rej overload_spec.Wl.ops of_leak ow_rej overload_spec.Wl.ops ow_leak;
-  (* Large topology: 64 shards x 1024 nodes.  One free-running run at
-     jobs=1 always; the jobs=4 rerun is skipped (capped) when the base
-     run alone ate half the time budget, so CI boxes stay within it. *)
-  let large_cap = 120.0 in
-  let lspec =
-    {
-      Wl.shards = 64;
-      nodes = 1024;
-      extra_edges = 256;
-      seed = 1024;
-      ops = (if smoke then 1_000 else 20_000);
-      mix = { Wl.route = 900; churn = 98; crash = 2 };
-      pmix = Wl.no_packets;
-      burst = 4;
-      skew = 1.2;
-      stats_every = (if smoke then 500 else 4_000);
-    }
-  in
-  let (lops, lconfigs), setup_seconds =
-    P.timed (fun () -> (Wl.generate lspec, Wl.shard_configs lspec))
-  in
-  Printf.printf "large topology (%s): generated in %.1f s\n"
-    (Wl.describe lspec) setup_seconds;
-  let lrun1 = run_once ~mode:"free" ~jobs:1 ~repeats:1 lspec lops lconfigs in
-  let lcapped = lrun1.sr_seconds > large_cap /. 2.0 in
-  let lruns =
-    if lcapped then [ lrun1 ]
-    else
-      [
-        lrun1;
-        run_once ~mode:"free-pinned" ~jobs:4 ~repeats:1 lspec lops lconfigs;
-      ]
-  in
-  let large_deterministic =
-    List.for_all (fun r -> r.sr_fingerprint = lrun1.sr_fingerprint) lruns
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "large topology jobs=%d: %.2f s, %.0f ops/s, %d routes, rings %s\n"
-        r.sr_jobs r.sr_seconds r.sr_throughput r.sr_totals.Metrics.routes
-        (Metrics.ring_line r.sr_rings))
-    lruns;
-  if lcapped then
-    Printf.printf
-      "large topology jobs=4 rerun skipped: jobs=1 took %.1f s > %.0f s cap/2\n"
-      lrun1.sr_seconds large_cap;
-  let file = "BENCH_service.json" in
-  write_service_json ~file ~spec ~available_domains ~scaling_valid runs
-    ~deterministic ~free_matches_oracle ~overload_free:(of_rej, of_leak)
-    ~overload_windowed:(ow_rej, ow_leak)
-    ~large:(lspec, lruns, lcapped, large_cap);
-  Printf.printf "wrote %s\n" file;
-  let validation_failures =
-    List.exists
-      (fun r -> r.sr_totals.Metrics.validation_failures > 0)
-      (runs @ lruns)
-  in
-  if validation_failures then
-    Printf.printf "FAILURE: route validation failures in service runs\n";
-  if not deterministic then
-    Printf.printf "FAILURE: free-running responses differ across domain counts\n";
-  if not free_matches_oracle then
-    Printf.printf
-      "FAILURE: free-running dispatch diverges from the windowed oracle\n";
-  if not large_deterministic then
-    Printf.printf "FAILURE: large-topology responses differ across domain counts\n";
-  if !unstable <> [] then
-    Printf.printf "FAILURE: fingerprints changed across repeats of: %s\n"
-      (String.concat ", " (List.sort_uniq compare !unstable));
-  if !leaked || of_leak || ow_leak then
-    Printf.printf "FAILURE: rejected responses and rejected counters disagree\n";
-  if of_rej = 0 || ow_rej = 0 then
-    Printf.printf "FAILURE: an overload scenario shed no load\n";
-  if
-    validation_failures || (not deterministic) || (not free_matches_oracle)
-    || (not large_deterministic) || !unstable <> [] || !leaked || of_leak
-    || ow_leak || of_rej = 0 || ow_rej = 0
-  then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* D-S2: the fast maintenance engine vs the persistent reference —
-   repair storms, route-heavy workloads, and the D-S1 service workload
-   re-run on the fast path.  Every comparison doubles as a differential
-   test: work totals, final orientation fingerprints, routes and
-   service fingerprints must be identical, or the run exits 1. *)
-
-type storm_op = S_down of int * int | S_up of int * int | S_fail of int
-
-type storm_result = {
-  st_id : string;
-  st_n : int;
-  st_events : int;
-  st_ref_seconds : float;
-  st_fast_seconds : float;
-  st_identical : bool;
-}
-
-(* One rung of the churn-storm ladder: an op tape replayed on the fast
-   engine and its union-find component index. *)
-type rung = {
-  lr_n : int;
-  lr_events : int;
-  lr_create_seconds : float;  (* engine construction *)
-  lr_uf_seconds : float;  (* storm replay *)
-  lr_consistent : bool;  (* index cross-check after the storm *)
-  lr_slots : int;
-  lr_rebuilds : int;
-}
-
-let write_maintenance_json ~file storms ~ladder ~route_heavy ~svc_parity =
-  let rh_n, rh_queries, rh_ref, rh_fast, rh_agree, (ch, cm, ci) = route_heavy in
-  let sp_ops, sp_ref, sp_fast, sp_identical = svc_parity in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      (* The honesty header carried by every bench JSON: these sections
-         run sequentially on one domain, so the timings are real wall
-         time whenever at least one domain is ours. *)
-      let available_domains = Domain.recommended_domain_count () in
-      Printf.fprintf oc
-        "{\n  \"generated_by\": \"bench/main.exe maintenance\",\n\
-        \  \"available_domains\": %d,\n\
-        \  \"scaling_valid\": %b,\n\
-        \  \"storms\": [\n"
-        available_domains (available_domains >= 1);
-      List.iteri
-        (fun i s ->
-          Printf.fprintf oc
-            "    {\"id\": %S, \"n\": %d, \"events\": %d, \
-             \"ref_seconds\": %.4f, \"fast_seconds\": %.4f, \
-             \"speedup\": %.2f, \"identical\": %b}%s\n"
-            s.st_id s.st_n s.st_events s.st_ref_seconds s.st_fast_seconds
-            (s.st_ref_seconds /. Float.max 1e-9 s.st_fast_seconds)
-            s.st_identical
-            (if i = List.length storms - 1 then "" else ","))
-        storms;
-      Printf.fprintf oc "  ],\n  \"ladder\": [\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    {\"n\": %d, \"events\": %d, \"uf_create_seconds\": %.4f, \
-             \"uf_storm_seconds\": %.4f, \"events_per_s\": %.0f, \
-             \"consistent\": %b, \"slots\": %d, \"rebuilds\": %d}%s\n"
-            r.lr_n r.lr_events r.lr_create_seconds r.lr_uf_seconds
-            (float_of_int r.lr_events /. Float.max 1e-9 r.lr_uf_seconds)
-            r.lr_consistent r.lr_slots r.lr_rebuilds
-            (if i = List.length ladder - 1 then "" else ","))
-        ladder;
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc
-        "  \"route_heavy\": {\"n\": %d, \"queries\": %d, \
-         \"ref_seconds\": %.4f, \"fast_seconds\": %.4f, \"speedup\": %.2f, \
-         \"routes_identical\": %b, \"cache\": {\"hits\": %d, \"misses\": %d, \
-         \"invalidations\": %d}},\n"
-        rh_n rh_queries rh_ref rh_fast
-        (rh_ref /. Float.max 1e-9 rh_fast)
-        rh_agree ch cm ci;
-      Printf.fprintf oc
-        "  \"service\": {\"ops\": %d, \"ref_seconds\": %.4f, \
-         \"fast_seconds\": %.4f, \"speedup\": %.2f, \
-         \"fingerprints_identical\": %b}\n}\n"
-        sp_ops sp_ref sp_fast
-        (sp_ref /. Float.max 1e-9 sp_fast)
-        sp_identical)
-
-let maintenance () =
-  section "D-S2"
-    "fast maintenance engine: repair storms, route cache, service parity";
-  let module M = Lr_routing.Maintenance in
-  let module FM = Lr_routing.Fast_maintenance in
-  let module Wl = Lr_service.Workload in
-  let module Svc = Lr_service.Service in
-  let module Metrics = Lr_service.Metrics in
-  let smoke = !trials > 0 in
-  (* -- repair storms ------------------------------------------------ *)
-  (* The op sequence is recorded once on a scratch fast engine (every
-     decision depends only on the current edge set, which both engines
-     maintain identically), then replayed and timed on each. *)
-  let gen_storm ~seed ~events rule config n =
-    let fm = FM.create rule config in
-    let rng = rng (seed + 31) in
-    let ops = ref [] in
-    for k = 1 to events do
-      let u = Random.State.int rng n and v = Random.State.int rng n in
-      if u <> v then
-        if k mod 41 = 0 then begin
-          let victim = if u = FM.destination fm then v else u in
-          ignore (FM.fail_node fm victim);
-          ops := S_fail victim :: !ops
-        end
-        else if FM.mem_edge fm u v then begin
-          ignore (FM.fail_link fm u v);
-          ops := S_down (u, v) :: !ops
-        end
-        else begin
-          FM.add_link fm u v;
-          ops := S_up (u, v) :: !ops
-        end
-    done;
-    List.rev !ops
-  in
-  let storm ~seed rule n =
-    let config = random_config ~seed n in
-    let events = (if smoke then 3 else 6) * n in
-    let ops = gen_storm ~seed ~events rule config n in
-    let fm, fast_seconds =
-      P.timed (fun () ->
-          let fm = FM.create rule config in
-          List.iter
-            (function
-              | S_down (u, v) -> ignore (FM.fail_link fm u v)
-              | S_up (u, v) -> FM.add_link fm u v
-              | S_fail u -> ignore (FM.fail_node fm u))
-            ops;
-          fm)
-    in
-    let m, ref_seconds =
-      P.timed (fun () ->
-          let m = M.create rule config in
-          List.iter
-            (function
-              | S_down (u, v) -> ignore (M.fail_link m u v)
-              | S_up (u, v) -> M.add_link m u v
-              | S_fail u -> ignore (M.fail_node m u))
-            ops;
-          m)
-    in
-    let routes_agree = ref true in
-    for u = 0 to n - 1 do
-      if M.route m u <> FM.route fm u then routes_agree := false
-    done;
-    let identical =
-      M.total_work m = FM.total_work fm
-      && Digraph.fingerprint (M.graph m) = Digraph.fingerprint (FM.graph fm)
-      && !routes_agree
-    in
-    {
-      st_id =
-        Printf.sprintf "%s storm n=%d"
-          (match rule with
-          | M.Partial_reversal -> "PR"
-          | M.Full_reversal -> "FR")
-          n;
-      st_n = n;
-      st_events = List.length ops;
-      st_ref_seconds = ref_seconds;
-      st_fast_seconds = fast_seconds;
-      st_identical = identical;
-    }
-  in
-  let storms =
-    if smoke then [ storm ~seed:1 M.Partial_reversal 32; storm ~seed:2 M.Full_reversal 32 ]
-    else
-      [
-        storm ~seed:1 M.Partial_reversal 64;
-        storm ~seed:2 M.Full_reversal 64;
-        storm ~seed:3 M.Partial_reversal 128;
-        storm ~seed:4 M.Partial_reversal 256;
-      ]
-  in
-  T.print
-    ~title:"repair storms: persistent reference vs fast engine (same op tape)"
-    (T.make
-       ~headers:[ "storm"; "events"; "reference"; "fast"; "speedup"; "identical" ]
-       (List.map
-          (fun s ->
-            [
-              s.st_id;
-              string_of_int s.st_events;
-              Printf.sprintf "%.3f s" s.st_ref_seconds;
-              Printf.sprintf "%.3f s" s.st_fast_seconds;
-              Printf.sprintf "%.1fx"
-                (s.st_ref_seconds /. Float.max 1e-9 s.st_fast_seconds);
-              string_of_bool s.st_identical;
-            ])
-          storms));
-  (* -- churn-storm ladder ------------------------------------------- *)
-  (* Scale rungs for the union-find component index, each checked by
-     [FM.consistent] after its storm.  The tape is generated from a
-     pure edge-set model — unlike [gen_storm]'s pair toggles, whose
-     removal probability vanishes at scale — so half the events are
-     real link-downs and the membership paths (split checks, absorbs,
-     partition reports) carry the cost.  The ladder runs at full rung
-     sizes even under --trials smoke (fewer events, fewer rungs): CI
-     is exactly where a scale regression would otherwise hide. *)
-  let gen_churn ~seed ~events config n =
-    let rng = rng (seed + 77) in
-    let dest = config.Config.destination in
-    let nbrs = Array.init n (fun _ -> Hashtbl.create 8) in
-    let m0 = List.length (Digraph.directed_edges config.Config.initial) in
-    let edges = Array.make (m0 + events + 1) (0, 0) in
-    let pos = Hashtbl.create (4 * max n 1) in
-    let m = ref 0 in
-    let put u v =
-      let u, v = if u < v then (u, v) else (v, u) in
-      edges.(!m) <- (u, v);
-      Hashtbl.replace pos (u, v) !m;
-      incr m;
-      Hashtbl.replace nbrs.(u) v ();
-      Hashtbl.replace nbrs.(v) u ()
-    in
-    let del u v =
-      let u, v = if u < v then (u, v) else (v, u) in
-      let i = Hashtbl.find pos (u, v) in
-      Hashtbl.remove pos (u, v);
-      decr m;
-      if i < !m then begin
-        edges.(i) <- edges.(!m);
-        Hashtbl.replace pos edges.(i) i
-      end;
-      Hashtbl.remove nbrs.(u) v;
-      Hashtbl.remove nbrs.(v) u
-    in
-    List.iter (fun (u, v) -> put u v) (Digraph.directed_edges config.Config.initial);
-    let ops = ref [] in
-    for k = 1 to events do
-      if k mod 41 = 0 then begin
-        let u = Random.State.int rng n in
-        let victim = if u = dest then (u + 1) mod n else u in
-        Hashtbl.iter (fun w () -> del victim w) (Hashtbl.copy nbrs.(victim));
-        ops := S_fail victim :: !ops
-      end
-      else if k land 1 = 0 && !m > 0 then begin
-        let u, v = edges.(Random.State.int rng !m) in
-        del u v;
-        ops := S_down (u, v) :: !ops
-      end
-      else begin
-        let u = Random.State.int rng n and v = Random.State.int rng n in
-        if u <> v && not (Hashtbl.mem nbrs.(u) v) then begin
-          put u v;
-          ops := S_up (u, v) :: !ops
-        end
-      end
-    done;
-    List.rev !ops
-  in
-  (* Construction and the storm are timed apart. *)
-  let replay rule config ops =
-    let fm, create_seconds = P.timed (fun () -> FM.create rule config) in
-    let (), storm_seconds =
-      P.timed (fun () ->
-          List.iter
-            (function
-              | S_down (u, v) -> ignore (FM.fail_link fm u v)
-              | S_up (u, v) -> FM.add_link fm u v
-              | S_fail u -> ignore (FM.fail_node fm u))
-            ops)
-    in
-    (fm, create_seconds, storm_seconds)
-  in
-  let rung ~seed ~events n =
-    let config = random_config ~seed n in
-    let ops = gen_churn ~seed ~events config n in
-    let fm, lr_create_seconds, lr_uf_seconds = replay M.Partial_reversal config ops in
-    let stats = FM.index_stats fm in
-    {
-      lr_n = n;
-      lr_events = List.length ops;
-      lr_create_seconds;
-      lr_uf_seconds;
-      lr_consistent = FM.consistent fm;
-      lr_slots = stats.FM.slots;
-      lr_rebuilds = stats.FM.rebuilds;
-    }
-  in
-  let ladder =
-    if smoke then [ rung ~seed:11 ~events:2_000 1_000; rung ~seed:12 ~events:8_192 4_096 ]
-    else
-      [
-        rung ~seed:11 ~events:6_000 1_000;
-        rung ~seed:12 ~events:24_576 4_096;
-        rung ~seed:13 ~events:30_000 10_000;
-        rung ~seed:14 ~events:100_000 100_000;
-      ]
-  in
-  T.print ~title:"churn-storm ladder: union-find component index"
-    (T.make
-       ~headers:[ "n"; "events"; "create"; "storm"; "consistent"; "slots"; "rebuilds" ]
-       (List.map
-          (fun r ->
-            [
-              string_of_int r.lr_n;
-              string_of_int r.lr_events;
-              Printf.sprintf "%.3f s" r.lr_create_seconds;
-              Printf.sprintf "%.3f s" r.lr_uf_seconds;
-              string_of_bool r.lr_consistent;
-              string_of_int r.lr_slots;
-              string_of_int r.lr_rebuilds;
-            ])
-          ladder));
-  (* -- reference-oracle leg at n=4096 -------------------------------- *)
-  (* The persistent reference cannot replay a full-size rung, but a
-     short removal-heavy tape at the same n keeps the oracle's
-     byte-identity check alive at ladder scale, under both rules. *)
-  let oracle_storms =
-    if smoke then []
-    else
-      List.map
-        (fun rule ->
-          let o_n = 4_096 in
-          let config = random_config ~seed:21 o_n in
-          let ops = gen_churn ~seed:21 ~events:384 config o_n in
-          let fm, _, fast_seconds = replay rule config ops in
-          let m, ref_seconds =
-            P.timed (fun () ->
-                let m = M.create rule config in
-                List.iter
-                  (function
-                    | S_down (u, v) -> ignore (M.fail_link m u v)
-                    | S_up (u, v) -> M.add_link m u v
-                    | S_fail u -> ignore (M.fail_node m u))
-                  ops;
-                m)
-          in
-          let routes_agree = ref true in
-          for u = 0 to o_n - 1 do
-            if M.route m u <> FM.route fm u then routes_agree := false
-          done;
-          {
-            st_id =
-              Printf.sprintf "%s oracle n=%d"
-                (match rule with
-                | M.Partial_reversal -> "PR"
-                | M.Full_reversal -> "FR")
-                o_n;
-            st_n = o_n;
-            st_events = List.length ops;
-            st_ref_seconds = ref_seconds;
-            st_fast_seconds = fast_seconds;
-            st_identical =
-              M.total_work m = FM.total_work fm
-              && Digraph.fingerprint (M.graph m)
-                 = Digraph.fingerprint (FM.graph fm)
-              && !routes_agree;
-          })
-        [ M.Partial_reversal; M.Full_reversal ]
-  in
-  let storms = storms @ oracle_storms in
-  if oracle_storms <> [] then
-    T.print
-      ~title:"reference-oracle leg at ladder scale (short removal-heavy tape)"
-      (T.make
-         ~headers:[ "storm"; "events"; "reference"; "fast"; "identical" ]
-         (List.map
-            (fun s ->
-              [
-                s.st_id;
-                string_of_int s.st_events;
-                Printf.sprintf "%.3f s" s.st_ref_seconds;
-                Printf.sprintf "%.3f s" s.st_fast_seconds;
-                string_of_bool s.st_identical;
-              ])
-            oracle_storms));
-  (* -- route-heavy workload ---------------------------------------- *)
-  let rh_n = if smoke then 64 else 200 in
-  let rh_queries = if smoke then 20_000 else 500_000 in
-  let rh_config = random_config ~seed:9 rh_n in
-  let m = M.create M.Partial_reversal rh_config in
-  let fm = FM.create M.Partial_reversal rh_config in
-  let rh_agree = ref true in
-  for u = 0 to rh_n - 1 do
-    if M.route m u <> FM.route fm u then rh_agree := false
-  done;
-  let (), rh_ref =
-    P.timed (fun () ->
-        for i = 0 to rh_queries - 1 do
-          ignore (M.route m (i mod rh_n))
-        done)
-  in
-  let (), rh_fast =
-    P.timed (fun () ->
-        for i = 0 to rh_queries - 1 do
-          ignore (FM.route fm (i mod rh_n))
-        done)
-  in
-  let cache = FM.cache_stats fm in
-  Printf.printf
-    "route-heavy (n=%d, %d queries, quiescent): reference %.3f s, fast %.3f s \
-     (%.1fx); cache hits %d, misses %d, invalidations %d\n"
-    rh_n rh_queries rh_ref rh_fast
-    (rh_ref /. Float.max 1e-9 rh_fast)
-    cache.FM.hits cache.FM.misses cache.FM.invalidations;
-  (* -- the D-S1 service workload on both engines -------------------- *)
-  let spec =
-    {
-      Wl.shards = 16;
-      nodes = 24;
-      extra_edges = 16;
-      seed = 42;
-      ops = (if smoke then 3_000 else 60_000);
-      mix = { Wl.route = 900; churn = 98; crash = 2 };
-      pmix = Wl.no_packets;
-      burst = 4;
-      skew = 0.8;
-      stats_every = 1_000;
-    }
-  in
-  let ops = Wl.generate spec in
-  let configs = Wl.shard_configs spec in
-  let run_engine engine =
-    let svc = Svc.create { Svc.default_config with Svc.engine } configs in
-    Fun.protect
-      ~finally:(fun () -> Svc.shutdown svc)
-      (fun () ->
-        let responses, seconds = P.timed (fun () -> Svc.run svc ops) in
-        let snap = Svc.metrics svc in
-        ( Svc.fingerprint responses snap,
-          seconds,
-          snap.Metrics.snapshot_totals.Metrics.validation_failures ))
-  in
-  let fast_fp, sp_fast, fast_vf = run_engine Lr_service.Shard.Fast in
-  let ref_fp, sp_ref, ref_vf = run_engine Lr_service.Shard.Reference in
-  let sp_identical = fast_fp = ref_fp in
-  Printf.printf
-    "service parity (%s): reference %.3f s, fast %.3f s (%.1fx), fingerprints \
-     %s\n"
-    (Wl.describe spec) sp_ref sp_fast
-    (sp_ref /. Float.max 1e-9 sp_fast)
-    (if sp_identical then "identical" else "DIFFER");
-  let file = "BENCH_maintenance.json" in
-  write_maintenance_json ~file storms ~ladder
-    ~route_heavy:
-      ( rh_n, rh_queries, rh_ref, rh_fast, !rh_agree,
-        (cache.FM.hits, cache.FM.misses, cache.FM.invalidations) )
-    ~svc_parity:(spec.Wl.ops, sp_ref, sp_fast, sp_identical);
-  Printf.printf "wrote %s\n" file;
-  let storm_mismatch = List.exists (fun s -> not s.st_identical) storms in
-  if storm_mismatch then
-    Printf.printf "FAILURE: fast and reference engines diverged under a repair storm\n";
-  let ladder_inconsistent = List.exists (fun r -> not r.lr_consistent) ladder in
-  if ladder_inconsistent then
-    Printf.printf
-      "FAILURE: union-find engine inconsistent after a ladder storm\n";
-  if not !rh_agree then
-    Printf.printf "FAILURE: fast and reference routes differ on the route-heavy instance\n";
-  if not sp_identical then
-    Printf.printf "FAILURE: service fingerprints differ across engines\n";
-  if fast_vf > 0 || ref_vf > 0 then
-    Printf.printf "FAILURE: route validation failures (fast %d, reference %d)\n"
-      fast_vf ref_vf;
-  if storm_mismatch || ladder_inconsistent || (not !rh_agree) || (not sp_identical)
-     || fast_vf > 0 || ref_vf > 0
-  then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* D-B1: Bechamel micro-benchmarks. *)
-
-let micro () =
-  section "D-B1" "per-step cost micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let config = Config.of_instance (Generators.sawtooth 64) in
-  let pr_state = Pr.initial config in
-  let np_state = New_pr.initial config in
-  let h_state = Heights.pr_initial config in
-  let fr_state = Full_reversal.initial config in
-  (* node 1 is a sink of the sawtooth *)
-  let sink = 1 in
-  let tests =
-    Test.make_grouped ~name:"step" ~fmt:"%s %s"
-      [
-        Test.make ~name:"PR reverse(u)"
-          (Staged.stage (fun () ->
-               ignore (Pr.apply config pr_state (Node.Set.singleton sink))));
-        Test.make ~name:"NewPR reverse(u)"
-          (Staged.stage (fun () -> ignore (New_pr.apply config np_state sink)));
-        Test.make ~name:"FR reverse(u)"
-          (Staged.stage (fun () -> ignore (Full_reversal.apply fr_state sink)));
-        Test.make ~name:"PR-heights reverse(u)"
-          (Staged.stage (fun () -> ignore (Heights.pr_apply config h_state sink)));
-        Test.make ~name:"sinks-of-graph (n=64)"
-          (Staged.stage (fun () -> ignore (Digraph.sinks pr_state.Pr.graph)));
-        Test.make ~name:"acyclicity check (n=64)"
-          (Staged.stage (fun () -> ignore (Digraph.is_acyclic pr_state.Pr.graph)));
-        Test.make ~name:"full PR run (sawtooth n=32)"
-          (Staged.stage (fun () ->
-               let c = Config.of_instance (Generators.sawtooth 32) in
-               ignore
-                 (Executor.run
-                    ~scheduler:(A.Scheduler.first ())
-                    ~destination:0
-                    (Pr.algo ~mode:Pr.Singletons c))));
-        Test.make ~name:"full FR run (bad chain n=32)"
-          (Staged.stage (fun () ->
-               let c = Config.of_instance (Generators.bad_chain 32) in
-               ignore
-                 (Executor.run
-                    ~scheduler:(A.Scheduler.first ())
-                    ~destination:0 (Full_reversal.algo c))));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun _measure table ->
-      let rows =
-        Hashtbl.fold
-          (fun name ols acc ->
-            let ns =
-              match Analyze.OLS.estimates ols with
-              | Some (x :: _) -> Printf.sprintf "%.1f" x
-              | _ -> "?"
-            in
-            [ name; ns ] :: acc)
-          table []
-        |> List.sort compare
-      in
-      T.print (T.make ~headers:[ "benchmark"; "ns/run" ] rows))
-    results
-
-(* ------------------------------------------------------------------ *)
-(* D-L1: the static analyser over the whole library tree — wall clock
-   and a hard failure if the tree stopped linting clean.  D-L2: the
-   interprocedural domain-safety pass (call-graph construction plus
-   rules L5-L8), gated at five seconds end to end. *)
-
-let lint () =
-  section "D-L1" "lr_lint static analysis of lib/ (typed-tree walk)";
-  let module Lint = Lr_lint.Lint in
-  let module Diagnostic = Lr_lint.Diagnostic in
-  let module Rule = Lr_lint.Rule in
-  let module Ds = Lr_lint.Domain_safety in
-  let root = if Sys.file_exists "_build/default" then "." else "../.." in
-  let config = Lint.default_config ~root in
-  let result, seconds = P.timed (fun () -> Lint.run config) in
-  match result with
-  | Error e ->
-      Printf.printf "FAILURE: %s\n" e;
-      exit 1
-  | Ok r ->
-      let errors = Lint.count Diagnostic.Error r.Lint.diagnostics in
-      let warnings = Lint.count Diagnostic.Warning r.Lint.diagnostics in
-      T.print
-        ~title:"typed-tree lint over lib/"
-        (T.make
-           ~headers:[ "units"; "errors"; "warnings"; "wall" ]
-           [
-             [
-               string_of_int r.Lint.units;
-               string_of_int errors;
-               string_of_int warnings;
-               Printf.sprintf "%.3f s" seconds;
-             ];
-           ]);
-      let safety_gate = 5.0 in
-      let safety_json =
-        match r.Lint.safety with
-        | None -> Lr_lint.Json.Null
-        | Some s ->
-            let st = s.Lint.stats in
-            let rule_count rule =
-              List.length
-                (List.filter
-                   (fun (d : Diagnostic.t) -> Rule.equal d.Diagnostic.rule rule)
-                   r.Lint.diagnostics)
-            in
-            section "D-L2"
-              "domain-safety analysis (cross-module call graph, L5-L8)";
-            T.print
-              ~title:"interprocedural call graph"
-              (T.make
-                 ~headers:
-                   [ "nodes"; "edges"; "roots"; "crossing"; "resident";
-                     "boundaries"; "suppressed"; "analyse" ]
-                 [
-                   [
-                     string_of_int st.Ds.nodes;
-                     string_of_int st.Ds.edges;
-                     string_of_int st.Ds.roots;
-                     string_of_int st.Ds.crossing;
-                     string_of_int st.Ds.resident;
-                     string_of_int st.Ds.boundaries;
-                     string_of_int st.Ds.owner_suppressed;
-                     Printf.sprintf "%.3f s" s.Lint.analyse_seconds;
-                   ];
-                 ]);
-            T.print
-              ~title:"findings and wall clock per safety rule"
-              (T.make
-                 ~headers:[ "rule"; "findings"; "wall" ]
-                 (List.map
-                    (fun (rule, rule_seconds) ->
-                      [
-                        Rule.id rule;
-                        string_of_int (rule_count rule);
-                        Printf.sprintf "%.6f s" rule_seconds;
-                      ])
-                    s.Lint.timings));
-            let total =
-              List.fold_left
-                (fun acc (_, t) -> acc +. t)
-                s.Lint.analyse_seconds s.Lint.timings
-            in
-            Lr_lint.Json.Obj
-              [
-                ("nodes", Lr_lint.Json.Int st.Ds.nodes);
-                ("edges", Lr_lint.Json.Int st.Ds.edges);
-                ("roots", Lr_lint.Json.Int st.Ds.roots);
-                ("crossing", Lr_lint.Json.Int st.Ds.crossing);
-                ("resident", Lr_lint.Json.Int st.Ds.resident);
-                ("boundaries", Lr_lint.Json.Int st.Ds.boundaries);
-                ("owner_suppressed", Lr_lint.Json.Int st.Ds.owner_suppressed);
-                ("analyse_seconds", Lr_lint.Json.Float s.Lint.analyse_seconds);
-                ( "rules",
-                  Lr_lint.Json.Arr
-                    (List.map
-                       (fun (rule, rule_seconds) ->
-                         Lr_lint.Json.Obj
-                           [
-                             ("rule", Lr_lint.Json.Str (Rule.id rule));
-                             ("findings", Lr_lint.Json.Int (rule_count rule));
-                             ("seconds", Lr_lint.Json.Float rule_seconds);
-                           ])
-                       s.Lint.timings) );
-                ("total_seconds", Lr_lint.Json.Float total);
-                ("gate_seconds", Lr_lint.Json.Float safety_gate);
-                ("within_gate", Lr_lint.Json.Bool (total < safety_gate));
-              ]
-      in
-      let file = "BENCH_lint.json" in
-      Out_channel.with_open_text file (fun oc ->
-          Out_channel.output_string oc
-            (Lr_lint.Json.to_string
-               (Lr_lint.Json.Obj
-                  [
-                    ("units", Lr_lint.Json.Int r.Lint.units);
-                    ("errors", Lr_lint.Json.Int errors);
-                    ("warnings", Lr_lint.Json.Int warnings);
-                    ("seconds", Lr_lint.Json.Float seconds);
-                    ("domain_safety", safety_json);
-                    ( "available_domains",
-                      Lr_lint.Json.Int (Domain.recommended_domain_count ()) );
-                    ( "scaling_valid",
-                      Lr_lint.Json.Bool (Domain.recommended_domain_count () >= 1)
-                    );
-                  ])));
-      Printf.printf "wrote %s\n" file;
-      List.iter
-        (fun d -> Printf.printf "%s\n" (Diagnostic.to_human d))
-        r.Lint.diagnostics;
-      if Lint.count Diagnostic.Error r.Lint.diagnostics > 0 || warnings > 0
-      then begin
-        Printf.printf "FAILURE: the library tree no longer lints clean\n";
-        exit 1
-      end;
-      (match r.Lint.safety with
-      | None ->
-          Printf.printf "FAILURE: the domain-safety rules did not run\n";
-          exit 1
-      | Some s ->
-          let total =
-            List.fold_left
-              (fun acc (_, t) -> acc +. t)
-              s.Lint.analyse_seconds s.Lint.timings
-          in
-          if total >= safety_gate then begin
-            Printf.printf
-              "FAILURE: domain-safety analysis took %.3f s (gate %.1f s)\n"
-              total safety_gate;
-            exit 1
-          end)
-
-(* ------------------------------------------------------------------ *)
-(* D-B1 (packet): the forwarding layer end to end — throughput vs
-   injection rate with the stability threshold, delivery under link
-   churn, the geographic-void recovery contrast, and cross-jobs
-   determinism of the packet counters through the service.  Exits 1 if
-   the stability curve loses its shape (a below-threshold rate
-   dropping under 99% delivery, or no diverging rate above), if
-   recovery fails to out-deliver stranded greedy packets, or if the
-   service fingerprint moves across jobs/dispatchers. *)
-
-let packet () =
-  section "D-B1" "packet forwarding: backpressure stability, void recovery";
-  let module Ps = Lr_packet.Scenario in
-  let module Geo = Lr_packet.Geo in
-  let module Wl = Lr_service.Workload in
-  let module Svc = Lr_service.Service in
-  let module Metrics = Lr_service.Metrics in
-  let smoke = !trials > 0 in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  (* -- rate sweep ---------------------------------------------------- *)
-  let bp =
-    if smoke then { Ps.default_bp with Ps.slots = 128; drain = 2_048 }
-    else Ps.default_bp
-  in
-  let rates = if smoke then [ 1; 2; 4; 8; 64 ] else [ 1; 2; 4; 8; 12; 16; 24; 32; 64 ] in
-  let results, sweep_seconds = P.timed (fun () -> Ps.sweep bp ~rates) in
-  T.print
-    ~title:
-      (Printf.sprintf
-         "throughput vs injection rate (%d nodes, %d planes, %d slots, qcap \
-          %d)"
-         bp.Ps.nodes bp.Ps.dests bp.Ps.slots bp.Ps.qcap)
-    (T.make
-       ~headers:
-         [ "rate"; "offered"; "delivered"; "delivery"; "dropped";
-           "queued@end"; "high water"; "reversals"; "stretch"; "diverged" ]
-       (List.map
-          (fun (r : Ps.bp_result) ->
-            [
-              string_of_int r.Ps.rate;
-              string_of_int r.Ps.offered;
-              string_of_int r.Ps.delivered;
-              Printf.sprintf "%.4f" (Ps.delivery r);
-              string_of_int r.Ps.dropped;
-              string_of_int r.Ps.queued_end;
-              string_of_int r.Ps.high_water;
-              string_of_int r.Ps.reversals;
-              Printf.sprintf "%.3f" (Ps.stretch r);
-              string_of_bool r.Ps.diverged;
-            ])
-          results));
-  let threshold = Ps.stability_threshold results in
-  (match threshold with
-  | Some r -> Printf.printf "stability threshold: rate %d (%.1f s sweep)\n" r sweep_seconds
-  | None ->
-      Printf.printf "stability threshold: none (%.1f s sweep)\n" sweep_seconds;
-      fail "no stable rate in the sweep");
-  (match threshold with
-  | None -> ()
-  | Some thr ->
-      List.iter
-        (fun (r : Ps.bp_result) ->
-          if r.Ps.rate <= thr && Float.compare (Ps.delivery r) 0.99 < 0 then
-            fail "rate %d is below the threshold yet delivered %.4f < 0.99"
-              r.Ps.rate (Ps.delivery r))
-        results;
-      if
-        not
-          (List.exists
-             (fun (r : Ps.bp_result) -> r.Ps.rate > thr && r.Ps.diverged)
-             results)
-      then
-        fail
-          "no diverging rate above the threshold (%d) — the sweep never \
-           crossed the stability boundary"
-          thr);
-  (* -- delivery under churn ------------------------------------------ *)
-  let churn_rate = match threshold with Some t -> max 1 (t / 2) | None -> 1 in
-  let churn_spec = { bp with Ps.rate = churn_rate; churn_every = 16 } in
-  let churn_run, churn_seconds =
-    P.timed (fun () -> Ps.run_backpressure churn_spec)
-  in
-  Printf.printf
-    "churn (rate %d, toggle every %d slots): delivery %.4f, %d reversals, \
-     %d dropped, diverged %b (%.1f s)\n"
-    churn_rate churn_spec.Ps.churn_every (Ps.delivery churn_run)
-    churn_run.Ps.reversals churn_run.Ps.dropped churn_run.Ps.diverged
-    churn_seconds;
-  if Float.compare (Ps.delivery churn_run) 0.99 < 0 then
-    fail "churn at rate %d delivered %.4f < 0.99" churn_rate
-      (Ps.delivery churn_run);
-  (* -- geographic void ----------------------------------------------- *)
-  let void_res, void_seconds = P.timed (fun () -> Ps.run_void Ps.default_void) in
-  let g = void_res.Ps.greedy and rcv = void_res.Ps.recovery in
-  Printf.printf
-    "void (%d greedy local minima): greedy %d/%d delivered, recovery %d/%d \
-     (max level %d, stretch %.3f, %.1f s)\n"
-    void_res.Ps.minima g.Geo.delivered g.Geo.injected rcv.Geo.delivered
-    rcv.Geo.injected rcv.Geo.max_level (Geo.stretch rcv) void_seconds;
-  if g.Geo.delivered >= g.Geo.injected then
-    fail "void: greedy delivered everything — the void is not a void";
-  if rcv.Geo.delivered < rcv.Geo.injected then
-    fail "void: recovery stranded %d packets" rcv.Geo.remaining;
-  (* -- cross-jobs / cross-dispatcher determinism --------------------- *)
-  let spec =
-    {
-      Wl.shards = 8;
-      nodes = 24;
-      extra_edges = 16;
-      seed = 42;
-      ops = (if smoke then 2_000 else 40_000);
-      mix = { Wl.route = 60; churn = 9; crash = 1 };
-      pmix = { Wl.inject = 20; forward = 10 };
-      burst = 4;
-      skew = 0.8;
-      stats_every = 500;
-    }
-  in
-  let ops = Wl.generate spec in
-  let configs = Wl.shard_configs spec in
-  let run_cfg ~jobs ~deterministic =
-    let svc =
-      Svc.create
-        { Svc.default_config with Svc.jobs; queue_bound = Array.length ops + 1;
-          deterministic; pin_loops = true }
-        configs
-    in
-    Fun.protect
-      ~finally:(fun () -> Svc.shutdown svc)
-      (fun () ->
-        let responses, seconds = P.timed (fun () -> Svc.run svc ops) in
-        let snap = Svc.metrics svc in
-        (Svc.fingerprint responses snap, snap, seconds))
-  in
-  let fp1, snap1, s1 = run_cfg ~jobs:1 ~deterministic:false in
-  let fp4, _, s4 = run_cfg ~jobs:4 ~deterministic:false in
-  let fpw, _, sw = run_cfg ~jobs:1 ~deterministic:true in
-  let t = snap1.Metrics.snapshot_totals in
-  Printf.printf
-    "service packet stream (%s): packets_in %d, out %d, dropped %d, \
-     reversals %d, queue peak %d\n"
-    (Wl.describe spec) t.Metrics.packets_in t.Metrics.packets_out
-    t.Metrics.packets_dropped t.Metrics.packet_reversals
-    t.Metrics.packet_queue_peak;
-  Printf.printf
-    "fingerprints: jobs=1 %s (%.2f s), jobs=4 %s (%.2f s), windowed %s \
-     (%.2f s)\n"
-    fp1 s1 fp4 s4 fpw sw;
-  if fp1 <> fp4 then fail "packet fingerprint differs across jobs (1 vs 4)";
-  if fp1 <> fpw then
-    fail "packet fingerprint differs between free-running and windowed";
-  if t.Metrics.packets_in = 0 then
-    fail "the packet stream injected nothing — pmix wiring is broken";
-  (* -- JSON ---------------------------------------------------------- *)
-  (* Domain honesty (mirrors the service JSON): the determinism section
-     runs jobs=4, so on a host exposing fewer domains those runs
-     time-slice one core and their wall-clock columns measure dispatch
-     overhead, not parallel forwarding. *)
-  let available_domains = Domain.recommended_domain_count () in
-  let scaling_valid = available_domains >= 4 in
-  let file = "BENCH_packet.json" in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"generated_by\": \"bench/main.exe packet\",\n\
-        \  \"available_domains\": %d,\n\
-        \  \"recommended_domains\": %d,\n\
-        \  \"scaling_valid\": %b,\n\
-        \  \"sweep\": {\n\
-        \    \"nodes\": %d, \"dests\": %d, \"slots\": %d, \"qcap\": %d,\n\
-        \    \"stability_threshold\": %s,\n    \"rates\": [\n"
-        available_domains (P.recommended_jobs ()) scaling_valid
-        bp.Ps.nodes bp.Ps.dests bp.Ps.slots bp.Ps.qcap
-        (match threshold with Some r -> string_of_int r | None -> "null");
-      List.iteri
-        (fun i (r : Ps.bp_result) ->
-          Printf.fprintf oc
-            "      {\"rate\": %d, \"offered\": %d, \"delivered\": %d, \
-             \"delivery\": %.4f, \"dropped\": %d, \"queued_end\": %d, \
-             \"high_water\": %d, \"reversals\": %d, \"stretch\": %.4f, \
-             \"diverged\": %b}%s\n"
-            r.Ps.rate r.Ps.offered r.Ps.delivered (Ps.delivery r) r.Ps.dropped
-            r.Ps.queued_end r.Ps.high_water r.Ps.reversals (Ps.stretch r)
-            r.Ps.diverged
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      Printf.fprintf oc
-        "    ]\n  },\n\
-        \  \"churn\": {\"rate\": %d, \"every\": %d, \"delivery\": %.4f, \
-         \"reversals\": %d, \"dropped\": %d, \"diverged\": %b},\n"
-        churn_rate churn_spec.Ps.churn_every (Ps.delivery churn_run)
-        churn_run.Ps.reversals churn_run.Ps.dropped churn_run.Ps.diverged;
-      Printf.fprintf oc
-        "  \"void\": {\"minima\": %d, \"greedy_delivered\": %d, \
-         \"recovery_delivered\": %d, \"injected\": %d, \"max_level\": %d, \
-         \"recovery_stretch\": %.4f},\n"
-        void_res.Ps.minima g.Geo.delivered rcv.Geo.delivered g.Geo.injected
-        rcv.Geo.max_level (Geo.stretch rcv);
-      Printf.fprintf oc
-        "  \"service\": {\"ops\": %d, \"packets_in\": %d, \"packets_out\": \
-         %d, \"packets_dropped\": %d, \"packet_reversals\": %d, \
-         \"queue_peak\": %d, \"fingerprints_identical\": %b}\n}\n"
-        spec.Wl.ops t.Metrics.packets_in t.Metrics.packets_out
-        t.Metrics.packets_dropped t.Metrics.packet_reversals
-        t.Metrics.packet_queue_peak
-        (fp1 = fp4 && fp1 = fpw));
-  Printf.printf "wrote %s\n" file;
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun m -> Printf.printf "FAILURE: %s\n" m) (List.rev fs);
-      exit 1
-
-(* ------------------------------------------------------------------ *)
-
-(* D-C1 — self-stabilization under fault injection.  Corrupt every
-   height of each scenario with the canonical adversarial assignment,
-   recover on both engine tiers, and gate on: convergence back to a
-   destination-oriented graph, the spread-aware adoption budget
-   4n(n+spread)+1000, byte-identical fast-vs-reference recoveries, and
-   a clean per-state acyclicity audit of the recorded LRT1 trace.  A
-   single-event-upset row (one flipped height bit) covers the
-   small-blast-radius end, where recovery work is Θ(n·2^bit) — the
-   tail of the chain must ladder-climb above the flipped node.  Writes
-   BENCH_chaos.json; exits 1 on any gate. *)
-
-let chaos () =
-  section "D-C1" "chaos: self-stabilization from corrupted heights";
-  let module C = Lr_chaos.Chaos in
-  let module M = Lr_routing.Maintenance in
-  let module Audit = Lr_trace.Audit in
-  let smoke = !trials > 0 in
-  let n = if smoke then 24 else 48 in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let run_rule rule =
-    let rname =
-      match rule with
-      | M.Partial_reversal -> "partial"
-      | M.Full_reversal -> "full"
-    in
-    let results =
-      List.map
-        (fun (s : C.scenario) ->
-          let trace = Filename.temp_file "bench_chaos_" ".lrt" in
-          Fun.protect
-            ~finally:(fun () ->
-              if Sys.file_exists trace then Sys.remove trace)
-            (fun () ->
-              let d =
-                C.differential ~trace rule s.config ~seed:s.seed
-                  ~magnitude:s.magnitude
-              in
-              let checked, clean =
-                (* Audit cost is per checked state; the stride keeps
-                   long recoveries to ~200 materialized states plus
-                   the endpoints the auditor always checks. *)
-                let stride = Stdlib.max 1 (d.C.fast.C.steps / 200) in
-                match Audit.run ~stride trace with
-                | Ok r -> (r.Audit.checked_states, Audit.clean r)
-                | Error e ->
-                    fail "%s/%s: audit error: %s" rname s.name e;
-                    (0, false)
-              in
-              let spread =
-                C.spread_of ~n:d.C.fast.C.n
-                  (C.hostile ~seed:s.seed ~magnitude:s.magnitude)
-              in
-              if not d.C.fast.C.destination_oriented then
-                fail "%s/%s: recovery did not converge" rname s.name;
-              if not d.C.agree then
-                fail
-                  "%s/%s: engines diverged (fast %d steps fp %Lx, reference \
-                   %d steps fp %Lx)"
-                  rname s.name d.C.fast.C.steps d.C.fast.C.fingerprint
-                  d.C.ref_steps d.C.ref_fingerprint;
-              if not d.C.fast.C.within_budget then
-                fail "%s/%s: %d steps exceeded the %d budget" rname s.name
-                  d.C.fast.C.steps d.C.fast.C.budget;
-              if not clean then
-                fail "%s/%s: audit found violations" rname s.name;
-              (s, spread, d, checked, clean)))
-        (C.scenarios ~n ~seed:1 ())
-    in
-    T.print
-      ~title:
-        (Printf.sprintf "corrupt-all recovery, rule %s (n~%d)" rname n)
-      (T.make
-         ~headers:
-           [ "scenario"; "mag"; "spread"; "perturbed"; "steps"; "rounds";
-             "budget"; "agree"; "ms"; "audit" ]
-         (List.map
-            (fun ((s : C.scenario), spread, d, checked, clean) ->
-              [
-                s.name;
-                string_of_int s.magnitude;
-                string_of_int spread;
-                string_of_int d.C.fast.C.perturbed_edges;
-                string_of_int d.C.fast.C.steps;
-                string_of_int d.C.fast.C.rounds;
-                string_of_int d.C.fast.C.budget;
-                (if d.C.agree then "yes" else "NO");
-                Printf.sprintf "%.2f" (float_of_int d.C.fast.C.wall_ns /. 1e6);
-                (if clean then Printf.sprintf "clean/%d" checked
-                 else "VIOLATED");
-              ])
-            results));
-    (rname, results)
-  in
-  let pr = run_rule M.Partial_reversal in
-  let fr = run_rule M.Full_reversal in
-  let rules = [ pr; fr ] in
-  (* -- single-event upset -------------------------------------------- *)
-  let seu_bit = if smoke then 8 else 10 in
-  let seu_node = n / 2 in
-  let chain_cfg =
-    match C.scenarios ~n ~seed:1 () with
-    | s :: _ -> s.C.config
-    | [] -> assert false
-  in
-  let seu =
-    C.differential_flip M.Partial_reversal chain_cfg ~node:seu_node
-      ~bit:seu_bit
-  in
-  Printf.printf
-    "single-event upset (chain, node %d, bit %d): %d steps, %d rounds, \
-     budget %d, agree %b\n"
-    seu_node seu_bit seu.C.fast.C.steps seu.C.fast.C.rounds
-    seu.C.fast.C.budget seu.C.agree;
-  if not seu.C.fast.C.destination_oriented then
-    fail "seu: recovery did not converge";
-  if not seu.C.agree then
-    fail "seu: engines diverged (fast %d steps, reference %d)"
-      seu.C.fast.C.steps seu.C.ref_steps;
-  if not seu.C.fast.C.within_budget then
-    fail "seu: %d steps exceeded the %d budget" seu.C.fast.C.steps
-      seu.C.fast.C.budget;
-  (* -- JSON ---------------------------------------------------------- *)
-  let file = "BENCH_chaos.json" in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"generated_by\": \"bench/main.exe chaos\",\n\
-        \  \"nodes\": %d,\n  \"rules\": [\n" n;
-      List.iteri
-        (fun ri (rname, results) ->
-          Printf.fprintf oc "    {\"rule\": \"%s\", \"scenarios\": [\n" rname;
-          List.iteri
-            (fun i ((s : C.scenario), spread, d, checked, clean) ->
-              Printf.fprintf oc
-                "      {\"name\": \"%s\", \"n\": %d, \"magnitude\": %d, \
-                 \"spread\": %d, \"perturbed_edges\": %d, \"steps\": %d, \
-                 \"rounds\": %d, \"budget\": %d, \"within_budget\": %b, \
-                 \"converged\": %b, \"agree\": %b, \"ref_steps\": %d, \
-                 \"wall_ms\": %.3f, \"ref_wall_ms\": %.3f, \
-                 \"audit_checked\": %d, \"audit_clean\": %b}%s\n"
-                s.name d.C.fast.C.n s.magnitude spread
-                d.C.fast.C.perturbed_edges d.C.fast.C.steps d.C.fast.C.rounds
-                d.C.fast.C.budget d.C.fast.C.within_budget
-                d.C.fast.C.destination_oriented d.C.agree d.C.ref_steps
-                (float_of_int d.C.fast.C.wall_ns /. 1e6)
-                (float_of_int d.C.ref_wall_ns /. 1e6)
-                checked clean
-                (if i = List.length results - 1 then "" else ","))
-            results;
-          Printf.fprintf oc "    ]}%s\n"
-            (if ri = List.length rules - 1 then "" else ","))
-        rules;
-      Printf.fprintf oc
-        "  ],\n\
-        \  \"seu\": {\"scenario\": \"chain\", \"node\": %d, \"bit\": %d, \
-         \"steps\": %d, \"rounds\": %d, \"budget\": %d, \"within_budget\": \
-         %b, \"agree\": %b},\n"
-        seu_node seu_bit seu.C.fast.C.steps seu.C.fast.C.rounds
-        seu.C.fast.C.budget seu.C.fast.C.within_budget seu.C.agree;
-      Printf.fprintf oc "  \"all_clean\": %b\n}\n" (!failures = []));
-  Printf.printf "wrote %s\n" file;
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun m -> Printf.printf "FAILURE: %s\n" m) (List.rev fs);
-      exit 1
-
-(* ------------------------------------------------------------------ *)
+   --trials N truncates the trial loops so a CI smoke run finishes in
+   seconds.  *)
 
 let experiments =
   [
-    ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5);
-    ("f1", f1); ("f2", f2); ("f3", f3); ("f4", f4); ("f5", f5);
-    ("f6", f6); ("f7", f7); ("f8", f8); ("f9", f9);
-    ("parallel", parallel); ("trace", trace); ("service", service);
-    ("maintenance", maintenance); ("micro", micro); ("packet", packet);
-    ("chaos", chaos); ("lint", lint);
+    ("t1", D_t.t1); ("t2", D_t.t2); ("t3", D_t.t3); ("t4", D_t.t4);
+    ("t5", D_t.t5); ("f1", D_f.f1); ("f2", D_f.f2); ("f3", D_f.f3);
+    ("f4", D_f.f4); ("f5", D_f.f5); ("f6", D_f.f6); ("f7", D_f.f7);
+    ("f8", D_f.f8); ("f9", D_f.f9); ("parallel", D_p1.run);
+    ("trace", D_o1.run); ("service", D_s1.run); ("maintenance", D_s2.run);
+    ("micro", D_b1.run); ("packet", D_b2.run); ("chaos", D_c1.run);
+    ("lint", D_l.run);
   ]
 
 (* Strip --jobs N / -j N / --jobs=N and --trials N / --trials=N;
    everything else is an experiment id. *)
 let parse_args argv =
-  let set r flag v =
+  let settings = ref { Harness.jobs = 1; trials = 0 } in
+  let value flag v =
     match int_of_string_opt v with
-    | Some j when j >= 1 -> r := j
+    | Some j when j >= 1 -> j
     | _ ->
         Printf.eprintf "%s expects a positive integer, got %S\n" flag v;
         exit 1
   in
-  let prefixed arg prefix =
-    if
-      String.length arg > String.length prefix
-      && String.sub arg 0 (String.length prefix) = prefix
-    then Some (String.sub arg (String.length prefix)
-                 (String.length arg - String.length prefix))
-    else None
+  let set flag v =
+    let k = value flag v in
+    settings :=
+      if flag = "--jobs" then { !settings with Harness.jobs = k }
+      else { !settings with Harness.trials = k }
   in
   let rec loop acc = function
     | [] -> List.rev acc
     | ("--jobs" | "-j") :: v :: rest ->
-        set jobs "--jobs" v;
+        set "--jobs" v;
         loop acc rest
     | "--trials" :: v :: rest ->
-        set trials "--trials" v;
+        set "--trials" v;
         loop acc rest
     | [ ("--jobs" | "-j" | "--trials") as flag ] ->
         Printf.eprintf "%s expects a value\n" flag;
         exit 1
     | arg :: rest -> (
-        match (prefixed arg "--jobs=", prefixed arg "--trials=") with
-        | Some v, _ ->
-            set jobs "--jobs" v;
+        match
+          ( String.starts_with ~prefix:"--jobs=" arg,
+            String.starts_with ~prefix:"--trials=" arg )
+        with
+        | true, _ ->
+            set "--jobs" (String.sub arg 7 (String.length arg - 7));
             loop acc rest
-        | _, Some v ->
-            set trials "--trials" v;
+        | _, true ->
+            set "--trials" (String.sub arg 9 (String.length arg - 9));
             loop acc rest
-        | None, None -> loop (arg :: acc) rest)
+        | false, false -> loop (arg :: acc) rest)
   in
-  loop [] (List.tl (Array.to_list argv))
+  let ids = loop [] (List.tl (Array.to_list argv)) in
+  (!settings, ids)
 
 let () =
-  match parse_args Sys.argv with
-  | _ :: _ as picked ->
-      List.iter
-        (fun id ->
-          match List.assoc_opt id experiments with
-          | Some f -> f ()
-          | None ->
-              Printf.eprintf "unknown experiment %S (have: %s)\n" id
-                (String.concat ", " (List.map fst experiments));
-              exit 1)
-        picked
-  | [] -> List.iter (fun (_, f) -> f ()) experiments
+  let settings, ids = parse_args Sys.argv in
+  let picked = if ids = [] then List.map fst experiments else ids in
+  List.iter
+    (fun id ->
+      match List.assoc_opt id experiments with
+      | Some run -> run settings
+      | None ->
+          Printf.eprintf "unknown experiment %S (have: %s)\n" id
+            (String.concat ", " (List.map fst experiments));
+          exit 1)
+    picked

@@ -12,22 +12,25 @@ open Cmdliner
 
 (* {1 Shared argument parsing} *)
 
+(* A size the generator refuses is a typed error, like an unknown name. *)
 let family_of_string rng name n =
-  match name with
-  | "bad-chain" -> Ok (Generators.bad_chain n)
-  | "good-chain" -> Ok (Generators.good_chain n)
-  | "sawtooth" -> Ok (Generators.sawtooth n)
-  | "half-bad-chain" -> Ok (Generators.half_bad_chain n)
-  | "ring" -> Ok (Generators.ring n)
-  | "star" -> Ok (Generators.star ~center:0 ~leaves:(max 1 (n - 1)) ~inward:false)
-  | "tree" ->
-      let depth = max 1 (int_of_float (Float.log2 (float_of_int (max 2 n)))) in
-      Ok (Generators.binary_tree ~depth)
-  | "grid" ->
-      let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-      Ok (Generators.grid ~rows:side ~cols:side)
-  | "random" -> Ok (Generators.random_connected_dag rng ~n ~extra_edges:(n / 2))
-  | other -> Error (Printf.sprintf "unknown family %S" other)
+  try
+    match name with
+    | "bad-chain" -> Ok (Generators.bad_chain n)
+    | "good-chain" -> Ok (Generators.good_chain n)
+    | "sawtooth" -> Ok (Generators.sawtooth n)
+    | "half-bad-chain" -> Ok (Generators.half_bad_chain n)
+    | "ring" -> Ok (Generators.ring n)
+    | "star" -> Ok (Generators.star ~center:0 ~leaves:(max 1 (n - 1)) ~inward:false)
+    | "tree" ->
+        let depth = max 1 (int_of_float (Float.log2 (float_of_int (max 2 n)))) in
+        Ok (Generators.binary_tree ~depth)
+    | "grid" ->
+        let side = max 2 (int_of_float (sqrt (float_of_int n))) in
+        Ok (Generators.grid ~rows:side ~cols:side)
+    | "random" -> Ok (Generators.random_connected_dag rng ~n ~extra_edges:(n / 2))
+    | other -> Error (Printf.sprintf "unknown family %S" other)
+  with Invalid_argument e -> Error (Printf.sprintf "family %s, n = %d: %s" name n e)
 
 let all_families =
   [ "bad-chain"; "good-chain"; "sawtooth"; "half-bad-chain"; "ring"; "star";
@@ -174,15 +177,18 @@ let sweep_cmd =
     (* one RNG per size, derived from (seed, n): domain-safe under the
        pool and reproducible whatever the job count *)
     let family_fn n =
-      let rng = Random.State.make [| 0xc11; seed; n |] in
-      match family_of_string rng family n with
-      | Ok inst -> inst
-      | Error e -> failwith e
+      family_of_string (Random.State.make [| 0xc11; seed; n |]) family n
     in
-    match
-      Lr_analysis.Work.sweep ~seed ~jobs algo ~family:family_fn ~sizes ()
-    with
-    | rows ->
+    (* a bad family or size is refused before the pool starts *)
+    let refused n = Result.fold ~ok:(fun _ -> None) ~error:Option.some (family_fn n) in
+    match List.find_map refused sizes with
+    | Some e -> `Error (false, e)
+    | None ->
+        let rows =
+          Lr_analysis.Work.sweep ~seed ~jobs algo
+            ~family:(fun n -> Result.get_ok (family_fn n))
+            ~sizes ()
+        in
         let table = Lr_analysis.Work.rows_to_table algo rows in
         Lr_analysis.Table.print
           ~title:(Printf.sprintf "%s on %s"
@@ -879,15 +885,6 @@ module Service_cli = struct
                windowed runs of the same stream must agree byte-for-byte \
                (the CI differential uses this).")
     in
-    let packet_queue_arg =
-      Arg.(
-        value & opt int Svc.default_config.Svc.packet_queue
-        & info [ "packet-queue" ] ~docv:"Q"
-            ~doc:
-              "Per-node packet queue bound on each shard's forwarding \
-               plane (inject ops that find the source queue full drop the \
-               overflow).")
-    in
     let window_arg =
       Arg.(
         value & opt int Svc.default_config.Svc.window
@@ -908,14 +905,6 @@ module Service_cli = struct
                the two paths produce identical responses, counters and \
                fingerprints.")
     in
-    let steal_batch_arg =
-      Arg.(
-        value & opt int Svc.default_config.Svc.steal_batch
-        & info [ "steal-batch" ] ~docv:"K"
-            ~doc:
-              "Max ops a work-stealing loop drains per stolen shard token \
-               (free-running mode).")
-    in
     let pin_loops_arg =
       Arg.(
         value & flag
@@ -932,14 +921,6 @@ module Service_cli = struct
         value & opt rule_conv Lr_routing.Maintenance.Partial_reversal
         & info [ "rule" ] ~docv:"RULE"
             ~doc:"Maintenance rule: partial (PR) or full (FR).")
-    in
-    let no_validate_arg =
-      Arg.(
-        value & flag
-        & info [ "no-validate" ]
-            ~doc:
-              "Skip the in-service route validation (every path checked \
-               height- and orientation-descending; on by default).")
     in
     let engine_arg =
       Arg.(
@@ -961,8 +942,8 @@ module Service_cli = struct
                replayable LRT1 trace in $(docv) (audit with 'linkrev trace \
                audit').")
     in
-    let serve spec workload chaos jobs queue_bound window rule no_validate
-        engine deterministic steal_batch pin_loops packet_queue trace_dir =
+    let serve spec workload chaos jobs queue_bound window rule engine
+        deterministic pin_loops trace_dir =
       let loaded =
         match workload with
         | None -> (
@@ -981,9 +962,8 @@ module Service_cli = struct
             | None -> Array.length ops + 1
           in
           let cfg =
-            { Svc.jobs; queue_bound; window; rule;
-              validate = not no_validate; engine; deterministic; steal_batch;
-              pin_loops; packet_queue }
+            { Svc.jobs; queue_bound; window; rule; engine; deterministic;
+              pin_loops }
           in
           let svc =
             try Ok (Svc.create ?trace_dir cfg (Wl.shard_configs spec))
@@ -1083,9 +1063,8 @@ module Service_cli = struct
       Term.(
         ret
           (const serve $ spec_term $ workload_arg $ chaos_arg $ jobs_arg
-          $ queue_bound_arg $ window_arg $ rule_arg $ no_validate_arg
-          $ engine_arg $ deterministic_arg $ steal_batch_arg $ pin_loops_arg
-          $ packet_queue_arg $ trace_dir_arg))
+          $ queue_bound_arg $ window_arg $ rule_arg $ engine_arg
+          $ deterministic_arg $ pin_loops_arg $ trace_dir_arg))
     in
     Cmd.v
       (Cmd.info "serve"
@@ -1620,88 +1599,53 @@ module Chaos_cli = struct
           ~doc:"Maintenance rule: partial (PR) or full (FR).")
 
   let chaos nodes seed rule trace_dir no_audit =
-    let failures = ref [] in
-    let fail name what = failures := (name ^ ": " ^ what) :: !failures in
-    (match trace_dir with
-    | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-    | _ -> ());
-    let rows =
-      List.map
-        (fun (s : C.scenario) ->
-          let trace, keep =
-            match trace_dir with
-            | Some dir ->
-                (Filename.concat dir ("chaos_" ^ s.name ^ ".lrt"), true)
-            | None -> (Filename.temp_file "chaos" ".lrt", false)
-          in
-          let d =
-            C.differential ~trace rule s.config ~seed:s.seed
-              ~magnitude:s.magnitude
-          in
-          let audit_cell =
-            if no_audit then "-"
-            else begin
-              (* Audit cost is per checked state; a stride keeps long
-                 recoveries to ~200 materialized states plus the
-                 endpoints the auditor always checks. *)
-              let stride = max 1 (d.C.fast.C.steps / 200) in
-              match Lr_trace.Audit.run ~stride trace with
-              | Ok r when Lr_trace.Audit.clean r ->
-                  Printf.sprintf "clean/%d" r.Lr_trace.Audit.checked_states
-              | Ok _ ->
-                  fail s.name "audit found violations";
-                  "VIOLATED"
-              | Error e ->
-                  fail s.name ("audit error: " ^ e);
-                  "ERROR"
-            end
-          in
-          if not keep then Sys.remove trace;
-          if not d.C.fast.C.destination_oriented then
-            fail s.name "recovery did not converge";
-          if not d.C.agree then
-            fail s.name
-              (Printf.sprintf
-                 "engines diverged (fast %d steps fp %Lx, reference %d \
-                  steps fp %Lx)"
-                 d.C.fast.C.steps d.C.fast.C.fingerprint d.C.ref_steps
-                 d.C.ref_fingerprint);
-          if not d.C.fast.C.within_budget then
-            fail s.name
-              (Printf.sprintf "%d steps exceeded the %d budget"
-                 d.C.fast.C.steps d.C.fast.C.budget);
-          [
-            s.name;
-            string_of_int d.C.fast.C.n;
-            string_of_int s.magnitude;
-            string_of_int d.C.fast.C.perturbed_edges;
-            string_of_int d.C.fast.C.steps;
-            string_of_int d.C.fast.C.rounds;
-            string_of_int d.C.fast.C.budget;
-            (if d.C.agree then "yes" else "NO");
-            Printf.sprintf "%.2f" (float_of_int d.C.fast.C.wall_ns /. 1e6);
-            audit_cell;
-          ])
-        (C.scenarios ~n:nodes ~seed ())
-    in
-    Lr_analysis.Table.print
-      ~title:
-        (Printf.sprintf
-           "chaos battery: corrupt-all recovery, rule %s, fast vs reference"
-           (match rule with
-           | Lr_routing.Maintenance.Partial_reversal -> "partial"
-           | Lr_routing.Maintenance.Full_reversal -> "full"))
-      (Lr_analysis.Table.make
-         ~headers:
-           [ "scenario"; "n"; "mag"; "perturbed"; "steps"; "rounds";
-             "budget"; "agree"; "ms"; "audit" ]
-         rows);
-    match List.rev !failures with
-    | [] ->
-        Format.printf
-          "all scenarios converged within budget, engines agree@.";
-        `Ok ()
-    | fs -> `Error (false, String.concat "; " fs)
+    match C.battery ?trace_dir ~audit:(not no_audit) rule ~n:nodes ~seed with
+    | Error e -> `Error (false, e)
+    | Ok checked -> (
+        let rows =
+          List.map
+            (fun (c : C.checked) ->
+              let d = c.C.result in
+              [
+                c.C.scenario.C.name;
+                string_of_int d.C.fast.C.n;
+                string_of_int c.C.scenario.C.magnitude;
+                string_of_int d.C.fast.C.perturbed_edges;
+                string_of_int d.C.fast.C.steps;
+                string_of_int d.C.fast.C.rounds;
+                string_of_int d.C.fast.C.budget;
+                (if d.C.agree then "yes" else "NO");
+                Printf.sprintf "%.2f" (float_of_int d.C.fast.C.wall_ns /. 1e6);
+                C.audit_cell c;
+              ])
+            checked
+        in
+        Lr_analysis.Table.print
+          ~title:
+            (Printf.sprintf
+               "chaos battery: corrupt-all recovery, rule %s, fast vs reference"
+               (match rule with
+               | Lr_routing.Maintenance.Partial_reversal -> "partial"
+               | Lr_routing.Maintenance.Full_reversal -> "full"))
+          (Lr_analysis.Table.make
+             ~headers:
+               [ "scenario"; "n"; "mag"; "perturbed"; "steps"; "rounds";
+                 "budget"; "agree"; "ms"; "audit" ]
+             rows);
+        let failures =
+          List.concat_map
+            (fun (c : C.checked) ->
+              List.map
+                (fun f -> c.C.scenario.C.name ^ ": " ^ C.failure_message c.C.result f)
+                c.C.failures)
+            checked
+        in
+        match failures with
+        | [] ->
+            Format.printf
+              "all scenarios converged within budget, engines agree@.";
+            `Ok ()
+        | fs -> `Error (false, String.concat "; " fs))
 
   let cmd =
     let term =
@@ -1728,7 +1672,7 @@ end
    the full component-index cross-check at every phase boundary.  The
    CI smoke gate runs this at n=10^4. *)
 module Storm_cli = struct
-  module M = Lr_routing.Maintenance
+  module Churn = Lr_routing.Churn
   module FM = Lr_routing.Fast_maintenance
 
   let nodes_arg =
@@ -1753,13 +1697,8 @@ module Storm_cli = struct
   let sseed_arg =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-  (* The churn model of the D-S2 ladder: every 41st event fails a
-     random non-destination node, every other even event takes down a
-     link drawn uniformly from the present edge set, and the rest try
-     to link a random absent pair.  Random pairs alone would almost
-     never hit a present link at this scale.  Links are kept as keys
-     [u * n + v] (u < v) in a swap-remove array with a position table,
-     plus per-node neighbour tables for node failures. *)
+  (* The D-S2 ladder's churn model ({!Lr_routing.Churn}), replayed
+     phase by phase with the full cross-check after each phase. *)
   let storm nodes events rule seed phases =
     if nodes < 2 then `Error (false, "--nodes must be at least 2")
     else begin
@@ -1773,88 +1712,45 @@ module Storm_cli = struct
       let fm, create_s =
         Lr_parallel.Pool.timed (fun () -> FM.create rule config)
       in
-      let initial = Digraph.directed_edges config.Config.initial in
-      let links = Array.make (List.length initial + events) 0 and m = ref 0 in
-      let pos = Hashtbl.create (4 * nodes) in
-      let nbrs = Array.init nodes (fun _ -> Hashtbl.create 4) in
-      let key u v = if u < v then (u * nodes) + v else (v * nodes) + u in
-      let put u v =
-        links.(!m) <- key u v;
-        Hashtbl.replace pos (key u v) !m;
-        incr m;
-        Hashtbl.replace nbrs.(u) v ();
-        Hashtbl.replace nbrs.(v) u ()
+      let tape =
+        Churn.tape (Random.State.make [| 0x57; 0xbad; seed |]) ~events config
       in
-      let del u v =
-        let i = Hashtbl.find pos (key u v) in
-        Hashtbl.remove pos (key u v);
-        decr m;
-        if i < !m then begin
-          links.(i) <- links.(!m);
-          Hashtbl.replace pos links.(i) i
-        end;
-        Hashtbl.remove nbrs.(u) v;
-        Hashtbl.remove nbrs.(v) u
-      in
-      List.iter (fun (u, v) -> put u v) initial;
-      let erng = Random.State.make [| 0x57; 0xbad; seed |] in
-      let downs = ref 0 and ups = ref 0 and fails = ref 0 in
-      let partitions = ref 0 in
-      let count_cut = function
-        | M.Partitioned _ -> incr partitions
-        | M.Stabilized _ -> ()
-      in
-      let bad_phase = ref (-1) in
-      let per_phase = (events + phases - 1) / phases in
+      let count p = Array.fold_left (fun k op -> if p op then k + 1 else k) 0 tape in
+      let len = Array.length tape in
+      let per_phase = (len + phases - 1) / phases in
+      let partitions = ref 0 and bad_phase = ref (-1) in
       let (), storm_s =
         Lr_parallel.Pool.timed (fun () ->
-            for k = 1 to events do
-              if k mod 41 = 0 then begin
-                let u = Random.State.int erng nodes in
-                let victim = if u = FM.destination fm then (u + 1) mod nodes else u in
-                Hashtbl.iter (fun w () -> del victim w) (Hashtbl.copy nbrs.(victim));
-                incr fails;
-                count_cut (FM.fail_node fm victim)
-              end
-              else if k land 1 = 0 && !m > 0 then begin
-                let e = links.(Random.State.int erng !m) in
-                let u = e / nodes and v = e mod nodes in
-                del u v;
-                incr downs;
-                count_cut (FM.fail_link fm u v)
-              end
-              else begin
-                let u = Random.State.int erng nodes
-                and v = Random.State.int erng nodes in
-                if u <> v && not (FM.mem_edge fm u v) then begin
-                  put u v;
-                  incr ups;
-                  FM.add_link fm u v
-                end
-              end;
-              if k mod per_phase = 0 || k = events then
-                if !bad_phase < 0 && not (FM.consistent fm) then
-                  bad_phase := k
+            for p = 0 to phases - 1 do
+              let last = min len ((p + 1) * per_phase) in
+              for i = p * per_phase to last - 1 do
+                if Churn.apply_fast fm tape.(i) then incr partitions
+              done;
+              if !bad_phase < 0 && not (FM.consistent fm) then bad_phase := last
             done)
       in
       let stats = FM.index_stats fm in
       Format.printf
         "storm: n=%d, %d events (%d down, %d up, %d node-fail), %d \
          partitions@."
-        nodes events !downs !ups !fails !partitions;
+        nodes events
+        (count (function Churn.Down _ -> true | _ -> false))
+        (count (function Churn.Up _ -> true | _ -> false))
+        (count (function Churn.Fail _ -> true | _ -> false))
+        !partitions;
       Format.printf
         "create %.3f s; storm %.3f s (%.0f events/s); component %d/%d; \
          index: %d slots, %d rebuilds; work %d@."
         create_s storm_s
-        (float_of_int events /. Float.max 1e-9 storm_s)
+        (float_of_int len /. Float.max 1e-9 storm_s)
         (FM.component_size fm) nodes stats.FM.slots stats.FM.rebuilds
         (FM.total_work fm);
       if !bad_phase >= 0 then
         `Error
           ( false,
             Printf.sprintf
-              "component index inconsistent at event %d (of %d)" !bad_phase
-              events )
+              "component index inconsistent after op %d (of %d)" !bad_phase
+              len )
       else begin
         Format.printf "consistent at every phase boundary (%d phases)@."
           phases;

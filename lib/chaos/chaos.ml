@@ -265,3 +265,94 @@ let scenarios ?(n = 48) ?(seed = 1) () =
       magnitude = 4096;
     };
   ]
+
+type failure =
+  | Not_converged
+  | Diverged
+  | Over_budget
+  | Audit_violation
+  | Audit_error of string
+
+let judge d =
+  List.filter_map
+    (fun (ok, f) -> if ok then None else Some f)
+    [
+      (d.fast.destination_oriented, Not_converged);
+      (d.agree, Diverged);
+      (d.fast.within_budget, Over_budget);
+    ]
+
+let failure_message d = function
+  | Not_converged -> "recovery did not converge"
+  | Diverged ->
+      Printf.sprintf
+        "engines diverged (fast %d steps fp %Lx, reference %d steps fp %Lx)"
+        d.fast.steps d.fast.fingerprint d.ref_steps d.ref_fingerprint
+  | Over_budget ->
+      Printf.sprintf "%d steps exceeded the %d budget" d.fast.steps
+        d.fast.budget
+  | Audit_violation -> "audit found violations"
+  | Audit_error e -> "audit error: " ^ e
+
+type checked = {
+  scenario : scenario;
+  result : differential;
+  spread : int;
+  audited : int option;
+  failures : failure list;
+}
+
+let check ?trace_dir ~audit rule s =
+  let recover trace =
+    differential ?trace rule s.config ~seed:s.seed ~magnitude:s.magnitude
+  in
+  let audited path =
+    let d = recover (Some path) in
+    let stride = Stdlib.max 1 (d.fast.steps / 200) in
+    match Lr_trace.Audit.run ~stride path with
+    | Ok r ->
+        ( d,
+          Some r.Lr_trace.Audit.checked_states,
+          if Lr_trace.Audit.clean r then [] else [ Audit_violation ] )
+    | Error e -> (d, None, [ Audit_error e ])
+  in
+  let d, audited, audit_failures =
+    match trace_dir with
+    | Some dir ->
+        let path = Filename.concat dir ("chaos_" ^ s.name ^ ".lrt") in
+        if audit then audited path else (recover (Some path), None, [])
+    | None when audit ->
+        let path = Filename.temp_file "chaos_" ".lrt" in
+        Fun.protect
+          ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+          (fun () -> audited path)
+    | None -> (recover None, None, [])
+  in
+  {
+    scenario = s;
+    result = d;
+    spread = spread_of ~n:d.fast.n (hostile ~seed:s.seed ~magnitude:s.magnitude);
+    audited;
+    failures = judge d @ audit_failures;
+  }
+
+let audit_cell c =
+  let audit_failure = function
+    | Audit_violation | Audit_error _ -> true
+    | Not_converged | Diverged | Over_budget -> false
+  in
+  match (c.audited, List.find_opt audit_failure c.failures) with
+  | _, Some (Audit_error _) -> "ERROR"
+  | _, Some _ -> "VIOLATED"
+  | Some checked, None -> Printf.sprintf "clean/%d" checked
+  | None, None -> "-"
+
+let battery ?trace_dir ~audit rule ~n ~seed =
+  if n < 3 then
+    Error (Printf.sprintf "chaos: need at least 3 nodes per scenario, got %d" n)
+  else begin
+    (match trace_dir with
+    | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
+    | _ -> ());
+    Ok (List.map (check ?trace_dir ~audit rule) (scenarios ~n ~seed ()))
+  end

@@ -122,3 +122,51 @@ val scenarios : ?n:int -> ?seed:int -> unit -> scenario list
     widely spread heights.  Recovery work grows linearly with the
     spread, so magnitudes are capped at 4096 to keep the battery
     CI-cheap. *)
+
+(** {1 The battery check}
+
+    One judge for every caller of the battery — the [linkrev chaos]
+    command and the D-C1 bench render what it returns. *)
+
+type failure =
+  | Not_converged
+  | Diverged  (** Fast and reference recoveries disagree. *)
+  | Over_budget
+  | Audit_violation  (** The recorded recovery visited a bad state. *)
+  | Audit_error of string  (** The trace did not replay. *)
+
+val judge : differential -> failure list
+(** The recovery gates: convergence, cross-engine agreement and the
+    adoption budget, in that order. *)
+
+val failure_message : differential -> failure -> string
+
+type checked = {
+  scenario : scenario;
+  result : differential;
+  spread : int;  (** Height spread of the corruption ({!spread_of}). *)
+  audited : int option;
+      (** States the audit checked, clean or not; [None] when it did
+          not run or the trace did not replay. *)
+  failures : failure list;  (** {!judge}'s, then the audit's. *)
+}
+
+val audit_cell : checked -> string
+(** The audit column of a rendered battery: [clean/<states checked>],
+    [VIOLATED], [ERROR], or [-] when the audit did not run. *)
+
+val battery :
+  ?trace_dir:string ->
+  audit:bool ->
+  Maintenance.rule ->
+  n:int ->
+  seed:int ->
+  (checked list, string) result
+(** Corrupt and recover every scenario of [scenarios ~n ~seed ()]
+    ({!differential}) and judge each.  With [audit], each recovery is
+    recorded and audited for per-state acyclicity at stride
+    [max 1 (steps / 200)] (about 200 states plus the endpoints).  The
+    trace goes to [trace_dir/chaos_<name>.lrt] when a directory is
+    given (created if missing) and is kept; otherwise a temporary file
+    is used and removed whatever happens.  [Error] for [n < 3], which
+    the ring generator refuses. *)

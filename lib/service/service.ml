@@ -6,12 +6,9 @@ type config = {
   queue_bound : int;
   window : int;
   rule : Lr_routing.Maintenance.rule;
-  validate : bool;
   engine : Shard.engine_kind;
   deterministic : bool;
-  steal_batch : int;
   pin_loops : bool;
-  packet_queue : int;
 }
 
 let default_config =
@@ -20,13 +17,15 @@ let default_config =
     queue_bound = 128;
     window = 256;
     rule = Lr_routing.Maintenance.Partial_reversal;
-    validate = true;
     engine = Shard.Fast;
     deterministic = false;
-    steal_batch = 64;
     pin_loops = false;
-    packet_queue = 64;
   }
+
+(* Max ops a thief drains per stolen token claim: small enough to
+   return the shard to its owner promptly, large enough to amortize the
+   claim. *)
+let steal_batch = 64
 
 type t = {
   cfg : config;
@@ -57,10 +56,6 @@ let create ?trace_dir cfg configs =
   if cfg.queue_bound < 1 then
     invalid_arg "Service.create: queue_bound must be >= 1";
   if cfg.window < 1 then invalid_arg "Service.create: window must be >= 1";
-  if cfg.steal_batch < 1 then
-    invalid_arg "Service.create: steal_batch must be >= 1";
-  if cfg.packet_queue < 1 then
-    invalid_arg "Service.create: packet_queue must be >= 1";
   let effective_jobs =
     if cfg.pin_loops then cfg.jobs
     else min cfg.jobs (max 1 (Pool.recommended_jobs ()))
@@ -77,8 +72,7 @@ let create ?trace_dir cfg configs =
     shards =
       Array.mapi
         (fun id config ->
-          Shard.create ~engine:cfg.engine ~packet_queue:cfg.packet_queue
-            ~rule:cfg.rule ~id config)
+          Shard.create ~engine:cfg.engine ~rule:cfg.rule ~id config)
         configs;
     metrics = Metrics.create ~shards:(Array.length configs);
     pool = Pool.Persistent.create ~jobs:effective_jobs;
@@ -108,7 +102,7 @@ let serve_op t ops responses admit_time s idx =
     | Op.Corrupt _ | Op.Flip _ -> Unix.gettimeofday ()
     | _ -> 0.0
   in
-  let o = Shard.apply ~validate:t.cfg.validate t.shards.(s) op in
+  let o = Shard.apply t.shards.(s) op in
   responses.(idx) <- o.Shard.response;
   let c = Metrics.shard t.metrics s in
   c.Metrics.served <- c.Metrics.served + 1;
@@ -319,7 +313,7 @@ let run_free t ops =
      the stream, and total drain speed beats claim fairness). *)
   let steal_pass w =
     let progressed = ref false in
-    let limit = if w < 0 then max_int else t.cfg.steal_batch in
+    let limit = if w < 0 then max_int else steal_batch in
     for s = 0 to shards - 1 do
       if w < 0 || s mod nloops <> w then
         if try_drain ~owner:false s limit > 0 then progressed := true

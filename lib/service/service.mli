@@ -17,7 +17,7 @@
     engine only while holding the shard's token (an [Atomic] CAS), and
     token handoffs are acquire/release edges.  That is also what makes
     {b work stealing} safe for Zipf-skewed workloads: an idle loop
-    claims a busy shard's token and drains a batch ([steal_batch]) on
+    claims a busy shard's token and drains a batch (64 ops) on
     the owner's behalf — consumption migrates, interleaving never
     happens.  Each loop's pops are checked against a per-shard
     sequence (op indices must strictly increase), so a serialization
@@ -62,7 +62,6 @@ type config = {
       (** Ops consumed from the stream per round — deterministic
           (windowed) mode only. *)
   rule : Lr_routing.Maintenance.rule;
-  validate : bool;  (** In-service route validation (default on). *)
   engine : Shard.engine_kind;
       (** Maintenance tier for every shard ({!Shard.engine_kind}).
           Responses, counters and the fingerprint are byte-identical
@@ -71,10 +70,6 @@ type config = {
       (** [true] selects the windowed barrier dispatcher (the
           differential oracle); [false] — the default — the
           barrier-free rings. *)
-  steal_batch : int;
-      (** Max ops a thief drains per stolen token claim.  Small enough
-          to return the shard to its owner promptly, large enough to
-          amortize the claim. *)
   pin_loops : bool;
       (** By default ([false]) the service spawns at most
           [available domains - 1] resident loops no matter how large
@@ -87,16 +82,13 @@ type config = {
           results).  [true] pins exactly [jobs - 1] loops regardless,
           so tests and benches can exercise the token/steal protocol
           on any host. *)
-  packet_queue : int;
-      (** Per-node queue bound on each shard's packet-forwarding plane
-          ({!Shard.create}). *)
 }
 
 val default_config : config
 (** [jobs = 1], [queue_bound = 128], [window = 256], Partial Reversal,
-    validation on, the fast engine, free-running dispatch,
-    [steal_batch = 64], loops clamped to the hardware,
-    [packet_queue = 64]. *)
+    the fast engine, free-running dispatch, loops clamped to the
+    hardware.  Every route is validated in-service; a thief drains at
+    most 64 ops per stolen token claim. *)
 
 type t
 
@@ -107,7 +99,7 @@ val create : ?trace_dir:string -> config -> Linkrev.Config.t array -> t
     ([shard-NNN.lrt], via {!Lr_trace.Record.fast} — auditable with
     [linkrev trace audit]).  @raise Invalid_argument on an empty
     instance array or a non-positive
-    [jobs]/[queue_bound]/[window]/[steal_batch]. *)
+    [jobs]/[queue_bound]/[window]. *)
 
 val num_shards : t -> int
 val shard : t -> int -> Shard.t

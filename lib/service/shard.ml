@@ -147,7 +147,6 @@ type t =
       engine : (module ENGINE with type t = 'e);
       mutable m : 'e;
       sid : int;
-      packet_queue : int;
       (* The packet-forwarding plane, created lazily at the first packet
          op from a snapshot of the then-current graph and kept in sync
          with the engine through every subsequent link event.  Seeded
@@ -162,18 +161,16 @@ type t =
     }
       -> t
 
-let make (type e) (engine : (module ENGINE with type t = e)) ~packet_queue ~rule ~id
-    config =
+let make (type e) (engine : (module ENGINE with type t = e)) ~rule ~id config =
   let module E = (val engine) in
   Shard
-    { engine; m = E.create rule config; sid = id; packet_queue; plane = None;
+    { engine; m = E.create rule config; sid = id; plane = None;
       dead = Node.Set.empty; epoch = 0; work_base = 0 }
 
-let create ?(engine = Fast) ?(packet_queue = 64) ~rule ~id config =
-  if packet_queue < 1 then invalid_arg "Shard.create: packet_queue must be >= 1";
+let create ?(engine = Fast) ~rule ~id config =
   match engine with
-  | Fast -> make fast_tier ~packet_queue ~rule ~id config
-  | Reference -> make reference_tier ~packet_queue ~rule ~id config
+  | Fast -> make fast_tier ~rule ~id config
+  | Reference -> make reference_tier ~rule ~id config
 
 let id (Shard s) = s.sid
 
@@ -239,13 +236,13 @@ let path_valid (type e) (module E : ENGINE with type t = e) (m : e) ~src path =
   in
   match path with first :: _ -> Node.equal first src && hops path | [] -> false
 
-let route ~validate (Shard s) src =
+let route (Shard s) src =
   let module E = (val s.engine) in
   if not (E.mem_node s.m src) then noop
   else
     match E.route s.m src with
     | Some path ->
-        let bad = validate && not (path_valid s.engine s.m ~src path) in
+        let bad = not (path_valid s.engine s.m ~src path) in
         {
           response = Op.Path path;
           work = 0;
@@ -255,7 +252,7 @@ let route ~validate (Shard s) src =
         (* An honest No_route means the source really cannot reach the
            destination; a directed path existing despite the refusal is
            an engine bug the validator must surface. *)
-        let bad = validate && E.reaches_destination s.m src in
+        let bad = E.reaches_destination s.m src in
         { response = Op.No_route; work = 0; validation_failures = (if bad then 1 else 0) }
 
 (* Every non-noop link op lands on both the engine and the forwarding
@@ -341,6 +338,9 @@ let crash_destination (Shard s) =
           { response = Op.New_destination { leader; node_steps }; work = node_steps;
             validation_failures = 0 })
 
+(* Per-node queue bound of every forwarding plane. *)
+let packet_queue = 64
+
 (* The shard's forwarding plane, snapshotting the current graph and
    destination on first use.  [Config.make] failing means the serving
    graph went inconsistent — surfaced as a validation failure, like the
@@ -353,7 +353,7 @@ let ensure_plane (Shard s) =
       match Linkrev.Config.make (E.graph s.m) ~destination:(E.destination s.m) with
       | Error _ -> None
       | Ok config ->
-          let p = Lr_packet.Plane.create ~qcap:s.packet_queue config in
+          let p = Lr_packet.Plane.create ~qcap:packet_queue config in
           s.plane <- Some p;
           Some p)
 
@@ -412,39 +412,39 @@ let hostile_height ~seed ~magnitude u =
    work.  Validation re-runs the full consistency check afterwards —
    recovery, not just quiescence, is what the chaos SLO is stated
    over. *)
-let heal ~validate (Shard s) f =
+let heal (Shard s) f =
   let module E = (val s.engine) in
   let before = E.total_work s.m in
   let result = E.adopt_heights s.m f in
   let work = E.total_work s.m - before in
   match result with
   | Maintenance.Stabilized { node_steps; _ } ->
-      let bad = validate && not (E.consistent s.m) in
+      let bad = not (E.consistent s.m) in
       { response = Op.Healed { node_steps }; work;
         validation_failures = (if bad then 1 else 0) }
   | Maintenance.Partitioned _ ->
       (* adopt_heights never changes the topology. *)
       assert false
 
-let corrupt ~validate t ~seed ~magnitude =
-  if magnitude < 0 then noop else heal ~validate t (hostile_height ~seed ~magnitude)
+let corrupt t ~seed ~magnitude =
+  if magnitude < 0 then noop else heal t (hostile_height ~seed ~magnitude)
 
-let flip_bit ~validate (Shard s as t) ~node ~bit =
+let flip_bit (Shard s as t) ~node ~bit =
   let module E = (val s.engine) in
   if (not (E.mem_node s.m node)) || bit < 0 || bit > 61 then noop
   else
     let pa, pb = E.height s.m node in
     let flipped = (pa lxor (1 lsl bit), pb) in
-    heal ~validate t (fun u -> if u = node then flipped else E.height s.m u)
+    heal t (fun u -> if u = node then flipped else E.height s.m u)
 
-let apply ?(validate = true) t op =
+let apply t op =
   match op with
-  | Op.Route { src; _ } -> route ~validate t src
+  | Op.Route { src; _ } -> route t src
   | Op.Link_down { u; v; _ } -> link_down t u v
   | Op.Link_up { u; v; _ } -> link_up t u v
   | Op.Crash_destination _ -> crash_destination t
   | Op.Inject { src; count; _ } -> inject t src count
   | Op.Forward { slots; _ } -> forward t slots
-  | Op.Corrupt { seed; magnitude; _ } -> corrupt ~validate t ~seed ~magnitude
-  | Op.Flip { node; bit; _ } -> flip_bit ~validate t ~node ~bit
+  | Op.Corrupt { seed; magnitude; _ } -> corrupt t ~seed ~magnitude
+  | Op.Flip { node; bit; _ } -> flip_bit t ~node ~bit
   | Op.Stats -> invalid_arg "Shard.apply: Stats is a dispatcher-level op"

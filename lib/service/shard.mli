@@ -37,15 +37,11 @@ type engine_kind = Fast | Reference
     beside it in the shard, off the fast tier's path. *)
 
 val create :
-  ?engine:engine_kind ->
-  ?packet_queue:int ->
-  rule:Maintenance.rule ->
-  id:int ->
-  Linkrev.Config.t ->
-  t
+  ?engine:engine_kind -> rule:Maintenance.rule -> id:int -> Linkrev.Config.t -> t
 (** Stabilizes the initial instance (like [Maintenance.create]).
-    [engine] defaults to [Fast]; [packet_queue] (default 64) bounds
-    each node's queue on the shard's packet-forwarding plane.
+    [engine] defaults to [Fast].  Each node's queue on the shard's
+    packet-forwarding plane holds at most 64 packets; an inject op
+    drops the overflow.
 
     The plane ({!Lr_packet.Plane}) is created lazily at the first
     [Inject]/[Forward] op from a snapshot of the shard's current graph,
@@ -86,11 +82,11 @@ type outcome = {
   validation_failures : int;  (** 0 or 1. *)
 }
 
-val apply : ?validate:bool -> t -> Op.t -> outcome
+val apply : t -> Op.t -> outcome
 (** Execute one op ([Stats] and [Rejected] never reach a shard; [Stats]
-    raises [Invalid_argument]).  [validate] (default [true]) controls
-    the in-service route check and the post-heal consistency check of
-    the chaos ops ([Corrupt]/[Flip]). *)
+    raises [Invalid_argument]).  Every returned route is validated, and
+    the chaos ops ([Corrupt]/[Flip]) re-run the full consistency check
+    after their heal; a failure counts in [validation_failures]. *)
 
 val elect : live:(Node.t -> bool) -> (int * Node.t) list -> Node.t option
 (** The failover election rule both tiers share.  Given the components

@@ -255,6 +255,46 @@ let test_differential_flip () =
     (Invalid_argument "Chaos.differential_flip: node out of range") (fun () ->
       ignore (C.differential_flip M.Partial_reversal config ~node:99 ~bit:3))
 
+(* {1 The battery check}
+
+   The one judge behind D-C1 and [linkrev chaos]. *)
+
+let test_battery_check_clean () =
+  List.iter
+    (fun rule ->
+      match C.battery ~audit:true rule ~n:12 ~seed:1 with
+      | Error e -> Alcotest.failf "battery refused n=12: %s" e
+      | Ok checked ->
+          check_int "one result per scenario" 6 (List.length checked);
+          List.iter
+            (fun (c : C.checked) ->
+              let name = c.C.scenario.C.name in
+              check_int (name ^ ": no failures") 0 (List.length c.C.failures);
+              check_bool (name ^ ": audited") true (c.C.audited <> None);
+              check_bool (name ^ ": audit cell") true
+                (String.starts_with ~prefix:"clean/" (C.audit_cell c)))
+            checked)
+    [ M.Partial_reversal; M.Full_reversal ]
+
+let test_battery_refuses_small () =
+  List.iter
+    (fun n ->
+      match C.battery ~audit:true M.Partial_reversal ~n ~seed:1 with
+      | Ok _ -> Alcotest.failf "battery accepted n=%d" n
+      | Error _ -> ())
+    [ 0; 1; 2 ]
+
+let test_judge_reports_failures () =
+  let d =
+    C.differential M.Partial_reversal (bad_chain 8) ~seed:1 ~magnitude:4
+  in
+  check_int "a clean recovery passes" 0 (List.length (C.judge d));
+  let broken =
+    { d with C.agree = false; fast = { d.C.fast with C.within_budget = false } }
+  in
+  check_bool "divergence and budget overrun are reported" true
+    (C.judge broken = [ C.Diverged; C.Over_budget ])
+
 let () =
   Alcotest.run "chaos"
     [
@@ -271,5 +311,8 @@ let () =
           case "trace roundtrip with perturbs"
             test_trace_roundtrip_with_perturbs;
           case "single-event upset" test_differential_flip;
+          case "battery check clean at n=12" test_battery_check_clean;
+          case "battery refuses n < 3" test_battery_refuses_small;
+          case "judge reports failures" test_judge_reports_failures;
         ];
     ]

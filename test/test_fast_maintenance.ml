@@ -322,6 +322,52 @@ let test_cache_invalidated_by_churn () =
   done;
   check_bool "cache sound after refill" true (FM.consistent sys.f)
 
+(* {1 The shared churn tape}
+
+   D-S2's storm check as a tier-1 test: the tape the ladder and
+   [linkrev storm] replay must leave both tiers in the same state. *)
+
+module Churn = Lr_routing.Churn
+
+let churn_tape ~seed n =
+  let config = random_config ~extra_edges:(n / 2) ~seed n in
+  (config, Churn.tape (rng (seed + 77)) ~events:(6 * n) config)
+
+let test_churn_tiers_agree rule () =
+  let config, tape = churn_tape ~seed:5 64 in
+  let m = M.create rule config and f = FM.create rule config in
+  Array.iteri
+    (fun i op ->
+      check_bool
+        (Printf.sprintf "op %d: same partition report" i)
+        (Churn.apply_reference m op) (Churn.apply_fast f op))
+    tape;
+  check_int "total work" (M.total_work m) (FM.total_work f);
+  check_bool "graph fingerprint" true
+    (Int64.equal (Digraph.fingerprint (M.graph m))
+       (Digraph.fingerprint (FM.graph f)));
+  for u = 0 to 63 do
+    Alcotest.check route_testable
+      (Printf.sprintf "route from %d" u)
+      (M.route m u) (FM.route f u)
+  done;
+  check_bool "consistent after the tape" true (FM.consistent f)
+
+let test_churn_tape_fixed () =
+  let _, a = churn_tape ~seed:5 64 and _, b = churn_tape ~seed:5 64 in
+  check_bool "same RNG, same tape" true (a = b);
+  let count p = Array.fold_left (fun k op -> if p op then k + 1 else k) 0 a in
+  let downs = count (function Churn.Down _ -> true | _ -> false) in
+  let ups = count (function Churn.Up _ -> true | _ -> false) in
+  let fails = count (function Churn.Fail _ -> true | _ -> false) in
+  check_int "node failures: every 41st of 384 events" 9 fails;
+  (* the 188 even events that are not node failures *)
+  check_int "link-downs" 188 downs;
+  (* 187 odd draws, 8 of which hit a present pair or a self-loop *)
+  check_int "link-ups (pinned)" 179 ups;
+  check_bool "link-downs are ordered pairs" true
+    (Array.for_all (function Churn.Down (u, v) -> u < v | _ -> true) a)
+
 let () =
   Alcotest.run "fast_maintenance"
     [
@@ -350,5 +396,13 @@ let () =
           case "hits when quiescent" test_cache_hits_when_quiescent;
           case "invalidated by churn, never stale"
             test_cache_invalidated_by_churn;
+        ];
+      suite "churn tape"
+        [
+          case "PR tape: both tiers agree"
+            (test_churn_tiers_agree M.Partial_reversal);
+          case "FR tape: both tiers agree"
+            (test_churn_tiers_agree M.Full_reversal);
+          case "a fixed RNG gives a fixed tape" test_churn_tape_fixed;
         ];
     ]

@@ -307,7 +307,6 @@ let test_create_rejects_bad_config () =
       { S.default_config with S.jobs = 0 };
       { S.default_config with S.queue_bound = 0 };
       { S.default_config with S.window = 0 };
-      { S.default_config with S.steal_batch = 0 };
     ];
   check_bool "empty shard array rejected" true
     (try ignore (S.create S.default_config [||]); false
@@ -390,8 +389,8 @@ let test_packet_ops_across_engines () =
 let test_packet_shard_behaviour () =
   let s = spec ~shards:1 ~nodes:8 () in
   let shard =
-    Shard.create ~rule:Lr_routing.Maintenance.Partial_reversal
-      ~packet_queue:4 ~id:0 (W.shard_config s 0)
+    Shard.create ~rule:Lr_routing.Maintenance.Partial_reversal ~id:0
+      (W.shard_config s 0)
   in
   (* inject, then forward until the plane drains *)
   let o = Shard.apply shard (Op.Inject { shard = 0; src = 0; count = 3 }) in
@@ -410,11 +409,11 @@ let test_packet_shard_behaviour () =
       | _ -> Alcotest.fail "forward answered with a non-forward response"
   in
   check_int "all packets delivered" 3 (drain 64 0);
-  (* a queue bound of 4 drops the overflow of a 10-packet burst *)
-  let o = Shard.apply shard (Op.Inject { shard = 0; src = 0; count = 10 }) in
+  (* the queue bound of 64 drops the overflow of a 70-packet burst *)
+  let o = Shard.apply shard (Op.Inject { shard = 0; src = 0; count = 70 }) in
   (match o.Shard.response with
   | Op.Injected { accepted; dropped } ->
-      check_int "bound respected" 4 accepted;
+      check_int "bound respected" 64 accepted;
       check_int "overflow dropped" 6 dropped
   | _ -> Alcotest.fail "inject answered with a non-inject response");
   (* invalid packet ops are Noops, not errors *)
