@@ -1,8 +1,8 @@
-(* D-S1: the sharded routing service — barrier-free ring dispatch vs
-   the windowed oracle: throughput, latency SLOs, differential
-   determinism (free-running must reproduce the oracle's responses and
-   counters byte-for-byte), ring/steal observability, and bounded-queue
-   backpressure under overload in both modes. *)
+(* D-S1: the sharded routing service — barrier-free ring dispatch:
+   throughput, latency SLOs, determinism across domain counts (every
+   row must reproduce the jobs=1 responses and counters byte-for-byte),
+   ring/steal observability, and bounded-ring backpressure under
+   overload. *)
 
 open Harness
 module T = Lr_analysis.Table
@@ -11,7 +11,7 @@ module Stats = Lr_analysis.Stats
 
 type service_run = {
   sr_jobs : int;
-  sr_mode : string;  (* "free" (ring dispatch) | "windowed" (oracle) *)
+  sr_mode : string;  (* "free" (loops clamped) | "free-pinned" *)
   sr_seconds : float;  (* best wall time over [sr_repeats] runs *)
   sr_repeats : int;
   sr_throughput : float;
@@ -54,9 +54,7 @@ let fprint_workload_spec oc (spec : Wl.spec) =
     spec.Wl.skew
 
 let write_results s ~max_jobs ~(spec : Wl.spec) runs ~deterministic
-    ~free_matches_oracle ~overload_free:(of_rej, of_leak)
-    ~overload_windowed:(ow_rej, ow_leak)
-    ~large:(lspec, lruns, lcapped, lcap) =
+    ~overload_free:(of_rej, of_leak) ~large:(lspec, lruns, lcapped, lcap) =
   let base = List.find (fun r -> r.sr_jobs = 1 && r.sr_mode = "free") runs in
   write_json s ~experiment:"service" ~jobs:max_jobs (fun oc ->
       output_string oc "  \"workload\": ";
@@ -72,14 +70,12 @@ let write_results s ~max_jobs ~(spec : Wl.spec) runs ~deterministic
       Printf.fprintf oc
         "  ],\n\
         \  \"deterministic_across_jobs\": %b,\n\
-        \  \"free_matches_deterministic\": %b,\n\
         \  \"overload\": {\n\
-        \    \"free\": {\"jobs\": 2, \"rejected\": %d, \"leaked\": %b},\n\
-        \    \"windowed\": {\"jobs\": 1, \"rejected\": %d, \"leaked\": %b}\n\
+        \    \"free\": {\"jobs\": 2, \"rejected\": %d, \"leaked\": %b}\n\
         \  },\n\
         \  \"large_topology\": {\n\
         \    \"workload\": "
-        deterministic free_matches_oracle of_rej of_leak ow_rej ow_leak;
+        deterministic of_rej of_leak;
       fprint_workload_spec oc lspec;
       Printf.fprintf oc
         ",\n    \"seconds_cap\": %.0f,\n    \"capped\": %b,\n    \"runs\": [\n"
@@ -95,8 +91,7 @@ let write_results s ~max_jobs ~(spec : Wl.spec) runs ~deterministic
       Printf.fprintf oc "    ]\n  }\n}\n")
 
 let run s =
-  section "D-S1"
-    "routing service: barrier-free ring dispatch vs the windowed oracle";
+  section "D-S1" "routing service: barrier-free ring dispatch";
   let smoke = smoke s in
   let spec = ds1_spec ~ops:(if smoke then 3_000 else 240_000) in
   let ops = Wl.generate spec in
@@ -114,7 +109,7 @@ let run s =
      clamped "free" rows are what production would do. *)
   let queue_bound = 4_096 in
   let run_once ~mode ~jobs ~repeats (spec : Wl.spec) ops configs =
-    (* The free-vs-windowed differential below only holds when nothing
+    (* The cross-jobs comparison below only holds when nothing
        rejects, and per-shard ring depth between stats quiesces is
        bounded by stats_every — so the bound must clear it, by
        construction rather than by luck. *)
@@ -122,12 +117,12 @@ let run s =
       invalid_arg
         (Printf.sprintf
            "D-S1: stats_every (%d) must stay below queue_bound (%d) or the \
-            differential can reject"
+            cross-jobs comparison can reject"
            spec.Wl.stats_every queue_bound);
     let r =
       replay
         { Svc.default_config with Svc.jobs; queue_bound;
-          deterministic = mode = "windowed"; pin_loops = mode = "free-pinned" }
+          pin_loops = mode = "free-pinned" }
         configs ops
     in
     if r.leaked then leaked := true;
@@ -172,15 +167,11 @@ let run s =
     List.sort_uniq compare (1 :: 2 :: 4 :: 8 :: [ P.recommended_jobs () ])
   in
   let plan =
-    List.map (fun j -> ("free", j)) job_levels
-    @ [ ("free-pinned", 4); ("windowed", 1); ("windowed", 4) ]
+    List.map (fun j -> ("free", j)) job_levels @ [ ("free-pinned", 4) ]
   in
   let runs = sweep plan spec ops configs in
-  let mode_runs m = List.filter (fun r -> r.sr_mode = m) runs in
-  let free_runs = mode_runs "free" in
-  let pinned_runs = mode_runs "free-pinned" in
-  let windowed_runs = mode_runs "windowed" in
-  let base = List.find (fun r -> r.sr_jobs = 1) free_runs in
+  let pinned_runs = List.filter (fun r -> r.sr_mode = "free-pinned") runs in
+  let base = List.find (fun r -> r.sr_jobs = 1 && r.sr_mode = "free") runs in
   T.print
     ~title:(Printf.sprintf "service over %s" (Wl.describe spec))
     (T.make
@@ -205,12 +196,7 @@ let run s =
             ])
           runs));
   let deterministic =
-    List.for_all
-      (fun r -> r.sr_fingerprint = base.sr_fingerprint)
-      (free_runs @ pinned_runs)
-  in
-  let free_matches_oracle =
-    List.for_all (fun r -> r.sr_fingerprint = base.sr_fingerprint) windowed_runs
+    List.for_all (fun r -> r.sr_fingerprint = base.sr_fingerprint) runs
   in
   Printf.printf "free-running responses + counters identical across %s: %b\n"
     (String.concat "/"
@@ -219,11 +205,8 @@ let run s =
             Printf.sprintf "%sjobs=%d"
               (if r.sr_mode = "free-pinned" then "pinned " else "")
               r.sr_jobs)
-          (free_runs @ pinned_runs)))
+          runs))
     deterministic;
-  Printf.printf
-    "free-running matches the windowed oracle (responses + counters): %b\n"
-    free_matches_oracle;
   (match pinned_runs with
   | r :: _ ->
       Printf.printf "rings at pinned jobs=%d: %s\n" r.sr_jobs
@@ -240,33 +223,28 @@ let run s =
        overhead, NOT shard-parallel scaling (scaling_valid: false in the JSON).\n"
       (Domain.recommended_domain_count ()) max_jobs;
   (* Overload: a tiny ring against a hot-shard workload must shed load
-     as explicit rejections — and account for every one of them — in
-     both dispatch modes.  The free-running rejection COUNT is a
-     wall-clock fact (recorded, not asserted); the windowed one is
-     deterministic. *)
+     as explicit rejections — and account for every one of them.  The
+     rejection COUNT is a wall-clock fact (recorded, not asserted). *)
   let overload_spec =
     { spec with Wl.shards = 4; ops = (if smoke then 1_000 else 5_000);
       skew = 3.0 }
   in
   let overload_ops = Wl.generate overload_spec in
-  let overload ~mode ~jobs =
-    let r =
-      replay
-        (* pin_loops: the free overload run needs a real consumer loop
-           (with zero loops the dispatcher drains a full ring inline and
-           nothing is ever rejected), even on a single-domain host. *)
-        { Svc.default_config with Svc.jobs; queue_bound = 4; window = 128;
-          deterministic = (mode = "windowed"); pin_loops = true }
-        (Wl.shard_configs overload_spec) overload_ops
-    in
-    (r.snapshot.Metrics.snapshot_totals.Metrics.rejected, r.leaked)
+  let overload =
+    replay
+      (* pin_loops: the overload run needs a real consumer loop (with
+         zero loops the dispatcher drains a full ring inline and nothing
+         is ever rejected), even on a single-domain host. *)
+      { Svc.default_config with Svc.jobs = 2; queue_bound = 4;
+        pin_loops = true }
+      (Wl.shard_configs overload_spec) overload_ops
   in
-  let of_rej, of_leak = overload ~mode:"free" ~jobs:2 in
-  let ow_rej, ow_leak = overload ~mode:"windowed" ~jobs:1 in
+  let of_rej = overload.snapshot.Metrics.snapshot_totals.Metrics.rejected in
+  let of_leak = overload.leaked in
   Printf.printf
-    "overload (4 hot shards, ring capacity 4): free jobs=2 %d/%d rejected \
-     (leak %b), windowed %d/%d rejected (leak %b)\n"
-    of_rej overload_spec.Wl.ops of_leak ow_rej overload_spec.Wl.ops ow_leak;
+    "overload (4 hot shards, ring capacity 4): jobs=2 %d/%d rejected (leak \
+     %b)\n"
+    of_rej overload_spec.Wl.ops of_leak;
   (* Large topology: 64 shards x 1024 nodes.  One free-running run at
      jobs=1 always; the jobs=4 rerun is skipped (capped) when the base
      run alone ate half the time budget, so CI boxes stay within it. *)
@@ -314,9 +292,8 @@ let run s =
     Printf.printf
       "large topology jobs=4 rerun skipped: jobs=1 took %.1f s > %.0f s cap/2\n"
       lrun1.sr_seconds large_cap;
-  write_results s ~max_jobs ~spec runs ~deterministic ~free_matches_oracle
-    ~overload_free:(of_rej, of_leak) ~overload_windowed:(ow_rej, ow_leak)
-    ~large:(lspec, lruns, lcapped, large_cap);
+  write_results s ~max_jobs ~spec runs ~deterministic
+    ~overload_free:(of_rej, of_leak) ~large:(lspec, lruns, lcapped, large_cap);
   let g = gate () in
   if List.exists
        (fun r -> r.sr_totals.Metrics.validation_failures > 0)
@@ -324,14 +301,12 @@ let run s =
   then fail g "route validation failures in service runs";
   if not deterministic then
     fail g "free-running responses differ across domain counts";
-  if not free_matches_oracle then
-    fail g "free-running dispatch diverges from the windowed oracle";
   if not large_deterministic then
     fail g "large-topology responses differ across domain counts";
   if !unstable <> [] then
     fail g "fingerprints changed across repeats of: %s"
       (String.concat ", " (List.sort_uniq compare !unstable));
-  if !leaked || of_leak || ow_leak then
+  if !leaked || of_leak then
     fail g "rejected responses and rejected counters disagree";
-  if of_rej = 0 || ow_rej = 0 then fail g "an overload scenario shed no load";
+  if of_rej = 0 then fail g "the overload run shed no load";
   finish g

@@ -881,29 +881,9 @@ module Service_cli = struct
                an op arriving at a full ring is answered 'rejected \
                overloaded' on the spot instead of queueing unboundedly.  \
                $(b,auto) sets the bound to the op count + 1, which makes \
-               rejection impossible by construction — so free-running and \
-               windowed runs of the same stream must agree byte-for-byte \
+               rejection impossible by construction — so runs of the same \
+               stream at different $(b,--jobs) must agree byte-for-byte \
                (the CI differential uses this).")
-    in
-    let window_arg =
-      Arg.(
-        value & opt int Svc.default_config.Svc.window
-        & info [ "window" ] ~docv:"W"
-            ~doc:
-              "Ops admitted per dispatch round (deterministic windowed \
-               mode only; the free-running path has no windows).")
-    in
-    let deterministic_arg =
-      Arg.(
-        value & flag
-        & info [ "deterministic" ]
-            ~doc:
-              "Use the windowed barrier dispatcher (the differential \
-               oracle) instead of the free-running shard loops: which ops \
-               are rejected, every response and every counter then depend \
-               only on the op stream, never on timing.  Absent overload \
-               the two paths produce identical responses, counters and \
-               fingerprints.")
     in
     let pin_loops_arg =
       Arg.(
@@ -942,8 +922,8 @@ module Service_cli = struct
                replayable LRT1 trace in $(docv) (audit with 'linkrev trace \
                audit').")
     in
-    let serve spec workload chaos jobs queue_bound window rule engine
-        deterministic pin_loops trace_dir =
+    let serve spec workload chaos jobs queue_bound rule engine pin_loops
+        trace_dir =
       let loaded =
         match workload with
         | None -> (
@@ -961,10 +941,7 @@ module Service_cli = struct
             | Some b -> b
             | None -> Array.length ops + 1
           in
-          let cfg =
-            { Svc.jobs; queue_bound; window; rule; engine; deterministic;
-              pin_loops }
-          in
+          let cfg = { Svc.jobs; queue_bound; rule; engine; pin_loops } in
           let svc =
             try Ok (Svc.create ?trace_dir cfg (Wl.shard_configs spec))
             with Invalid_argument e -> Error e
@@ -1003,16 +980,14 @@ module Service_cli = struct
                   Lr_analysis.Table.print
                     ~title:
                       (Printf.sprintf
-                         "per-shard metrics (%d domains, rule %s, engine %s, \
-                          %s dispatch)"
+                         "per-shard metrics (%d domains, rule %s, engine %s)"
                          jobs
                          (match rule with
                          | Lr_routing.Maintenance.Partial_reversal -> "partial"
                          | Lr_routing.Maintenance.Full_reversal -> "full")
                          (match engine with
                          | Lr_service.Shard.Fast -> "fast"
-                         | Lr_service.Shard.Reference -> "reference")
-                         (if deterministic then "windowed" else "free-running"))
+                         | Lr_service.Shard.Reference -> "reference"))
                     (Lr_analysis.Table.make
                        ~headers:
                          [ "shard"; "served"; "routes"; "no-route"; "links";
@@ -1063,8 +1038,8 @@ module Service_cli = struct
       Term.(
         ret
           (const serve $ spec_term $ workload_arg $ chaos_arg $ jobs_arg
-          $ queue_bound_arg $ window_arg $ rule_arg $ engine_arg
-          $ deterministic_arg $ pin_loops_arg $ trace_dir_arg))
+          $ queue_bound_arg $ rule_arg $ engine_arg $ pin_loops_arg
+          $ trace_dir_arg))
     in
     Cmd.v
       (Cmd.info "serve"
@@ -1787,4 +1762,20 @@ let main_cmd =
       Service_cli.loadgen_cmd; Packet_cli.cmd; Chaos_cli.cmd;
       Storm_cli.cmd; Lint_cli.lint_cmd; Lint_cli.callgraph_cmd ]
 
-let () = exit (Cmd.eval main_cmd)
+(* An output path the OS refuses (a missing directory, a regular file
+   where a directory should be) is the user's error, reported here once
+   for every command that writes; any other exception is still an
+   internal error. *)
+let () =
+  exit
+    (try Cmd.eval ~catch:false main_cmd with
+    | Sys_error msg ->
+        Format.eprintf "linkrev: %s@." msg;
+        Cmd.Exit.cli_error
+    | e ->
+        let bt =
+          Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+        in
+        Format.eprintf "linkrev: internal error, uncaught exception:@\n%s@."
+          (String.trim (Printexc.to_string e ^ "\n" ^ bt));
+        Cmd.Exit.internal_error)

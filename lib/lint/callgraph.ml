@@ -175,7 +175,7 @@ let decl_file (vd : Types.value_description) =
 let pool_root_kind path (vd : Types.value_description) =
   let last = Path.last path in
   if
-    List.mem last [ "map_range"; "run_trials"; "run"; "launch" ]
+    List.mem last [ "map_range"; "run_trials"; "launch" ]
     && List.mem (decl_file vd) [ "pool.ml"; "pool.mli" ]
   then Some (if String.equal last "launch" then Resident else Parallel)
   else if String.equal (Path.name path) "Stdlib.Domain.spawn" then
@@ -419,8 +419,8 @@ let resolve_name b ctx name =
       match expand name 4 with
       | Some id -> Some id
       | None ->
-          (* same-unit nested module: [Persistent.run] inside
-             pool.ml is [Lr_parallel.Pool.Persistent.run] *)
+          (* same-unit nested module: [Persistent.launch] inside
+             pool.ml is [Lr_parallel.Pool.Persistent.launch] *)
           Hashtbl.find_opt b.by_qname (ctx.pretty ^ "." ^ name))
 
 let resolve b ctx path =

@@ -22,8 +22,8 @@
       [Domain.spawn]: long-lived loop bodies whose blocking and
       escaping exceptions rules L6/L7 police.
     - {!Parallel} — closures handed to [Pool.map_range] /
-      [run_trials] / [Persistent.run], and functions that push/pop an
-      SPSC ring (the values they exchange cross domains).
+      [run_trials], and functions that push/pop an SPSC ring (the
+      values they exchange cross domains).
 
     Entry points are identified by declaration site (pool.ml/spsc.ml),
     never by path text, so aliases and [open] cannot hide them. *)
@@ -59,7 +59,7 @@ type edge = {
 
 type node = {
   id : int;
-  name : string;  (** qualified, e.g. ["Lr_service.Service.run_free.drain"] *)
+  name : string;  (** qualified, e.g. ["Lr_service.Service.run.drain_locked"] *)
   unit_name : string;
   file : string;  (** root-relative source path *)
   line : int;  (** binding start line *)

@@ -189,7 +189,7 @@ let first_explicit_arg args =
 
 (* Pool entry points are identified by declaration site, not path text,
    so aliases and [open Lr_parallel] cannot hide them. *)
-let pool_entry_names = [ "map_range"; "run_trials"; "run" ]
+let pool_entry_names = [ "map_range"; "run_trials" ]
 let pool_files = [ "pool.ml"; "pool.mli" ]
 
 let is_pool_entry path (vd : Types.value_description) =

@@ -26,9 +26,9 @@ type mutable_binding = {
   bind_loc : Location.t;
 }
 
-(** An application of [Pool.map_range] / [Pool.run_trials] /
-    [Pool.Persistent.run].  [captured_units] are compilation-unit name
-    candidates referenced anywhere in the argument subtree. *)
+(** An application of [Pool.map_range] / [Pool.run_trials].
+    [captured_units] are compilation-unit name candidates referenced
+    anywhere in the argument subtree. *)
 type pool_use = {
   entry : string;
   use_loc : Location.t;

@@ -79,22 +79,18 @@ let timed f =
   (r, Unix.gettimeofday () -. t0)
 
 module Persistent = struct
-  (* Generation-stamped dispatch: [run] installs a task and bumps
-     [generation] under the lock; workers sleeping on [start] wake,
-     steal chunks off the shared cursor, then report through
-     [finished].  [run] waits until all [jobs - 1] workers have
-     reported, so at every [run] entry the whole pool is provably
-     parked on [start] — no worker can miss a wake-up. *)
+  (* Generation-stamped resident rounds: [launch] installs a task,
+     bumps [generation] under the lock and returns at once; workers
+     sleeping on [start] wake, worker [i] runs [task i] to completion
+     while the caller keeps its own role, then reports through
+     [finished].  [await] waits until all [jobs - 1] workers have
+     reported, so at every [launch] the whole pool is provably parked
+     on [start] — no worker can miss a wake-up. *)
   type t = {
     pjobs : int;
     mutable task : int -> unit;
-    mutable total : int;
-    mutable chunk : int;
-    mutable pinned : bool;
-        (* this round's assignment: worker [i] runs [task i] directly
-           (resident loops) instead of stealing off the cursor *)
+    mutable loops : int;  (* workers [0, loops) run [task]; the rest idle *)
     mutable busy : bool;  (* a [launch]ed round has not been [await]ed *)
-    cursor : int Atomic.t;
     failure : (exn * Printexc.raw_backtrace) option Atomic.t;
     mutable generation : int;
     mutable finished : int;
@@ -104,28 +100,6 @@ module Persistent = struct
     idle : Condition.t;
     mutable domains : unit Domain.t list;
   }
-
-  let jobs t = t.pjobs
-
-  (* One round of chunked work-stealing; first exception wins and
-     stops every participant at its next claim. *)
-  let steal ~task ~total ~chunk ~cursor ~failure =
-    let continue_ = ref true in
-    while !continue_ do
-      let lo = Atomic.fetch_and_add cursor chunk in
-      if lo >= total || Option.is_some (Atomic.get failure) then
-        continue_ := false
-      else
-        let hi = min total (lo + chunk) in
-        try
-          for i = lo to hi - 1 do
-            task i
-          done
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-          continue_ := false
-    done
 
   (* lr:owner parked worker: the lock/wait pair is the parking
      handshake by design, and [t.finished] is only ever written with
@@ -144,17 +118,13 @@ module Persistent = struct
       end
       else begin
         seen := t.generation;
-        let task = t.task and total = t.total and chunk = t.chunk in
-        let pinned = t.pinned in
+        let task = t.task and loops = t.loops in
         Mutex.unlock t.lock;
-        (if pinned then begin
-           if idx < total then
-             try task idx
-             with e ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set t.failure None (Some (e, bt)))
-         end
-         else steal ~task ~total ~chunk ~cursor:t.cursor ~failure:t.failure);
+        (if idx < loops then
+           try task idx
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set t.failure None (Some (e, bt))));
         Mutex.lock t.lock;
         t.finished <- t.finished + 1;
         Condition.broadcast t.idle;
@@ -168,11 +138,8 @@ module Persistent = struct
       {
         pjobs = jobs;
         task = ignore;
-        total = 0;
-        chunk = 1;
-        pinned = false;
+        loops = 0;
         busy = false;
-        cursor = Atomic.make 0;
         failure = Atomic.make None;
         generation = 0;
         finished = 0;
@@ -186,48 +153,6 @@ module Persistent = struct
     t.domains <- List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t i));
     t
 
-  let run ?(chunk = 1) t n f =
-    if n < 0 then invalid_arg "Pool.Persistent.run: negative range";
-    if chunk < 1 then invalid_arg "Pool.Persistent.run: chunk must be positive";
-    if t.stopped then invalid_arg "Pool.Persistent.run: pool is shut down";
-    if t.busy then invalid_arg "Pool.Persistent.run: a launched round is live";
-    if n = 0 then ()
-    else if t.pjobs = 1 || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      Mutex.lock t.lock;
-      t.task <- f;
-      t.total <- n;
-      t.chunk <- chunk;
-      t.pinned <- false;
-      (* lr:owner steal cursor: workers race on this atomic through the
-         [~cursor] parameter of [steal], which the call-graph analysis
-         cannot alias back to the field. *)
-      Atomic.set t.cursor 0;
-      Atomic.set t.failure None;
-      t.finished <- 0;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.start;
-      Mutex.unlock t.lock;
-      steal ~task:f ~total:n ~chunk ~cursor:t.cursor ~failure:t.failure;
-      Mutex.lock t.lock;
-      while t.finished < t.pjobs - 1 do
-        Condition.wait t.idle t.lock
-      done;
-      t.task <- ignore;
-      Mutex.unlock t.lock;
-      match Atomic.get t.failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
-
-  (* Resident rounds: [launch] wakes the workers and returns at once —
-     worker [i] runs [f i] to completion (a service shard loop runs
-     until its shutdown sentinel) while the caller keeps its own role
-     (dispatching into the loops' queues).  [await] joins the round. *)
-
   let launch t n f =
     if t.stopped then invalid_arg "Pool.Persistent.launch: pool is shut down";
     if t.busy then invalid_arg "Pool.Persistent.launch: a round is already live";
@@ -239,9 +164,7 @@ module Persistent = struct
            (t.pjobs - 1));
     Mutex.lock t.lock;
     t.task <- f;
-    t.total <- n;
-    t.chunk <- 1;
-    t.pinned <- true;
+    t.loops <- n;
     t.busy <- true;
     Atomic.set t.failure None;
     t.finished <- 0;

@@ -59,46 +59,32 @@ val timed : (unit -> 'a) -> 'a * float
 
     {!map_range} spawns and joins its domains on every call, which is
     fine for one-shot experiment sweeps but wrong for a service that
-    dispatches thousands of small rounds: domain spawn costs would
-    dwarf the work.  A persistent pool spawns its [jobs - 1] worker
-    domains once; each {!Persistent.run} wakes them for one round of
-    chunked work-stealing over an index range and waits for quiescence.
-    Like {!map_range}, results must be written to per-index slots by the
-    task itself, which keeps outcomes independent of scheduling. *)
+    keeps loops running for a whole op stream, run after run: domain
+    spawn costs would dwarf the work.  A persistent pool spawns its
+    [jobs - 1] worker domains once; each {!Persistent.launch} wakes
+    them for one {e resident} round — worker [i] runs loop [i] to
+    completion while the caller keeps executing — and
+    {!Persistent.await} joins it.  The domains park between rounds and
+    are reused until {!Persistent.shutdown}. *)
 module Persistent : sig
   type t
 
   val create : jobs:int -> t
-  (** Spawns [jobs - 1] worker domains (none when [jobs = 1]; the
-      caller always participates in rounds).
+  (** Spawns [jobs - 1] worker domains (none when [jobs = 1]: the
+      caller is never a worker, so such a pool cannot {!launch}).
       @raise Invalid_argument when [jobs < 1]. *)
 
-  val jobs : t -> int
-
-  val run : ?chunk:int -> t -> int -> (int -> unit) -> unit
-  (** [run t n f] executes [f 0 .. f (n-1)], spread over the pool's
-      domains with chunked work-stealing ([chunk] consecutive indices
-      claimed at a time, default 1 — service rounds are coarse-grained).
-      Returns when every index has been executed.  If any [f i] raises,
-      the remaining indices are abandoned and the first exception
-      observed is re-raised in the caller after all workers go idle.
-      Not reentrant: one round at a time per pool.
-      @raise Invalid_argument on a negative [n], a non-positive
-      [chunk], or a pool that was {!shutdown}. *)
-
   val launch : t -> int -> (int -> unit) -> unit
-  (** [launch t n f] starts a {e resident} round and returns
-      immediately: worker domain [i] (for [i < n]) runs [f i] once, to
-      completion, while the caller keeps executing — the barrier-free
-      service uses this to keep [n] run-to-completion shard loops
-      draining their op rings while the caller dispatches into them.
-      Unlike {!run} the caller does not participate and there is no
-      work-stealing cursor: loop [i] is pinned to worker [i].  The
-      round ends only when every [f i] returns (loops must watch their
-      own shutdown sentinel); end it with {!await}.
+  (** [launch t n f] starts a resident round and returns immediately:
+      worker domain [i] (for [i < n]) runs [f i] once, to completion,
+      while the caller keeps executing — the service uses this to keep
+      [n] run-to-completion shard loops draining their op rings while
+      the caller dispatches into them.  Loop [i] is pinned to worker
+      [i]; there is no work-stealing cursor.  The round ends only when
+      every [f i] returns (loops must watch their own shutdown
+      sentinel); end it with {!await}.
       @raise Invalid_argument when the pool is shut down, a launched
-      round is already live, [n < 1], or [n > jobs - 1] (the caller is
-      not a worker here, so a 1-domain pool cannot launch). *)
+      round is already live, [n < 1], or [n > jobs - 1]. *)
 
   val failed : t -> bool
   (** Whether any loop of the live launched round has raised — a
@@ -108,7 +94,7 @@ module Persistent : sig
   val await : t -> unit
   (** Join the launched round: blocks until every loop has returned,
       then re-raises the first loop failure, if any.  No-op when no
-      round is live. *)
+      round is live; the pool can {!launch} again afterwards. *)
 
   val shutdown : t -> unit
   (** Joins the worker domains.  Idempotent; the pool is unusable

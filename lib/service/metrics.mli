@@ -63,9 +63,8 @@ type totals = {
 }
 
 (** Per-shard op-ring observability.  Occupancy fields are sampled by
-    the single dispatcher after each push (and per admission on the
-    windowed path, where "ring" means the window queue); steal
-    counters are atomics because any idle loop may act as the thief. *)
+    the single dispatcher after each push; steal counters are atomics
+    because any idle loop may act as the thief. *)
 type ring_counters = {
   mutable max_depth : int;  (** High-water occupancy. *)
   mutable depth_sum : int;

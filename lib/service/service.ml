@@ -4,10 +4,8 @@ module Spsc = Lr_parallel.Spsc
 type config = {
   jobs : int;
   queue_bound : int;
-  window : int;
   rule : Lr_routing.Maintenance.rule;
   engine : Shard.engine_kind;
-  deterministic : bool;
   pin_loops : bool;
 }
 
@@ -15,10 +13,8 @@ let default_config =
   {
     jobs = 1;
     queue_bound = 128;
-    window = 256;
     rule = Lr_routing.Maintenance.Partial_reversal;
     engine = Shard.Fast;
-    deterministic = false;
     pin_loops = false;
   }
 
@@ -55,7 +51,6 @@ let create ?trace_dir cfg configs =
   if cfg.jobs < 1 then invalid_arg "Service.create: jobs must be >= 1";
   if cfg.queue_bound < 1 then
     invalid_arg "Service.create: queue_bound must be >= 1";
-  if cfg.window < 1 then invalid_arg "Service.create: window must be >= 1";
   let effective_jobs =
     if cfg.pin_loops then cfg.jobs
     else min cfg.jobs (max 1 (Pool.recommended_jobs ()))
@@ -84,14 +79,14 @@ let shard t i = t.shards.(i)
 let config t = t.cfg
 let metrics t = Metrics.snapshot t.metrics
 
-(* One op, on the domain currently owning shard [s] (the round worker
-   on the windowed path, the token holder on the free-running path).
-   Identical on both paths, so counters — and hence the fingerprint —
-   depend only on *which* ops execute, never on the dispatch mode. *)
+(* One op, on the domain currently holding shard [s]'s token.  Which
+   domain that is never changes what it does, so counters — and hence
+   the fingerprint — depend only on *which* ops execute, never on the
+   domain count. *)
 (* lr:owner shard token holder: ops for one shard are serialized by the
-   per-shard ownership token (windowed round or SPSC pop under
-   [try_drain]), so the shard, its metrics counter and everything the
-   apply path touches have exactly one writer at a time. *)
+   per-shard ownership token (SPSC pop under [try_drain]), so the
+   shard, its metrics counter and everything the apply path touches
+   have exactly one writer at a time. *)
 let serve_op t ops responses admit_time s idx =
   let op = ops.(idx) in
   (* Chaos ops are timed around the shard call itself: the heal runs
@@ -146,101 +141,24 @@ let shard_of_op t i op =
       (Printf.sprintf "Service.run: op %d names shard %d of %d" i s shards);
   s
 
-(* {1 The deterministic windowed path}
+(* {1 The dispatcher}
 
-   The pre-rearchitecture dispatcher, kept verbatim as the
-   differential oracle: ops are admitted in windows, each window is
-   drained as one pool round with a global barrier between rounds.
-   Which ops are admitted, every response and every counter depend
-   only on the op stream — never on domains or scheduling. *)
-
-let run_windowed t ops =
-  let n = Array.length ops in
-  let shards = Array.length t.shards in
-  let responses = Array.make n Op.Noop in
-  let admit_time = Array.make n 0.0 in
-  (* Per-shard queues hold op indices in reverse admission order; they
-     are filled by the dispatcher and drained (then reset) by the one
-     worker owning the shard for the round. *)
-  let queues = Array.make shards [] in
-  let depth = Array.make shards 0 in
-  let busy = Array.make shards 0 in
-  (* lr:owner dispatcher: the windowed run is single-domain, so queues
-     and depth have one writer — the round loop itself. *)
-  let drain s =
-    List.iter
-      (fun idx -> serve_op t ops responses admit_time s idx)
-      (List.rev queues.(s));
-    queues.(s) <- [];
-    depth.(s) <- 0
-  in
-  let i = ref 0 in
-  while !i < n do
-    (* Admission: queues are empty here (the previous round drained
-       them), so a Stats op at the window head sees a fully settled
-       service. *)
-    let consumed = ref 0 in
-    let barrier = ref false in
-    while (not !barrier) && !i < n && !consumed < t.cfg.window do
-      (match ops.(!i) with
-      | Op.Stats ->
-          if !consumed = 0 then begin
-            Metrics.bump_stats t.metrics;
-            responses.(!i) <- Op.Snapshot (Metrics.totals t.metrics);
-            incr i
-          end
-          else barrier := true
-      | op ->
-          let s = shard_of_op t !i op in
-          (* A full queue answers on the spot — but still consumes window
-             budget, so an overloaded round ends and drains instead of
-             shedding the whole remaining stream. *)
-          if depth.(s) >= t.cfg.queue_bound then begin
-            let c = Metrics.shard t.metrics s in
-            c.Metrics.rejected <- c.Metrics.rejected + 1;
-            responses.(!i) <- Op.Rejected `Overloaded
-          end
-          else begin
-            queues.(s) <- !i :: queues.(s);
-            depth.(s) <- depth.(s) + 1;
-            Metrics.record_depth t.metrics ~shard:s depth.(s);
-            admit_time.(!i) <- Unix.gettimeofday ()
-          end;
-          incr consumed;
-          incr i);
-    done;
-    (* Round: every busy shard drained by one worker; distinct shards
-       run concurrently, results land in per-op slots. *)
-    let busy_count = ref 0 in
-    for s = 0 to shards - 1 do
-      if depth.(s) > 0 then begin
-        busy.(!busy_count) <- s;
-        incr busy_count
-      end
-    done;
-    if !busy_count > 0 then
-      Pool.Persistent.run t.pool !busy_count (fun k -> drain busy.(k))
-  done;
-  responses
-
-(* {1 The free-running path}
-
-   No window, no cross-shard barrier.  The dispatcher pushes each op's
-   index into its destination shard's bounded SPSC ring; [jobs - 1]
-   resident loops (launched once, run-to-completion) drain the rings
-   until the shutdown sentinel.  Per-shard serialization is preserved
-   by ownership tokens: only the loop that wins a shard's token CAS
-   may pop its ring and touch its engine, and token handoffs are
-   acquire/release edges, so consumption can migrate (work stealing)
-   without ever interleaving a shard's ops.  Backpressure is per-ring
-   occupancy: a full ring answers [Rejected `Overloaded] on the spot.
-   A [Stats] op quiesces (admitted = completed on every shard, with
-   the dispatcher moonlighting as a thief while it waits), so
-   snapshots still count exactly the ops admitted before them. *)
+   Free-running, with no cross-shard barrier.  The dispatcher pushes
+   each op's index into its destination shard's bounded SPSC ring;
+   [jobs - 1] resident loops (launched once, run-to-completion) drain
+   the rings until the shutdown sentinel.  Per-shard serialization is
+   preserved by ownership tokens: only the loop that wins a shard's
+   token CAS may pop its ring and touch its engine, and token handoffs
+   are acquire/release edges, so consumption can migrate (work
+   stealing) without ever interleaving a shard's ops.  Backpressure is
+   per-ring occupancy: a full ring answers [Rejected `Overloaded] on
+   the spot.  A [Stats] op quiesces (admitted = completed on every
+   shard, with the dispatcher moonlighting as a thief while it waits),
+   so snapshots still count exactly the ops admitted before them. *)
 
 exception Loop_died
 
-let run_free t ops =
+let run t ops =
   let n = Array.length ops in
   let shards = Array.length t.shards in
   let nloops = t.effective_jobs - 1 in
@@ -523,9 +441,6 @@ let run_free t ops =
       end;
       if not (quiesced ()) then failwith "Service.run: ops lost in flight";
       responses)
-
-let run t ops =
-  if t.cfg.deterministic then run_windowed t ops else run_free t ops
 
 let fingerprint responses snapshot =
   let b = Buffer.create 4096 in

@@ -2,15 +2,15 @@
 
     {2 Execution model}
 
-    The default dispatch is {b free-running}: each destination shard
-    owns a bounded lock-free SPSC op ring ({!Lr_parallel.Spsc}).  The
+    Dispatch is {b free-running}: each destination shard owns a
+    bounded lock-free SPSC op ring ({!Lr_parallel.Spsc}).  The
     dispatcher pushes op indices into the rings while [jobs - 1]
     resident run-to-completion loops (launched once on the persistent
     pool, alive until the shutdown sentinel) drain them — there is no
-    window and no cross-shard barrier anywhere.  Backpressure is
+    cross-shard barrier anywhere.  Backpressure is
     per-ring occupancy: an op arriving at a full ring is answered
-    [Rejected `Overloaded] on the spot, so queue depth — not a window
-    budget — is the overload signal.
+    [Rejected `Overloaded] on the spot, so queue depth is the overload
+    signal.
 
     {b Per-shard serialization} survives the loss of the barrier via
     ownership tokens: a loop may pop a shard's ring and touch its
@@ -32,44 +32,28 @@
 
     {2 Determinism}
 
-    Free-running responses land in per-op slots and every shard's ops
-    execute in admission order, so on any stream where nothing is
-    rejected the responses, counters and {!fingerprint} are identical
-    to the deterministic path's — that equality is checked
-    differentially in the bench and CI.  {e Which} ops are rejected
+    Responses land in per-op slots and every shard's ops execute in
+    admission order, so on any stream where nothing is rejected the
+    responses, counters and {!fingerprint} equal those of applying
+    each op to its own shard in stream order — at every [jobs] value.
+    The test suite checks that against a sequential replay, and the
+    bench and CI compare [jobs] values.  {e Which} ops are rejected
     under genuine overload, and the ring-occupancy/steal observability
     in {!Metrics.ring_totals}, are wall-clock facts and the two
-    deliberately non-deterministic parts of the free-running mode.
-
-    Setting [deterministic = true] selects the pre-rearchitecture
-    {b windowed} dispatcher, kept verbatim as the differential oracle:
-    ops are admitted in windows of [window] ops, each window drained
-    as one barrier-synchronized pool round, rejections spend window
-    budget, and everything — including rejections — depends only on
-    the op stream. *)
+    deliberately non-deterministic parts of the service. *)
 
 type config = {
   jobs : int;
-      (** Domains.  Free-running: one dispatcher plus [jobs - 1]
-          resident shard loops.  Windowed: the dispatcher participates
-          in rounds. *)
+      (** Domains: one dispatcher plus [jobs - 1] resident shard
+          loops. *)
   queue_bound : int;
       (** Per-shard ring capacity (rounded up to a power of two by the
-          ring; the rounded value is the effective bound).  On the
-          windowed path, the per-shard queue capacity within a
-          window. *)
-  window : int;
-      (** Ops consumed from the stream per round — deterministic
-          (windowed) mode only. *)
+          ring; the rounded value is the effective bound). *)
   rule : Lr_routing.Maintenance.rule;
   engine : Shard.engine_kind;
       (** Maintenance tier for every shard ({!Shard.engine_kind}).
           Responses, counters and the fingerprint are byte-identical
           across the two. *)
-  deterministic : bool;
-      (** [true] selects the windowed barrier dispatcher (the
-          differential oracle); [false] — the default — the
-          barrier-free rings. *)
   pin_loops : bool;
       (** By default ([false]) the service spawns at most
           [available domains - 1] resident loops no matter how large
@@ -85,10 +69,10 @@ type config = {
 }
 
 val default_config : config
-(** [jobs = 1], [queue_bound = 128], [window = 256], Partial Reversal,
-    the fast engine, free-running dispatch, loops clamped to the
-    hardware.  Every route is validated in-service; a thief drains at
-    most 64 ops per stolen token claim. *)
+(** [jobs = 1], [queue_bound = 128], Partial Reversal, the fast
+    engine, loops clamped to the hardware.  Every route is validated
+    in-service; a thief drains at most 64 ops per stolen token
+    claim. *)
 
 type t
 
@@ -98,8 +82,7 @@ val create : ?trace_dir:string -> config -> Linkrev.Config.t array -> t
     orientation is recorded there as a replayable LRT1 trace
     ([shard-NNN.lrt], via {!Lr_trace.Record.fast} — auditable with
     [linkrev trace audit]).  @raise Invalid_argument on an empty
-    instance array or a non-positive
-    [jobs]/[queue_bound]/[window]. *)
+    instance array or a non-positive [jobs]/[queue_bound]. *)
 
 val num_shards : t -> int
 val shard : t -> int -> Shard.t
@@ -117,8 +100,7 @@ val metrics : t -> Metrics.snapshot
 val fingerprint : Op.response array -> Metrics.snapshot -> string
 (** Hex digest over the canonical rendering of all responses plus all
     deterministic counters (latency and ring observability excluded) —
-    byte-identical across [jobs] settings and across
-    free-running/deterministic dispatch whenever the rejection sets
+    byte-identical across [jobs] settings whenever the rejection sets
     agree (always, absent overload). *)
 
 val rejected_in : Op.response array -> int

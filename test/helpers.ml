@@ -42,3 +42,42 @@ let expect_no_violation what = function
 let case name f = Alcotest.test_case name `Quick f
 
 let suite name cases = (name, cases)
+
+(* The service's reference: one shard per config (the service's
+   default engine and rule), each op applied to its own shard in stream
+   order.  [Stats] never reaches a shard, so its slot is [None]; every
+   other slot is what the service must answer when nothing is
+   rejected. *)
+let sequential configs ops =
+  let module Shard = Lr_service.Shard in
+  let { Lr_service.Service.engine; rule; _ } =
+    Lr_service.Service.default_config
+  in
+  let shards =
+    Array.mapi (fun id config -> Shard.create ~engine ~rule ~id config) configs
+  in
+  Array.map
+    (fun op ->
+      match Lr_service.Op.shard_of op with
+      | None -> None
+      | Some s -> Some (Shard.apply shards.(s) op).Shard.response)
+    ops
+
+(* Every response equals the reference's, slot for slot; a [Snapshot]
+   must sit exactly where the reference has [None]. *)
+let check_matches_sequential what reference responses =
+  let module Op = Lr_service.Op in
+  check_int (what ^ ": one response per op") (Array.length reference)
+    (Array.length responses);
+  Array.iteri
+    (fun i expected ->
+      match (expected, responses.(i)) with
+      | None, Op.Snapshot _ -> ()
+      | Some r, r' when r = r' -> ()
+      | _, r' ->
+          Alcotest.failf "%s: op %d answered %s, the reference %s" what i
+            (Op.response_to_string r')
+            (match expected with
+            | None -> "a snapshot"
+            | Some r -> Op.response_to_string r))
+    reference

@@ -134,7 +134,8 @@ let test_weave_deterministic () =
 
 (* The tentpole guarantee at the service level: a chaos-woven op
    stream is ordinary ops, so responses and fingerprint stay
-   byte-identical across job counts, dispatchers, and engine tiers. *)
+   byte-identical across job counts and engine tiers, and every
+   response is the sequential reference's. *)
 let test_service_fingerprint_under_chaos () =
   let wspec =
     { W.shards = 4; nodes = 12; extra_edges = 8; seed = 5; ops = 300;
@@ -152,10 +153,10 @@ let test_service_fingerprint_under_chaos () =
       ~shards:wspec.W.shards ~nodes:wspec.W.nodes
   in
   let ops = Schedule.weave sched ~graphs (W.generate wspec) in
-  let run ~jobs ~deterministic ~engine =
+  let run ~jobs ~engine =
     let cfg =
       { S.default_config with S.jobs; queue_bound = Array.length ops + 1;
-        deterministic; engine; pin_loops = true }
+        engine; pin_loops = true }
     in
     let svc = S.create cfg (W.shard_configs wspec) in
     Fun.protect
@@ -165,15 +166,15 @@ let test_service_fingerprint_under_chaos () =
         let m = S.metrics svc in
         (responses, S.fingerprint responses m, m))
   in
-  let r1, fp1, m1 = run ~jobs:1 ~deterministic:false ~engine:Shard.Fast in
-  let r4, fp4, _ = run ~jobs:4 ~deterministic:false ~engine:Shard.Fast in
-  let rw, fpw, _ = run ~jobs:1 ~deterministic:true ~engine:Shard.Fast in
-  let rr, fpr, _ = run ~jobs:1 ~deterministic:false ~engine:Shard.Reference in
+  let r1, fp1, m1 = run ~jobs:1 ~engine:Shard.Fast in
+  let r4, fp4, _ = run ~jobs:4 ~engine:Shard.Fast in
+  let rr, fpr, _ = run ~jobs:1 ~engine:Shard.Reference in
+  check_matches_sequential "jobs=1 vs the sequential reference"
+    (sequential (W.shard_configs wspec) ops)
+    r1;
   check_bool "responses jobs=4 = jobs=1" true (r1 = r4);
-  check_bool "responses windowed = free" true (r1 = rw);
   check_bool "responses reference = fast" true (r1 = rr);
   check_string "fingerprint jobs=4" fp1 fp4;
-  check_string "fingerprint windowed" fp1 fpw;
   check_string "fingerprint reference engine" fp1 fpr;
   check_bool "the schedule actually injected faults" true
     (m1.Lr_service.Metrics.snapshot_totals.Lr_service.Metrics.faults > 0)

@@ -113,66 +113,36 @@ let with_pool ~jobs f =
   let pool = PP.create ~jobs in
   Fun.protect ~finally:(fun () -> PP.shutdown pool) (fun () -> f pool)
 
-let test_persistent_matches_sequential () =
-  List.iter
-    (fun jobs ->
-      with_pool ~jobs (fun pool ->
-          List.iter
-            (fun n ->
-              let expected = Array.init n (fun i -> (i * 37) - (i mod 5)) in
-              let got = Array.make (max n 1) min_int in
-              PP.run pool n (fun i -> got.(i) <- (i * 37) - (i mod 5));
-              Alcotest.check int_array
-                (Printf.sprintf "jobs=%d n=%d" jobs n)
-                expected
-                (Array.sub got 0 n))
-            [ 0; 1; 7; 100; 1000 ]))
-    [ 1; 2; 3; 8 ]
-
-(* The whole point of the resident pool: many small rounds on the same
+(* The whole point of the resident pool: many rounds on the same
    domains.  Every round must see the full effect of the previous one
-   (run is a barrier). *)
+   ([await] is a barrier). *)
 let test_persistent_reused_across_rounds () =
   with_pool ~jobs:4 (fun pool ->
-      let acc = Array.make 64 0 in
+      let acc = Array.make 3 0 in
       for _ = 1 to 200 do
-        PP.run pool 64 (fun i -> acc.(i) <- acc.(i) + 1)
+        PP.launch pool 3 (fun i -> acc.(i) <- acc.(i) + 1);
+        PP.await pool
       done;
-      Alcotest.check int_array "200 increments everywhere"
-        (Array.make 64 200) acc)
-
-let test_persistent_propagates_exceptions () =
-  with_pool ~jobs:4 (fun pool ->
-      check_bool "raises" true
-        (try
-           PP.run pool 100 (fun i -> if i = 57 then failwith "round died");
-           false
-         with Failure m -> String.equal m "round died");
-      (* the pool survives a failing round *)
-      let hits = Array.make 10 0 in
-      PP.run pool 10 (fun i -> hits.(i) <- 1);
-      Alcotest.check int_array "usable after failure" (Array.make 10 1) hits)
+      Alcotest.check int_array "200 rounds on every loop" (Array.make 3 200)
+        acc)
 
 let test_persistent_rejects_bad_args () =
-  check_bool "zero jobs raises" true
-    (try ignore (PP.create ~jobs:0); false
-     with Invalid_argument _ -> true);
-  with_pool ~jobs:2 (fun pool ->
-      check_int "jobs accessor" 2 (PP.jobs pool);
-      check_bool "negative n raises" true
-        (try PP.run pool (-1) ignore; false
-         with Invalid_argument _ -> true);
-      check_bool "zero chunk raises" true
-        (try PP.run ~chunk:0 pool 4 ignore; false
-         with Invalid_argument _ -> true))
+  List.iter
+    (fun jobs ->
+      check_bool
+        (Printf.sprintf "jobs=%d raises" jobs)
+        true
+        (try ignore (PP.create ~jobs); false with Invalid_argument _ -> true))
+    [ 0; -1 ]
 
 let test_persistent_shutdown_idempotent () =
   let pool = PP.create ~jobs:3 in
-  PP.run pool 5 ignore;
+  PP.launch pool 2 ignore;
+  PP.await pool;
   PP.shutdown pool;
   PP.shutdown pool;
-  check_bool "run after shutdown raises" true
-    (try PP.run pool 5 ignore; false with Invalid_argument _ -> true)
+  check_bool "launch after shutdown raises" true
+    (try PP.launch pool 1 ignore; false with Invalid_argument _ -> true)
 
 (* A resident round: loops run to completion on worker domains while
    the caller keeps executing, coordinating only through atomics. *)
@@ -208,9 +178,12 @@ let test_persistent_launch_runs_resident_loops () =
       check_bool "loop 0 ran" true (Atomic.get work.(0) > 0);
       check_bool "loop 1 ran" true (Atomic.get work.(1) > 0);
       (* await with no live round is a no-op, and the pool is reusable
-         for ordinary rounds afterwards. *)
+         for another round afterwards. *)
       PP.await pool;
-      PP.run pool 4 ignore)
+      let again = Atomic.make 0 in
+      PP.launch pool 2 (fun _ -> Atomic.incr again);
+      PP.await pool;
+      check_int "pool reusable" 2 (Atomic.get again))
 
 let test_persistent_launch_failure_is_flagged_and_reraised () =
   let pool = PP.create ~jobs:2 in
@@ -228,8 +201,11 @@ let test_persistent_launch_failure_is_flagged_and_reraised () =
       check_bool "await re-raises the loop failure" true
         (try PP.await pool; false
          with Failure m -> m = "loop died");
-      (* The round is over; the pool survives for normal use. *)
-      PP.run pool 3 ignore)
+      (* The round is over; the pool survives for another round. *)
+      let ran = Atomic.make false in
+      PP.launch pool 1 (fun _ -> Atomic.set ran true);
+      PP.await pool;
+      check_bool "pool reusable after a failed round" true (Atomic.get ran))
 
 let test_persistent_launch_rejects_bad_args () =
   let pool = PP.create ~jobs:2 in
@@ -278,11 +254,7 @@ let () =
         ];
       suite "persistent"
         [
-          case "matches sequential for all job counts"
-            test_persistent_matches_sequential;
           case "reusable across many rounds" test_persistent_reused_across_rounds;
-          case "worker exceptions propagate, pool survives"
-            test_persistent_propagates_exceptions;
           case "bad arguments rejected" test_persistent_rejects_bad_args;
           case "shutdown idempotent" test_persistent_shutdown_idempotent;
           case "launch keeps resident loops running"

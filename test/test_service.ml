@@ -17,18 +17,13 @@ let churny = { W.route = 60; churn = 35; crash = 5 }
 (* Tests exist to exercise the multi-domain protocol, so they pin the
    requested loop count instead of letting the service clamp it to the
    (possibly single-domain) CI host. *)
-let with_service ?trace_dir ?(jobs = 1) ?(queue_bound = 128) ?(window = 256)
-    ?(deterministic = false) spec f =
-  let cfg =
-    { S.default_config with S.jobs; queue_bound; window; deterministic;
-      pin_loops = true }
-  in
+let with_service ?trace_dir ?(jobs = 1) ?(queue_bound = 128) spec f =
+  let cfg = { S.default_config with S.jobs; queue_bound; pin_loops = true } in
   let svc = S.create ?trace_dir cfg (W.shard_configs spec) in
   Fun.protect ~finally:(fun () -> S.shutdown svc) (fun () -> f svc)
 
-let run_spec ?(jobs = 1) ?(queue_bound = 128) ?(window = 256)
-    ?(deterministic = false) spec =
-  with_service ~jobs ~queue_bound ~window ~deterministic spec (fun svc ->
+let run_spec ?(jobs = 1) ?(queue_bound = 128) spec =
+  with_service ~jobs ~queue_bound spec (fun svc ->
       let responses = S.run svc (W.generate spec) in
       (responses, S.metrics svc))
 
@@ -50,23 +45,32 @@ let test_deterministic_across_jobs () =
         (S.fingerprint r1 m1 = S.fingerprint rj mj))
     [ 2; 3; 8 ]
 
-(* The differential oracle: free-running ring dispatch must reproduce
-   the windowed path byte-for-byte whenever nothing is rejected. *)
-let test_free_matches_windowed_oracle () =
-  let s = spec ~mix:churny ~ops:800 ~stats_every:97 () in
-  let rw, mw = run_spec ~deterministic:true ~queue_bound:1024 s in
-  let fpw = S.fingerprint rw mw in
+(* Packet ops through the full service: the forwarding planes are
+   seeded from each shard's current graph snapshot (never engine
+   heights), so the whole packet surface — responses, packet counters,
+   the fingerprint — must stay byte-identical across engines and job
+   counts. *)
+let packet_spec ?(ops = 900) () =
+  spec ~mix:{ W.route = 40; churn = 8; crash = 2 } ~pmix:W.default_pmix
+    ~burst:5 ~ops ~stats_every:113 ()
+
+(* The differential: with a bound above the op count nothing can be
+   rejected, so ring dispatch at any domain count must answer every op
+   exactly as applying it to its own shard in stream order does. *)
+let test_matches_sequential_reference () =
   List.iter
-    (fun jobs ->
-      let rf, mf = run_spec ~jobs ~queue_bound:1024 s in
-      check_bool
-        (Printf.sprintf "free jobs=%d responses = windowed" jobs)
-        true (rf = rw);
-      check_bool
-        (Printf.sprintf "free jobs=%d fingerprint = windowed" jobs)
-        true
-        (S.fingerprint rf mf = fpw))
-    [ 1; 2; 4 ]
+    (fun (what, s) ->
+      let ops = W.generate s in
+      let reference = sequential (W.shard_configs s) ops in
+      List.iter
+        (fun jobs ->
+          with_service ~jobs ~queue_bound:(Array.length ops + 1) s (fun svc ->
+              check_matches_sequential
+                (Printf.sprintf "%s stream at jobs=%d" what jobs)
+                reference (S.run svc ops)))
+        [ 1; 2; 4 ])
+    [ ("churny", spec ~mix:churny ~ops:800 ~stats_every:97 ());
+      ("packet", packet_spec ()) ]
 
 let test_validation_clean_and_consistent () =
   let s = spec ~mix:churny ~ops:800 () in
@@ -100,31 +104,14 @@ let test_every_op_accounted () =
   check_int "per-shard served rolls up" t.Metrics.served
     (shard_served + t.Metrics.stats_ops)
 
-let test_backpressure_rejects_deterministically () =
-  (* On the windowed oracle a hot shard (strong skew) against a tiny
-     queue bound must shed load — and which ops are shed must not
-     depend on jobs. *)
-  let s = spec ~shards:4 ~ops:900 ~skew:3.0 () in
-  let r1, m1 = run_spec ~deterministic:true ~queue_bound:2 ~window:128 ~jobs:1 s in
-  let t1 = m1.Metrics.snapshot_totals in
-  check_bool "overload sheds ops" true (t1.Metrics.rejected > 0);
-  check_int "metrics match responses" t1.Metrics.rejected (S.rejected_in r1);
-  check_bool "queue depth respects the bound" true
-    (m1.Metrics.rings_totals.Metrics.max_depth <= 2);
-  let r4, m4 = run_spec ~deterministic:true ~queue_bound:2 ~window:128 ~jobs:4 s in
-  check_bool "same rejections at jobs=4" true (r1 = r4);
-  check_bool "same fingerprint at jobs=4" true
-    (S.fingerprint r1 m1 = S.fingerprint r4 m4);
-  (* a generous bound sheds nothing *)
-  let _, mb = run_spec ~deterministic:true ~queue_bound:1024 ~window:128 s in
-  check_int "no rejections with headroom" 0
-    mb.Metrics.snapshot_totals.Metrics.rejected
-
 let test_free_running_overload_accounting () =
   (* Free-running backpressure: *which* ops a full ring sheds is
      wall-clock, but the accounting invariants are not — every op is
      served or rejected, rejections match the counter, occupancy
-     respects the ring capacity, and shards stay consistent. *)
+     respects the ring capacity, and shards stay consistent.  A hot
+     shard against a tiny ring must shed load once a resident loop
+     consumes it; with jobs=1 the dispatcher is the consumer and
+     serves a full ring inline, so nothing may be rejected. *)
   let s = spec ~shards:4 ~ops:900 ~skew:3.0 ~stats_every:113 () in
   let ops = W.generate s in
   List.iter
@@ -144,6 +131,13 @@ let test_free_running_overload_accounting () =
             (Printf.sprintf "ring occupancy bounded at jobs=%d" jobs)
             true
             (m.Metrics.rings_totals.Metrics.max_depth <= 2);
+          if jobs = 1 then
+            check_int "a single domain serves a full ring inline" 0
+              t.Metrics.rejected
+          else
+            check_bool
+              (Printf.sprintf "overload sheds ops at jobs=%d" jobs)
+              true (t.Metrics.rejected > 0);
           for i = 0 to S.num_shards svc - 1 do
             check_bool
               (Printf.sprintf "shard %d consistent at jobs=%d" i jobs)
@@ -179,27 +173,27 @@ let test_ring_metrics_sane () =
 
 let test_stats_barrier_counts () =
   let s = spec ~ops:400 ~stats_every:60 ~mix:churny () in
-  (* jobs=3 exercises the free-running quiesce: a snapshot may only be
-     taken once every admitted op has completed on its shard loop. *)
-  let responses, _ = run_spec ~jobs:3 s in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Op.Snapshot t ->
-          (* the barrier means every earlier admitted op has completed:
-             served = executed ops before this index, plus the stats
-             ops up to and including this one *)
-          let expected = ref 0 in
-          for j = 0 to i do
-            match responses.(j) with
-            | Op.Rejected _ -> ()
-            | _ -> incr expected
-          done;
-          check_int
-            (Printf.sprintf "snapshot at op %d counts all prior ops" i)
-            !expected t.Metrics.served
-      | _ -> ())
-    responses
+  (* A snapshot may only be taken once every admitted op has completed:
+     at jobs=1 the dispatcher drains the rings it has been filling, at
+     jobs=3 it waits for the shard loops.  The default bound (128)
+     clears stats_every, so nothing is rejected and every snapshot is
+     pinned by the stream alone. *)
+  let snapshots jobs =
+    let responses, _ = run_spec ~jobs s in
+    Array.to_list responses
+    |> List.mapi (fun i r ->
+           match r with
+           | Op.Snapshot t ->
+               (* served = every op before this index, plus this one *)
+               let what = Printf.sprintf "jobs=%d snapshot at op %d" jobs i in
+               check_int (what ^ " counts all prior ops") (i + 1)
+                 t.Metrics.served;
+               Some t
+           | _ -> None)
+  in
+  let at1 = snapshots 1 in
+  check_bool "the stream takes snapshots" true (List.exists Option.is_some at1);
+  check_bool "snapshots at jobs=3 = jobs=1" true (snapshots 3 = at1)
 
 let test_crashes_fail_over () =
   let s = spec ~shards:3 ~nodes:10 ~ops:300 ~mix:{ W.route = 50; churn = 0; crash = 50 } () in
@@ -306,7 +300,6 @@ let test_create_rejects_bad_config () =
     [
       { S.default_config with S.jobs = 0 };
       { S.default_config with S.queue_bound = 0 };
-      { S.default_config with S.window = 0 };
     ];
   check_bool "empty shard array rejected" true
     (try ignore (S.create S.default_config [||]); false
@@ -337,15 +330,6 @@ let test_engines_agree () =
   check_int "no validation failures (fast)" 0 vf_fast;
   check_int "no validation failures (reference)" 0 vf_ref
 
-(* Packet ops through the full service: the forwarding planes are
-   seeded from each shard's current graph snapshot (never engine
-   heights), so the whole packet surface — responses, packet counters,
-   the fingerprint — must stay byte-identical across engines, job
-   counts, and the free/windowed dispatchers. *)
-let packet_spec ?(ops = 900) () =
-  spec ~mix:{ W.route = 40; churn = 8; crash = 2 } ~pmix:W.default_pmix
-    ~burst:5 ~ops ~stats_every:113 ()
-
 let test_packet_ops_deterministic () =
   let s = packet_spec () in
   let r1, m1 = run_spec ~jobs:1 ~queue_bound:1024 s in
@@ -362,11 +346,7 @@ let test_packet_ops_deterministic () =
         (r1 = rj);
       check_bool (Printf.sprintf "packet fingerprint jobs=%d" jobs) true
         (S.fingerprint r1 m1 = S.fingerprint rj mj))
-    [ 2; 4 ];
-  let rw, mw = run_spec ~deterministic:true ~queue_bound:1024 s in
-  check_bool "packet responses free = windowed" true (r1 = rw);
-  check_bool "packet fingerprint free = windowed" true
-    (S.fingerprint r1 m1 = S.fingerprint rw mw)
+    [ 2; 4 ]
 
 let test_packet_ops_across_engines () =
   let s = packet_spec ~ops:700 () in
@@ -462,13 +442,11 @@ let () =
       suite "service"
         [
           case "deterministic across job counts" test_deterministic_across_jobs;
-          case "free-running matches the windowed oracle"
-            test_free_matches_windowed_oracle;
+          case "matches the sequential reference"
+            test_matches_sequential_reference;
           case "validation clean, shards consistent"
             test_validation_clean_and_consistent;
           case "every op accounted for" test_every_op_accounted;
-          case "backpressure sheds load deterministically"
-            test_backpressure_rejects_deterministically;
           case "free-running overload accounting holds"
             test_free_running_overload_accounting;
           case "ring metrics arithmetic sane" test_ring_metrics_sane;

@@ -147,6 +147,40 @@ let test_load_rejects_corruption () =
            lines);
       check_bool "out-of-range shard in op" true (Result.is_error (W.load path)))
 
+(* Seeded bit-flip fuzzing of a saved lrw1 file: 500 mutants, each with
+   one to three flipped bits, every fourth also truncated.  A mutant may
+   still load (a flipped digit can name another valid op), but [load]
+   must answer [Ok] or [Error], never raise. *)
+let test_load_survives_bit_flips () =
+  let s = spec ~ops:60 ~pmix:W.default_pmix ~stats_every:17 () in
+  let path = Filename.temp_file "lrw" ".workload" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      W.save path s (W.generate s);
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      let len = String.length full in
+      let r = rng 17 in
+      let loaded = ref 0 and rejected = ref 0 in
+      for mutant = 1 to 500 do
+        let b = Bytes.of_string full in
+        for _ = 1 to 1 + Random.State.int r 3 do
+          let pos = Random.State.int r len in
+          let flip = 1 lsl Random.State.int r 8 in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip))
+        done;
+        let keep = if mutant mod 4 = 0 then Random.State.int r len else len in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output oc b 0 keep);
+        match W.load path with
+        | Ok _ -> incr loaded
+        | Error (_ : string) -> incr rejected
+        | exception e ->
+            Alcotest.failf "mutant %d raised %s" mutant (Printexc.to_string e)
+      done;
+      check_bool "some mutants rejected" true (!rejected > 0);
+      check_bool "some mutants still load" true (!loaded > 0))
+
 let test_packet_roundtrip () =
   (* A packet-heavy stream must survive the lrw1 text format: inject
      and forward ops included, spec equality exact. *)
@@ -280,6 +314,7 @@ let () =
           case "op text round-trips" test_op_line_roundtrip;
           case "save/load round-trips" test_save_load_roundtrip;
           case "load rejects corruption" test_load_rejects_corruption;
+          case "bit-flipped files never raise" test_load_survives_bit_flips;
           case "packet ops round-trip" test_packet_roundtrip;
           case "pre-packet files still load" test_load_pre_packet_format;
           case "single shard" test_single_shard;
