@@ -22,15 +22,13 @@ type storm_result = {
 }
 
 (* One rung of the churn-storm ladder: an op tape replayed on the fast
-   engine and its union-find component index. *)
+   engine alone. *)
 type rung = {
   lr_n : int;
   lr_events : int;
   lr_create_seconds : float;  (* engine construction *)
-  lr_uf_seconds : float;  (* storm replay *)
-  lr_consistent : bool;  (* index cross-check after the storm *)
-  lr_slots : int;
-  lr_rebuilds : int;
+  lr_storm_seconds : float;  (* storm replay *)
+  lr_consistent : bool;  (* [FM.consistent] after the storm *)
 }
 
 let write_results s storms ~ladder ~route_heavy ~svc_parity =
@@ -53,12 +51,12 @@ let write_results s storms ~ladder ~route_heavy ~svc_parity =
       List.iteri
         (fun i r ->
           Printf.fprintf oc
-            "    {\"n\": %d, \"events\": %d, \"uf_create_seconds\": %.4f, \
-             \"uf_storm_seconds\": %.4f, \"events_per_s\": %.0f, \
-             \"consistent\": %b, \"slots\": %d, \"rebuilds\": %d}%s\n"
-            r.lr_n r.lr_events r.lr_create_seconds r.lr_uf_seconds
-            (float_of_int r.lr_events /. Float.max 1e-9 r.lr_uf_seconds)
-            r.lr_consistent r.lr_slots r.lr_rebuilds
+            "    {\"n\": %d, \"events\": %d, \"create_seconds\": %.4f, \
+             \"storm_seconds\": %.4f, \"events_per_s\": %.0f, \
+             \"consistent\": %b}%s\n"
+            r.lr_n r.lr_events r.lr_create_seconds r.lr_storm_seconds
+            (float_of_int r.lr_events /. Float.max 1e-9 r.lr_storm_seconds)
+            r.lr_consistent
             (if i = List.length ladder - 1 then "" else ","))
         ladder;
       Printf.fprintf oc "  ],\n";
@@ -178,11 +176,11 @@ let run s =
             ])
           storms));
   (* -- churn-storm ladder ------------------------------------------- *)
-  (* Scale rungs for the union-find component index, each checked by
-     [FM.consistent] after its storm.  The tape is the churn model of
+  (* Scale rungs for the fast engine, each checked by [FM.consistent]
+     after its storm.  The tape is the churn model of
      {!Lr_routing.Churn} — unlike [gen_storm]'s pair toggles, whose
      removal probability vanishes at scale, half the events are real
-     link-downs, so the membership paths (split checks, absorbs,
+     link-downs, so the membership paths (split probes, attaches,
      partition reports) carry the cost.  The ladder runs at full rung
      sizes even under --trials smoke (fewer events, fewer rungs): CI
      is exactly where a scale regression would otherwise hide. *)
@@ -192,18 +190,15 @@ let run s =
   in
   let rung ~seed ~events n =
     let config, ops = churn ~seed ~events n in
-    let fm, lr_create_seconds, lr_uf_seconds =
+    let fm, lr_create_seconds, lr_storm_seconds =
       replay_fast M.Partial_reversal config ops
     in
-    let stats = FM.index_stats fm in
     {
       lr_n = n;
       lr_events = Array.length ops;
       lr_create_seconds;
-      lr_uf_seconds;
+      lr_storm_seconds;
       lr_consistent = FM.consistent fm;
-      lr_slots = stats.FM.slots;
-      lr_rebuilds = stats.FM.rebuilds;
     }
   in
   let ladder =
@@ -216,19 +211,17 @@ let run s =
         rung ~seed:14 ~events:100_000 100_000;
       ]
   in
-  T.print ~title:"churn-storm ladder: union-find component index"
+  T.print ~title:"churn-storm ladder: fast engine"
     (T.make
-       ~headers:[ "n"; "events"; "create"; "storm"; "consistent"; "slots"; "rebuilds" ]
+       ~headers:[ "n"; "events"; "create"; "storm"; "consistent" ]
        (List.map
           (fun r ->
             [
               string_of_int r.lr_n;
               string_of_int r.lr_events;
               Printf.sprintf "%.3f s" r.lr_create_seconds;
-              Printf.sprintf "%.3f s" r.lr_uf_seconds;
+              Printf.sprintf "%.3f s" r.lr_storm_seconds;
               string_of_bool r.lr_consistent;
-              string_of_int r.lr_slots;
-              string_of_int r.lr_rebuilds;
             ])
           ladder));
   (* -- reference-oracle leg at n=4096 -------------------------------- *)
@@ -318,7 +311,7 @@ let run s =
   if List.exists (fun st -> not st.st_identical) storms then
     fail g "fast and reference engines diverged under a repair storm";
   if List.exists (fun r -> not r.lr_consistent) ladder then
-    fail g "union-find engine inconsistent after a ladder storm";
+    fail g "fast engine inconsistent after a ladder storm";
   if not !rh_agree then
     fail g "fast and reference routes differ on the route-heavy instance";
   if not sp_identical then fail g "service fingerprints differ across engines";

@@ -1704,7 +1704,6 @@ module Storm_cli = struct
               if !bad_phase < 0 && not (FM.consistent fm) then bad_phase := last
             done)
       in
-      let stats = FM.index_stats fm in
       Format.printf
         "storm: n=%d, %d events (%d down, %d up, %d node-fail), %d \
          partitions@."
@@ -1715,11 +1714,10 @@ module Storm_cli = struct
         !partitions;
       Format.printf
         "create %.3f s; storm %.3f s (%.0f events/s); component %d/%d; \
-         index: %d slots, %d rebuilds; work %d@."
+         work %d@."
         create_s storm_s
         (float_of_int len /. Float.max 1e-9 storm_s)
-        (FM.component_size fm) nodes stats.FM.slots stats.FM.rebuilds
-        (FM.total_work fm);
+        (FM.component_size fm) nodes (FM.total_work fm);
       if !bad_phase >= 0 then
         `Error
           ( false,
@@ -1749,8 +1747,9 @@ module Storm_cli = struct
          ~doc:
            "Stream a seeded link-churn storm through the fast maintenance \
             engine, drawing link-downs from the present edge set, and \
-            cross-check its union-find component index against a fresh \
-            BFS at every phase boundary (exit 1 on divergence).")
+            cross-check its membership bitmap of the destination's \
+            component against a fresh BFS at every phase boundary (exit 1 \
+            on divergence).")
       term
 end
 

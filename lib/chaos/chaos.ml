@@ -27,25 +27,6 @@ type differential = {
 
 let hostile = Lr_service.Shard.hostile_height
 
-(* Height spread of an assignment over nodes 0..n-1 — the knob the
-   adoption budget scales with (see Maintenance.adoption_budget). *)
-let spread_of ~n height =
-  if n = 0 then 0
-  else begin
-    let a0, b0 = height 0 in
-    let amin = ref a0 and amax = ref a0 and bmin = ref b0 and bmax = ref b0 in
-    for u = 1 to n - 1 do
-      let a, b = height u in
-      if a < !amin then amin := a;
-      if a > !amax then amax := a;
-      if b < !bmin then bmin := b;
-      if b > !bmax then bmax := b
-    done;
-    !amax - !amin + (!bmax - !bmin)
-  end
-
-let budget_of ~n ~spread = Maintenance.adoption_budget ~n ~spread
-
 (* Orientation an arbitrary height assignment derives: u -> w iff u's
    (pa, pb, id) triple is lexicographically greater.  Total order, so
    always acyclic — the theorem that makes adoption safe. *)
@@ -144,7 +125,10 @@ let recover_fast ?trace rule config ~seed ~height =
              final_fingerprint = fingerprint;
            }))
     writer;
-  let budget = budget_of ~n ~spread:(spread_of ~n height) in
+  let budget =
+    Maintenance.adoption_budget ~n
+      ~spread:(Maintenance.height_spread (Seq.init n height))
+  in
   {
     n;
     steps;
@@ -331,7 +315,9 @@ let check ?trace_dir ~audit rule s =
   {
     scenario = s;
     result = d;
-    spread = spread_of ~n:d.fast.n (hostile ~seed:s.seed ~magnitude:s.magnitude);
+    spread =
+      Maintenance.height_spread
+        (Seq.init d.fast.n (hostile ~seed:s.seed ~magnitude:s.magnitude));
     audited;
     failures = judge d @ audit_failures;
   }

@@ -59,12 +59,6 @@ val hostile : seed:int -> magnitude:int -> int -> int * int
     ({!Lr_service.Shard.hostile_height}): a pure function of
     [(seed, node)], identical across engines and processes. *)
 
-val spread_of : n:int -> (int -> int * int) -> int
-(** Total height range of an assignment over nodes [0..n-1]. *)
-
-val budget_of : n:int -> spread:int -> int
-(** {!Lr_routing.Maintenance.adoption_budget}. *)
-
 val recover_fast :
   ?trace:string ->
   Maintenance.rule ->
@@ -144,7 +138,9 @@ val failure_message : differential -> failure -> string
 type checked = {
   scenario : scenario;
   result : differential;
-  spread : int;  (** Height spread of the corruption ({!spread_of}). *)
+  spread : int;
+      (** Height spread of the corruption
+          ({!Lr_routing.Maintenance.height_spread}). *)
   audited : int option;
       (** States the audit checked, clean or not; [None] when it did
           not run or the trace did not replay. *)

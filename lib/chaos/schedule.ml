@@ -37,6 +37,9 @@ let spec_of_string text =
   if spec.count < 0 then Error "chaos spec: negative fault count"
   else if spec.seed < 0 then Error "chaos spec: negative seed"
   else if spec.magnitude < 1 then Error "chaos spec: magnitude must be >= 1"
+  else if spec.magnitude > Shard.max_magnitude then
+    Error
+      (Printf.sprintf "chaos spec: magnitude must be <= %d" Shard.max_magnitude)
   else Ok spec
 
 type entry = { at : float; fault : Fault.t }

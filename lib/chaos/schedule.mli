@@ -21,7 +21,7 @@ val default_magnitude : int
 val spec_of_string : string -> (spec, string) result
 (** Parse ["COUNT[:SEED[:MAGNITUDE]]"] (e.g. ["8"], ["8:7"],
     ["8:7:1024"]).  Count and seed must be non-negative, magnitude
-    positive. *)
+    in [1 .. Lr_service.Shard.max_magnitude]. *)
 
 val spec_to_string : spec -> string
 

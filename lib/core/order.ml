@@ -1,61 +1,2 @@
-type ordering = Lt | Eq | Gt | Ic
-
-let of_compare c = if c < 0 then Lt else if c > 0 then Gt else Eq
-let le = function Lt | Eq -> true | Gt | Ic -> false
-
-let pp ppf o =
-  Format.pp_print_string ppf
-    (match o with Lt -> "<" | Eq -> "=" | Gt -> ">" | Ic -> "<>")
-
 let lex2 c1 c2 = if c1 <> 0 then c1 else c2
 let lex3 c1 c2 c3 = if c1 <> 0 then c1 else if c2 <> 0 then c2 else c3
-
-module type TOTAL = sig
-  type t
-
-  val compare : t -> t -> int
-end
-
-module type PARTIAL = sig
-  type t
-
-  val compare : t -> t -> ordering
-end
-
-module Int = Stdlib.Int
-
-module Rev (A : TOTAL) = struct
-  type t = A.t
-
-  let compare x y = A.compare y x
-end
-
-module Lex2 (A : TOTAL) (B : TOTAL) = struct
-  type t = A.t * B.t
-
-  let compare (a1, b1) (a2, b2) = lex2 (A.compare a1 a2) (B.compare b1 b2)
-end
-
-module Lex3 (A : TOTAL) (B : TOTAL) (C : TOTAL) = struct
-  type t = A.t * B.t * C.t
-
-  let compare (a1, b1, c1) (a2, b2, c2) =
-    lex3 (A.compare a1 a2) (B.compare b1 b2) (C.compare c1 c2)
-end
-
-module Total (A : TOTAL) = struct
-  type t = A.t
-
-  let compare x y = of_compare (A.compare x y)
-end
-
-module Pointwise (A : PARTIAL) (B : PARTIAL) = struct
-  type t = A.t * B.t
-
-  let compare (a1, b1) (a2, b2) =
-    match (A.compare a1 a2, B.compare b1 b2) with
-    | Eq, o | o, Eq -> o
-    | Lt, Lt -> Lt
-    | Gt, Gt -> Gt
-    | Lt, Gt | Gt, Lt | Ic, _ | _, Ic -> Ic
-end

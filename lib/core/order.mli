@@ -1,36 +1,9 @@
-(** Reusable order combinators.
+(** Lexicographic chains of comparison results.
 
-    The repo had grown several hand-rolled lexicographic "triple
-    compares" — PR/FR heights [(pa, pb, pid)], geographic recovery
-    heights [(level, dist², id)], union seniority [(destination,
-    degree, id)] — each open-coded as nested [match]es.  This module
-    factors the pattern once, in the style of menhir's
-    [partialOrder.mli]: a four-valued {!ordering} (partial orders may
-    answer {e incomparable}), module types for total and partial
-    orders, and functors that build lexicographic and pointwise
-    products.
-
-    Two styles are offered on purpose:
-
-    - {e value-level} combinators ({!lex2}, {!lex3}) that chain already
-      computed [int] comparisons — zero allocation, for hot paths over
-      flat arrays;
-    - {e functors} ({!Lex2}, {!Lex3}, {!Pointwise}) that build ordered
-      modules over tuples — for call sites where the order itself is
-      the thing being named and tested. *)
-
-(** Outcome of a (possibly partial) comparison.  [Ic] — incomparable —
-    never arises from a total order. *)
-type ordering = Lt | Eq | Gt | Ic
-
-val of_compare : int -> ordering
-(** Embed a total [compare] result: negative ↦ [Lt], zero ↦ [Eq],
-    positive ↦ [Gt]. *)
-
-val le : ordering -> bool
-(** [le o] iff [o] is [Lt] or [Eq]. *)
-
-val pp : Format.formatter -> ordering -> unit
+    Heights compare lexicographically — PR heights [(pa, pb, pid)] with
+    {!lex3}, FR heights [(fa, fid)] with {!lex2} — both in {!Heights}
+    and on the fast maintenance engine's flat arrays.  These chain the
+    components' already computed [int] comparisons without allocating. *)
 
 val lex2 : int -> int -> int
 (** [lex2 c1 c2] is the lexicographic chain of two comparison results:
@@ -39,34 +12,3 @@ val lex2 : int -> int -> int
 
 val lex3 : int -> int -> int -> int
 (** Three-component chain, same contract as {!lex2}. *)
-
-(** A total order. *)
-module type TOTAL = sig
-  type t
-
-  val compare : t -> t -> int
-end
-
-(** A partial order: [compare] may answer [Ic]. *)
-module type PARTIAL = sig
-  type t
-
-  val compare : t -> t -> ordering
-end
-
-module Int : TOTAL with type t = int
-
-module Rev (A : TOTAL) : TOTAL with type t = A.t
-(** The dual order: [Rev(A).compare x y = A.compare y x]. *)
-
-module Lex2 (A : TOTAL) (B : TOTAL) : TOTAL with type t = A.t * B.t
-module Lex3 (A : TOTAL) (B : TOTAL) (C : TOTAL) :
-  TOTAL with type t = A.t * B.t * C.t
-
-module Total (A : TOTAL) : PARTIAL with type t = A.t
-(** Every total order is a partial one (never answers [Ic]). *)
-
-module Pointwise (A : PARTIAL) (B : PARTIAL) :
-  PARTIAL with type t = A.t * B.t
-(** The product order: [(a1, b1) <= (a2, b2)] iff both components are;
-    conflicting components are incomparable. *)

@@ -1,7 +1,6 @@
 open Lr_graph
 open Linkrev
 module G = Lr_fast.Fast_graph
-module Uf = Union_find
 
 type cache_stats = { hits : int; misses : int; invalidations : int }
 type index_stats = { slots : int; rebuilds : int }
@@ -20,24 +19,12 @@ type t = {
   ha : int array;
   hb : int array;
   in_deg : int array;
-  (* Component index: a union-find over a growable slot arena.
-     [slot.(u)] is [u]'s current live slot; retired slots stay behind
-     as ghosts so the survivors' find paths keep resolving (see
-     {!Union_find}). *)
-  uf : Uf.t;
-  slot : int array;
-  (* Per-class pending-sink bags (intrusive lists).  [bag_head]/
-     [bag_tail] are slot-indexed and meaningful at class roots;
-     [bag_next]/[in_bag] are node-indexed.  Invariant between
-     operations: the heap is empty and every sink outside the
-     destination's component sits in its class's bag — so absorbing a
-     class requeues its pending sinks by draining one list instead of
-     rescanning the side. *)
-  mutable bag_head : int array;
-  mutable bag_tail : int array;
-  bag_next : int array;
-  in_bag : bool array;
-  mutable rebuilds : int;
+  (* Component index: [comp.(u)] iff [u] is connected to the
+     destination, exact at all times, and [comp_size] counts the marked
+     nodes.  Repair never enters a cut-off side, so no other component
+     fact is kept. *)
+  comp : bool array;
+  mutable comp_size : int;
   (* Min-id sink worklist: binary heap + membership bits.  Lazily
      validated — a popped node steps only if it is still a non-
      destination sink inside the destination's component. *)
@@ -72,7 +59,7 @@ let total_work t = t.work
 let mem_node t u = u >= 0 && u < t.n
 let mem_edge t u v = G.Dyn.mem_edge t.adj u v
 let cache_stats t = { hits = t.hits; misses = t.misses; invalidations = t.invalidations }
-let index_stats t = { slots = Uf.length t.uf; rebuilds = t.rebuilds }
+let index_stats t = { slots = t.n; rebuilds = 0 }
 
 (* Same order as Heights.compare_pr_height on (pa, pb, pid). *)
 let compare_heights t u v =
@@ -99,21 +86,31 @@ let recount_in_degrees t =
 
 (* {1 Component membership} *)
 
-let in_comp t u = Uf.same t.uf t.slot.(u) t.slot.(t.dest)
-let in_dest_component t u = mem_node t u && in_comp t u
-let component_size t = Uf.size t.uf t.slot.(t.dest)
+let in_dest_component t u = mem_node t u && t.comp.(u)
+let component_size t = t.comp_size
 
-(* Seniority rank of a node: the destination outranks everything, then
-   higher degree, then lower id — so the most stable endpoint anchors
-   its class across merges and per-node state keyed near it survives. *)
-let id_bits = 21
-let id_mask = (1 lsl id_bits) - 1
-
-let node_rank t u =
-  if u = t.dest then max_int
-  else (G.Dyn.degree t.adj u lsl id_bits) lor (id_mask - (u land id_mask))
-
-let refresh_rank t u = Uf.set_rank t.uf t.slot.(u) (node_rank t u)
+(* Mark the destination's component in [mark] (cleared first) by BFS
+   over [t.queue]; answers its size.  [seed] labels [comp] with it and
+   [consistent] checks [comp] against it. *)
+let label_dest_component t mark =
+  let q = t.queue in
+  Array.fill mark 0 t.n false;
+  mark.(t.dest) <- true;
+  q.(0) <- t.dest;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let x = q.(!head) in
+    incr head;
+    for i = 0 to G.Dyn.degree t.adj x - 1 do
+      let w = G.Dyn.nbr t.adj x i in
+      if not mark.(w) then begin
+        mark.(w) <- true;
+        q.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  !tail
 
 (* {1 Worklist} *)
 
@@ -164,97 +161,15 @@ let heap_pop t =
 
 let push_if_sink t u = if u <> t.dest && is_sink t u then heap_push t u
 
-(* {1 Pending-sink bags} *)
-
-let ensure_bags t cap =
-  let old = Array.length t.bag_head in
-  if cap > old then begin
-    let ncap = max cap (2 * old) in
-    let grow a =
-      let b = Array.make ncap (-1) in
-      Array.blit a 0 b 0 old;
-      b
-    in
-    t.bag_head <- grow t.bag_head;
-    t.bag_tail <- grow t.bag_tail
-  end
-
-let uf_fresh t ~rank =
-  let s = Uf.fresh t.uf ~rank in
-  ensure_bags t (s + 1);
-  t.bag_head.(s) <- -1;
-  t.bag_tail.(s) <- -1;
-  s
-
-(* Union that also concatenates the junior class's pending-sink bag
-   onto the senior's — O(1). *)
-let uf_union t a b =
-  let ra = Uf.find t.uf a and rb = Uf.find t.uf b in
-  if ra = rb then ra
-  else begin
-    let s = Uf.union t.uf ra rb in
-    let j = if s = ra then rb else ra in
-    if t.bag_head.(j) >= 0 then begin
-      if t.bag_head.(s) < 0 then begin
-        t.bag_head.(s) <- t.bag_head.(j);
-        t.bag_tail.(s) <- t.bag_tail.(j)
-      end
-      else begin
-        t.bag_next.(t.bag_tail.(s)) <- t.bag_head.(j);
-        t.bag_tail.(s) <- t.bag_tail.(j)
-      end;
-      t.bag_head.(j) <- -1;
-      t.bag_tail.(j) <- -1
-    end;
-    s
-  end
-
-let bag_add t u =
-  if not t.in_bag.(u) then begin
-    t.in_bag.(u) <- true;
-    t.bag_next.(u) <- -1;
-    let r = Uf.find t.uf t.slot.(u) in
-    if t.bag_head.(r) < 0 then begin
-      t.bag_head.(r) <- u;
-      t.bag_tail.(r) <- u
-    end
-    else begin
-      t.bag_next.(t.bag_tail.(r)) <- u;
-      t.bag_tail.(r) <- u
-    end
-  end
-
-(* Requeue a class's pending sinks.  Entries can be stale — a bagged
-   node may have stopped being a sink while detached — so each is
-   re-checked; a stale entry is simply dropped (whatever makes it a
-   sink again will push it). *)
-let bag_drain_into_heap t r =
-  let x = ref t.bag_head.(r) in
-  t.bag_head.(r) <- -1;
-  t.bag_tail.(r) <- -1;
-  while !x >= 0 do
-    let nxt = t.bag_next.(!x) in
-    t.in_bag.(!x) <- false;
-    push_if_sink t !x;
-    x := nxt
-  done
-
 (* The minimum-id valid sink, or -1: exactly the node the reference's
    ascending-order component scan would select.  A popped sink outside
-   the destination's component is parked in its class's bag instead of
-   dropped, so a later absorb requeues it without rescanning the
-   side. *)
+   the destination's component is dropped: the link that reattaches its
+   side queues it again (see [attach]). *)
 let rec pop_sink t =
   if t.heap_len = 0 then -1
   else
     let u = heap_pop t in
-    if u <> t.dest && is_sink t u then
-      if in_comp t u then u
-      else begin
-        bag_add t u;
-        pop_sink t
-      end
-    else pop_sink t
+    if u <> t.dest && t.comp.(u) && is_sink t u then u else pop_sink t
 
 (* {1 Next-hop cache} *)
 
@@ -373,12 +288,12 @@ let stabilize ?budget t =
 (* {1 Component maintenance} *)
 
 (* Bidirectional alternating BFS after the edge [{a, b}] was removed
-   from inside one (exact) class.  Expands one node per side per round,
-   so a reconnection is found in O(min side) and a split costs the
-   smaller side plus the lost side.  Answers [None] when the endpoints
-   are still connected; otherwise [Some (q, k)] where [q.(0 .. k-1)]
-   enumerates the side NOT containing the destination — exactly the
-   lost set. *)
+   from inside the destination's component.  Expands one node per side
+   per round, so a reconnection is found in O(min side) and a split
+   costs the smaller side plus the lost side.  Answers [None] when the
+   endpoints are still connected; otherwise [Some (q, k)] where
+   [q.(0 .. k-1)] enumerates the side NOT containing the destination —
+   exactly the lost set. *)
 let split_after_removal t a b =
   t.stamp <- t.stamp + 2;
   let sa = t.stamp - 1 and sb = t.stamp in
@@ -433,107 +348,42 @@ let split_after_removal t a b =
     Some (qa, !ta)
   end
 
-(* Move an enumerated lost side out of the destination's class: retire
-   the old slots (the ghosts keep the survivors' find paths alive) and
-   knit fresh slots into one clean class. *)
-let detach_lost t q k =
-  let first = ref (-1) in
+(* Unmark a lost side the probe enumerated and add it to [lost]. *)
+let detach t q k lost =
   for i = 0 to k - 1 do
-    let x = q.(i) in
-    Uf.retire t.uf t.slot.(x);
-    let s = uf_fresh t ~rank:(node_rank t x) in
-    t.slot.(x) <- s;
-    if !first < 0 then first := s else ignore (uf_union t !first s)
-  done
-
-(* A new link attached [attach]'s class to the destination's.  A clean
-   class is an exact component: one O(α) union plus a bag drain.  A
-   dirty class over-approximates — only [attach]'s actual component
-   joins, found by a class-guarded BFS; the unreachable remainder keeps
-   the old (still dirty) class, repaired if and when it reattaches. *)
-let absorb t attach =
-  let old_root = Uf.find t.uf t.slot.(attach) in
-  if not (Uf.dirty t.uf old_root) then begin
-    let droot = uf_union t t.slot.(t.dest) t.slot.(attach) in
-    bag_drain_into_heap t droot
-  end
-  else begin
-    t.stamp <- t.stamp + 1;
-    let st = t.stamp in
-    let q = t.bq_a in
-    t.bstamp.(attach) <- st;
-    q.(0) <- attach;
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
-      let x = q.(!head) in
-      incr head;
-      for i = 0 to G.Dyn.degree t.adj x - 1 do
-        let w = G.Dyn.nbr t.adj x i in
-        if t.bstamp.(w) <> st && Uf.find t.uf t.slot.(w) = old_root then begin
-          t.bstamp.(w) <- st;
-          q.(!tail) <- w;
-          incr tail
-        end
-      done
-    done;
-    for i = 0 to !tail - 1 do
-      let x = q.(i) in
-      Uf.retire t.uf t.slot.(x);
-      t.slot.(x) <- uf_fresh t ~rank:(node_rank t x);
-      ignore (uf_union t t.slot.(t.dest) t.slot.(x))
-    done;
-    (* Filtered drain: the old class's bag holds sinks from both the
-       absorbed component and the remainder — requeue the former, keep
-       the latter bagged. *)
-    let x = ref t.bag_head.(old_root) in
-    t.bag_head.(old_root) <- -1;
-    t.bag_tail.(old_root) <- -1;
-    while !x >= 0 do
-      let nxt = t.bag_next.(!x) in
-      t.in_bag.(!x) <- false;
-      if is_sink t !x then
-        if in_comp t !x then push_if_sink t !x else bag_add t !x;
-      x := nxt
-    done
-  end
-
-(* The component index from the live topology, on the arena reset in
-   place: every node back on its own slot, one union per edge, every
-   bag empty.  Every class comes back exact and clean. *)
-let reindex t =
-  Uf.reset t.uf t.n;
-  Array.fill t.bag_head 0 (Array.length t.bag_head) (-1);
-  Array.fill t.bag_tail 0 (Array.length t.bag_tail) (-1);
-  Array.fill t.in_bag 0 t.n false;
-  for u = 0 to t.n - 1 do
-    t.slot.(u) <- u;
-    Uf.set_rank t.uf u (node_rank t u)
+    t.comp.(q.(i)) <- false;
+    lost := Node.Set.add q.(i) !lost
   done;
-  for u = 0 to t.n - 1 do
-    for i = 0 to G.Dyn.degree t.adj u - 1 do
-      let w = G.Dyn.nbr t.adj u i in
-      if w > u then ignore (uf_union t u w)
+  t.comp_size <- t.comp_size - k
+
+(* A new link joined [x]'s side to the destination's component.  The
+   link is the side's only way in, so a BFS from [x] through unmarked
+   nodes labels exactly the side; its sinks, left unrepaired while it
+   was cut off, are queued as it goes. *)
+let attach t x =
+  let q = t.bq_a in
+  t.comp.(x) <- true;
+  q.(0) <- x;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let y = q.(!head) in
+    incr head;
+    push_if_sink t y;
+    for i = 0 to G.Dyn.degree t.adj y - 1 do
+      let w = G.Dyn.nbr t.adj y i in
+      if not t.comp.(w) then begin
+        t.comp.(w) <- true;
+        q.(!tail) <- w;
+        incr tail
+      end
     done
-  done
-
-(* Compaction: ghosts accumulate one per detached node per split, so
-   when the arena outgrows 8n + 64 rebuild it from the live topology
-   and re-seed the bags from the current sinks.  Called between
-   operations (heap empty). *)
-let rebuild_index t =
-  t.rebuilds <- t.rebuilds + 1;
-  reindex t;
-  for u = 0 to t.n - 1 do
-    if u <> t.dest && is_sink t u && not (in_comp t u) then bag_add t u
-  done
-
-let maybe_rebuild t = if Uf.length t.uf > (8 * t.n) + 64 then rebuild_index t
+  done;
+  t.comp_size <- t.comp_size + !tail
 
 (* {1 Topology changes} *)
 
 let fail_link t u v =
   if not (mem_edge t u v) then invalid_arg "Maintenance.fail_link: no such link";
-  let was_in_comp = in_comp t u in
   G.Dyn.remove_edge t.adj u v;
   (* The lower endpoint loses an incoming edge; the upper one may have
      lost its last outgoing edge and become a sink. *)
@@ -543,27 +393,16 @@ let fail_link t u v =
   invalidate t v;
   push_if_sink t u;
   push_if_sink t v;
-  refresh_rank t u;
-  refresh_rank t v;
-  if not was_in_comp then begin
-    (* A detached class may have split — membership becomes an
-       over-approximation until the side reattaches. *)
-    Uf.mark_dirty t.uf t.slot.(u);
-    stabilize t
-  end
-  else begin
+  (* A removal inside a cut-off side changes no membership bit. *)
+  if not t.comp.(u) then stabilize t
+  else
     match split_after_removal t u v with
     | None -> stabilize t
     | Some (q, k) ->
         let lost = ref Node.Set.empty in
-        for i = 0 to k - 1 do
-          lost := Node.Set.add q.(i) !lost
-        done;
-        detach_lost t q k;
+        detach t q k lost;
         ignore (stabilize t);
-        maybe_rebuild t;
         Maintenance.Partitioned !lost
-  end
 
 let add_link t u v =
   if u = v then invalid_arg "Maintenance.add_link: self-loop";
@@ -580,14 +419,9 @@ let add_link t u v =
   invalidate t v;
   push_if_sink t u;
   push_if_sink t v;
-  refresh_rank t u;
-  refresh_rank t v;
-  let du = in_comp t u and dv = in_comp t v in
-  if du && not dv then absorb t v
-  else if dv && not du then absorb t u
-  else if not (du || dv) then ignore (uf_union t t.slot.(u) t.slot.(v));
-  ignore (stabilize t);
-  maybe_rebuild t
+  if t.comp.(u) && not t.comp.(v) then attach t v
+  else if t.comp.(v) && not t.comp.(u) then attach t u;
+  ignore (stabilize t)
 
 let fail_node t u =
   if u = t.dest then invalid_arg "Maintenance.fail_node: cannot fail the destination";
@@ -596,7 +430,7 @@ let fail_node t u =
      bidirectional probe), splits off a side (enumerated exactly — its
      nodes accumulate into the lost set, matching the reference's
      before-minus-after component difference), or happens inside an
-     already-detached class (dirty mark only).  The last removal always
+     already cut-off side (nothing to do).  The last removal always
      strands [u] itself. *)
   let lost = ref Node.Set.empty in
   while G.Dyn.degree t.adj u > 0 do
@@ -605,31 +439,15 @@ let fail_node t u =
     if compare_heights t u w > 0 then t.in_deg.(w) <- t.in_deg.(w) - 1;
     invalidate t w;
     push_if_sink t w;
-    refresh_rank t w;
-    if in_comp t u then begin
+    if t.comp.(u) then
       match split_after_removal t u w with
       | None -> ()
-      | Some (q, k) ->
-          for i = 0 to k - 1 do
-            lost := Node.Set.add q.(i) !lost
-          done;
-          detach_lost t q k
-    end
-    else Uf.mark_dirty t.uf t.slot.(u)
+      | Some (q, k) -> detach t q k lost
   done;
   t.in_deg.(u) <- 0;
   invalidate t u;
-  refresh_rank t u;
-  if Node.Set.is_empty !lost then begin
-    let r = stabilize t in
-    maybe_rebuild t;
-    r
-  end
-  else begin
-    ignore (stabilize t);
-    maybe_rebuild t;
-    Maintenance.Partitioned !lost
-  end
+  let r = stabilize t in
+  if Node.Set.is_empty !lost then r else Maintenance.Partitioned !lost
 
 (* {1 Construction} *)
 
@@ -638,7 +456,9 @@ let fail_node t u =
    exactly as the reference seeds them from its embedding, so that
    orientation becomes the height order.  Everything else — in-degrees,
    component index, next-hop cache, counters — is derived or reset in
-   place, and the session stabilizes. *)
+   place, and the session stabilizes.  [reroot] passes [t.bq_b] as
+   [rank], so nothing here may write that queue before the height loop
+   has read it. *)
 let seed t rank =
   let n = t.n in
   for u = 0 to n - 1 do
@@ -651,8 +471,7 @@ let seed t rank =
         t.hb.(u) <- 0
   done;
   recount_in_degrees t;
-  reindex t;
-  t.rebuilds <- 0;
+  t.comp_size <- label_dest_component t t.comp;
   Array.fill t.nh 0 n nh_unset;
   t.obs <- None;
   t.work <- 0;
@@ -687,13 +506,8 @@ let create rule config =
       ha = Array.make n 0;
       hb = Array.make n 0;
       in_deg = Array.make n 0;
-      uf = Uf.create n;
-      slot = Array.make n 0;
-      bag_head = Array.make (max n 1) (-1);
-      bag_tail = Array.make (max n 1) (-1);
-      bag_next = Array.make (max n 1) (-1);
-      in_bag = Array.make (max n 1) false;
-      rebuilds = 0;
+      comp = Array.make n false;
+      comp_size = 0;
       heap = Array.make n 0;
       heap_len = 0;
       inq = Array.make n false;
@@ -754,8 +568,9 @@ let survivor_components t =
    derived orientation exactly: a LIFO stack seeded with the
    zero-in-degree nodes in ascending id (the largest pops first), each
    popped node pushing its newly freed out-neighbours in ascending id.
-   The counts, stack and rank live in the BFS and split-probe queues,
-   which [seed] does not touch. *)
+   The counts, stack and rank live in the BFS and split-probe queues;
+   the counts are spent before [seed] runs, and [seed] reads the rank
+   before its labelling BFS reuses [t.queue]. *)
 let reroot t ~leader =
   if (not (mem_node t leader)) || leader = t.dest then
     invalid_arg "Fast_maintenance.reroot: leader must be a node other than the destination";
@@ -821,22 +636,10 @@ let adopt_heights t f =
   (* Spread-aware budget, same formula as the reference: stabilizing
      from an arbitrary assignment costs work proportional to the
      height spread, not just n^2. *)
-  let budget =
-    if t.n = 0 then Maintenance.adoption_budget ~n:0 ~spread:0
-    else begin
-      let amin = ref t.ha.(0) and amax = ref t.ha.(0) in
-      let bmin = ref t.hb.(0) and bmax = ref t.hb.(0) in
-      for u = 1 to t.n - 1 do
-        if t.ha.(u) < !amin then amin := t.ha.(u);
-        if t.ha.(u) > !amax then amax := t.ha.(u);
-        if t.hb.(u) < !bmin then bmin := t.hb.(u);
-        if t.hb.(u) > !bmax then bmax := t.hb.(u)
-      done;
-      Maintenance.adoption_budget ~n:t.n
-        ~spread:(!amax - !amin + (!bmax - !bmin))
-    end
+  let spread =
+    Maintenance.height_spread (Seq.init t.n (fun u -> (t.ha.(u), t.hb.(u))))
   in
-  stabilize ~budget t
+  stabilize ~budget:(Maintenance.adoption_budget ~n:t.n ~spread) t
 
 (* {1 Queries} *)
 
@@ -906,7 +709,7 @@ let is_destination_oriented t =
   let reach = reaches_destination t in
   let ok = ref true in
   for u = 0 to t.n - 1 do
-    if in_comp t u && u <> t.dest && not reach.(u) then ok := false
+    if t.comp.(u) && u <> t.dest && not reach.(u) then ok := false
   done;
   !ok
 
@@ -925,108 +728,6 @@ let graph t =
 
 (* {1 Self-check} *)
 
-(* Cross-check the component index against ground truth: a full
-   component labelling of the current topology.  The destination's
-   class must be exact; a clean class must be exactly one component; a
-   dirty class may over-approximate but no single component may
-   straddle two classes (every edge's endpoints share a class); sizes
-   must match the live-member counts; and the bag structure must
-   account for exactly the pending detached sinks. *)
-let uf_consistent t seen dest_tail =
-  let ok = ref true in
-  (* Destination-class exactness. *)
-  if dest_tail <> Uf.size t.uf t.slot.(t.dest) then ok := false;
-  for u = 0 to t.n - 1 do
-    if in_comp t u <> seen.(u) then ok := false
-  done;
-  if Uf.dirty t.uf t.slot.(t.dest) then ok := false;
-  (* Full component labelling (fresh BFS over every node). *)
-  let label = Array.make (max t.n 1) (-1) in
-  let comp_count = Array.make (max t.n 1) 0 in
-  let q = t.queue in
-  let ncomp = ref 0 in
-  for s = 0 to t.n - 1 do
-    if label.(s) < 0 then begin
-      let c = !ncomp in
-      incr ncomp;
-      label.(s) <- c;
-      q.(0) <- s;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let x = q.(!head) in
-        incr head;
-        comp_count.(c) <- comp_count.(c) + 1;
-        for i = 0 to G.Dyn.degree t.adj x - 1 do
-          let w = G.Dyn.nbr t.adj x i in
-          if label.(w) < 0 then begin
-            label.(w) <- c;
-            q.(!tail) <- w;
-            incr tail
-          end
-        done
-      done
-    end
-  done;
-  (* Per-class accounting: live counts, one-root-per-component, and
-     clean-class exactness. *)
-  let root_of_label = Array.make (max !ncomp 1) (-1) in
-  let live = Hashtbl.create 64 in
-  let witness = Hashtbl.create 64 in
-  for u = 0 to t.n - 1 do
-    let r = Uf.find t.uf t.slot.(u) in
-    Hashtbl.replace live r
-      (1 + match Hashtbl.find_opt live r with Some c -> c | None -> 0);
-    if not (Hashtbl.mem witness r) then Hashtbl.add witness r u;
-    let c = label.(u) in
-    if root_of_label.(c) < 0 then root_of_label.(c) <- r
-    else if root_of_label.(c) <> r then
-      (* Two nodes of one physical component in different classes. *)
-      ok := false
-  done;
-  Hashtbl.iter
-    (fun r count ->
-      if Uf.size t.uf r <> count then ok := false;
-      if not (Uf.dirty t.uf r) then
-        (* A clean class is one exact component: its live count equals
-           the component count of any member's label. *)
-        match Hashtbl.find_opt witness r with
-        | Some u when comp_count.(label.(u)) <> count -> ok := false
-        | _ -> ())
-    live;
-  (* Pending-sink accounting: every detached sink is bagged or queued;
-     every bag entry belongs to the class whose root holds it; the
-     destination's bag is empty; no in_bag flag is orphaned. *)
-  for u = 0 to t.n - 1 do
-    if
-      u <> t.dest
-      && is_sink t u
-      && (not (in_comp t u))
-      && (not t.in_bag.(u))
-      && not t.inq.(u)
-    then ok := false
-  done;
-  if t.bag_head.(Uf.find t.uf t.slot.(t.dest)) >= 0 then ok := false;
-  let bagged = ref 0 in
-  Hashtbl.iter
-    (fun r _ ->
-      let x = ref t.bag_head.(r) in
-      let steps = ref 0 in
-      while !x >= 0 && !steps <= t.n do
-        incr steps;
-        if (not t.in_bag.(!x)) || Uf.find t.uf t.slot.(!x) <> r then
-          ok := false;
-        incr bagged;
-        x := t.bag_next.(!x)
-      done;
-      if !steps > t.n then ok := false)
-    live;
-  let flagged = ref 0 in
-  for u = 0 to t.n - 1 do
-    if t.in_bag.(u) then incr flagged
-  done;
-  if !bagged <> !flagged then ok := false;
-  !ok
-
 let consistent t =
   let ok = ref true in
   (* In-degrees match a recount of the derived orientation. *)
@@ -1037,29 +738,12 @@ let consistent t =
     done;
     if !incoming <> t.in_deg.(u) then ok := false
   done;
-  (* The destination's component from a fresh BFS. *)
-  let q = t.queue and seen = t.seen in
-  Array.fill seen 0 t.n false;
-  seen.(t.dest) <- true;
-  q.(0) <- t.dest;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let x = q.(!head) in
-    incr head;
-    for i = 0 to G.Dyn.degree t.adj x - 1 do
-      let w = G.Dyn.nbr t.adj x i in
-      if not seen.(w) then begin
-        seen.(w) <- true;
-        q.(!tail) <- w;
-        incr tail
-      end
-    done
-  done;
-  (* [uf_consistent] reuses [t.queue]; [seen] is stable. *)
-  if not (uf_consistent t (Array.copy seen) !tail) then ok := false;
-  (* A stabilized engine holds no repairable sink. *)
+  (* The component index matches a fresh BFS from the destination. *)
+  if label_dest_component t t.seen <> t.comp_size then ok := false;
   for u = 0 to t.n - 1 do
-    if in_comp t u && u <> t.dest && is_sink t u then ok := false
+    if t.comp.(u) <> t.seen.(u) then ok := false;
+    (* A stabilized engine holds no repairable sink. *)
+    if t.comp.(u) && u <> t.dest && is_sink t u then ok := false
   done;
   (* No cached next hop is stale. *)
   for u = 0 to t.n - 1 do

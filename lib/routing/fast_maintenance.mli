@@ -18,19 +18,18 @@
       revalidation) seeded from the endpoints of each topology change
       and refilled only with the neighbours of just-reversed nodes — no
       per-step component rescan;
-    - membership in the destination's component is a {!Union_find}
-      {e seniority index}, the engine's one membership path: merges are
-      O(α) unions anchored at the most senior endpoint (destination,
-      then degree, then low id), splits are handled lazily — a
-      link-down inside a detached class only dirties it, and the
-      actually-reattached side is re-identified by an incremental BFS
-      when it rejoins.  Pending sinks of detached sides wait in
-      per-class {e bags}, so absorbing a side requeues them by splicing
-      one list instead of rescanning;
+    - membership in the destination's component is one bit per node,
+      exact at all times, plus the component's size (which sets the
+      stabilization budget).  Repair, here as in the reference, never
+      enters a cut-off side, so these are the only component facts
+      kept: a link-down inside the component runs a bidirectional
+      probe that unmarks the side it cuts off, a link-down inside a
+      cut-off side changes nothing, and a link-up that reattaches a
+      side marks it by BFS and queues the sinks it left unrepaired;
     - a per-node {e next-hop cache} makes repeated route queries on a
       quiescent engine O(path length) array hops with zero height
       comparisons; entries are invalidated exactly where a height or an
-      incident edge changed — component merges invalidate nothing. *)
+      incident edge changed — reattaching a side invalidates nothing. *)
 
 open Lr_graph
 open Linkrev
@@ -65,23 +64,22 @@ val total_work : t -> int
 val is_destination_oriented : t -> bool
 
 val in_dest_component : t -> Node.t -> bool
-(** Membership in the destination's component — O(α) through the
-    union-find index; false for unknown nodes.  Between operations the
-    engine is stabilized and its component destination-oriented, so
-    this also answers "does a directed path to the destination exist"
-    without the BFS of {!has_path} — the serving layer's fast
-    [No_route] honesty check. *)
+(** Membership in the destination's component — one array read; false
+    for unknown nodes.  Between operations the engine is stabilized and
+    its component destination-oriented, so this also answers "does a
+    directed path to the destination exist" without the BFS of
+    {!has_path} — the serving layer's fast [No_route] honesty check. *)
 
 val component_size : t -> int
-(** Live size of the destination's component. *)
+(** Size of the destination's component. *)
 
 type index_stats = { slots : int; rebuilds : int }
 
 val index_stats : t -> index_stats
-(** Union-find arena accounting since [create] or the last
-    {!reroot}: [slots] allocated so far (live + ghosts — compaction
-    rebuilds the arena when this passes [8n + 64]) and how many such
-    [rebuilds] have happened. *)
+(** Always [{slots = n; rebuilds = 0}]: the membership bitmap has one
+    cell per node and is never rebuilt.  Kept only for the
+    benchmark's [engine.uf_*] per-layer metrics, and to be dropped
+    together with them. *)
 
 val graph : t -> Digraph.t
 (** Materialized snapshot of the current oriented topology (orientation
@@ -103,7 +101,7 @@ val reroot : t -> leader:Node.t -> unit
     [leader] and stabilized from a topological order of the stripped,
     currently derived orientation (Thm 4.3/5.5 keeps that orientation
     acyclic, so the order always exists).  The result is identical —
-    heights, adjacency order, work, routes, cache and index counters —
+    heights, adjacency order, work, routes, cache counters, membership —
     to {!create} on [Config.make] of the stripped {!graph} with
     destination [leader], without materializing either, and without
     allocating beyond a constant number of words: O(n + m) plus the
@@ -121,8 +119,8 @@ val route : t -> Node.t -> Node.t list option
 val has_path : t -> Node.t -> bool
 (** A directed path from the node to the destination exists (the
     serving layer's honesty check for [No_route]), answered by BFS.
-    See {!in_dest_component} for the O(α) equivalent on a stabilized
-    engine. *)
+    See {!in_dest_component} for the one-read equivalent on a
+    stabilized engine. *)
 
 val fail_link : t -> Node.t -> Node.t -> Maintenance.change_result
 (** @raise Invalid_argument if absent. *)
@@ -159,14 +157,10 @@ val cache_stats : t -> cache_stats
 
 val consistent : t -> bool
 (** Internal invariant check for tests: in-degrees match a recount;
-    the component index matches a fresh BFS from the destination (the
-    destination's class is exact and clean, clean classes are exact
-    components, no physical component straddles two classes, class
-    sizes match live-member counts, and the per-class pending-sink bags
-    account for exactly the detached sinks); every worklist-eligible
-    sink is queued, bagged or outside the destination's component; no
-    cached next hop is stale; and the destination's component is
-    destination-oriented. *)
+    the membership bits and the component size match a fresh BFS from
+    the destination; the destination's component holds no sink but the
+    destination; no cached next hop is stale; and the destination's
+    component is destination-oriented. *)
 
 val raise_height :
   Maintenance.rule -> Lr_fast.Fast_graph.Dyn.t -> int array -> int array -> Node.t -> unit

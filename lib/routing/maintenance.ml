@@ -204,13 +204,16 @@ let add_link t u v =
      route again; it may also enable pending reversals elsewhere. *)
   ignore (stabilize t)
 
-(* Overwrite every height with an arbitrary (adversarial) assignment
-   and self-heal.  Heights are a total order, so the re-derived
-   orientation is acyclic whatever [f] returns, and the ordinary
-   stabilization loop converges from it.  Mirror of
-   {!Fast_maintenance.adopt_heights} — the chaos differential oracle
-   depends on both engines adopting identically. *)
-let adoption_budget ~n ~spread = (4 * n * (n + spread)) + 1000
+(* [a + b] for [a, b >= 0] and [hi - lo] for [hi >= lo], saturating at
+   [max_int] instead of wrapping: a flipped high bit puts heights near
+   [±2^61]. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+let sat_sub hi lo = if lo < 0 && hi > max_int + lo then max_int else hi - lo
+
+let adoption_budget ~n ~spread =
+  let w = sat_add n spread in
+  if n > 0 && w > (max_int - 1000) / (4 * n) then max_int
+  else (4 * n * w) + 1000
 
 (* Height spread of an assignment: how far the adopted values range on
    each coordinate.  Work to stabilize from an arbitrary assignment
@@ -218,22 +221,25 @@ let adoption_budget ~n ~spread = (4 * n * (n + spread)) + 1000
    reversal toward the assignment's ceiling), so the adoption budget
    scales with it — reducing to the ordinary O(n^2) budget when the
    spread is O(n). *)
-let spread_of_heights heights =
-  match Node.Map.bindings heights with
-  | [] -> 0
-  | (_, h0) :: _ ->
-      let open Heights in
-      let amin = ref h0.pa and amax = ref h0.pa in
-      let bmin = ref h0.pb and bmax = ref h0.pb in
-      Node.Map.iter
-        (fun _ h ->
-          if h.pa < !amin then amin := h.pa;
-          if h.pa > !amax then amax := h.pa;
-          if h.pb < !bmin then bmin := h.pb;
-          if h.pb > !bmax then bmax := h.pb)
-        heights;
-      !amax - !amin + (!bmax - !bmin)
+let height_spread heights =
+  let amin = ref max_int and amax = ref min_int in
+  let bmin = ref max_int and bmax = ref min_int in
+  Seq.iter
+    (fun (a, b) ->
+      if a < !amin then amin := a;
+      if a > !amax then amax := a;
+      if b < !bmin then bmin := b;
+      if b > !bmax then bmax := b)
+    heights;
+  if !amax < !amin then 0
+  else sat_add (sat_sub !amax !amin) (sat_sub !bmax !bmin)
 
+(* Overwrite every height with an arbitrary (adversarial) assignment
+   and self-heal.  Heights are a total order, so the re-derived
+   orientation is acyclic whatever [f] returns, and the ordinary
+   stabilization loop converges from it.  Mirror of
+   {!Fast_maintenance.adopt_heights} — the chaos differential oracle
+   depends on both engines adopting identically. *)
 let adopt_heights t f =
   t.heights <-
     Node.Set.fold
@@ -244,10 +250,14 @@ let adopt_heights t f =
   (* Re-derive every edge's orientation from the adopted heights.
      Visiting both endpoints sets each edge twice, consistently. *)
   Node.Set.iter (reorient_at t) (Digraph.nodes t.graph);
+  let spread =
+    height_spread
+      (Seq.map
+         (fun (_, h) -> (h.Heights.pa, h.Heights.pb))
+         (Node.Map.to_seq t.heights))
+  in
   let budget =
-    adoption_budget
-      ~n:(Node.Set.cardinal (Digraph.nodes t.graph))
-      ~spread:(spread_of_heights t.heights)
+    adoption_budget ~n:(Node.Set.cardinal (Digraph.nodes t.graph)) ~spread
   in
   stabilize ~budget t
 

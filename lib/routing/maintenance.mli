@@ -78,14 +78,22 @@ val fail_node : t -> Node.t -> change_result
     skeleton, isolated.  @raise Invalid_argument for the destination. *)
 
 val adoption_budget : n:int -> spread:int -> int
-(** [4 n (n + spread) + 1000] — the stabilization step budget
-    {!adopt_heights} runs under, where [spread] is the adopted
-    assignment's total height range ([(max pa - min pa) +
-    (max pb - min pb)]).  Work to converge from an arbitrary height
-    assignment grows with the spread (each reversal raises the node's
-    [pa] by at least one toward the assignment's ceiling), so the
-    ordinary [4 n^2 + 1000] repair budget only covers assignments
-    whose spread is O(n); this generalizes it. *)
+(** [4 n (n + spread) + 1000], saturating at [max_int] — the
+    stabilization step budget {!adopt_heights} runs under, where
+    [spread] is the adopted assignment's {!height_spread}.  Work to
+    converge from an arbitrary height assignment grows with the spread
+    (each reversal raises the node's [pa] by at least one toward the
+    assignment's ceiling), so the ordinary [4 n^2 + 1000] repair budget
+    only covers assignments whose spread is O(n); this generalizes it.
+    Positive and monotone in [spread] for every [n >= 0] and
+    [spread >= 0]. *)
+
+val height_spread : (int * int) Seq.t -> int
+(** Total height range of an assignment given as its [(pa, pb)] pairs:
+    [(max pa - min pa) + (max pb - min pb)], saturating at [max_int]
+    (heights near [±2^61], as a flipped high bit leaves them, would
+    otherwise wrap); [0] for no pairs.  Both engines' {!adopt_heights}
+    and the chaos harness size {!adoption_budget} with it. *)
 
 val adopt_heights : t -> (Node.t -> int * int) -> change_result
 (** [adopt_heights t f] overwrites every node's [(pa, pb)] height with

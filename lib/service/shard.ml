@@ -58,7 +58,7 @@ module Fast_tier = struct
 
   (* Between ops the engine is stabilized, so membership in the
      destination's component coincides with "a directed path exists" —
-     O(α) instead of a BFS. *)
+     one array read instead of a BFS. *)
   let reaches_destination = in_dest_component
 
   (* In place: the session returned is [t] itself. *)
@@ -397,6 +397,10 @@ let plane_queued (Shard s) =
 
 (* {1 Chaos faults} *)
 
+(* [Random.State.int] takes bounds below [2^30], and a component is
+   drawn from [2m + 1] values. *)
+let max_magnitude = (1 lsl 29) - 1
+
 (* The canonical hostile height assignment of a [Corrupt] fault: a pure
    function of [(seed, node)], so the fast and reference engines of a
    differential pair adopt byte-identical corrupted states.  Magnitude
@@ -427,7 +431,8 @@ let heal (Shard s) f =
       assert false
 
 let corrupt t ~seed ~magnitude =
-  if magnitude < 0 then noop else heal t (hostile_height ~seed ~magnitude)
+  if magnitude < 0 || magnitude > max_magnitude then noop
+  else heal t (hostile_height ~seed ~magnitude)
 
 let flip_bit (Shard s as t) ~node ~bit =
   let module E = (val s.engine) in

@@ -69,9 +69,9 @@ val cache_stats : t -> Fast_maintenance.cache_stats option
     on the reference engine (which has no cache). *)
 
 val in_dest_component : t -> Node.t -> bool
-(** Membership in the destination's component — O(α) on the fast tier
-    (the union-find seniority index), a component walk on the
-    reference.  False for unknown nodes. *)
+(** Membership in the destination's component — one read of the fast
+    tier's membership bitmap, a component walk on the reference.  False
+    for unknown nodes. *)
 
 val component_size : t -> int
 (** Nodes currently in the destination's component. *)
@@ -95,12 +95,19 @@ val elect : live:(Node.t -> bool) -> (int * Node.t) list -> Node.t option
     leader is [live], the one with the most members, then the greater
     leader id.  [None] when no component has a live leader. *)
 
+val max_magnitude : int
+(** [2^29 - 1], the largest magnitude {!hostile_height} can draw.  A
+    [Corrupt] op above it answers [Noop], as a [Flip] of a bit outside
+    [0 .. 61] does; chaos specs and lrw1 workloads above it are
+    rejected when parsed. *)
+
 val hostile_height : seed:int -> magnitude:int -> int -> int * int
 (** The canonical hostile height assignment a [Corrupt] fault adopts: a
     pure function of [(seed, node)] with both components bounded by
     [magnitude] in absolute value.  Exposed so the chaos harness can
     drive engines outside the service through the {e same} corruption
-    and compare recoveries byte for byte. *)
+    and compare recoveries byte for byte.
+    @raise Invalid_argument when [magnitude > max_magnitude]. *)
 
 val height_pair : t -> Node.t -> int * int
 (** The node's current [(pa, pb)] height on the shard's engine. *)

@@ -154,6 +154,8 @@ let valid_op spec = function
   | Op.Corrupt { shard; seed = _; magnitude } ->
       if shard < 0 || shard >= spec.shards then Error "shard out of range"
       else if magnitude < 0 then Error "negative corrupt magnitude"
+      else if magnitude > Shard.max_magnitude then
+        Error "corrupt magnitude out of range"
       else Ok ()
   | Op.Flip { shard; node; bit } ->
       if shard < 0 || shard >= spec.shards then Error "shard out of range"

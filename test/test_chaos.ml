@@ -36,7 +36,11 @@ let test_spec_of_string () =
       match Schedule.spec_of_string bad with
       | Ok _ -> Alcotest.failf "bad spec %S accepted" bad
       | Error _ -> ())
-    [ ""; "x"; "-1"; "8:-2"; "8:7:0"; "8:7:-5"; "8:7:1024:9" ]
+    [ ""; "x"; "-1"; "8:-2"; "8:7:0"; "8:7:-5"; "8:7:1024:9"; "4:1:1000000000";
+      "8:7:536870912" ];
+  (match Schedule.spec_of_string "8:7:536870911" with
+  | Ok s -> check_int "largest magnitude" Shard.max_magnitude s.Schedule.magnitude
+  | Error e -> Alcotest.failf "largest magnitude rejected: %s" e)
 
 (* {1 Schedule generation} *)
 
@@ -214,7 +218,68 @@ let test_adoption_budget () =
      (magnitude >> n) stabilize without tripping the engine's
      budget-exceeded assertion. *)
   check_int "linear spread term" ((4 * 8 * (8 + 1000)) + 1000)
-    (M.adoption_budget ~n:8 ~spread:1000)
+    (M.adoption_budget ~n:8 ~spread:1000);
+  (* Flipping a high bit leaves spreads near 2^61, where 4n(n+spread)
+     wraps negative (n=24 at spread 2^56, n=1024 at 2^50): the budget
+     must saturate instead. *)
+  let spreads = [ 0; 1; 1000; 1 lsl 50; 1 lsl 56; 1 lsl 61; max_int ] in
+  List.iter
+    (fun n ->
+      let budgets = List.map (fun spread -> M.adoption_budget ~n ~spread) spreads in
+      List.iteri
+        (fun i b ->
+          check_bool (Printf.sprintf "n=%d: budget %d positive" n i) true (b > 0);
+          if i > 0 then
+            check_bool
+              (Printf.sprintf "n=%d: budget %d monotone" n i)
+              true
+              (b >= List.nth budgets (i - 1)))
+        budgets)
+    [ 0; 1; 24; 1024; 65536 ];
+  check_int "saturates" max_int (M.adoption_budget ~n:24 ~spread:(1 lsl 56));
+  check_int "spread of nothing" 0 (M.height_spread Seq.empty);
+  check_int "spread sums both coordinates" 10
+    (M.height_spread (List.to_seq [ (3, -1); (-2, 4) ]));
+  (* A bit-61 flip on nodes of both signs spans more than [max_int]. *)
+  check_int "spread saturates" max_int
+    (M.height_spread (List.to_seq [ ((1 lsl 61) + 3, 0); (-(1 lsl 61) - 5, 0) ]))
+
+(* Flips of bits 50-61 on several nodes of one 24-node shard, served on
+   both tiers: the heals are short, so each must run rather than trip
+   a budget that wrapped negative, and the tiers must answer alike. *)
+let test_high_bit_flips_serve () =
+  let wspec =
+    { W.shards = 2; nodes = 24; extra_edges = 8; seed = 3; ops = 40;
+      mix = W.default_mix; pmix = W.default_pmix; burst = 4; skew = 0.8;
+      stats_every = 0 }
+  in
+  let flips =
+    Array.init 36 (fun i ->
+        Op.Flip { shard = 0; node = [| 5; 11; 17 |].(i mod 3); bit = 50 + (i / 3) })
+  in
+  let routes = Array.init 24 (fun src -> Op.Route { shard = 0; src }) in
+  let ops = Array.concat [ W.generate wspec; flips; routes ] in
+  let run engine =
+    let cfg =
+      { S.default_config with S.queue_bound = Array.length ops + 1; engine }
+    in
+    let svc = S.create cfg (W.shard_configs wspec) in
+    Fun.protect
+      ~finally:(fun () -> S.shutdown svc)
+      (fun () ->
+        let responses = S.run svc ops in
+        let m = S.metrics svc in
+        (responses, S.fingerprint responses m, m))
+  in
+  let rf, fpf, mf = run Shard.Fast in
+  let rr, fpr, mr = run Shard.Reference in
+  let totals m = m.Lr_service.Metrics.snapshot_totals in
+  check_int "fast validation failures" 0 (totals mf).Lr_service.Metrics.validation_failures;
+  check_int "reference validation failures" 0
+    (totals mr).Lr_service.Metrics.validation_failures;
+  check_bool "responses reference = fast" true (rf = rr);
+  check_string "fingerprint reference engine" fpf fpr;
+  check_int "every flip healed" 36 (totals mf).Lr_service.Metrics.faults
 
 let test_trace_roundtrip_with_perturbs () =
   match C.scenarios ~n:24 ~seed:1 () with
@@ -309,6 +374,7 @@ let () =
             test_service_fingerprint_under_chaos;
           case "pinned recovery step counts" test_differential_pinned_counts;
           case "adoption budget" test_adoption_budget;
+          case "high-bit flips serve on both tiers" test_high_bit_flips_serve;
           case "trace roundtrip with perturbs"
             test_trace_roundtrip_with_perturbs;
           case "single-event upset" test_differential_flip;

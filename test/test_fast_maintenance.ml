@@ -1,8 +1,9 @@
 (* Differential tests of the fast maintenance engine against the
    persistent reference: identical work, heights order, orientation,
-   routes and partition reports under seeded churn — plus the next-hop
-   cache contract (hits when quiescent, invalidation on churn, never a
-   stale path; staleness is also recomputed inside [FM.consistent]). *)
+   routes, partition reports and destination-component membership
+   under seeded churn — plus the next-hop cache contract (hits when
+   quiescent, invalidation on churn, never a stale path; staleness is
+   also recomputed inside [FM.consistent]). *)
 
 open Lr_graph
 open Linkrev
@@ -26,7 +27,7 @@ let dest_component m =
     (Undirected.connected_components (Digraph.skeleton (M.graph m)))
 
 (* Full-state agreement: work, orientation, heights, routes, and the
-   union-find's membership answers against the reference's destination
+   membership bitmap's answers against the reference's destination
    component.  Every reversal strictly raises its node's height, so
    equal heights after every op also mean the same nodes stepped. *)
 let agree what sys =
@@ -106,14 +107,14 @@ let test_lockstep_churn_fr () =
 
 let test_lockstep_churn_sparse () =
   (* A near-tree graph partitions on almost every removal, exercising
-     the union-find's split probes and the absorb-side bag drain on
-     every reconnection. *)
+     the split probe on removals and the attach BFS on every
+     reconnection. *)
   churn ~rule:M.Partial_reversal ~seed:13 ~events:200 ~extra_edges:1 12
 
 (* A partitioned side accumulates sinks the reference only repairs
    after reconnection (its component scan sees them then); the fast
-   engine must find them in the absorbed class's pending-sink bag, not
-   the worklist. *)
+   engine drops them from its worklist while the side is cut off, so
+   the attach BFS must queue them again. *)
 let test_reconnection_finds_stale_sinks () =
   let config =
     Config.make_exn
@@ -131,7 +132,7 @@ let test_reconnection_finds_stale_sinks () =
       M.add_link sys.m 2 3;
       FM.add_link sys.f 2 3;
       agree "lost side churned" sys;
-      (* Reconnect: both engines must now repair the absorbed side. *)
+      (* Reconnect: both engines must now repair the reattached side. *)
       M.add_link sys.m 1 2;
       FM.add_link sys.f 1 2;
       agree "after reconnection" sys;
@@ -164,13 +165,12 @@ let test_errors_match_reference () =
 
 (* {1 Component index} *)
 
-(* Pinned partition→heal cycles against the reference oracle — the
-   lazy-split soft spot: a cut only dirties the detached class, churn
-   inside the lost side piles up pending sinks in its bag, and the
-   heal must re-identify exactly the reattached side and requeue its
-   sinks.  Every phase asserts full byte-identity ([agree] compares
-   work, graph, heights, routes) plus [FM.consistent], under both
-   rules. *)
+(* Pinned partition→heal cycles against the reference oracle: a cut
+   unmarks the lost side, churn inside it leaves sinks the worklist
+   drops, and each heal must mark exactly the reattached side and
+   queue its sinks again.  Every phase asserts full byte-identity
+   ([agree] compares work, graph, heights, routes, membership) plus
+   [FM.consistent], under both rules. *)
 let test_partition_heal_pinned () =
   (* Two branches off the destination with a cross link:
      0 -> 1 -> 2 -> 3 and 0 -> 4 -> 5 -> 6, plus 3 -> 6. *)
@@ -194,15 +194,14 @@ let test_partition_heal_pinned () =
       check_int "component shrank to the left branch" 4
         (FM.component_size sys.f);
       (* Phase 2: churn inside the lost side — splits and re-adds that
-         only the lazy index sees as dirt, leaving pending sinks in
-         the class bag. *)
+         change no membership bit and leave sinks unrepaired. *)
       check_result "cut 5-6" (M.fail_link sys.m 5 6) (FM.fail_link sys.f 5 6);
       M.add_link sys.m 5 6;
       FM.add_link sys.f 5 6;
       check_result "cut 4-5" (M.fail_link sys.m 4 5) (FM.fail_link sys.f 4 5);
       agree "lost side churned" sys;
-      (* Phase 3: heal deepest-first, so each absorb drags a dirty
-         class back through re-identification. *)
+      (* Phase 3: heal deepest-first, so the first attach labels only
+         part of the lost side and the second the rest. *)
       M.add_link sys.m 3 6;
       FM.add_link sys.f 3 6;
       agree "6 healed" sys;
@@ -230,10 +229,11 @@ let test_seeded_sparse_churn () =
     (fun (rule, seed) -> churn ~rule ~seed ~events:240 ~extra_edges:2 16)
     [ (M.Partial_reversal, 31); (M.Full_reversal, 32); (M.Partial_reversal, 33) ]
 
-(* Repeated partition→heal cycles leak ghost slots until the arena
-   passes [8n + 64] and compacts; the rebuild must be invisible to
-   semantics. *)
-let test_compaction_rebuilds () =
+(* Repeated partition→heal cycles on a chain: every cycle cuts the
+   chain in half and heals it, each phase in lockstep with the
+   reference, and the engine's heap footprint stays what [create] left
+   — the index is a fixed bitmap, so no cycle may grow it. *)
+let test_partition_heal_footprint () =
   let config =
     Config.make_exn
       (Digraph.of_directed_edges
@@ -241,19 +241,18 @@ let test_compaction_rebuilds () =
       ~destination:0
   in
   let sys = make M.Partial_reversal config in
-  for _ = 1 to 48 do
+  let words = Obj.reachable_words (Obj.repr sys.f) in
+  for k = 1 to 48 do
     check_result "cycle cut" (M.fail_link sys.m 3 4) (FM.fail_link sys.f 3 4);
     M.add_link sys.m 3 4;
-    FM.add_link sys.f 3 4
+    FM.add_link sys.f 3 4;
+    if k mod 16 = 0 then agree (Printf.sprintf "after cycle %d" k) sys
   done;
-  let stats = FM.index_stats sys.f in
-  check_bool "the arena compacted at least once" true (stats.FM.rebuilds >= 1);
-  check_bool "slots back under the compaction bound" true
-    (stats.FM.slots <= (8 * 8) + 64);
-  agree "after compaction churn" sys
+  check_int "reachable words after 48 cycles" words
+    (Obj.reachable_words (Obj.repr sys.f))
 
-(* [in_dest_component] is the serving layer's O(α) No_route honesty
-   check: on a stabilized engine it must answer exactly what the BFS
+(* [in_dest_component] is the serving layer's one-read No_route
+   honesty check: on a stabilized engine it must answer exactly what the BFS
    [has_path] answers, through partitions and heals. *)
 let test_membership_answers_reachability () =
   let config = random_config ~extra_edges:1 ~seed:44 12 in
@@ -386,8 +385,8 @@ let () =
           case "partition→heal cycles byte-identical (pinned)"
             test_partition_heal_pinned;
           case "seeds 31-33 match the reference" test_seeded_sparse_churn;
-          case "ghost-slot pressure triggers compaction"
-            test_compaction_rebuilds;
+          case "heal cycles keep the footprint"
+            test_partition_heal_footprint;
           case "membership answers reachability"
             test_membership_answers_reachability;
         ];

@@ -247,6 +247,11 @@ let test_shard_unit_behaviour () =
   check_bool "self-loop down is a noop" true (o.Shard.response = Op.Noop);
   let o = Shard.apply shard (Op.Route { shard = 0; src = 999 }) in
   check_bool "unknown source is a noop" true (o.Shard.response = Op.Noop);
+  let o =
+    Shard.apply shard
+      (Op.Corrupt { shard = 0; seed = 1; magnitude = Shard.max_magnitude + 1 })
+  in
+  check_bool "undrawable corrupt magnitude is a noop" true (o.Shard.response = Op.Noop);
   (* a crash elects a live leader and bumps the epoch *)
   let o = Shard.apply shard (Op.Crash_destination { shard = 0 }) in
   (match o.Shard.response with

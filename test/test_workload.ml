@@ -141,11 +141,15 @@ let test_load_rejects_corruption () =
            (fun l -> if l = "shards 6" then "shards 0" else l)
            lines);
       check_bool "invalid spec" true (Result.is_error (W.load path));
-      write
-        (List.mapi
-           (fun i l -> if i = List.length lines - 1 then "route 99 0" else l)
-           lines);
-      check_bool "out-of-range shard in op" true (Result.is_error (W.load path)))
+      let last line =
+        write (List.mapi (fun i l -> if i = List.length lines - 1 then line else l) lines);
+        W.load path
+      in
+      check_bool "out-of-range shard in op" true (Result.is_error (last "route 99 0"));
+      check_bool "corrupt magnitude above the bound" true
+        (Result.is_error (last "corrupt 0 9 536870912"));
+      check_bool "corrupt magnitude at the bound" true
+        (Result.is_ok (last "corrupt 0 9 536870911")))
 
 (* Seeded bit-flip fuzzing of a saved lrw1 file: 500 mutants, each with
    one to three flipped bits, every fourth also truncated.  A mutant may
