@@ -249,8 +249,8 @@ let f5 _ =
         List.map
           (fun n ->
             let config = Config.of_instance (family n) in
-            let p = HP.run ~mode:HP.Partial config in
-            let f = HP.run ~mode:HP.Full config in
+            let p = HP.run ~rule:M.Partial_reversal config in
+            let f = HP.run ~rule:M.Full_reversal config in
             [
               fname;
               string_of_int n;

@@ -877,13 +877,15 @@ module Service_cli = struct
         & opt queue_bound_conv (Some Svc.default_config.Svc.queue_bound)
         & info [ "queue-bound" ] ~docv:"B"
             ~doc:
-              "Per-shard op-ring capacity (rounded up to a power of two); \
-               an op arriving at a full ring is answered 'rejected \
-               overloaded' on the spot instead of queueing unboundedly.  \
-               $(b,auto) sets the bound to the op count + 1, which makes \
-               rejection impossible by construction — so runs of the same \
-               stream at different $(b,--jobs) must agree byte-for-byte \
-               (the CI differential uses this).")
+              "Per-shard op-ring capacity, at most 2^24 = 16777216 \
+               (rounded up to a power of two); an op arriving at a full \
+               ring is answered 'rejected overloaded' on the spot instead \
+               of queueing unboundedly.  $(b,auto) sets the bound to the \
+               op count + 1, which makes rejection impossible by \
+               construction — so runs of the same stream at different \
+               $(b,--jobs) must agree byte-for-byte (the CI differential \
+               uses this); a stream of 2^24 ops or more is then too long \
+               for $(b,auto).")
     in
     let pin_loops_arg =
       Arg.(

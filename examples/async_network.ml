@@ -11,13 +11,14 @@
 open Lr_graph
 open Linkrev
 module HP = Lr_routing.Height_protocol
+module M = Lr_routing.Maintenance
 
-let run_mode name mode config =
+let run_rule name rule config =
   let r =
     HP.run
       ~latency:(fun u v -> 1.0 +. (0.1 *. float_of_int ((u + v) mod 5)))
       ~jitter:(Random.State.make [| 99 |], 0.5)
-      ~mode config
+      ~rule config
   in
   Format.printf
     "%-8s: %4d reversals, %5d messages, simulated time %6.1f, oriented: %b@."
@@ -36,8 +37,8 @@ let () =
     (Digraph.num_edges config.Config.initial)
     (Node.Set.cardinal (Config.bad_nodes config));
 
-  let pr = run_mode "Partial" HP.Partial config in
-  let fr = run_mode "Full" HP.Full config in
+  let pr = run_rule "Partial" M.Partial_reversal config in
+  let fr = run_rule "Full" M.Full_reversal config in
 
   Format.printf "@.per-node reversal counts (Partial):@.";
   Node.Map.iter

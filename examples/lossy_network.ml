@@ -14,6 +14,7 @@
 open Lr_graph
 open Linkrev
 module HP = Lr_routing.Height_protocol
+module M = Lr_routing.Maintenance
 
 let show name (r : HP.result) =
   Format.printf
@@ -33,7 +34,7 @@ let () =
     (Digraph.num_edges config.Config.initial)
     (Node.Set.cardinal (Config.bad_nodes config));
 
-  show "reliable" (HP.run ~mode:HP.Partial config);
+  show "reliable" (HP.run ~rule:M.Partial_reversal config);
 
   (* Find a seed where bare loss visibly stalls (not guaranteed on
      every seed — loss is random). *)
@@ -44,7 +45,7 @@ let () =
         let r =
           HP.run
             ~drop:(Random.State.make [| seed |], 0.4)
-            ~mode:HP.Partial config
+            ~rule:M.Partial_reversal config
         in
         if r.HP.destination_oriented then hunt (seed + 1) else Some (seed, r)
     in
@@ -61,7 +62,7 @@ let () =
   let r =
     HP.run
       ~drop:(Random.State.make [| 7 |], 0.4)
-      ~beacon:5.0 ~until:2000.0 ~mode:HP.Partial config
+      ~beacon:5.0 ~until:2000.0 ~rule:M.Partial_reversal config
   in
   show "40% loss + beacons" r;
   Format.printf

@@ -50,6 +50,9 @@ let remove_edge g u v =
       orient = Edge.Map.remove (Edge.make u v) g.orient;
     }
 
+let isolate g u =
+  Node.Set.fold (fun v g -> remove_edge g u v) (Undirected.neighbors g.skel u) g
+
 let skeleton g = g.skel
 let nodes g = Undirected.nodes g.skel
 let num_nodes g = Undirected.num_nodes g.skel

@@ -36,6 +36,11 @@ val add_directed_edge : t -> Node.t -> Node.t -> t
     [u -> v], extending the skeleton if needed. *)
 
 val remove_edge : t -> Node.t -> Node.t -> t
+
+val isolate : t -> Node.t -> t
+(** [isolate g u] removes every edge at [u] — a crash.  The node itself
+    stays in the skeleton with degree 0. *)
+
 val add_node : t -> Node.t -> t
 
 (** {1 Observation} *)

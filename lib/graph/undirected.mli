@@ -35,6 +35,10 @@ val iter_edges : (Edge.t -> unit) -> t -> unit
 val is_connected : t -> bool
 (** True for the empty graph and singletons. *)
 
+val component_of : t -> Node.t -> Node.Set.t
+(** The connected component containing the node, by BFS from it
+    ([{u}] for an unknown node). *)
+
 val connected_components : t -> Node.Set.t list
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -19,11 +19,15 @@
 
 type 'a t
 
+val max_capacity : int
+(** [2^24], the largest capacity {!create} accepts. *)
+
 val create : capacity:int -> 'a -> 'a t
 (** [create ~capacity dummy] is an empty ring of at least [capacity]
     slots (rounded up to the next power of two).  [dummy] fills unused
     slots so popped values are never retained.
-    @raise Invalid_argument when [capacity < 1] or exceeds [2^24]. *)
+    @raise Invalid_argument when [capacity < 1] or exceeds
+    {!max_capacity}. *)
 
 val capacity : 'a t -> int
 (** Actual slot count (the rounded-up power of two). *)

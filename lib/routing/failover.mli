@@ -8,8 +8,11 @@
     the re-orientation, which is plain Partial/Full Reversal with the
     new leader as destination.
 
-    This is the persistent reference: the service's fast tier fails
-    over natively ({!Fast_maintenance.survivor_components},
+    Each component re-orients in its own {!Maintenance} session, seeded
+    with {!Maintenance.initial_heights} on the crash-stripped graph, so
+    the work counted is exactly {!Maintenance.stabilize}'s.  This is the
+    persistent reference: the service's fast tier fails over natively
+    ({!Fast_maintenance.survivor_components},
     {!Fast_maintenance.reroot}) and tests and benches check it against
     this module. *)
 

@@ -657,32 +657,6 @@ let route t u =
     in
     descend u [] (t.n + 1)
 
-let has_path t src =
-  if not (mem_node t src) then false
-  else if src = t.dest then true
-  else begin
-    let q = t.queue and seen = t.seen in
-    Array.fill seen 0 t.n false;
-    seen.(src) <- true;
-    q.(0) <- src;
-    let head = ref 0 and tail = ref 1 in
-    let found = ref false in
-    while (not !found) && !head < !tail do
-      let x = q.(!head) in
-      incr head;
-      for i = 0 to G.Dyn.degree t.adj x - 1 do
-        let w = G.Dyn.nbr t.adj x i in
-        if compare_heights t x w > 0 && not seen.(w) then begin
-          if w = t.dest then found := true;
-          seen.(w) <- true;
-          q.(!tail) <- w;
-          incr tail
-        end
-      done
-    done;
-    !found
-  end
-
 (* Every node the destination's component can still route from: the
    backward closure of the destination along directed edges. *)
 let reaches_destination t =

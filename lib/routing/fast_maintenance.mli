@@ -67,8 +67,8 @@ val in_dest_component : t -> Node.t -> bool
 (** Membership in the destination's component — one array read; false
     for unknown nodes.  Between operations the engine is stabilized and
     its component destination-oriented, so this also answers "does a
-    directed path to the destination exist" without the BFS of
-    {!has_path} — the serving layer's fast [No_route] honesty check. *)
+    directed path to the destination exist" without a BFS — the serving
+    layer's fast [No_route] honesty check. *)
 
 val component_size : t -> int
 (** Size of the destination's component. *)
@@ -115,12 +115,6 @@ val reroot : t -> leader:Node.t -> unit
 val route : t -> Node.t -> Node.t list option
 (** Same paths as {!Maintenance.route}, served through the next-hop
     cache. *)
-
-val has_path : t -> Node.t -> bool
-(** A directed path from the node to the destination exists (the
-    serving layer's honesty check for [No_route]), answered by BFS.
-    See {!in_dest_component} for the one-read equivalent on a
-    stabilized engine. *)
 
 val fail_link : t -> Node.t -> Node.t -> Maintenance.change_result
 (** @raise Invalid_argument if absent. *)

@@ -1,8 +1,6 @@
 open Lr_graph
 open Linkrev
 
-type mode = Full | Partial
-
 type node_state = {
   me : Node.t;
   height : Heights.pr_height;
@@ -20,52 +18,11 @@ type result = {
   destination_oriented : bool;
 }
 
-let initial_heights mode config =
-  match mode with
-  | Partial ->
-      Node.Set.fold
-        (fun u m ->
-          let r = Lr_graph.Embedding.rank config.Config.embedding u in
-          Node.Map.add u { Heights.pa = 0; pb = -r; pid = u } m)
-        (Config.nodes config) Node.Map.empty
-  | Full ->
-      let n = Node.Set.cardinal (Config.nodes config) in
-      Node.Set.fold
-        (fun u m ->
-          let r = Lr_graph.Embedding.rank config.Config.embedding u in
-          Node.Map.add u { Heights.pa = n - r; pb = 0; pid = u } m)
-        (Config.nodes config) Node.Map.empty
-
 let believes_sink st =
   (not (Node.Map.is_empty st.view))
   && Node.Map.for_all
        (fun _ h -> Heights.compare_pr_height st.height h < 0)
        st.view
-
-(* One reversal according to the local view.  Partial: [a := 1 + min],
-   [b] below the neighbours sharing the new [a].  Full: [a := 1 + max]. *)
-let raise_height mode st =
-  let heights = Node.Map.bindings st.view |> List.map snd in
-  match (mode, heights) with
-  | _, [] -> st.height
-  | Partial, _ ->
-      let min_a =
-        List.fold_left (fun m h -> min m h.Heights.pa) max_int heights
-      in
-      let new_a = min_a + 1 in
-      let same = List.filter (fun h -> h.Heights.pa = new_a) heights in
-      let new_b =
-        match same with
-        | [] -> st.height.Heights.pb
-        | _ ->
-            List.fold_left (fun m h -> min m h.Heights.pb) max_int same - 1
-      in
-      { Heights.pa = new_a; pb = new_b; pid = st.me }
-  | Full, _ ->
-      let max_a =
-        List.fold_left (fun m h -> max m h.Heights.pa) min_int heights
-      in
-      { Heights.pa = max_a + 1; pb = 0; pid = st.me }
 
 let broadcast st =
   Node.Map.fold
@@ -74,22 +31,24 @@ let broadcast st =
 
 (* Raise while the local view says "sink"; one raise always suffices to
    stop being a local sink, but the loop keeps the code obviously safe. *)
-let activate mode ~destination st =
+let activate rule ~destination st =
   if Node.equal st.me destination then (st, [])
   else
     let rec loop st sends fuel =
       if fuel = 0 || not (believes_sink st) then (st, sends)
       else
+        (* One reversal according to the local view. *)
+        let hs = Node.Map.fold (fun _ h acc -> h :: acc) st.view [] in
         let st =
-          { st with height = raise_height mode st; raises = st.raises + 1 }
+          { st with height = Maintenance.raise_height rule st.height hs; raises = st.raises + 1 }
         in
         loop st (sends @ broadcast st) (fuel - 1)
     in
     loop st [] 4
 
-let handler mode config =
+let handler rule config =
   let destination = config.Config.destination in
-  let init_heights = initial_heights mode config in
+  let init_heights = Maintenance.initial_heights rule config in
   {
     Lr_sim.Network.init =
       (fun u nbrs ->
@@ -101,14 +60,14 @@ let handler mode config =
         let st =
           { me = u; height = Node.Map.find u init_heights; view; raises = 0 }
         in
-        activate mode ~destination st);
+        activate rule ~destination st);
     on_message =
       (fun _u st ~from (Height h) ->
         let st = { st with view = Node.Map.add from h st.view } in
-        activate mode ~destination st);
+        activate rule ~destination st);
   }
 
-let run ?latency ?jitter ?drop ?beacon ?until ?max_deliveries ~mode config =
+let run ?latency ?jitter ?drop ?beacon ?until ?max_deliveries ~rule config =
   let latency = match latency with Some f -> f | None -> fun _ _ -> 1.0 in
   let topology = Config.skeleton config in
   let timer =
@@ -117,7 +76,7 @@ let run ?latency ?jitter ?drop ?beacon ?until ?max_deliveries ~mode config =
         (* Beacon: re-announce the current height; also re-run the sink
            check in case lost messages left us stuck. *)
         let tick _u st =
-          let st, sends = activate mode ~destination:config.Config.destination st in
+          let st, sends = activate rule ~destination:config.Config.destination st in
           (st, sends @ broadcast st)
         in
         (interval, tick))
@@ -125,7 +84,7 @@ let run ?latency ?jitter ?drop ?beacon ?until ?max_deliveries ~mode config =
   in
   let net =
     Lr_sim.Network.create ~topology ~latency ?jitter ?drop ?timer
-      (handler mode config)
+      (handler rule config)
   in
   let stats = Lr_sim.Network.run ?max_deliveries ?until net in
   let final_heights =

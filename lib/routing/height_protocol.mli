@@ -7,19 +7,20 @@
     height (by the Partial or Full reversal rule) and broadcasts the new
     height to its neighbours.  The destination never raises.
 
-    With FIFO links this converges to a destination-oriented graph from
-    any acyclic initial orientation; the test suite checks convergence
-    and compares the message cost of the two rules. *)
+    Seeding ({!Maintenance.initial_heights}) and the raise
+    ({!Maintenance.raise_height}) are the persistent height model's
+    own; only the message passing is this module's.  With FIFO links
+    this converges to a destination-oriented graph from any acyclic
+    initial orientation; the test suite checks convergence and pins
+    the raise and message counts of both rules. *)
 
 open Lr_graph
 open Linkrev
 
-type mode = Full | Partial
-
 type node_state = {
   me : Node.t;
   height : Heights.pr_height;
-      (** Full mode uses the [pa] component only ([pb] stays 0). *)
+      (** Full Reversal uses the [pa] component only ([pb] stays 0). *)
   view : Heights.pr_height Node.Map.t;  (** Latest known neighbour heights. *)
   raises : int;  (** Reversals performed by this node. *)
 }
@@ -34,9 +35,6 @@ type result = {
   destination_oriented : bool;
 }
 
-val initial_heights : mode -> Config.t -> Heights.pr_height Node.Map.t
-(** Heights realizing [G'_init] (from the config's embedding). *)
-
 val run :
   ?latency:(Node.t -> Node.t -> float) ->
   ?jitter:Random.State.t * float ->
@@ -44,7 +42,7 @@ val run :
   ?beacon:float ->
   ?until:float ->
   ?max_deliveries:int ->
-  mode:mode ->
+  rule:Maintenance.rule ->
   Config.t ->
   result
 (** Default latency: constant [1.0] on every link.

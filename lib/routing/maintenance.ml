@@ -20,15 +20,13 @@ let rule t = t.rule
 let destination t = t.destination
 let total_work t = t.work
 
+let dest_component t =
+  Undirected.component_of (Digraph.skeleton t.graph) t.destination
+
+(* Only within the destination's component: nodes cut off by
+   partitions are not expected to have routes. *)
 let is_destination_oriented t =
-  (* Only within the destination's component: nodes cut off by
-     partitions are not expected to have routes. *)
-  let comp =
-    List.find
-      (fun c -> Node.Set.mem t.destination c)
-      (Undirected.connected_components (Digraph.skeleton t.graph))
-  in
-  Node.Set.subset comp (Node.Set.add t.destination (Digraph.reaches t.graph t.destination))
+  Node.Set.subset (dest_component t) (Digraph.reaches t.graph t.destination)
 
 let height t u = Node.Map.find u t.heights
 let height_pair t u =
@@ -71,23 +69,10 @@ let reorient_at t u =
       t.graph <- Digraph.set_dir t.graph u v d)
     (Digraph.neighbors t.graph u)
 
-let dest_component t =
-  List.find
-    (fun c -> Node.Set.mem t.destination c)
-    (Undirected.connected_components (Digraph.skeleton t.graph))
-
-(* Run reversals inside the destination's component until no sink other
-   than the destination remains there. *)
-let stabilize ?budget t =
-  let comp = dest_component t in
+(* Run reversals inside [comp], the destination's component, until no
+   sink other than the destination remains there. *)
+let stabilize_within t comp ~budget =
   let steps = ref 0 in
-  let budget =
-    match budget with
-    | Some b -> b
-    | None ->
-        let n = Node.Set.cardinal comp in
-        (4 * n * n) + 1000
-  in
   (* First (minimum-id) non-destination sink.  [iter] visits the set
      ascending, and raising stops the scan at the first hit — the old
      [fold] kept walking the whole component after finding one. *)
@@ -119,31 +104,31 @@ let stabilize ?budget t =
   t.work <- t.work + !steps;
   Stabilized { node_steps = !steps }
 
+let stabilize t =
+  let comp = dest_component t in
+  let n = Node.Set.cardinal comp in
+  stabilize_within t comp ~budget:((4 * n * n) + 1000)
+
+(* Embedding rank [r] becomes [(0, -r)] under PR and [(n - r, 0)] under
+   FR: either way a node is higher than every node right of it, and
+   [G'_init]'s edges run left to right. *)
+let initial_heights rule config =
+  let nodes = Config.nodes config in
+  let n = Node.Set.cardinal nodes in
+  Node.Set.fold
+    (fun u m ->
+      let r = Embedding.rank config.Config.embedding u in
+      let pa, pb = match rule with Partial_reversal -> (0, -r) | Full_reversal -> (n - r, 0) in
+      Node.Map.add u { Heights.pa; pb; pid = u } m)
+    nodes Node.Map.empty
+
+let of_heights rule graph ~destination heights =
+  { rule; destination; heights; graph; work = 0 }
+
 let create rule config =
-  let heights =
-    match rule with
-    | Partial_reversal ->
-        Node.Set.fold
-          (fun u m ->
-            let r = Embedding.rank config.Config.embedding u in
-            Node.Map.add u { Heights.pa = 0; pb = -r; pid = u } m)
-          (Config.nodes config) Node.Map.empty
-    | Full_reversal ->
-        let n = Node.Set.cardinal (Config.nodes config) in
-        Node.Set.fold
-          (fun u m ->
-            let r = Embedding.rank config.Config.embedding u in
-            Node.Map.add u { Heights.pa = n - r; pb = 0; pid = u } m)
-          (Config.nodes config) Node.Map.empty
-  in
   let t =
-    {
-      rule;
-      destination = config.Config.destination;
-      heights;
-      graph = config.Config.initial;
-      work = 0;
-    }
+    of_heights rule config.Config.initial ~destination:config.Config.destination
+      (initial_heights rule config)
   in
   ignore (stabilize t);
   t
@@ -256,18 +241,14 @@ let adopt_heights t f =
          (fun (_, h) -> (h.Heights.pa, h.Heights.pb))
          (Node.Map.to_seq t.heights))
   in
-  let budget =
-    adoption_budget ~n:(Node.Set.cardinal (Digraph.nodes t.graph)) ~spread
-  in
-  stabilize ~budget t
+  stabilize_within t (dest_component t)
+    ~budget:(adoption_budget ~n:(Node.Set.cardinal (Digraph.nodes t.graph)) ~spread)
 
 let fail_node t u =
   if Node.equal u t.destination then
     invalid_arg "Maintenance.fail_node: cannot fail the destination";
   let before = dest_component t in
-  Node.Set.iter
-    (fun v -> t.graph <- Digraph.remove_edge t.graph u v)
-    (Digraph.neighbors t.graph u);
+  t.graph <- Digraph.isolate t.graph u;
   let after = dest_component t in
   let lost = Node.Set.diff before after in
   if Node.Set.is_empty lost then stabilize t

@@ -11,7 +11,14 @@
     Partition handling is deliberately simple (real TORA detects
     partitions with reflected heights): a failure that disconnects part
     of the network from the destination is detected by a connectivity
-    check and reported; the disconnected side is left untouched. *)
+    check and reported; the disconnected side is left untouched.
+
+    This is the one persistent height model: seeding from an embedding
+    ({!initial_heights}), the raise ({!raise_height}) and the
+    stabilizer ({!stabilize}) exist here once.  {!Failover} runs a
+    session per surviving component, {!Height_protocol} seeds and
+    raises through it, and {!Fast_maintenance} is the same model on
+    flat arrays. *)
 
 open Lr_graph
 open Linkrev
@@ -28,9 +35,33 @@ type change_result =
   | Partitioned of Node.Set.t
       (** Nodes cut off from the destination; no reversals performed. *)
 
+val initial_heights : rule -> Config.t -> Heights.pr_height Node.Map.t
+(** Heights realizing [G'_init]: the node at embedding rank [r] gets
+    [(0, -r)] under PR and [(n - r, 0)] under FR, with its id as the
+    third component.  {!Fast_maintenance} seeds the same values on
+    arrays. *)
+
+val of_heights :
+  rule -> Digraph.t -> destination:Node.t -> Heights.pr_height Node.Map.t -> t
+(** A session on the graph with the given heights, not yet stabilized.
+    The graph's orientation must be the one the heights induce (every
+    edge from its higher endpoint to its lower one), and every node
+    needs a height. *)
+
 val create : rule -> Config.t -> t
-(** Starts from [G'_init] and stabilizes it (the initial graph need not
-    be destination-oriented). *)
+(** {!of_heights} on [G'_init] with {!initial_heights}, then
+    {!stabilize} (the initial graph need not be destination-oriented). *)
+
+val stabilize : t -> change_result
+(** Reverse inside the destination's component until no sink other
+    than the destination remains there, always taking the minimum-id
+    sink first.  Always returns [Stabilized].
+    @raise Failure past [4 s^2 + 1000] steps on a component of [s]
+    nodes, which suffices when the heights' spread is O(s) (see
+    {!adoption_budget}). *)
+
+val dest_component : t -> Node.Set.t
+(** The destination's connected component in the current skeleton. *)
 
 val graph : t -> Digraph.t
 
@@ -53,8 +84,8 @@ val raise_height : rule -> Heights.pr_height -> Heights.pr_height list -> Height
     [pb] one below the lowest [pb] among the neighbours at that new
     [pa] (unchanged when there are none); under FR, [pa] becomes one
     above the highest neighbour's and [pb] is 0.  The id component is
-    kept; [h] itself is returned when [hs] is empty.  Every persistent
-    engine ({!Failover} too) reverses through it, and
+    kept; [h] itself is returned when [hs] is empty.  {!stabilize} and
+    {!Height_protocol}'s asynchronous nodes reverse through it, and
     {!Fast_maintenance.raise_height} is the same arithmetic on flat
     arrays. *)
 

@@ -49,8 +49,12 @@ let create ?trace_dir cfg configs =
   if Array.length configs = 0 then
     invalid_arg "Service.create: need at least one shard";
   if cfg.jobs < 1 then invalid_arg "Service.create: jobs must be >= 1";
-  if cfg.queue_bound < 1 then
-    invalid_arg "Service.create: queue_bound must be >= 1";
+  if cfg.queue_bound < 1 || cfg.queue_bound > Spsc.max_capacity then
+    invalid_arg
+      (Printf.sprintf
+         "Service.create: queue_bound must be in 1 .. %d (the op ring's \
+          capacity limit)"
+         Spsc.max_capacity);
   let effective_jobs =
     if cfg.pin_loops then cfg.jobs
     else min cfg.jobs (max 1 (Pool.recommended_jobs ()))

@@ -47,8 +47,10 @@ type config = {
       (** Domains: one dispatcher plus [jobs - 1] resident shard
           loops. *)
   queue_bound : int;
-      (** Per-shard ring capacity (rounded up to a power of two by the
-          ring; the rounded value is the effective bound). *)
+      (** Per-shard ring capacity, from 1 to
+          {!Lr_parallel.Spsc.max_capacity} (2^24); the ring rounds it up
+          to a power of two, and the rounded value is the effective
+          bound. *)
   rule : Lr_routing.Maintenance.rule;
   engine : Shard.engine_kind;
       (** Maintenance tier for every shard ({!Shard.engine_kind}).
@@ -82,7 +84,8 @@ val create : ?trace_dir:string -> config -> Linkrev.Config.t array -> t
     orientation is recorded there as a replayable LRT1 trace
     ([shard-NNN.lrt], via {!Lr_trace.Record.fast} — auditable with
     [linkrev trace audit]).  @raise Invalid_argument on an empty
-    instance array or a non-positive [jobs]/[queue_bound]. *)
+    instance array, a non-positive [jobs] or a [queue_bound] that is
+    non-positive or above {!Lr_parallel.Spsc.max_capacity}. *)
 
 val num_shards : t -> int
 val shard : t -> int -> Shard.t

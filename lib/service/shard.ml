@@ -10,7 +10,6 @@ type engine_kind = Fast | Reference
 module type ENGINE = sig
   type t
 
-  val kind : engine_kind
   val create : Maintenance.rule -> Linkrev.Config.t -> t
   val destination : t -> Node.t
   val graph : t -> Digraph.t
@@ -28,7 +27,6 @@ module type ENGINE = sig
   val reaches_destination : t -> Node.t -> bool
 
   val in_dest_component : t -> Node.t -> bool
-  val component_size : t -> int
   val fail_link : t -> Node.t -> Node.t -> Maintenance.change_result
   val add_link : t -> Node.t -> Node.t -> unit
   val adopt_heights : t -> (Node.t -> int * int) -> Maintenance.change_result
@@ -53,7 +51,6 @@ end
 module Fast_tier = struct
   include Fast_maintenance
 
-  let kind = Fast
   let cache_stats t = Some (cache_stats t)
 
   (* Between ops the engine is stabilized, so membership in the
@@ -75,7 +72,6 @@ module Reference_tier = struct
 
   type t = M.t
 
-  let kind = Reference
   let create = M.create
   let destination = M.destination
   let graph = M.graph
@@ -92,34 +88,13 @@ module Reference_tier = struct
   let route = M.route
   let reaches_destination m src = Digraph.has_path (M.graph m) src (M.destination m)
 
-  (* The destination's undirected component, walked afresh. *)
-  let dest_component m =
-    let g = M.graph m in
-    let rec grow frontier seen =
-      if Node.Set.is_empty frontier then seen
-      else
-        let next =
-          Node.Set.fold
-            (fun u acc -> Node.Set.union acc (Digraph.neighbors g u))
-            frontier Node.Set.empty
-        in
-        let fresh = Node.Set.diff next seen in
-        grow fresh (Node.Set.union seen fresh)
-    in
-    let d = Node.Set.singleton (M.destination m) in
-    grow d d
-
-  let in_dest_component m u = mem_node m u && Node.Set.mem u (dest_component m)
-  let component_size m = Node.Set.cardinal (dest_component m)
+  let in_dest_component m u = mem_node m u && Node.Set.mem u (M.dest_component m)
   let fail_link = M.fail_link
   let add_link = M.add_link
   let adopt_heights = M.adopt_heights
 
-  (* The graph with the destination's links removed; the node itself
-     stays, isolated. *)
-  let stripped m =
-    let g = M.graph m and old = M.destination m in
-    Node.Set.fold (fun v g -> Digraph.remove_edge g old v) (Digraph.neighbors g old) g
+  (* The graph with the destination crashed. *)
+  let stripped m = Digraph.isolate (M.graph m) (M.destination m)
 
   (* The components of the crash-stripped skeleton, less the isolated
      old destination. *)
@@ -174,10 +149,6 @@ let create ?(engine = Fast) ~rule ~id config =
 
 let id (Shard s) = s.sid
 
-let engine_kind (Shard s) =
-  let module E = (val s.engine) in
-  E.kind
-
 let destination (Shard s) =
   let module E = (val s.engine) in
   E.destination s.m
@@ -200,10 +171,6 @@ let cache_stats (Shard s) =
 let in_dest_component (Shard s) u =
   let module E = (val s.engine) in
   E.in_dest_component s.m u
-
-let component_size (Shard s) =
-  let module E = (val s.engine) in
-  E.component_size s.m
 
 let height_pair (Shard s) u =
   let module E = (val s.engine) in
@@ -391,9 +358,6 @@ let forward t slots =
           work = 0;
           validation_failures = 0;
         }
-
-let plane_queued (Shard s) =
-  match s.plane with Some p -> Lr_packet.Plane.queued p | None -> 0
 
 (* {1 Chaos faults} *)
 

@@ -32,9 +32,9 @@ type engine_kind = Fast | Reference
     down/up, heights and adoption, membership, survivors and reroot,
     work, consistency — so a shard is a single code path: {!create}
     picks the tier once and no op decides it again.  The reference
-    tier's glue (component walks, the crash-stripped skeleton, a
-    [Config]-based reroot, a BFS [No_route] honesty check) lives
-    beside it in the shard, off the fast tier's path. *)
+    tier's glue (the crash-stripped skeleton, a [Config]-based reroot,
+    a BFS [No_route] honesty check) lives beside it in the shard, off
+    the fast tier's path. *)
 
 val create :
   ?engine:engine_kind -> rule:Maintenance.rule -> id:int -> Linkrev.Config.t -> t
@@ -52,7 +52,6 @@ val create :
     engine tiers. *)
 
 val id : t -> int
-val engine_kind : t -> engine_kind
 val destination : t -> Node.t
 val graph : t -> Digraph.t
 val dead : t -> Node.Set.t
@@ -70,11 +69,9 @@ val cache_stats : t -> Fast_maintenance.cache_stats option
 
 val in_dest_component : t -> Node.t -> bool
 (** Membership in the destination's component — one read of the fast
-    tier's membership bitmap, a component walk on the reference.  False
+    tier's membership bitmap, {!Maintenance.dest_component} on the
+    reference.  False
     for unknown nodes. *)
-
-val component_size : t -> int
-(** Nodes currently in the destination's component. *)
 
 type outcome = {
   response : Op.response;
@@ -111,10 +108,6 @@ val hostile_height : seed:int -> magnitude:int -> int -> int * int
 
 val height_pair : t -> Node.t -> int * int
 (** The node's current [(pa, pb)] height on the shard's engine. *)
-
-val plane_queued : t -> int
-(** Packets in flight on the forwarding plane ([0] before the first
-    packet op and after a failover). *)
 
 val consistent : t -> bool
 (** The shard's structural invariant, for tests: graph acyclic and the

@@ -239,12 +239,14 @@ let load path =
         | () -> Ok ()
         | exception Invalid_argument m -> fail "invalid spec: %s" m
       in
-      let ops = Array.make ops_count Op.Stats in
-      let rec read k =
-        if k = ops_count then Ok ()
+      (* The ops are collected as their lines are read: the header's
+         count sizes nothing, so a count the lines do not back ends at
+         "unexpected end of file". *)
+      let rec read k acc =
+        if k = ops_count then Ok (Array.of_list (List.rev acc))
         else
           let* line = next () in
-          if line = "" then read k
+          if line = "" then read k acc
           else
             let* op =
               match Op.of_line line with
@@ -256,10 +258,9 @@ let load path =
               | Ok () -> Ok ()
               | Error e -> fail "line %d: %s (%S)" !line_no e line
             in
-            ops.(k) <- op;
-            read (k + 1)
+            read (k + 1) (op :: acc)
       in
-      let* () = read 0 in
+      let* ops = read 0 [] in
       Ok (spec, ops))
 
 let describe spec =

@@ -124,6 +124,14 @@ let test_add_remove_edge () =
   let g = Digraph.add_directed_edge g 2 0 in
   check_bool "re-added reversed" true (Digraph.dir g 2 0 = Digraph.Out)
 
+let test_isolate () =
+  let g = Digraph.isolate (triangle ()) 1 in
+  check_int "one edge left" 1 (Digraph.num_edges g);
+  check_int "node stays" 3 (Digraph.num_nodes g);
+  check_bool "0 -> 2 kept" true (Digraph.dir g 0 2 = Digraph.Out);
+  check_bool "isolated" true (Node.Set.is_empty (Digraph.neighbors g 1));
+  check_bool "idempotent" true (Digraph.equal g (Digraph.isolate g 1))
+
 let test_edge_target () =
   let g = triangle () in
   check_int "target of {0,1}" 1 (Digraph.edge_target g (Edge.make 0 1))
@@ -186,6 +194,7 @@ let () =
           case "equality and canonical keys" test_equal_and_key;
           case "orient over a skeleton" test_orient;
           case "add/remove edges" test_add_remove_edge;
+          case "isolate drops a node's edges" test_isolate;
           case "edge_target" test_edge_target;
           case "reverse_toward {} is a no-op" test_reverse_toward_empty_is_noop;
           case "set_dir rejects non-edges" test_set_dir_rejects_non_edges;

@@ -98,9 +98,7 @@ let oracle_failover rule ~live f =
   match Shard.elect ~live (summaries outcomes) with
   | None -> (outcomes, None)
   | Some leader ->
-      let stripped =
-        Node.Set.fold (fun v g -> Digraph.remove_edge g old v) (Digraph.neighbors g old) g
-      in
+      let stripped = Digraph.isolate g old in
       (outcomes, Some (leader, FM.create rule (Config.make_exn stripped ~destination:leader)))
 
 let native_failover ~live f =

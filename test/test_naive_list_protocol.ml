@@ -60,7 +60,7 @@ let test_contrast_with_height_protocol () =
       let r =
         HP.run
           ~drop:(Random.State.make [| 0x8c; seed |], 0.3)
-          ~beacon:5.0 ~until:3000.0 ~mode:HP.Partial config
+          ~beacon:5.0 ~until:3000.0 ~rule:Lr_routing.Maintenance.Partial_reversal config
       in
       check_bool "height protocol survives the same conditions" true
         r.HP.destination_oriented

@@ -105,7 +105,10 @@ let mutex_props =
 let protocol_props =
   [
     prop "height protocol converges (reliable links)" (fun p ->
-        let r = Lr_routing.Height_protocol.run ~mode:Lr_routing.Height_protocol.Partial (config_of p) in
+        let r =
+          Lr_routing.Height_protocol.run ~rule:Lr_routing.Maintenance.Partial_reversal
+            (config_of p)
+        in
         r.Lr_routing.Height_protocol.destination_oriented);
     prop "height protocol: beacons overcome 25% loss" (fun p ->
         let _, _, seed = p in
@@ -113,7 +116,7 @@ let protocol_props =
           Lr_routing.Height_protocol.run
             ~drop:(Random.State.make [| 0x11; seed |], 0.25)
             ~beacon:4.0 ~until:3000.0
-            ~mode:Lr_routing.Height_protocol.Partial (config_of p)
+            ~rule:Lr_routing.Maintenance.Partial_reversal (config_of p)
         in
         r.Lr_routing.Height_protocol.destination_oriented);
   ]

@@ -305,6 +305,7 @@ let test_create_rejects_bad_config () =
     [
       { S.default_config with S.jobs = 0 };
       { S.default_config with S.queue_bound = 0 };
+      { S.default_config with S.queue_bound = (1 lsl 24) + 1 };
     ];
   check_bool "empty shard array rejected" true
     (try ignore (S.create S.default_config [||]); false

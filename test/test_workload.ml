@@ -141,6 +141,13 @@ let test_load_rejects_corruption () =
            (fun l -> if l = "shards 6" then "shards 0" else l)
            lines);
       check_bool "invalid spec" true (Result.is_error (W.load path));
+      (* An ops count the file's lines do not back: the largest int
+         (which no array can hold) and 10^11 (which no memory can). *)
+      List.iter
+        (fun count ->
+          write (List.map (fun l -> if l = "ops 10" then "ops " ^ count else l) lines);
+          check_bool ("ops " ^ count) true (Result.is_error (W.load path)))
+        [ "4611686018427387903"; "100000000000" ];
       let last line =
         write (List.mapi (fun i l -> if i = List.length lines - 1 then line else l) lines);
         W.load path
