@@ -452,26 +452,16 @@ let f8 _ =
 let f9 _ =
   section "D-F9" "scale: the array engines (lr_fast) on large instances";
   let module F = Lr_fast.Fast_engine in
-  let module FN = Lr_fast.Fast_new_pr in
   let time f =
     let t0 = Sys.time () in
     let r = f () in
     (r, Sys.time () -. t0)
   in
-  let pr rule inst () =
-    let engine, t_build = time (fun () -> F.create inst) in
-    let out, t_run = time (fun () -> F.run rule engine) in
-    (out, t_build, t_run)
-  in
-  let newpr inst () =
-    let engine, t_build = time (fun () -> FN.create inst) in
-    let out, t_run = time (fun () -> FN.run engine) in
-    (out, t_build, t_run)
-  in
   let rows =
     List.map
-      (fun (name, inst, runner) ->
-        let (out : Lr_fast.Fast_outcome.t), t_build, t_run = runner () in
+      (fun (name, inst, rule) ->
+        let engine, t_build = time (fun () -> F.create rule inst) in
+        let (out : F.outcome), t_run = time (fun () -> F.run engine) in
         [
           name;
           string_of_int (Lr_graph.Digraph.num_nodes inst.Generators.graph);
@@ -489,14 +479,14 @@ let f9 _ =
        in
        let disk20k = Generators.unit_disk (rng 4) ~n:20_000 ~radius:0.02 in
        [
-         ("PR sawtooth 2k (10^6 steps)", saw2k, pr F.Partial saw2k);
-         ("PR sawtooth 6k (9*10^6 steps)", saw6k, pr F.Partial saw6k);
-         ("FR bad chain 4k (8*10^6 steps)", chain4k, pr F.Full chain4k);
-         ("PR random 100k nodes", rand100k, pr F.Partial rand100k);
-         ("PR unit disk 20k nodes", disk20k, pr F.Partial disk20k);
-         ("NewPR sawtooth 6k", saw6k, newpr saw6k);
-         ("NewPR bad chain 4k", chain4k, newpr chain4k);
-         ("NewPR random 100k nodes", rand100k, newpr rand100k);
+         ("PR sawtooth 2k (10^6 steps)", saw2k, F.Partial);
+         ("PR sawtooth 6k (9*10^6 steps)", saw6k, F.Partial);
+         ("FR bad chain 4k (8*10^6 steps)", chain4k, F.Full);
+         ("PR random 100k nodes", rand100k, F.Partial);
+         ("PR unit disk 20k nodes", disk20k, F.Partial);
+         ("NewPR sawtooth 6k", saw6k, F.New_pr);
+         ("NewPR bad chain 4k", chain4k, F.New_pr);
+         ("NewPR random 100k nodes", rand100k, F.New_pr);
        ])
   in
   T.print ~title:"array engines: work, wall time, cost per reversal"
@@ -504,4 +494,4 @@ let f9 _ =
        ~headers:[ "instance"; "nodes"; "work"; "correct"; "time"; "per step" ]
        rows);
   Printf.printf
-    "note: both engines are differentially tested against the persistent automata\n(same work, same per-node counts, same final graph) in test_fast_engine.ml\nand test_fast_new_pr.ml.\n"
+    "note: every rule of the engine is differentially tested against the persistent\nautomata (same work, same per-node counts, same final graph) in\ntest_fast_engine.ml and test_fast_newpr.ml.\n"

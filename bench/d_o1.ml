@@ -42,7 +42,6 @@ let write_results s workloads ~diff_trials ~diff_passed =
 let run s =
   section "D-O1" "trace recording overhead, replay, and cross-engine differential replay";
   let module F = Lr_fast.Fast_engine in
-  let module FN = Lr_fast.Fast_new_pr in
   let module Record = Lr_trace.Record in
   let module Replay = Lr_trace.Replay in
   let module Writer = Lr_trace.Writer in
@@ -109,18 +108,20 @@ let run s =
   let module Event = Lr_trace.Event in
   let fast_workload id rule inst =
     let config = Config.of_instance inst in
-    let tag = match rule with F.Partial -> Event.Pr | F.Full -> Event.Fr in
     workload id
       ~bare:(fun () ->
-        let engine = F.of_config config in
-        fun () -> (F.run rule engine).F.work)
+        let engine = F.of_config rule config in
+        fun () -> (F.run engine).F.work)
       ~record:(fun path ->
-        let engine = F.of_config config in
-        let writer = Writer.create path (Event.header_of_config tag config) in
+        let engine = F.of_config rule config in
+        let writer =
+          Writer.create path
+            (Event.header_of_config (Record.engine_of_rule rule) config)
+        in
         let s, flush = Record.sink writer in
         F.set_sink engine (Some s);
         fun () ->
-          let out, dt = P.timed (fun () -> F.run rule engine) in
+          let out, dt = P.timed (fun () -> F.run engine) in
           F.set_sink engine None;
           flush ();
           let stats =
@@ -134,39 +135,11 @@ let run s =
           in
           (out.F.work, stats))
   in
-  let newpr_workload id inst =
-    let config = Config.of_instance inst in
-    workload id
-      ~bare:(fun () ->
-        let engine = FN.of_config config in
-        fun () -> (FN.run engine).FN.work)
-      ~record:(fun path ->
-        let engine = FN.of_config config in
-        let writer =
-          Writer.create path (Event.header_of_config Event.New_pr config)
-        in
-        let s, flush = Record.sink writer in
-        FN.set_sink engine (Some s);
-        fun () ->
-          let out, dt = P.timed (fun () -> FN.run engine) in
-          FN.set_sink engine None;
-          flush ();
-          let stats =
-            Writer.close writer
-              {
-                Event.work = out.FN.work;
-                edge_reversals = out.FN.edge_reversals;
-                wall_ns = int_of_float (dt *. 1e9);
-                final_fingerprint = FN.fingerprint engine;
-              }
-          in
-          (out.FN.work, stats))
-  in
   let workloads =
     [
       fast_workload "PR sawtooth" F.Partial saw;
       fast_workload "FR bad chain" F.Full chain;
-      newpr_workload "NewPR sawtooth" saw;
+      fast_workload "NewPR sawtooth" F.New_pr saw;
       fast_workload "PR random DAG" F.Partial rand;
     ]
   in
@@ -198,7 +171,7 @@ let run s =
         (fun n ->
           List.concat_map
             (fun seed ->
-              List.map (fun engine -> (n, seed, engine)) [ `Pr; `Fr; `New_pr ])
+              List.map (fun rule -> (n, seed, rule)) [ F.Partial; F.Full; F.New_pr ])
             [ 0; 1; 2 ])
         D_t.t1_sizes
     in
@@ -207,18 +180,15 @@ let run s =
   let diff_passed = ref 0 in
   let diff_failures = ref [] in
   List.iter
-    (fun (n, seed, engine) ->
+    (fun (n, seed, rule) ->
       with_tmp (fun path ->
           let config = random_config ~seed:(seed + (1000 * n)) n in
           let label =
             Printf.sprintf "%s n=%d seed=%d"
-              (match engine with `Pr -> "pr" | `Fr -> "fr" | `New_pr -> "newpr")
+              (Event.engine_name (Record.engine_of_rule rule))
               n seed
           in
-          (match engine with
-          | `Pr -> ignore (Record.fast ~seed ~path ~rule:F.Partial config)
-          | `Fr -> ignore (Record.fast ~seed ~path ~rule:F.Full config)
-          | `New_pr -> ignore (Record.fast_new_pr ~seed ~path config));
+          ignore (Record.fast ~seed ~path ~rule config);
           match Replay.file path with
           | Error e -> diff_failures := (label, "fast: " ^ e) :: !diff_failures
           | Ok _ -> (

@@ -147,7 +147,7 @@ let run_cmd =
           with
           | None -> Format.printf "PR invariants: OK on a fresh random execution@."
           | Some v ->
-              Format.printf "PR invariants: %a@!"
+              Format.printf "PR invariants: %a@."
                 Lr_automata.Invariant.pp_violation v
         end;
         `Ok ()
@@ -490,43 +490,50 @@ module Trace_cli = struct
             ( false,
               "maint traces are recorded by the chaos harness ('linkrev \
                chaos'), not 'trace record'" )
-      | Ok config ->
-          let work, reversals, stats =
-            if via then
-              let scheduler () =
-                Lr_automata.Scheduler.random (Random.State.make [| 0x7a; seed |])
+      | Ok config -> (
+          (* the wire format addresses nodes as 0..n-1; refuse any other
+             id set before a file is created *)
+          match Event.header_of_config engine config with
+          | exception Invalid_argument e ->
+              `Error (false, Printf.sprintf "cannot record this instance: %s" e)
+          | (_ : Event.header) ->
+              let work, reversals, stats =
+                if via then
+                  let scheduler () =
+                    Lr_automata.Scheduler.random (Random.State.make [| 0x7a; seed |])
+                  in
+                  let outcome, stats =
+                    match engine with
+                    | Event.Pr ->
+                        Record.persistent ~seed ~path:out ~engine
+                          ~scheduler:(scheduler ()) config (One_step_pr.algo config)
+                    | Event.Fr ->
+                        Record.persistent ~seed ~path:out ~engine
+                          ~scheduler:(scheduler ()) config
+                          (Full_reversal.algo config)
+                    | Event.New_pr ->
+                        Record.persistent ~seed ~path:out ~engine
+                          ~scheduler:(scheduler ()) config (New_pr.algo config)
+                    | Event.Maint -> assert false (* rejected above *)
+                  in
+                  ( outcome.Executor.total_node_steps,
+                    outcome.Executor.edge_reversals,
+                    stats )
+                else
+                  let rule =
+                    match engine with
+                    | Event.Pr -> F.Partial
+                    | Event.Fr -> F.Full
+                    | Event.New_pr -> F.New_pr
+                    | Event.Maint -> assert false (* rejected above *)
+                  in
+                  let outcome, stats = Record.fast ~seed ~path:out ~rule config in
+                  (outcome.F.work, outcome.F.edge_reversals, stats)
               in
-              let outcome, stats =
-                match engine with
-                | Event.Pr ->
-                    Record.persistent ~seed ~path:out ~engine
-                      ~scheduler:(scheduler ()) config (One_step_pr.algo config)
-                | Event.Fr ->
-                    Record.persistent ~seed ~path:out ~engine
-                      ~scheduler:(scheduler ()) config
-                      (Full_reversal.algo config)
-                | Event.New_pr ->
-                    Record.persistent ~seed ~path:out ~engine
-                      ~scheduler:(scheduler ()) config (New_pr.algo config)
-                | Event.Maint -> assert false (* rejected above *)
-              in
-              ( outcome.Executor.total_node_steps,
-                outcome.Executor.edge_reversals,
-                stats )
-            else
-              let outcome, stats =
-                match engine with
-                | Event.Pr -> Record.fast ~seed ~path:out ~rule:F.Partial config
-                | Event.Fr -> Record.fast ~seed ~path:out ~rule:F.Full config
-                | Event.New_pr -> Record.fast_new_pr ~seed ~path:out config
-                | Event.Maint -> assert false (* rejected above *)
-              in
-              (outcome.F.work, outcome.F.edge_reversals, stats)
-          in
-          Format.printf "recorded %s: work %d, edge reversals %d, %a@."
-            (Event.engine_name engine) work reversals pp_stats stats;
-          Format.printf "wrote %s@." out;
-          `Ok ()
+              Format.printf "recorded %s: work %d, edge reversals %d, %a@."
+                (Event.engine_name engine) work reversals pp_stats stats;
+              Format.printf "wrote %s@." out;
+              `Ok ())
     in
     let term =
       Term.(

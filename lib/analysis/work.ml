@@ -65,29 +65,29 @@ let sweep ?seed ?max_steps ?(jobs = 1) algorithm ~family ~sizes () =
 
 let sweep_fast ?max_steps ?(jobs = 1) algorithm ~family ~sizes () =
   let module F = Lr_fast.Fast_engine in
-  let module FN = Lr_fast.Fast_new_pr in
+  let rule =
+    match algorithm with
+    | FR -> F.Full
+    | PR -> F.Partial
+    | NewPR -> F.New_pr
+    | FR_heights | PR_heights ->
+        invalid_arg
+          (Printf.sprintf "Work.sweep_fast: no fast engine for %s"
+             (algorithm_name algorithm))
+  in
   let sizes = Array.of_list sizes in
   let one n =
     let inst = family n in
     let config = Config.of_instance inst in
-    let out =
-      match algorithm with
-      | FR -> F.run ?max_steps F.Full (F.of_config config)
-      | PR -> F.run ?max_steps F.Partial (F.of_config config)
-      | NewPR -> FN.run ?max_steps (FN.of_config config)
-      | FR_heights | PR_heights ->
-          invalid_arg
-            (Printf.sprintf "Work.sweep_fast: no fast engine for %s"
-               (algorithm_name algorithm))
-    in
+    let out = F.run ?max_steps (F.of_config rule config) in
     {
       n;
       nodes = Node.Set.cardinal (Config.nodes config);
       bad = Node.Set.cardinal (Config.bad_nodes config);
-      work = out.Lr_fast.Fast_outcome.work;
-      edge_reversals = out.Lr_fast.Fast_outcome.edge_reversals;
-      quiescent = out.Lr_fast.Fast_outcome.quiescent;
-      oriented = out.Lr_fast.Fast_outcome.destination_oriented;
+      work = out.F.work;
+      edge_reversals = out.F.edge_reversals;
+      quiescent = out.F.quiescent;
+      oriented = out.F.destination_oriented;
     }
   in
   Array.to_list

@@ -50,10 +50,10 @@ val sweep_fast :
   sizes:int list ->
   unit ->
   row list
-(** [sweep] served by the mutable array engines ({!Lr_fast.Fast_engine}
-    / {!Lr_fast.Fast_new_pr}) instead of the persistent executor.  Work
-    is schedule-independent for FR, PR and NewPR, and the fast engines
-    are differentially tested against the persistent automata, so the
+(** [sweep] served by the mutable array engine ({!Lr_fast.Fast_engine},
+    under the matching rule) instead of the persistent executor.  Work
+    is schedule-independent for FR, PR and NewPR, and the fast engine
+    is differentially tested against the persistent automata, so the
     rows are identical to {!sweep}'s — just orders of magnitude sooner
     on the quadratic families.  Supports [FR]/[PR]/[NewPR] only;
     @raise Invalid_argument for the heights variants (no fast engine

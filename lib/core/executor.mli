@@ -26,8 +26,8 @@ val run :
   outcome
 (** [observe] is called once per step, in execution order, with the
     full (before, action, after) transition — the hook the trace
-    recorder ({!Lr_trace.Record.observer}) uses to serialize persistent
-    runs. *)
+    recorder ({!Lr_trace.Record.persistent}) uses to serialize
+    persistent runs. *)
 
 val run_execution :
   ?observe:(('s, 'a) Lr_automata.Execution.step -> unit) ->

@@ -29,7 +29,9 @@ val pr_inv_3_1 : Config.t -> Pr.state Lr_automata.Invariant.t
 
 val pr_inv_3_2 : Config.t -> Pr.state Lr_automata.Invariant.t
 (** Invariant 3.2: for every node exactly one of the two list
-    characterizations holds. *)
+    characterizations holds.  A node with no neighbours, which
+    satisfies both vacuously, is skipped: the paper's graphs are
+    connected, but {!Config.make} accepts isolated nodes. *)
 
 val pr_cor_3_3 : Config.t -> Pr.state Lr_automata.Invariant.t
 (** Corollary 3.3: [list\[u\] ⊆ in-nbrs_u] or [list\[u\] ⊆ out-nbrs_u]. *)

@@ -88,6 +88,23 @@ let initial_in_degree t =
   Array.init t.n (fun u ->
       Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 t.out0.(u))
 
+let initial_slots t out =
+  Array.map
+    (fun row ->
+      Array.of_list
+        (List.filter (fun i -> Bool.equal row.(i) out) (List.init (Array.length row) Fun.id)))
+    t.out0
+
+let to_digraph t out_ =
+  let g = ref (Digraph.of_directed_edges []) in
+  for u = 0 to t.n - 1 do
+    g := Digraph.add_node !g u;
+    Array.iteri
+      (fun i w -> if out_.(u).(i) then g := Digraph.add_directed_edge !g u w)
+      t.nbrs.(u)
+  done;
+  !g
+
 module Dyn = struct
   type graph = t
 

@@ -1,5 +1,6 @@
 (** Shared flat-array view of an instance, the common substrate of the
-    mutable engines ({!Fast_engine}, {!Fast_new_pr}).
+    mutable engine ({!Fast_engine}), the trace replay cursor
+    ([Lr_trace.Replay]) and the fast maintenance engine.
 
     Adjacency as int arrays, plus for every slot [(u, i)] the {e mirror}
     slot: the index of [u] inside the adjacency row of its [i]-th
@@ -52,6 +53,16 @@ val initial_out : t -> bool array array
 
 val initial_in_degree : t -> int array
 (** Per-node initial in-degree, computed from [out0]. *)
+
+val initial_slots : t -> bool -> int array array
+(** [initial_slots t out] lists, per node and ascending, the slots whose
+    initial orientation [out0] is [out]: [false] gives the initially
+    incoming edges (NewPR's even reversal set), [true] the initially
+    outgoing ones (its odd set). *)
+
+val to_digraph : t -> bool array array -> Digraph.t
+(** [to_digraph t out_] is the orientation [out_] over this skeleton as
+    a persistent graph (small instances: differential tests, audits). *)
 
 (** A {e dynamic} flat adjacency: the same rows-plus-mirror-slots
     representation, but mutable under edge insertion and removal, for

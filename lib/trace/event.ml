@@ -48,10 +48,14 @@ type summary = {
 
 let header_of_config ?(seed = -1) engine config =
   let g = config.Linkrev.Config.initial in
+  let n = Digraph.num_nodes g in
+  (* n distinct ids, all below n, are exactly 0..n-1 *)
+  if not (Node.Set.for_all (fun u -> u >= 0 && u < n) (Digraph.nodes g)) then
+    invalid_arg "Event.header_of_config: node ids must be 0..n-1";
   {
     engine;
     seed;
-    n = Digraph.num_nodes g;
+    n;
     destination = config.Linkrev.Config.destination;
     edges = Digraph.directed_edges g;
     fingerprint = Digraph.fingerprint g;

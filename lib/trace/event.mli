@@ -61,6 +61,9 @@ type summary = {
 }
 
 val header_of_config : ?seed:int -> engine -> Linkrev.Config.t -> header
+(** The header of a recording of [config].  The wire format addresses
+    nodes as [0 .. n-1]; @raise Invalid_argument for any other id set
+    (a trace of it could not be read back). *)
 
 val instance_of_header : header -> Generators.instance
 (** Rebuilds the embedded instance (including any isolated nodes). *)

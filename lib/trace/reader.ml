@@ -162,15 +162,17 @@ let next t =
   | item -> Ok item
   | exception Corrupt m -> Error m
 
-let fold path ~init ~f ~finish =
+let with_file path f =
   match open_file path with
-  | Error e -> Error e
-  | Ok t ->
-      let rec loop i acc =
-        match next t with
-        | Error e -> Error e
-        | Ok (End summary) -> finish acc summary
-        | Ok (Event e) -> (
-            match f acc i e with Error e -> Error e | Ok acc -> loop (i + 1) acc)
-      in
-      Fun.protect ~finally:(fun () -> close t) (fun () -> loop 0 init)
+  | Error _ as e -> e
+  | Ok t -> Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+
+let fold t ~init ~f ~finish =
+  let rec loop i acc =
+    match next t with
+    | Error _ as e -> e
+    | Ok (End summary) -> finish acc summary
+    | Ok (Event e) -> (
+        match f acc i e with Error _ as e -> e | Ok acc -> loop (i + 1) acc)
+  in
+  loop 0 init

@@ -1,8 +1,7 @@
 open Lr_graph
 module F = Lr_fast.Fast_engine
-module FN = Lr_fast.Fast_new_pr
 
-(* Pending-step accumulator: the engines report a step as
+(* Pending-step accumulator: the engine reports a step as
    [on_step u; on_flip u i w; ...], so the recorder buffers the reversed
    slots of the current step in a reusable scratch array and emits one
    Step event when the next notification (or the final flush) closes
@@ -46,23 +45,32 @@ let sink writer =
     flush_pending p;
     Writer.stale p.writer u
   in
-  ( { Lr_fast.Fast_sink.on_step; on_flip; on_dummy; on_stale },
+  ( { F.on_step; on_flip; on_dummy; on_stale },
     fun () -> flush_pending p )
 
 let wall_ns t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 
-(* Run [run ()] with the recording sink attached via [set_sink], then
-   close the trace with totals taken from the outcome and the engine's
-   final fingerprint. *)
-let recording ~path ~header ~set_sink ~fingerprint ~run =
-  let writer = Writer.create path header in
+let engine_of_rule = function
+  | F.Partial -> Event.Pr
+  | F.Full -> Event.Fr
+  | F.New_pr -> Event.New_pr
+
+(* The engine and the header, which both refuse node ids other than
+   0..n-1, are built before the file is created: an instance the wire
+   format cannot carry leaves no file behind. *)
+let fast ?max_steps ?seed ~path ~rule config =
+  let engine = F.of_config rule config in
+  let writer =
+    Writer.create path
+      (Event.header_of_config ?seed (engine_of_rule rule) config)
+  in
   match
     let s, flush = sink writer in
-    set_sink (Some s);
+    F.set_sink engine (Some s);
     let t0 = Unix.gettimeofday () in
-    let out : Lr_fast.Fast_outcome.t = run () in
+    let out = F.run ?max_steps engine in
     let dt = wall_ns t0 in
-    set_sink None;
+    F.set_sink engine None;
     flush ();
     (out, dt)
   with
@@ -70,34 +78,17 @@ let recording ~path ~header ~set_sink ~fingerprint ~run =
       let stats =
         Writer.close writer
           {
-            Event.work = out.Lr_fast.Fast_outcome.work;
-            edge_reversals = out.Lr_fast.Fast_outcome.edge_reversals;
+            Event.work = out.F.work;
+            edge_reversals = out.F.edge_reversals;
             wall_ns = dt;
-            final_fingerprint = fingerprint ();
+            final_fingerprint = F.fingerprint engine;
           }
       in
       (out, stats)
   | exception e ->
-      set_sink None;
+      F.set_sink engine None;
       Writer.abort writer;
       raise e
-
-let fast ?max_steps ?seed ~path ~rule config =
-  let engine = F.of_config config in
-  let tag = match rule with F.Partial -> Event.Pr | F.Full -> Event.Fr in
-  recording ~path
-    ~header:(Event.header_of_config ?seed tag config)
-    ~set_sink:(F.set_sink engine)
-    ~fingerprint:(fun () -> F.fingerprint engine)
-    ~run:(fun () -> F.run ?max_steps rule engine)
-
-let fast_new_pr ?max_steps ?seed ~path config =
-  let engine = FN.of_config config in
-  recording ~path
-    ~header:(Event.header_of_config ?seed Event.New_pr config)
-    ~set_sink:(FN.set_sink engine)
-    ~fingerprint:(fun () -> FN.fingerprint engine)
-    ~run:(fun () -> FN.run ?max_steps engine)
 
 (* {2 Recording persistent executions} *)
 
@@ -124,13 +115,13 @@ let slot_of (row : int array) w =
   if !lo < Array.length row && row.(!lo) = w then !lo
   else invalid_arg "slot_of: not a neighbour"
 
-let observer ~writer ~rows ~graph_of ~actors ~engine =
+(* Serializes each persistent step as one event per actor. *)
+let observer ~writer ~rows ~graph_of ~actors =
   fun { Lr_automata.Execution.before; action; after } ->
     let gb = graph_of before and ga = graph_of after in
     Node.Set.iter
       (fun u ->
         let rev = reversed_by gb ga u in
-        ignore engine;
         if Node.Set.is_empty rev then
           (* only NewPR steps legitimately reverse nothing; replay
              rejects a Dummy under any other engine *)
@@ -153,7 +144,7 @@ let persistent (type s a) ?max_steps ?seed ~path ~engine ~scheduler config
         ~observe:
           (observer ~writer ~rows:(rows_of_config config)
              ~graph_of:algo.Linkrev.Algo.graph_of
-             ~actors:algo.Linkrev.Algo.actors ~engine)
+             ~actors:algo.Linkrev.Algo.actors)
         ~scheduler ~destination:config.Linkrev.Config.destination algo
     in
     (out, wall_ns t0)

@@ -2,10 +2,11 @@
 
     Two front ends share the {!Writer} wire format:
 
-    - {!fast} / {!fast_new_pr} attach a {!Lr_fast.Fast_sink.t} to a flat
-      engine, batching its per-flip callbacks into one step event per
-      scheduler firing.  Recording reuses a scratch array, so the
-      engines' zero-allocation step loops stay zero-allocation.
+    - {!fast} attaches a {!Lr_fast.Fast_engine.sink} to the flat engine,
+      batching its per-flip callbacks into one step event per scheduler
+      firing; NewPR's dummy steps become [Dummy] events.  Recording
+      reuses a scratch array, so the engine's zero-allocation step loop
+      stays zero-allocation.
     - {!persistent} records a run of a persistent {!Linkrev.Algo.t}
       through {!Linkrev.Executor.run}'s [?observe] hook, diffing
       before/after orientations to recover each actor's reversed set.
@@ -13,14 +14,17 @@
     Both close the trace with an end record carrying the run's work
     totals and the final orientation fingerprint; if the recorded run
     raises, the file is left without an end record (which {!Reader}
-    reports as truncated) and the exception is re-raised. *)
+    reports as truncated) and the exception is re-raised.  Both refuse
+    an instance whose node ids are not [0 .. n-1] before writing
+    anything (see {!Event.header_of_config}). *)
 
-open Lr_graph
-
-val sink : Writer.t -> Lr_fast.Fast_sink.t * (unit -> unit)
+val sink : Writer.t -> Lr_fast.Fast_engine.sink * (unit -> unit)
 (** Low-level recording sink plus its flush function.  The flush must
     be called after the run (before {!Writer.close}) to emit the final
-    pending step.  Prefer {!fast} / {!fast_new_pr}. *)
+    pending step.  Prefer {!fast}. *)
+
+val engine_of_rule : Lr_fast.Fast_engine.rule -> Event.engine
+(** The trace's engine tag for a flat-engine rule. *)
 
 val fast :
   ?max_steps:int ->
@@ -28,17 +32,10 @@ val fast :
   path:string ->
   rule:Lr_fast.Fast_engine.rule ->
   Linkrev.Config.t ->
-  Lr_fast.Fast_outcome.t * Writer.stats
-(** Run [Fast_engine] on [config] under [rule], recording to [path]. *)
-
-val fast_new_pr :
-  ?max_steps:int ->
-  ?seed:int ->
-  path:string ->
-  Linkrev.Config.t ->
-  Lr_fast.Fast_outcome.t * Writer.stats
-(** Run [Fast_new_pr] on [config], recording to [path] (dummy steps
-    appear as [Dummy] events). *)
+  Lr_fast.Fast_engine.outcome * Writer.stats
+(** Run [Fast_engine] on [config] under [rule], recording to [path].
+    @raise Invalid_argument, writing nothing, when the node ids are not
+    [0 .. n-1]. *)
 
 val rows_of_config : Linkrev.Config.t -> int array array
 (** Sorted adjacency rows of the topology — the slot universe the wire
@@ -50,19 +47,6 @@ val slot_of : int array -> int -> int
     adjacency row (binary search).  @raise Invalid_argument when [w] is
     not in the row. *)
 
-val observer :
-  writer:Writer.t ->
-  rows:int array array ->
-  graph_of:('s -> Digraph.t) ->
-  actors:('a -> Node.Set.t) ->
-  engine:Event.engine ->
-  ('s, 'a) Lr_automata.Execution.step ->
-  unit
-(** Observation hook serializing persistent steps, for callers driving
-    {!Linkrev.Executor.run} themselves; [rows] is
-    {!rows_of_config} of the recorded config.  The caller still owns
-    the writer (header and end record). *)
-
 val persistent :
   ?max_steps:int ->
   ?seed:int ->
@@ -73,4 +57,6 @@ val persistent :
   ('s, 'a) Linkrev.Algo.t ->
   Linkrev.Executor.outcome * Writer.stats
 (** Record a full persistent run: header from [config], one event per
-    actor per step, end record from the outcome. *)
+    actor per step (a step that reverses nothing is a [Dummy]), end
+    record from the outcome.  @raise Invalid_argument, writing nothing,
+    when the node ids are not [0 .. n-1]. *)

@@ -24,22 +24,6 @@ type cursor = {
   mutable edge_reversals : int;
 }
 
-let slots_where core value =
-  Array.init core.FG.n (fun u ->
-      let row = core.FG.out0.(u) in
-      let k = ref 0 in
-      Array.iter (fun o -> if Bool.equal o value then incr k) row;
-      let slots = Array.make !k 0 in
-      let j = ref 0 in
-      Array.iteri
-        (fun i o ->
-          if Bool.equal o value then begin
-            slots.(!j) <- i;
-            incr j
-          end)
-        row;
-      slots)
-
 let cursor header =
   let inst = Event.instance_of_header header in
   match FG.of_instance inst with
@@ -58,8 +42,8 @@ let cursor header =
             listed = Array.init n (fun u -> Array.make (FG.degree core u) false);
             list_count = Array.make n 0;
             counts = Array.make n 0;
-            init_in_slots = slots_where core false;
-            init_out_slots = slots_where core true;
+            init_in_slots = FG.initial_slots core false;
+            init_out_slots = FG.initial_slots core true;
             steps_per_node = Array.make n 0;
             work = 0;
             steps = 0;
@@ -273,15 +257,7 @@ let check_summary c (s : Event.summary) =
       s.Event.final_fingerprint (fingerprint c)
   else Ok ()
 
-let to_digraph c =
-  let g = ref (Digraph.of_directed_edges []) in
-  for u = 0 to c.core.FG.n - 1 do
-    g := Digraph.add_node !g u;
-    Array.iteri
-      (fun i w -> if c.out_.(u).(i) then g := Digraph.add_directed_edge !g u w)
-      c.core.FG.nbrs.(u)
-  done;
-  !g
+let to_digraph c = FG.to_digraph c.core c.out_
 
 (* Materialize the PR list state: [list[u]] = neighbours whose shared
    edge reversed toward [u] since [u]'s last step (absent = empty). *)
@@ -308,7 +284,6 @@ let counts c =
 let metrics c = (c.steps, c.dummies, c.stales, c.edge_reversals)
 let perturbs c = c.perturbs
 let steps_per_node c = Array.copy c.steps_per_node
-let header_of c = c.header
 
 (* {1 Whole-file replay} *)
 
@@ -329,50 +304,30 @@ let with_context i = function
   | Ok _ as ok -> ok
   | Error m -> Error (Printf.sprintf "event %d: %s" i m)
 
-let drive path ~on_event ~finish =
-  match Reader.open_file path with
-  | Error _ as e -> e
-  | Ok r ->
-      Fun.protect
-        ~finally:(fun () -> Reader.close r)
-        (fun () ->
-          match cursor (Reader.header r) with
-          | Error _ as e -> e
-          | Ok c ->
-              let rec loop i =
-                match Reader.next r with
-                | Error _ as e -> e
-                | Ok (Reader.End summary) ->
-                    finish c summary (Reader.bytes_read r)
-                | Ok (Reader.Event e) -> (
-                    match with_context i (apply c e) with
-                    | Error _ as err -> err
-                    | Ok () ->
-                        on_event c i e;
-                        loop (i + 1))
-              in
-              loop 0)
-
 let file path =
-  drive path
-    ~on_event:(fun _ _ _ -> ())
-    ~finish:(fun c summary bytes ->
-      match check_summary c summary with
+  Reader.with_file path (fun r ->
+      match cursor (Reader.header r) with
       | Error _ as e -> e
-      | Ok () ->
-          Ok
-            {
-              header = c.header;
-              summary;
-              events = c.steps + c.dummies + c.stales + c.perturbs;
-              steps = c.steps;
-              dummies = c.dummies;
-              stales = c.stales;
-              perturbs = c.perturbs;
-              edge_reversals = c.edge_reversals;
-              steps_per_node = Array.copy c.steps_per_node;
-              bytes;
-            })
+      | Ok c ->
+          Reader.fold r ~init:()
+            ~f:(fun () i e -> with_context i (apply c e))
+            ~finish:(fun () summary ->
+              match check_summary c summary with
+              | Error _ as e -> e
+              | Ok () ->
+                  Ok
+                    {
+                      header = c.header;
+                      summary;
+                      events = c.steps + c.dummies + c.stales + c.perturbs;
+                      steps = c.steps;
+                      dummies = c.dummies;
+                      stales = c.stales;
+                      perturbs = c.perturbs;
+                      edge_reversals = c.edge_reversals;
+                      steps_per_node = Array.copy c.steps_per_node;
+                      bytes = Reader.bytes_read r;
+                    }))
 
 (* {1 Differential replay against the persistent automata} *)
 
@@ -396,74 +351,67 @@ let live_sink graph destination u =
   && Digraph.is_sink graph u
   && u <> destination
 
-(* One generic loop, parameterized over the automaton's state by three
+(* One generic fold, parameterized over the automaton's state by three
    closures: the expected reversal set of a step of [u] (Error when the
-   step is not even enabled), the dummy-step check, and the transition. *)
+   step is not even enabled), the dummy-step check, and the transition.
+   The accumulator is the state with the work and reversals so far. *)
 let replay_automaton (type s) r config ~(initial : s)
     ~(expected : s -> int -> (Node.Set.t, string) result)
     ~(dummy_ok : s -> int -> (unit, string) result)
     ~(step : s -> int -> s) ~(graph_of : s -> Digraph.t) =
   let destination = config.Linkrev.Config.destination in
   let rows = Record.rows_of_config config in
-  let rec loop i (state : s) work reversals =
-    match Reader.next r with
-    | Error _ as e -> e
-    | Ok (Reader.End summary) ->
-        if work <> summary.Event.work then
-          errf "summary: work %d, automaton replay counted %d"
-            summary.Event.work work
-        else if reversals <> summary.Event.edge_reversals then
-          errf "summary: %d edge reversals, automaton replay counted %d"
-            summary.Event.edge_reversals reversals
-        else
-          let g = graph_of state in
-          if Digraph.fingerprint g <> summary.Event.final_fingerprint then
-            errf
-              "summary: final orientation fingerprint %Lx, automaton reached \
-               %Lx"
-              summary.Event.final_fingerprint (Digraph.fingerprint g)
-          else Ok (g, work, reversals)
-    | Ok (Reader.Event e) -> (
-        let res =
-          match e with
-          | Event.Step { node = u; slots } ->
-              if not (live_sink (graph_of state) destination u) then
-                errf "step at node %d, which is not a live sink" u
-              else (
-                match expected state u with
-                | Error _ as err -> err
-                | Ok want -> (
-                    match set_of_slots rows.(u) slots with
-                    | Error m -> errf "node %d: %s" u m
-                    | Ok got ->
-                        if not (Node.Set.equal want got) then
-                          errf "node %d: trace reverses %s, automaton expects %s"
-                            u (pp_set got) (pp_set want)
-                        else Ok (step state u, Node.Set.cardinal want)))
-          | Event.Dummy u ->
-              if not (live_sink (graph_of state) destination u) then
-                errf "dummy step at node %d, which is not a live sink" u
-              else (
-                match dummy_ok state u with
-                | Error _ as err -> err
-                | Ok () -> Ok (step state u, 0))
-          | Event.Stale u ->
-              if live_sink (graph_of state) destination u then
-                errf "stale pop at node %d, which is a live sink" u
-              else Ok (state, -1)
-          | Event.Perturb { node = u; _ } ->
-              errf
-                "perturb event at node %d: the persistent automata have no \
-                 fault-injection transition"
-                u
-        in
-        match with_context i res with
-        | Error _ as err -> err
-        | Ok (state, delta) ->
-            if delta < 0 then loop (i + 1) state work reversals
-            else loop (i + 1) state (work + 1) (reversals + delta))
+  let event (state : s) = function
+    | Event.Step { node = u; slots } ->
+        if not (live_sink (graph_of state) destination u) then
+          errf "step at node %d, which is not a live sink" u
+        else (
+          match expected state u with
+          | Error _ as err -> err
+          | Ok want -> (
+              match set_of_slots rows.(u) slots with
+              | Error m -> errf "node %d: %s" u m
+              | Ok got ->
+                  if not (Node.Set.equal want got) then
+                    errf "node %d: trace reverses %s, automaton expects %s" u
+                      (pp_set got) (pp_set want)
+                  else Ok (step state u, 1, Node.Set.cardinal want)))
+    | Event.Dummy u ->
+        if not (live_sink (graph_of state) destination u) then
+          errf "dummy step at node %d, which is not a live sink" u
+        else (
+          match dummy_ok state u with
+          | Error _ as err -> err
+          | Ok () -> Ok (step state u, 1, 0))
+    | Event.Stale u ->
+        if live_sink (graph_of state) destination u then
+          errf "stale pop at node %d, which is a live sink" u
+        else Ok (state, 0, 0)
+    | Event.Perturb { node = u; _ } ->
+        errf
+          "perturb event at node %d: the persistent automata have no \
+           fault-injection transition"
+          u
   in
-  loop 0 initial 0 0
+  Reader.fold r ~init:(initial, 0, 0)
+    ~f:(fun (state, work, reversals) i e ->
+      match with_context i (event state e) with
+      | Error _ as err -> err
+      | Ok (state, w, rv) -> Ok (state, work + w, reversals + rv))
+    ~finish:(fun (state, work, reversals) summary ->
+      if work <> summary.Event.work then
+        errf "summary: work %d, automaton replay counted %d" summary.Event.work
+          work
+      else if reversals <> summary.Event.edge_reversals then
+        errf "summary: %d edge reversals, automaton replay counted %d"
+          summary.Event.edge_reversals reversals
+      else
+        let g = graph_of state in
+        if Digraph.fingerprint g <> summary.Event.final_fingerprint then
+          errf
+            "summary: final orientation fingerprint %Lx, automaton reached %Lx"
+            summary.Event.final_fingerprint (Digraph.fingerprint g)
+        else Ok (g, work, reversals))
 
 type differential = {
   final_graph : Digraph.t;
@@ -472,71 +420,62 @@ type differential = {
 }
 
 let against_automaton path =
-  match Reader.open_file path with
-  | Error _ as e -> e
-  | Ok r ->
-      Fun.protect
-        ~finally:(fun () -> Reader.close r)
-        (fun () ->
-          let header = Reader.header r in
-          match Event.config_of_header header with
+  Reader.with_file path (fun r ->
+      let header = Reader.header r in
+      match Event.config_of_header header with
+      | Error _ as e -> e
+      | Ok config -> (
+          let run =
+            match header.Event.engine with
+            | Event.Maint ->
+                Error
+                  "maint traces replay against the maintenance engines, not \
+                   the persistent automata (use Replay.file or Audit.run)"
+            | Event.Pr ->
+                replay_automaton r config
+                  ~initial:(Linkrev.Pr.initial config)
+                  ~expected:(fun state u ->
+                    let nbrs = Linkrev.Config.nbrs config u in
+                    let l = Linkrev.Pr.list_of state u in
+                    Ok
+                      (if Node.Set.equal l nbrs then nbrs
+                       else Node.Set.diff nbrs l))
+                  ~dummy_ok:(fun _ u ->
+                    errf "dummy step at node %d in a pr trace" u)
+                  ~step:(fun state u -> Linkrev.One_step_pr.apply config state u)
+                  ~graph_of:(fun s -> s.Linkrev.Pr.graph)
+            | Event.Fr ->
+                replay_automaton r config
+                  ~initial:(Linkrev.Full_reversal.initial config)
+                  ~expected:(fun _ u -> Ok (Linkrev.Config.nbrs config u))
+                  ~dummy_ok:(fun _ u ->
+                    errf "dummy step at node %d in a fr trace" u)
+                  ~step:(fun state u -> Linkrev.Full_reversal.apply state u)
+                  ~graph_of:(fun s -> s.Linkrev.Full_reversal.graph)
+            | Event.New_pr ->
+                replay_automaton r config
+                  ~initial:(Linkrev.New_pr.initial config)
+                  ~expected:(fun state u ->
+                    if Linkrev.New_pr.is_dummy_step config state u then
+                      errf "node %d: automaton expects a dummy step" u
+                    else Ok (Linkrev.New_pr.reversal_set config state u))
+                  ~dummy_ok:(fun state u ->
+                    if Linkrev.New_pr.is_dummy_step config state u then Ok ()
+                    else
+                      errf
+                        "node %d: trace has a dummy step, automaton would \
+                         reverse %s"
+                        u
+                        (pp_set (Linkrev.New_pr.reversal_set config state u)))
+                  ~step:(fun state u -> Linkrev.New_pr.apply config state u)
+                  ~graph_of:(fun s -> s.Linkrev.New_pr.graph)
+          in
+          match run with
           | Error _ as e -> e
-          | Ok config ->
-              let run =
-                match header.Event.engine with
-                | Event.Maint ->
-                    Error
-                      "maint traces replay against the maintenance engines, \
-                       not the persistent automata (use Replay.file or \
-                       Audit.run)"
-                | Event.Pr ->
-                    replay_automaton r config
-                      ~initial:(Linkrev.Pr.initial config)
-                      ~expected:(fun state u ->
-                        let nbrs = Linkrev.Config.nbrs config u in
-                        let l = Linkrev.Pr.list_of state u in
-                        Ok
-                          (if Node.Set.equal l nbrs then nbrs
-                           else Node.Set.diff nbrs l))
-                      ~dummy_ok:(fun _ u ->
-                        errf "dummy step at node %d in a pr trace" u)
-                      ~step:(fun state u ->
-                        Linkrev.One_step_pr.apply config state u)
-                      ~graph_of:(fun s -> s.Linkrev.Pr.graph)
-                | Event.Fr ->
-                    replay_automaton r config
-                      ~initial:(Linkrev.Full_reversal.initial config)
-                      ~expected:(fun _ u -> Ok (Linkrev.Config.nbrs config u))
-                      ~dummy_ok:(fun _ u ->
-                        errf "dummy step at node %d in a fr trace" u)
-                      ~step:(fun state u ->
-                        Linkrev.Full_reversal.apply state u)
-                      ~graph_of:(fun s -> s.Linkrev.Full_reversal.graph)
-                | Event.New_pr ->
-                    replay_automaton r config
-                      ~initial:(Linkrev.New_pr.initial config)
-                      ~expected:(fun state u ->
-                        if Linkrev.New_pr.is_dummy_step config state u then
-                          errf "node %d: automaton expects a dummy step" u
-                        else Ok (Linkrev.New_pr.reversal_set config state u))
-                      ~dummy_ok:(fun state u ->
-                        if Linkrev.New_pr.is_dummy_step config state u then
-                          Ok ()
-                        else
-                          errf
-                            "node %d: trace has a dummy step, automaton would \
-                             reverse %s"
-                            u
-                            (pp_set (Linkrev.New_pr.reversal_set config state u)))
-                      ~step:(fun state u -> Linkrev.New_pr.apply config state u)
-                      ~graph_of:(fun s -> s.Linkrev.New_pr.graph)
-              in
-              match run with
-              | Error _ as e -> e
-              | Ok (final_graph, work, reversals) ->
-                  Ok
-                    {
-                      final_graph;
-                      automaton_work = work;
-                      automaton_reversals = reversals;
-                    })
+          | Ok (final_graph, work, reversals) ->
+              Ok
+                {
+                  final_graph;
+                  automaton_work = work;
+                  automaton_reversals = reversals;
+                }))

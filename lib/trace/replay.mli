@@ -4,19 +4,24 @@
     the recorded engine's semantics and fails loudly on the first
     divergence.  Two targets:
 
-    - {!file} replays on a fresh flat-array cursor (an independent
-      re-implementation of the {!Lr_fast} step rules): every event's
+    - {!file} replays on a fresh flat-array cursor: every event's
       precondition is checked — the node was a live non-destination
       sink, the reversed set is exactly what the engine would reverse
       (PR list complement, FR all, NewPR parity set), dummy steps have
       an empty parity set — and the end record's work totals and final
       orientation fingerprint must match the replayed state bit for
-      bit.
+      bit.  The cursor's step rules are a second implementation of
+      {!Lr_fast.Fast_engine}'s, not calls into it, since they are the
+      oracle the engine's recordings are held to; the two share only
+      {!Lr_fast.Fast_graph}'s skeleton and its [initial_slots] and
+      [to_digraph] helpers.
     - {!against_automaton} replays the same trace on the {e persistent}
       automata ({!Linkrev.Pr} via [One_step_pr], {!Linkrev.Full_reversal},
       {!Linkrev.New_pr}) — the cross-engine differential check: a trace
-      recorded on the flat engines must drive the reference automata to
-      the same final orientation with the same work totals. *)
+      recorded on the flat engine must drive the reference automata to
+      the same final orientation with the same work totals.
+
+    Both are folds over the trace ({!Reader.fold}). *)
 
 open Lr_graph
 
@@ -34,10 +39,7 @@ val apply : cursor -> Event.t -> (unit, string) result
 (** Checks the event's precondition and applies it. *)
 
 val check_summary : cursor -> Event.summary -> (unit, string) result
-val fingerprint : cursor -> int64
 val to_digraph : cursor -> Digraph.t
-val is_sink : cursor -> int -> bool
-val header_of : cursor -> Event.header
 
 val lists : cursor -> Node.Set.t Node.Map.t
 (** The PR list state as {!Linkrev.Pr.state} represents it (non-empty

@@ -12,6 +12,14 @@ let diamond () =
     (Digraph.of_directed_edges [ (0, 1); (0, 2); (1, 3); (2, 3) ])
     ~destination:0
 
+(* The chain 2 -> 1 -> 0 plus node 3 with no edge at all.  The paper's
+   graphs are connected, but [Config.make] and [Serial]'s [node U]
+   lines accept isolated nodes. *)
+let isolated_node () =
+  Config.make_exn
+    (Digraph.add_node (Digraph.of_directed_edges [ (1, 0); (2, 1) ]) 3)
+    ~destination:0
+
 let bad_chain n = Config.of_instance (Generators.bad_chain n)
 let sawtooth n = Config.of_instance (Generators.sawtooth n)
 

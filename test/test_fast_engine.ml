@@ -4,21 +4,19 @@ open Helpers
 module F = Lr_fast.Fast_engine
 
 let persistent_outcome rule config =
-  let algo =
-    match rule with
-    | F.Partial -> Executor.run ~scheduler:(Lr_automata.Scheduler.first ())
-                     ~destination:config.Config.destination
-                     (One_step_pr.algo config)
-    | F.Full ->
-        Executor.run ~scheduler:(Lr_automata.Scheduler.first ())
-          ~destination:config.Config.destination (Full_reversal.algo config)
+  let run algo =
+    Executor.run ~scheduler:(Lr_automata.Scheduler.first ())
+      ~destination:config.Config.destination algo
   in
-  algo
+  match rule with
+  | F.Partial -> run (One_step_pr.algo config)
+  | F.Full -> run (Full_reversal.algo config)
+  | F.New_pr -> run (New_pr.algo config)
 
 let differential rule config =
   let slow = persistent_outcome rule config in
-  let engine = F.of_config config in
-  let fast = F.run rule engine in
+  let engine = F.of_config rule config in
+  let fast = F.run engine in
   check_int "same total work" slow.Executor.total_node_steps fast.F.work;
   check_int "same edge reversals" slow.Executor.edge_reversals
     fast.F.edge_reversals;
@@ -61,7 +59,7 @@ let test_differential_families () =
     ]
 
 let test_exact_work_formulas () =
-  let work rule inst = (F.run rule (F.create inst)).F.work in
+  let work rule inst = (F.run (F.create rule inst)).F.work in
   check_int "PR sawtooth (n/2)^2" 256 (work F.Partial (Generators.sawtooth 32));
   check_int "PR bad chain n-1" 31 (work F.Partial (Generators.bad_chain 32));
   check_int "FR bad chain triangular" (31 * 32 / 2)
@@ -71,32 +69,32 @@ let test_large_instances () =
   (* The point of the engine: sizes the persistent executor would chew
      on for a long time. *)
   let inst = Generators.sawtooth 2000 in
-  let out = F.run F.Partial (F.create inst) in
+  let out = F.run (F.create F.Partial inst) in
   check_int "10^6 steps" (1000 * 1000) out.F.work;
   check_bool "oriented" true out.F.destination_oriented;
   let rng_ = rng 5 in
   let big = Generators.random_connected_dag rng_ ~n:50_000 ~extra_edges:25_000 in
-  let out = F.run F.Partial (F.create big) in
+  let out = F.run (F.create F.Partial big) in
   check_bool "50k-node graph oriented" true out.F.destination_oriented;
   check_bool "quiescent" true out.F.quiescent
 
 let test_max_steps_resume () =
-  let engine = F.create (Generators.bad_chain 50) in
-  let partial = F.run ~max_steps:10 F.Full engine in
+  let engine = F.create F.Full (Generators.bad_chain 50) in
+  let partial = F.run ~max_steps:10 engine in
   check_bool "not quiescent" false partial.F.quiescent;
   check_int "ten steps" 10 partial.F.work;
-  let rest = F.run F.Full engine in
+  let rest = F.run engine in
   check_bool "resumed to quiescence" true rest.F.quiescent;
   check_int "total work is the full triangular number" (49 * 50 / 2) rest.F.work
 
 let test_rejects_sparse_ids () =
   let g = Digraph.of_directed_edges [ (0, 5) ] in
   check_bool "raises" true
-    (try ignore (F.create { Generators.graph = g; destination = 0 }); false
+    (try ignore (F.create F.Partial { Generators.graph = g; destination = 0 }); false
      with Invalid_argument _ -> true)
 
 let test_already_oriented_no_work () =
-  let out = F.run F.Partial (F.create (Generators.good_chain 100)) in
+  let out = F.run (F.create F.Partial (Generators.good_chain 100)) in
   check_int "zero work" 0 out.F.work;
   check_bool "oriented" true out.F.destination_oriented
 

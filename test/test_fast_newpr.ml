@@ -1,13 +1,13 @@
 open Lr_graph
 open Linkrev
 open Helpers
-module FN = Lr_fast.Fast_new_pr
+module F = Lr_fast.Fast_engine
 
 (* NewPR's work is schedule independent (the same Gafni-Bertsekas
-   argument the suite verifies in D-F6), so the flat-array engine —
-   whatever its queue order — must match the persistent automaton run
-   under any scheduler: same totals, same per-node counts, same final
-   orientation. *)
+   argument the suite verifies in D-F6), so the flat-array engine under
+   its [New_pr] rule — whatever its queue order — must match the
+   persistent automaton run under any scheduler: same totals, same
+   per-node counts, same final orientation. *)
 let reference config =
   Executor.run
     ~scheduler:(Lr_automata.Scheduler.first ())
@@ -15,23 +15,23 @@ let reference config =
 
 let differential config =
   let slow = reference config in
-  let engine = FN.of_config config in
-  let fast = FN.run engine in
-  check_int "same total work" slow.Executor.total_node_steps fast.FN.work;
+  let engine = F.of_config F.New_pr config in
+  let fast = F.run engine in
+  check_int "same total work" slow.Executor.total_node_steps fast.F.work;
   check_int "same edge reversals" slow.Executor.edge_reversals
-    fast.FN.edge_reversals;
+    fast.F.edge_reversals;
   check_bool "same orientation flag" slow.Executor.destination_oriented
-    fast.FN.destination_oriented;
-  check_bool "quiescent" true fast.FN.quiescent;
+    fast.F.destination_oriented;
+  check_bool "quiescent" true fast.F.quiescent;
   Node.Set.iter
     (fun u ->
       check_int
         (Printf.sprintf "steps of node %d" u)
         (Node.Map.find_or ~default:0 u slow.Executor.node_steps)
-        fast.FN.steps_per_node.(u))
+        fast.F.steps_per_node.(u))
     (Config.nodes config);
   Alcotest.check digraph_testable "same final graph" slow.Executor.final_graph
-    (FN.to_digraph engine)
+    (F.to_digraph engine)
 
 let test_differential_random () =
   for seed = 0 to 14 do
@@ -56,14 +56,14 @@ let test_differential_families () =
 let test_stepwise_acyclic () =
   List.iter
     (fun config ->
-      let engine = FN.of_config config in
+      let engine = F.of_config F.New_pr config in
       let quiescent = ref false in
       let steps = ref 0 in
       while not !quiescent do
-        let out = FN.run ~max_steps:1 engine in
+        let out = F.run ~max_steps:1 engine in
         check_bool "acyclic at every observed state" true
-          (Digraph.is_acyclic (FN.to_digraph engine));
-        quiescent := out.FN.quiescent;
+          (Digraph.is_acyclic (F.to_digraph engine));
+        quiescent := out.F.quiescent;
         incr steps;
         if !steps > 100_000 then Alcotest.fail "engine does not terminate"
       done)
@@ -74,7 +74,7 @@ let test_stepwise_acyclic () =
 let test_dummy_overhead_nonnegative () =
   List.iter
     (fun config ->
-      let np = (FN.run (FN.of_config config)).FN.work in
+      let np = (F.run (F.of_config F.New_pr config)).F.work in
       let pr =
         (Executor.run
            ~scheduler:(Lr_automata.Scheduler.first ())
@@ -90,34 +90,34 @@ let test_dummy_overhead_nonnegative () =
     ]
 
 let test_max_steps_resume () =
-  let engine = FN.of_config (bad_chain 30) in
-  let partial = FN.run ~max_steps:7 engine in
-  check_bool "not quiescent" false partial.FN.quiescent;
-  check_int "seven steps" 7 partial.FN.work;
-  let rest = FN.run engine in
-  check_bool "resumed to quiescence" true rest.FN.quiescent;
-  let full = (FN.run (FN.of_config (bad_chain 30))).FN.work in
-  check_int "paused run does the same total work" full rest.FN.work
+  let engine = F.of_config F.New_pr (bad_chain 30) in
+  let partial = F.run ~max_steps:7 engine in
+  check_bool "not quiescent" false partial.F.quiescent;
+  check_int "seven steps" 7 partial.F.work;
+  let rest = F.run engine in
+  check_bool "resumed to quiescence" true rest.F.quiescent;
+  let full = (F.run (F.of_config F.New_pr (bad_chain 30))).F.work in
+  check_int "paused run does the same total work" full rest.F.work
 
 let test_counters_match_steps () =
   let config = sawtooth 12 in
-  let engine = FN.of_config config in
-  let out = FN.run engine in
+  let engine = F.of_config F.New_pr config in
+  let out = F.run engine in
   Node.Set.iter
-    (fun u -> check_int "count = steps taken" out.FN.steps_per_node.(u)
-        (FN.count engine u))
+    (fun u -> check_int "count = steps taken" out.F.steps_per_node.(u)
+        (F.count engine u))
     (Config.nodes config)
 
 let test_rejects_sparse_ids () =
   let g = Digraph.of_directed_edges [ (0, 5) ] in
   check_bool "raises" true
     (try
-       ignore (FN.create { Generators.graph = g; destination = 0 });
+       ignore (F.create F.New_pr { Generators.graph = g; destination = 0 });
        false
      with Invalid_argument _ -> true)
 
 let () =
-  Alcotest.run "fast_new_pr"
+  Alcotest.run "fast_newpr"
     [
       suite "differential"
         [

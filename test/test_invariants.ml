@@ -33,6 +33,8 @@ let test_pr_invariants_families () =
       Config.of_instance (Generators.grid ~rows:3 ~cols:3);
       Config.of_instance (Generators.binary_tree ~depth:3);
       Config.of_instance (Generators.star ~center:0 ~leaves:6 ~inward:false);
+      (* Invariant 3.2 holds vacuously at a node with no neighbours *)
+      isolated_node ();
     ]
 
 let test_newpr_invariants_random () =

@@ -64,7 +64,7 @@ let test_run_trials_engine_workload () =
   let module F = Lr_fast.Fast_engine in
   let trial ~trial ~rng:_ =
     let config = random_config ~seed:trial 24 in
-    let out = F.run F.Partial (F.of_config config) in
+    let out = F.run (F.of_config F.Partial config) in
     (out.F.work, out.F.edge_reversals, out.F.destination_oriented)
   in
   let seq = P.run_trials ~jobs:1 ~trials:12 trial in

@@ -131,8 +131,8 @@ let substrate_props =
               ~scheduler:(Lr_automata.Scheduler.first ())
               ~destination:config.Config.destination algo
           in
-          let engine = Lr_fast.Fast_engine.of_config config in
-          let fast = Lr_fast.Fast_engine.run rule engine in
+          let engine = Lr_fast.Fast_engine.of_config rule config in
+          let fast = Lr_fast.Fast_engine.run engine in
           slow.Executor.total_node_steps = fast.Lr_fast.Fast_engine.work
           && Digraph.equal slow.Executor.final_graph
                (Lr_fast.Fast_engine.to_digraph engine)

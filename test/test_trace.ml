@@ -2,7 +2,6 @@ open Lr_graph
 open Linkrev
 open Helpers
 module F = Lr_fast.Fast_engine
-module FN = Lr_fast.Fast_new_pr
 module Record = Lr_trace.Record
 module Replay = Lr_trace.Replay
 module Audit = Lr_trace.Audit
@@ -82,14 +81,14 @@ let test_roundtrip_families () =
 
 let roundtrip_newpr config name =
   with_trace name (fun path ->
-      let out, _stats = Record.fast_new_pr ~path config in
+      let out, _stats = Record.fast ~path ~rule:F.New_pr config in
       let report = ok "replay" (Replay.file path) in
-      check_int "work counts dummies" out.FN.work
+      check_int "work counts dummies" out.F.work
         (report.Replay.steps + report.Replay.dummies);
-      check_int "edge reversals" out.FN.edge_reversals
+      check_int "edge reversals" out.F.edge_reversals
         report.Replay.edge_reversals;
       let diff = ok "automaton replay" (Replay.against_automaton path) in
-      check_int "automaton work" out.FN.work diff.Replay.automaton_work;
+      check_int "automaton work" out.F.work diff.Replay.automaton_work;
       report)
 
 let test_roundtrip_newpr () =
@@ -129,10 +128,10 @@ let test_roundtrip_persistent_recording () =
 let test_fingerprint_digraph_vs_fast () =
   for seed = 0 to 9 do
     let config = random_config ~seed 25 in
-    let engine = F.of_config config in
+    let engine = F.of_config F.Partial config in
     check_bool "initial fingerprints agree" true
       (Digraph.fingerprint config.Config.initial = F.fingerprint engine);
-    ignore (F.run F.Partial engine);
+    ignore (F.run engine);
     check_bool "final fingerprints agree" true
       (Digraph.fingerprint (F.to_digraph engine) = F.fingerprint engine)
   done
@@ -141,9 +140,7 @@ let test_header_roundtrip () =
   with_trace "header" (fun path ->
       let config = random_config ~seed:7 15 in
       ignore (Record.fast ~seed:7 ~path ~rule:F.Partial config);
-      let r = ok "open" (Reader.open_file path) in
-      let h = Reader.header r in
-      Reader.close r;
+      let h = ok "open" (Reader.with_file path (fun r -> Ok (Reader.header r))) in
       check_int "n" (Digraph.num_nodes config.Config.initial) h.Event.n;
       check_int "destination" config.Config.destination h.Event.destination;
       check_int "seed" 7 h.Event.seed;
@@ -178,16 +175,80 @@ let test_audit_clean () =
         fun path ->
           ignore (Record.fast ~path ~rule:F.Full (bad_chain 10)) );
       ( "audit_newpr",
-        fun path -> ignore (Record.fast_new_pr ~path (sawtooth 10)) );
+        fun path -> ignore (Record.fast ~path ~rule:F.New_pr (sawtooth 10)) );
+      (* Invariant 3.2 holds vacuously at a node with no neighbours *)
+      ( "audit_isolated",
+        fun path -> ignore (Record.fast ~path ~rule:F.Partial (isolated_node ())) );
     ]
 
 let test_audit_scan_counts () =
   with_trace "scan" (fun path ->
-      let out, stats = Record.fast_new_pr ~path (sawtooth 10) in
+      let out, stats = Record.fast ~path ~rule:F.New_pr (sawtooth 10) in
       let s = ok "scan" (Audit.scan path) in
       check_int "events" stats.Writer.events s.Audit.scan_events;
-      check_int "work" out.FN.work (s.Audit.scan_steps + s.Audit.scan_dummies);
-      check_int "reversals" out.FN.edge_reversals s.Audit.scan_reversed_edges)
+      check_int "work" out.F.work (s.Audit.scan_steps + s.Audit.scan_dummies);
+      check_int "reversals" out.F.edge_reversals s.Audit.scan_reversed_edges)
+
+(* {1 Pinned event streams} *)
+
+(* MD5 of a recorded run: every event as [Event.pp] renders it, then
+   the summary's work, edge reversals and final fingerprint ([wall_ns]
+   aside, it is a clock reading). *)
+let stream_digest path =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  ok "decode"
+    (Reader.with_file path (fun r ->
+         Reader.fold r ~init:()
+           ~f:(fun () _ e ->
+             Format.fprintf ppf "%a@." Event.pp e;
+             Ok ())
+           ~finish:(fun () s ->
+             Format.fprintf ppf "work %d, reversals %d, fingerprint %Lx@."
+               s.Event.work s.Event.edge_reversals s.Event.final_fingerprint;
+             Ok ())));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The digests were taken from the separate PR/FR and NewPR engines
+   this one replaced: a change to the step rules, the worklist order or
+   the recorder shows up here as a different stream. *)
+let test_pinned_streams () =
+  List.iter
+    (fun (name, config, pins) ->
+      List.iter
+        (fun (rule, want) ->
+          let label =
+            Printf.sprintf "%s on %s"
+              (Event.engine_name (Record.engine_of_rule rule))
+              name
+          in
+          with_trace "pin" (fun path ->
+              ignore (Record.fast ~path ~rule config);
+              Alcotest.(check string) label want (stream_digest path)))
+        pins)
+    [
+      ( "sawtooth 12",
+        sawtooth 12,
+        [
+          (F.Partial, "cf21859595f7c42649fe07bbaeafa010");
+          (F.Full, "cf21859595f7c42649fe07bbaeafa010");
+          (F.New_pr, "caa7b0ea77b442ba6c425f0b12ed62bb");
+        ] );
+      ( "bad_chain 8",
+        bad_chain 8,
+        [
+          (F.Partial, "60acd9bec83c56080cc6a5ebe908115e");
+          (F.Full, "d9602f02c5b9a591e8b22b7209be1396");
+          (F.New_pr, "60acd9bec83c56080cc6a5ebe908115e");
+        ] );
+      ( "diamond",
+        diamond (),
+        [
+          (F.Partial, "067e045c11d6503b39af86db4e7f062e");
+          (F.Full, "070bf71965480d31e40f3475264966a6");
+          (F.New_pr, "067e045c11d6503b39af86db4e7f062e");
+        ] );
+    ]
 
 (* {1 Damaged files fail cleanly} *)
 
@@ -232,17 +293,13 @@ let test_corrupted_bytes_fail_cleanly () =
       ignore (Record.fast ~path:src ~rule:F.Partial (bad_chain 8));
       let full = read_all src in
       let len = String.length full in
-      let seed =
-        let r = ok "open" (Reader.open_file src) in
-        Fun.protect
-          ~finally:(fun () -> Reader.close r)
-          (fun () -> (Reader.header r).Event.seed)
-      in
-      let wall_ns =
+      let seed, wall_ns =
         ok "summary"
-          (Reader.fold src ~init:0
-             ~f:(fun acc _ _ -> Ok acc)
-             ~finish:(fun _ s -> Ok s.Event.wall_ns))
+          (Reader.with_file src (fun r ->
+               Reader.fold r ~init:()
+                 ~f:(fun () _ _ -> Ok ())
+                 ~finish:(fun () s ->
+                   Ok ((Reader.header r).Event.seed, s.Event.wall_ns))))
       in
       (* magic (4 bytes), version (1 byte), engine tag, seed varint; the
          summary ends with wall_ns and the 8-byte final fingerprint *)
@@ -328,6 +385,7 @@ let () =
           case "Digraph and Fast_graph fingerprints agree"
             test_fingerprint_digraph_vs_fast;
           case "header roundtrip" test_header_roundtrip;
+          case "recorded event streams pinned" test_pinned_streams;
         ];
       suite "audit"
         [
