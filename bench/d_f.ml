@@ -34,8 +34,10 @@ let f1_sweeps s =
 let f1 s =
   section "D-F1" "worst-case work: Theta(nb^2) for both FR and PR (cited bound)";
   let sizes = f1_sizes in
+  let g = gate () in
   let run algo family name expected =
     let rows = W.sweep_fast ~jobs:s.jobs algo ~family ~sizes () in
+    check_rows g ~what:(W.algorithm_name algo ^ " on " ^ name) rows;
     T.print ~title:(Printf.sprintf "%s on %s" (W.algorithm_name algo) name)
       (W.rows_to_table algo rows);
     Printf.printf "growth exponent: %.2f (%s)\n\n" (W.exponent rows) expected
@@ -51,10 +53,9 @@ let f1 s =
     "expected 1.0 — PR fixes this family in n-1 steps";
   (* figure: the shapes side by side *)
   let series algo family =
-    List.map
-      (fun r ->
-        (Printf.sprintf "n=%d" r.W.n, float_of_int r.W.work))
-      (W.sweep_fast algo ~family ~sizes:[ 8; 16; 32; 64; 128 ] ())
+    let rows = W.sweep_fast algo ~family ~sizes:[ 8; 16; 32; 64; 128 ] () in
+    check_rows g ~what:("figure D-F1: " ^ W.algorithm_name algo) rows;
+    List.map (fun r -> (Printf.sprintf "n=%d" r.W.n, float_of_int r.W.work)) rows
   in
   print_endline "figure D-F1a: FR work on the bad chain (quadratic)";
   print_string
@@ -68,7 +69,8 @@ let f1 s =
        (List.map2
           (fun (label, a) (_, b) -> (label, a, b))
           (series W.PR Generators.sawtooth)
-          (series W.PR Generators.bad_chain)))
+          (series W.PR Generators.bad_chain)));
+  finish g
 
 (* D-F2: average-case efficiency, PR vs FR on random DAGs. *)
 
@@ -457,11 +459,14 @@ let f9 _ =
     let r = f () in
     (r, Sys.time () -. t0)
   in
+  let g = gate () in
   let rows =
     List.map
       (fun (name, inst, rule) ->
         let engine, t_build = time (fun () -> F.create rule inst) in
         let (out : F.outcome), t_run = time (fun () -> F.run engine) in
+        check_finished g ~what:name ~work:out.work ~quiescent:out.quiescent
+          ~oriented:out.destination_oriented;
         [
           name;
           string_of_int (Lr_graph.Digraph.num_nodes inst.Generators.graph);
@@ -484,7 +489,7 @@ let f9 _ =
          ("FR bad chain 4k (8*10^6 steps)", chain4k, F.Full);
          ("PR random 100k nodes", rand100k, F.Partial);
          ("PR unit disk 20k nodes", disk20k, F.Partial);
-         ("NewPR sawtooth 6k", saw6k, F.New_pr);
+         ("NewPR sawtooth 6k (1.8*10^7 steps)", saw6k, F.New_pr);
          ("NewPR bad chain 4k", chain4k, F.New_pr);
          ("NewPR random 100k nodes", rand100k, F.New_pr);
        ])
@@ -494,4 +499,5 @@ let f9 _ =
        ~headers:[ "instance"; "nodes"; "work"; "correct"; "time"; "per step" ]
        rows);
   Printf.printf
-    "note: every rule of the engine is differentially tested against the persistent\nautomata (same work, same per-node counts, same final graph) in\ntest_fast_engine.ml and test_fast_newpr.ml.\n"
+    "note: every rule of the engine is differentially tested against the persistent\nautomata (same work, same per-node counts, same final graph) in\ntest_fast_engine.ml and test_fast_newpr.ml.\n";
+  finish g

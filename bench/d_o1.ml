@@ -16,6 +16,8 @@ type trace_workload = {
   tw_overhead : float;
   tw_replay_ok : bool;
   tw_replay_error : string;
+  tw_quiescent : bool;
+  tw_oriented : bool;  (* destination-oriented at the end *)
 }
 
 let write_results s workloads ~diff_trials ~diff_passed =
@@ -76,9 +78,10 @@ let run s =
   let workload tw_id ~bare ~record =
     with_tmp (fun path ->
         let bare_work, tw_bare_seconds = best_of bare in
-        let (work, stats), tw_record_seconds =
+        let ((out : F.outcome), stats), tw_record_seconds =
           best_of (fun () -> record path)
         in
+        let work = out.F.work in
         assert (work = bare_work);
         let tw_replay_ok, tw_replay_error =
           match Replay.file path with
@@ -97,6 +100,8 @@ let run s =
             tw_record_seconds /. Float.max 1e-9 tw_bare_seconds;
           tw_replay_ok;
           tw_replay_error;
+          tw_quiescent = out.F.quiescent;
+          tw_oriented = out.F.destination_oriented;
         })
   in
   let saw = Generators.sawtooth (if smoke then 400 else 6_000) in
@@ -133,7 +138,7 @@ let run s =
                 final_fingerprint = F.fingerprint engine;
               }
           in
-          (out.F.work, stats))
+          (out, stats))
   in
   let workloads =
     [
@@ -218,4 +223,9 @@ let run s =
   if List.exists (fun w -> not w.tw_replay_ok) workloads
      || !diff_passed < List.length diff_cases
   then fail g "replay divergence";
+  List.iter
+    (fun w ->
+      check_finished g ~what:w.tw_id ~work:w.tw_work ~quiescent:w.tw_quiescent
+        ~oriented:w.tw_oriented)
+    workloads;
   finish g

@@ -85,12 +85,14 @@ let run (s : settings) =
       per_trial_seconds;
     }
   in
+  let g = gate () in
   let f1_result =
     let sweeps = D_f.f1_sweeps s in
     let timed =
       List.map (fun (_, sweep) -> P.timed (fun () -> sweep ~jobs:1)) sweeps
     in
     let seq_out = List.map fst timed in
+    List.iter2 (fun (what, _) rows -> check_rows g ~what rows) sweeps seq_out;
     let per_trial_seconds = Array.of_list (List.map snd timed) in
     let seq_seconds = Array.fold_left ( +. ) 0.0 per_trial_seconds in
     let par_out, par_seconds =
@@ -130,7 +132,6 @@ let run (s : settings) =
     Printf.printf
       "note: this host exposes a single domain; speedup ~1.0x is expected here\n\
        and the pool only shows its >= 2x gain on multicore hardware.\n";
-  let g = gate () in
   if List.exists (fun r -> not r.identical) results then
     fail g "pool and sequential outcomes differ";
   finish g

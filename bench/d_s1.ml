@@ -25,8 +25,8 @@ let fprint_service_run oc ~(base : service_run) (r : service_run) =
   Printf.fprintf oc
     "{\"jobs\": %d, \"mode\": %S, \"seconds\": %.4f, \"repeats\": %d, \
      \"throughput_ops_per_s\": %.0f, \"speedup_vs_1job\": %.2f,\n\
-    \     \"latency_ms\": {\"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f, \
-     \"p999\": %.4f, \"max\": %.4f},\n\
+    \     \"latency_ms\": {\"p50\": %.6f, \"p95\": %.6f, \"p99\": %.6f, \
+     \"p999\": %.6f, \"max\": %.6f},\n\
     \     \"ring\": {\"max_depth\": %d, \"mean_depth\": %.2f, \
      \"steal_attempts\": %d, \"stolen\": %d},\n\
     \     \"served\": %d, \"routes\": %d, \"no_routes\": %d, \
@@ -176,7 +176,7 @@ let run s =
     ~title:(Printf.sprintf "service over %s" (Wl.describe spec))
     (T.make
        ~headers:
-         [ "mode"; "jobs"; "wall"; "ops/s"; "speedup"; "p50 ms"; "p99 ms";
+         [ "mode"; "jobs"; "wall"; "ops/s"; "speedup"; "p50 us"; "p99 us";
            "max ring"; "stolen"; "rejected"; "validation failures" ]
        (List.map
           (fun r ->
@@ -187,8 +187,8 @@ let run s =
               Printf.sprintf "%.0f" r.sr_throughput;
               Printf.sprintf "%.2fx"
                 (base.sr_seconds /. Float.max 1e-9 r.sr_seconds);
-              Printf.sprintf "%.3f" (1000.0 *. r.sr_latency.Stats.p50);
-              Printf.sprintf "%.3f" (1000.0 *. r.sr_latency.Stats.p99);
+              Printf.sprintf "%.3f" (1e6 *. r.sr_latency.Stats.p50);
+              Printf.sprintf "%.3f" (1e6 *. r.sr_latency.Stats.p99);
               string_of_int r.sr_rings.Metrics.max_depth;
               string_of_int r.sr_rings.Metrics.stolen;
               string_of_int r.sr_totals.Metrics.rejected;
@@ -233,8 +233,9 @@ let run s =
   let overload =
     replay
       (* pin_loops: the overload run needs a real consumer loop (with
-         zero loops the dispatcher drains a full ring inline and nothing
-         is ever rejected), even on a single-domain host. *)
+         zero loops the dispatcher serves each op as it admits it, so
+         there is no ring to fill and nothing is ever rejected), even on
+         a single-domain host. *)
       { Svc.default_config with Svc.jobs = 2; queue_bound = 4;
         pin_loops = true }
       (Wl.shard_configs overload_spec) overload_ops

@@ -37,6 +37,20 @@ let finish g =
       List.iter (Printf.printf "FAILURE: %s\n") fs;
       exit 1
 
+(* A measured run must have finished — quiescent and
+   destination-oriented — or its work is a truncation, not a result. *)
+let check_finished g ~what ~work ~quiescent ~oriented =
+  if not (quiescent && oriented) then
+    fail g "%s did not finish: work %d, quiescent %b, destination-oriented %b"
+      what work quiescent oriented
+
+let check_rows g ~what rows =
+  List.iter
+    (fun (r : Lr_analysis.Work.row) ->
+      check_finished g ~what:(Printf.sprintf "%s n=%d" what r.n) ~work:r.work
+        ~quiescent:r.quiescent ~oriented:r.oriented)
+    rows
+
 (* One service replay: create, run (timed), read the metrics, shut
    down. *)
 type replay = {

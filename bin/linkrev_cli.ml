@@ -491,11 +491,27 @@ module Trace_cli = struct
               "maint traces are recorded by the chaos harness ('linkrev \
                chaos'), not 'trace record'" )
       | Ok config -> (
-          (* the wire format addresses nodes as 0..n-1; refuse any other
-             id set before a file is created *)
+          (* the wire format addresses nodes as 0..n-1, and a run ends
+             only if every linked node is in the destination's component
+             (a component without it reverses forever); refuse either
+             before a file is created *)
+          let skel = Config.skeleton config in
+          let reach = Undirected.component_of skel config.Config.destination in
+          let stranded =
+            Node.Set.filter
+              (fun u -> Undirected.degree skel u > 0 && not (Node.Set.mem u reach))
+              (Config.nodes config)
+          in
           match Event.header_of_config engine config with
           | exception Invalid_argument e ->
               `Error (false, Printf.sprintf "cannot record this instance: %s" e)
+          | (_ : Event.header) when not (Node.Set.is_empty stranded) ->
+              `Error
+                ( false,
+                  Printf.sprintf
+                    "cannot record this instance: node %d has links but no \
+                     path to destination %d, so the run never ends"
+                    (Node.Set.min_elt stranded) config.Config.destination )
           | (_ : Event.header) ->
               let work, reversals, stats =
                 if via then
@@ -1007,14 +1023,14 @@ module Service_cli = struct
                   Format.printf "rings: %s@."
                     (Metrics.ring_line snap.Metrics.rings_totals);
                   Format.printf
-                    "latency (ms over %d samples): p50 %.3f, p95 %.3f, p99 \
+                    "latency (us over %d samples): p50 %.3f, p95 %.3f, p99 \
                      %.3f, p99.9 %.3f, max %.3f@."
                     snap.Metrics.latency_samples
-                    (1000.0 *. snap.Metrics.latency.Lr_analysis.Stats.p50)
-                    (1000.0 *. snap.Metrics.latency.Lr_analysis.Stats.p95)
-                    (1000.0 *. snap.Metrics.latency.Lr_analysis.Stats.p99)
-                    (1000.0 *. snap.Metrics.latency.Lr_analysis.Stats.p999)
-                    (1000.0 *. snap.Metrics.latency.Lr_analysis.Stats.max);
+                    (1e6 *. snap.Metrics.latency.Lr_analysis.Stats.p50)
+                    (1e6 *. snap.Metrics.latency.Lr_analysis.Stats.p95)
+                    (1e6 *. snap.Metrics.latency.Lr_analysis.Stats.p99)
+                    (1e6 *. snap.Metrics.latency.Lr_analysis.Stats.p999)
+                    (1e6 *. snap.Metrics.latency.Lr_analysis.Stats.max);
                   if snap.Metrics.recovery_samples > 0 then
                     Format.printf
                       "recovery (ms over %d heals): p50 %.3f, p95 %.3f, p99 \

@@ -175,8 +175,9 @@ let destination_oriented t =
   done;
   !reached = n
 
-let run ?(max_steps = 10_000_000) t =
-  let budget = ref max_steps in
+let run ?max_steps t =
+  (* No budget means quiescence: [max_int] steps are never reached. *)
+  let budget = ref (Option.value max_steps ~default:max_int) in
   let exhausted = ref false in
   let continue_ = ref true in
   while !continue_ do

@@ -24,7 +24,7 @@ type outcome = {
   work : int;  (** Total node steps, NewPR's dummy steps included. *)
   steps_per_node : int array;  (** Indexed by node id. *)
   edge_reversals : int;
-  quiescent : bool;  (** False only when [max_steps] was hit. *)
+  quiescent : bool;  (** False only when a [max_steps] budget was hit. *)
   destination_oriented : bool;
 }
 
@@ -76,7 +76,8 @@ val fingerprint : t -> int64
 (** {!Fast_graph.fingerprint} of the current orientation. *)
 
 val run : ?max_steps:int -> t -> outcome
-(** Run to quiescence (default step bound [10_000_000]).  Running again
+(** Run to quiescence, or for at most [max_steps] steps when the caller
+    gives that budget (there is no default bound).  Running again
     continues from where the last run stopped: after [max_steps] it
     resumes, after quiescence it is a no-op. *)
 

@@ -67,6 +67,7 @@ let compare_heights t u v =
     (compare u v)
 
 let edge_out t u v = compare_heights t u v > 0
+let descends t u v = mem_edge t u v && compare_heights t u v > 0
 let height t u = (t.ha.(u), t.hb.(u))
 
 let is_sink t u =

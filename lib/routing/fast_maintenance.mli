@@ -54,6 +54,12 @@ val edge_out : t -> Node.t -> Node.t -> bool
 val compare_heights : t -> Node.t -> Node.t -> int
 (** Same order as {!Maintenance.compare_heights}. *)
 
+val descends : t -> Node.t -> Node.t -> bool
+(** [descends t u v] iff [{u,v}] is a link and [u] is strictly higher
+    than [v] — the one check a route hop must pass.  The orientation is
+    the height order, so that is also the link's direction [u -> v];
+    {!Maintenance.descends} checks the two separately. *)
+
 val height : t -> Node.t -> int * int
 (** The node's current [(pa, pb)] height pair.  The third lexicographic
     component is the node id itself.  This is the seeding hook for

@@ -36,6 +36,11 @@ let height_pair t u =
 let compare_heights t u v =
   Heights.compare_pr_height (height t u) (height t v)
 
+let descends t u v =
+  Digraph.mem_edge t.graph u v
+  && Digraph.direction_equal (Digraph.dir t.graph u v) Digraph.Out
+  && compare_heights t u v > 0
+
 let raise_height rule cur hs =
   match (rule, hs) with
   | _, [] -> cur

@@ -92,9 +92,16 @@ val raise_height : rule -> Heights.pr_height -> Heights.pr_height list -> Height
 val compare_heights : t -> Node.t -> Node.t -> int
 (** Order of the two nodes' current heights (positive when the first is
     higher).  Every link is directed from its higher endpoint to its
-    lower one, so a correct route descends strictly in this order — the
-    serving layer uses it to validate returned paths independently of
-    the orientation bits.  @raise Not_found on unknown nodes. *)
+    lower one, so a correct route descends strictly in this order.
+    @raise Not_found on unknown nodes. *)
+
+val descends : t -> Node.t -> Node.t -> bool
+(** [descends t u v] iff [{u,v}] is a link, the graph orients it
+    [u -> v], and [u] is strictly higher than [v].  The orientation is
+    stored beside the heights, so the two are checked independently —
+    a route hop that passes both cannot close a loop, whichever of them
+    an engine bug corrupted.  The serving layer validates every
+    returned path with it. *)
 
 val fail_link : t -> Node.t -> Node.t -> change_result
 (** Remove a link.  @raise Invalid_argument if absent. *)

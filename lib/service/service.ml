@@ -83,26 +83,29 @@ let shard t i = t.shards.(i)
 let config t = t.cfg
 let metrics t = Metrics.snapshot t.metrics
 
-(* One op, on the domain currently holding shard [s]'s token.  Which
-   domain that is never changes what it does, so counters — and hence
-   the fingerprint — depend only on *which* ops execute, never on the
-   domain count. *)
+(* The service's one clock.  Admission, completion and the chaos heal
+   are stamped in nanoseconds on the monotonic clock: served at
+   admission, most ops take well under a microsecond, which
+   [Unix.gettimeofday]'s whole-microsecond ticks would read as 0. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let seconds_since t0 = float_of_int (now_ns () - t0) *. 1e-9
+
+(* One op, admitted at [admitted] (a {!now_ns} stamp), on the domain
+   holding shard [s]: the dispatcher itself at one domain, otherwise
+   the domain holding the shard's token.  Which domain that is never
+   changes what it does, so counters — and hence the fingerprint —
+   depend only on *which* ops execute, never on the domain count. *)
 (* lr:owner shard token holder: ops for one shard are serialized by the
-   per-shard ownership token (SPSC pop under [try_drain]), so the
-   shard, its metrics counter and everything the apply path touches
-   have exactly one writer at a time. *)
-let serve_op t ops responses admit_time s idx =
-  let op = ops.(idx) in
+   per-shard ownership token (SPSC pop under [try_drain]), or by the
+   lone dispatcher at one domain, so the shard, its metrics counter and
+   everything the apply path touches have exactly one writer at a
+   time. *)
+let serve_op t s op ~admitted =
   (* Chaos ops are timed around the shard call itself: the heal runs
-     synchronously inside [Shard.apply], so this wall-clock delta is
-     the corruption-to-recovered time the SLO is stated over. *)
-  let chaos_t0 =
-    match op with
-    | Op.Corrupt _ | Op.Flip _ -> Unix.gettimeofday ()
-    | _ -> 0.0
-  in
+     synchronously inside [Shard.apply], so this delta is the
+     corruption-to-recovered time the SLO is stated over. *)
+  let chaos_t0 = match op with Op.Corrupt _ | Op.Flip _ -> now_ns () | _ -> 0 in
   let o = Shard.apply t.shards.(s) op in
-  responses.(idx) <- o.Shard.response;
   let c = Metrics.shard t.metrics s in
   c.Metrics.served <- c.Metrics.served + 1;
   c.Metrics.reversal_steps <- c.Metrics.reversal_steps + o.Shard.work;
@@ -128,14 +131,13 @@ let serve_op t ops responses admit_time s idx =
         c.Metrics.packet_queue_peak <- queued
   | Op.Healed _ ->
       c.Metrics.faults <- c.Metrics.faults + 1;
-      Metrics.record_recovery t.metrics ~shard:s
-        (Unix.gettimeofday () -. chaos_t0)
+      Metrics.record_recovery t.metrics ~shard:s (seconds_since chaos_t0)
   | Op.Noop -> c.Metrics.noops <- c.Metrics.noops + 1
   | Op.Snapshot _ | Op.Rejected _ ->
       (* shards never produce dispatcher-level responses *)
       assert false);
-  Metrics.record_latency t.metrics ~shard:s
-    (Unix.gettimeofday () -. admit_time.(idx))
+  Metrics.record_latency t.metrics ~shard:s (seconds_since admitted);
+  o.Shard.response
 
 let shard_of_op t i op =
   let shards = Array.length t.shards in
@@ -145,7 +147,30 @@ let shard_of_op t i op =
       (Printf.sprintf "Service.run: op %d names shard %d of %d" i s shards);
   s
 
-(* {1 The dispatcher}
+(* A [Stats] op, once every op admitted before it has completed. *)
+let snapshot_op t =
+  Metrics.bump_stats t.metrics;
+  Op.Snapshot (Metrics.totals t.metrics)
+
+(* {1 One domain: serve at admission}
+
+   The dispatcher is the only consumer, so it serves each op as it
+   admits it: nothing is queued or held, an op's sojourn is its own
+   service time, and every op before a [Stats] has completed by the
+   time the [Stats] arrives. *)
+
+let run_inline t ops =
+  let responses = Array.make (Array.length ops) Op.Noop in
+  Array.iteri
+    (fun i op ->
+      responses.(i) <-
+        (match op with
+        | Op.Stats -> snapshot_op t
+        | op -> serve_op t (shard_of_op t i op) op ~admitted:(now_ns ())))
+    ops;
+  responses
+
+(* {1 Several domains: the rings}
 
    Free-running, with no cross-shard barrier.  The dispatcher pushes
    each op's index into its destination shard's bounded SPSC ring;
@@ -162,12 +187,12 @@ let shard_of_op t i op =
 
 exception Loop_died
 
-let run t ops =
+let run_rings t ops =
   let n = Array.length ops in
   let shards = Array.length t.shards in
   let nloops = t.effective_jobs - 1 in
   let responses = Array.make n Op.Noop in
-  let admit_time = Array.make n 0.0 in
+  let admit_time = Array.make n 0 in
   let rings =
     Array.init shards (fun _ -> Spsc.create ~capacity:t.cfg.queue_bound (-1))
   in
@@ -196,7 +221,7 @@ let run t ops =
           if idx <= last_served.(s) then
             failwith "Service.run: per-shard serialization broken";
           last_served.(s) <- idx;
-          serve_op t ops responses admit_time s idx;
+          responses.(idx) <- serve_op t s ops.(idx) ~admitted:admit_time.(idx);
           incr count
     done;
     if !count > 0 then ignore (Atomic.fetch_and_add completed.(s) !count);
@@ -254,28 +279,17 @@ let run t ops =
      [sleepf]: when the stream ends, the dispatcher writes one byte
      and every sleeper returns instantly, so joining the loops never
      waits out someone's nap. *)
-  let wake_r, wake_w =
-    if nloops > 0 then
-      let r, w = Unix.pipe ~cloexec:true () in
-      (Some r, Some w)
-    else (None, None)
-  in
-  (* lr:owner resident loop: the select/sleep here is the deliberate
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  (* lr:owner resident loop: the select here is the deliberate
      interruptible idle backoff — [wake_sleepers] writes the pipe to cut
      every nap short, so this never blocks shutdown. *)
   let interruptible_sleep seconds =
-    match wake_r with
-    | None -> Unix.sleepf seconds
-    | Some r -> (
-        try ignore (Unix.select [ r ] [] [] seconds)
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ())
+    try ignore (Unix.select [ wake_r ] [] [] seconds)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
   let wake_sleepers () =
-    match wake_w with
-    | None -> ()
-    | Some w -> (
-        try ignore (Unix.write w (Bytes.make 1 '!') 0 1)
-        with Unix.Unix_error _ -> ())
+    try ignore (Unix.write wake_w (Bytes.make 1 '!') 0 1)
+    with Unix.Unix_error _ -> ()
   in
   let pause idle =
     if idle < 32 then Domain.cpu_relax ()
@@ -341,16 +355,13 @@ let run t ops =
       end
     done
   in
-  if nloops > 0 then
-    Pool.Persistent.launch t.pool nloops (fun w ->
-        try loop w
-        with e ->
-          Atomic.set abort true;
-          Atomic.set stop true;
-          raise e);
-  let check_loops () =
-    if nloops > 0 && Pool.Persistent.failed t.pool then raise Loop_died
-  in
+  Pool.Persistent.launch t.pool nloops (fun w ->
+      try loop w
+      with e ->
+        Atomic.set abort true;
+        Atomic.set stop true;
+        raise e);
+  let check_loops () = if Pool.Persistent.failed t.pool then raise Loop_died in
   let quiesced () =
     let ok = ref true in
     for s = 0 to shards - 1 do
@@ -358,24 +369,16 @@ let run t ops =
     done;
     !ok
   in
-  let drain_all_inline () =
-    for s = 0 to shards - 1 do
-      ignore (try_drain ~owner:true s max_int)
-    done
-  in
   let quiesce () =
-    if nloops = 0 then drain_all_inline ()
-    else begin
-      let idle = ref 0 in
-      while not (quiesced ()) do
-        check_loops ();
-        if steal_pass (-1) then idle := 0
-        else begin
-          incr idle;
-          pause !idle
-        end
-      done
-    end
+    let idle = ref 0 in
+    while not (quiesced ()) do
+      check_loops ();
+      if steal_pass (-1) then idle := 0
+      else begin
+        incr idle;
+        pause !idle
+      end
+    done
   in
   (* lr:owner dispatcher: admission state ([admitted], [admit_time],
      rejection metrics) is written only by the single dispatcher domain;
@@ -385,22 +388,11 @@ let run t ops =
       (match ops.(i) with
       | Op.Stats ->
           quiesce ();
-          Metrics.bump_stats t.metrics;
-          responses.(i) <- Op.Snapshot (Metrics.totals t.metrics)
+          responses.(i) <- snapshot_op t
       | op ->
           let s = shard_of_op t i op in
-          admit_time.(i) <- Unix.gettimeofday ();
+          admit_time.(i) <- now_ns ();
           if Spsc.try_push rings.(s) i then begin
-            admitted.(s) <- admitted.(s) + 1;
-            Metrics.record_depth t.metrics ~shard:s (Spsc.length rings.(s))
-          end
-          else if nloops = 0 then begin
-            (* Single-domain run-to-completion: the dispatcher is also
-               the only consumer, so a full ring is served inline
-               rather than rejected — overload means nothing when the
-               producer and the consumer share one domain. *)
-            ignore (try_drain ~owner:true s max_int);
-            if not (Spsc.try_push rings.(s) i) then assert false;
             admitted.(s) <- admitted.(s) + 1;
             Metrics.record_depth t.metrics ~shard:s (Spsc.length rings.(s))
           end
@@ -416,8 +408,8 @@ let run t ops =
   in
   Fun.protect
     ~finally:(fun () ->
-      Option.iter Unix.close wake_r;
-      Option.iter Unix.close wake_w)
+      Unix.close wake_r;
+      Unix.close wake_w)
     (fun () ->
       (try dispatch ()
        with e ->
@@ -432,19 +424,18 @@ let run t ops =
          | e -> raise e));
       Atomic.set stop true;
       wake_sleepers ();
-      if nloops = 0 then drain_all_inline ()
-      else begin
-        (* End of stream: the dispatcher joins the draining as a thief
-           until every ring is empty, then collects the loops. *)
-        (try loop (-1)
-         with e ->
-           Atomic.set abort true;
-           Pool.Persistent.await t.pool;
-           raise e);
-        Pool.Persistent.await t.pool
-      end;
+      (* End of stream: the dispatcher joins the draining as a thief
+         until every ring is empty, then collects the loops. *)
+      (try loop (-1)
+       with e ->
+         Atomic.set abort true;
+         Pool.Persistent.await t.pool;
+         raise e);
+      Pool.Persistent.await t.pool;
       if not (quiesced ()) then failwith "Service.run: ops lost in flight";
       responses)
+
+let run t ops = if t.effective_jobs = 1 then run_inline t ops else run_rings t ops
 
 let fingerprint responses snapshot =
   let b = Buffer.create 4096 in

@@ -2,15 +2,22 @@
 
     {2 Execution model}
 
-    Dispatch is {b free-running}: each destination shard owns a
-    bounded lock-free SPSC op ring ({!Lr_parallel.Spsc}).  The
-    dispatcher pushes op indices into the rings while [jobs - 1]
-    resident run-to-completion loops (launched once on the persistent
-    pool, alive until the shutdown sentinel) drain them — there is no
-    cross-shard barrier anywhere.  Backpressure is
-    per-ring occupancy: an op arriving at a full ring is answered
-    [Rejected `Overloaded] on the spot, so queue depth is the overload
-    signal.
+    With one domain ([jobs = 1], or a host that clamps [jobs] to 1)
+    the dispatcher {b serves at admission}: it stamps each op, applies
+    it to its shard and goes on to the next.  Nothing is queued, so an
+    op's sojourn is its own service time, no op is ever rejected, and
+    a [Stats] op snapshots at once — every op before it has already
+    completed.  No ring, token or loop exists on this path.
+
+    With more domains, dispatch is {b free-running}: each destination
+    shard owns a bounded lock-free SPSC op ring
+    ({!Lr_parallel.Spsc}).  The dispatcher pushes op indices into the
+    rings while [jobs - 1] resident run-to-completion loops (launched
+    once on the persistent pool, alive until the shutdown sentinel)
+    drain them — there is no cross-shard barrier anywhere.
+    Backpressure is per-ring occupancy: an op arriving at a full ring
+    is answered [Rejected `Overloaded] on the spot, so queue depth is
+    the overload signal.
 
     {b Per-shard serialization} survives the loss of the barrier via
     ownership tokens: a loop may pop a shard's ring and touch its
@@ -26,9 +33,11 @@
     A [Stats] op quiesces the service (every admitted op completed,
     the dispatcher moonlighting as a thief while it waits) before
     snapshotting, so snapshots count exactly the ops admitted before
-    them.  With [jobs = 1] the dispatcher is also the only consumer:
-    it serves a full ring inline instead of rejecting (overload means
-    nothing when producer and consumer share one domain).
+    them.
+
+    Sojourn (admission to completion) and chaos-heal times are stamped
+    in nanoseconds on the monotonic clock and stored in {!Metrics} as
+    seconds.
 
     {2 Determinism}
 
@@ -50,7 +59,8 @@ type config = {
       (** Per-shard ring capacity, from 1 to
           {!Lr_parallel.Spsc.max_capacity} (2^24); the ring rounds it up
           to a power of two, and the rounded value is the effective
-          bound. *)
+          bound.  Validated at every [jobs] value, though only a run
+          with more than one domain builds rings. *)
   rule : Lr_routing.Maintenance.rule;
   engine : Shard.engine_kind;
       (** Maintenance tier for every shard ({!Shard.engine_kind}).

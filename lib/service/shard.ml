@@ -17,8 +17,11 @@ module type ENGINE = sig
   val cache_stats : t -> Fast_maintenance.cache_stats option
   val mem_node : t -> Node.t -> bool
   val mem_edge : t -> Node.t -> Node.t -> bool
-  val edge_out : t -> Node.t -> Node.t -> bool
-  val compare_heights : t -> Node.t -> Node.t -> int
+
+  (* [descends m a b]: a–b is a link, oriented a -> b, and a is strictly
+     higher than b.  The one check of a route hop. *)
+  val descends : t -> Node.t -> Node.t -> bool
+
   val height : t -> Node.t -> int * int
   val route : t -> Node.t -> Node.t list option
 
@@ -79,11 +82,7 @@ module Reference_tier = struct
   let cache_stats _ = None
   let mem_node m u = Node.Set.mem u (Digraph.nodes (M.graph m))
   let mem_edge m u v = Digraph.mem_edge (M.graph m) u v
-
-  let edge_out m u v =
-    Digraph.direction_equal (Digraph.dir (M.graph m) u v) Digraph.Out
-
-  let compare_heights = M.compare_heights
+  let descends = M.descends
   let height = M.height_pair
   let route = M.route
   let reaches_destination m src = Digraph.has_path (M.graph m) src (M.destination m)
@@ -189,27 +188,27 @@ type outcome = {
 let noop = { response = Op.Noop; work = 0; validation_failures = 0 }
 
 (* The in-service checker: a path must start at the source, end at the
-   destination, and descend strictly in both the orientation and the
-   height order at every hop.  Strict height descent rules out loops on
-   its own, so a validated path is a witness of acyclicity along the
-   route. *)
-let path_valid (type e) (module E : ENGINE with type t = e) (m : e) ~src path =
-  let dest = E.destination m in
+   destination, and descend at every hop ([E.descends]: a link, oriented
+   down it, strictly down the height order).  Strict height descent
+   rules out loops on its own, so a validated path is a witness of
+   acyclicity along the route. *)
+let valid_route (Shard s) ~src path =
+  let module E = (val s.engine) in
+  let dest = E.destination s.m in
   let rec hops = function
-    | a :: (b :: _ as rest) ->
-        E.mem_edge m a b && E.edge_out m a b && E.compare_heights m a b > 0 && hops rest
+    | a :: (b :: _ as rest) -> E.descends s.m a b && hops rest
     | [ last ] -> Node.equal last dest
     | [] -> false
   in
   match path with first :: _ -> Node.equal first src && hops path | [] -> false
 
-let route (Shard s) src =
+let route (Shard s as t) src =
   let module E = (val s.engine) in
   if not (E.mem_node s.m src) then noop
   else
     match E.route s.m src with
     | Some path ->
-        let bad = not (path_valid s.engine s.m ~src path) in
+        let bad = not (valid_route t ~src path) in
         {
           response = Op.Path path;
           work = 0;

@@ -79,6 +79,15 @@ type outcome = {
   validation_failures : int;  (** 0 or 1. *)
 }
 
+val valid_route : t -> src:Node.t -> Node.t list -> bool
+(** The in-service acyclicity witness every [Route] response passes
+    through: the path starts at [src], ends at the destination, and
+    every hop [a -> b] is a link of the current graph, oriented
+    [a -> b], with [a] strictly higher than [b]
+    ({!Lr_routing.Fast_maintenance.descends},
+    {!Lr_routing.Maintenance.descends}).  Strict height descent rules
+    out a loop on its own, so a path that passes is loop-free. *)
+
 val apply : t -> Op.t -> outcome
 (** Execute one op ([Stats] and [Rejected] never reach a shard; [Stats]
     raises [Invalid_argument]).  Every returned route is validated, and

@@ -34,6 +34,8 @@ val fast :
   Linkrev.Config.t ->
   Lr_fast.Fast_engine.outcome * Writer.stats
 (** Run [Fast_engine] on [config] under [rule], recording to [path].
+    Without [max_steps] the run goes to quiescence, which never comes
+    when a linked node is outside the destination's component.
     @raise Invalid_argument, writing nothing, when the node ids are not
     [0 .. n-1]. *)
 

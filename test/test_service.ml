@@ -110,8 +110,8 @@ let test_free_running_overload_accounting () =
      served or rejected, rejections match the counter, occupancy
      respects the ring capacity, and shards stay consistent.  A hot
      shard against a tiny ring must shed load once a resident loop
-     consumes it; with jobs=1 the dispatcher is the consumer and
-     serves a full ring inline, so nothing may be rejected. *)
+     consumes it; with jobs=1 there is no ring — the dispatcher serves
+     each op as it admits it — so nothing may be rejected. *)
   let s = spec ~shards:4 ~ops:900 ~skew:3.0 ~stats_every:113 () in
   let ops = W.generate s in
   List.iter
@@ -171,11 +171,29 @@ let test_ring_metrics_sane () =
   in
   check_int "per-shard stolen rolls up" r.Metrics.stolen sum_stolen
 
+(* At jobs=1 the dispatcher serves each op as it admits it: nothing is
+   ever queued, so no ring depth is sampled, and every served op leaves
+   one latency sample.  An op's sojourn is then its own service time,
+   well under a microsecond on these shards, so the median is only
+   non-zero on a clock finer than microsecond ticks. *)
+let test_serves_at_admission () =
+  let s = spec ~mix:churny ~ops:1_200 ~stats_every:100 () in
+  let _, m = run_spec ~jobs:1 s in
+  let r = m.Metrics.rings_totals in
+  let t = m.Metrics.snapshot_totals in
+  check_int "no ring depth at jobs=1" 0 r.Metrics.max_depth;
+  check_int "no depth samples at jobs=1" 0 r.Metrics.depth_samples;
+  check_int "one latency sample per served op"
+    (t.Metrics.served - t.Metrics.stats_ops)
+    m.Metrics.latency_samples;
+  check_bool "sojourn median above zero" true
+    (m.Metrics.latency.Lr_analysis.Stats.p50 > 0.0)
+
 let test_stats_barrier_counts () =
   let s = spec ~ops:400 ~stats_every:60 ~mix:churny () in
   (* A snapshot may only be taken once every admitted op has completed:
-     at jobs=1 the dispatcher drains the rings it has been filling, at
-     jobs=3 it waits for the shard loops.  The default bound (128)
+     at jobs=1 each op completed as it was admitted, at jobs=3 the
+     dispatcher waits for the shard loops.  The default bound (128)
      clears stats_every, so nothing is rejected and every snapshot is
      pinned by the stream alone. *)
   let snapshots jobs =
@@ -442,6 +460,58 @@ let test_crash_tiebreak_pinned () =
             (Op.response_to_string r))
     [ Shard.Fast; Shard.Reference ]
 
+(* The route validator rejects each kind of bad path on both tiers.
+   The chain 3 -> 2 -> 1 -> 0 (destination 0) is destination-oriented
+   from the start, so its heights descend 3 > 2 > 1 > 0 and every case
+   below breaks exactly one check: the link (3-1 is no link, though 3 is
+   higher than 1), the descent (1 -> 2 climbs a link), the first node or
+   the last one. *)
+let test_route_validator_rejects () =
+  let config =
+    Linkrev.Config.make_exn
+      (Lr_graph.Digraph.of_directed_edges [ (3, 2); (2, 1); (1, 0) ])
+      ~destination:0
+  in
+  List.iter
+    (fun (tier, engine) ->
+      let shard =
+        Shard.create ~engine ~rule:Lr_routing.Maintenance.Partial_reversal
+          ~id:0 config
+      in
+      let valid ~src path = Shard.valid_route shard ~src path in
+      let what = Printf.sprintf "(%s) " tier in
+      check_bool (what ^ "the descending chain passes") true
+        (valid ~src:3 [ 3; 2; 1; 0 ]);
+      check_bool (what ^ "the destination alone passes") true (valid ~src:0 [ 0 ]);
+      check_bool (what ^ "a missing link fails") false (valid ~src:3 [ 3; 1; 0 ]);
+      check_bool (what ^ "an uphill hop fails") false (valid ~src:1 [ 1; 2; 1; 0 ]);
+      check_bool (what ^ "a wrong first node fails") false
+        (valid ~src:3 [ 2; 1; 0 ]);
+      check_bool (what ^ "a wrong last node fails") false
+        (valid ~src:3 [ 3; 2; 1 ]);
+      check_bool (what ^ "an empty path fails") false (valid ~src:3 []))
+    [ ("fast", Shard.Fast); ("reference", Shard.Reference) ];
+  (* The reference tier stores the orientation beside the heights, so a
+     hop is checked against each: these sessions break the precondition
+     of [of_heights] on purpose, as an engine bug would, and make the
+     two disagree on the link 1-0 in both directions. *)
+  let module M = Lr_routing.Maintenance in
+  let session edges ~high =
+    let h u pa = (u, { Linkrev.Heights.pa; pb = 0; pid = u }) in
+    let heights =
+      Node.Map.of_seq (List.to_seq [ h high 1; h (1 - high) 0 ])
+    in
+    M.of_heights M.Partial_reversal
+      (Lr_graph.Digraph.of_directed_edges edges)
+      ~destination:0 heights
+  in
+  check_bool "oriented and higher descends" true
+    (M.descends (session [ (1, 0) ] ~high:1) 1 0);
+  check_bool "oriented down but lower fails" false
+    (M.descends (session [ (1, 0) ] ~high:0) 1 0);
+  check_bool "higher but oriented up fails" false
+    (M.descends (session [ (0, 1) ] ~high:1) 1 0)
+
 let () =
   Alcotest.run "service"
     [
@@ -456,6 +526,7 @@ let () =
           case "free-running overload accounting holds"
             test_free_running_overload_accounting;
           case "ring metrics arithmetic sane" test_ring_metrics_sane;
+          case "jobs=1 serves at admission" test_serves_at_admission;
           case "stats barrier counts all prior ops" test_stats_barrier_counts;
           case "destination crashes fail over" test_crashes_fail_over;
           case "shard unit behaviour" test_shard_unit_behaviour;
@@ -469,5 +540,7 @@ let () =
             test_packet_ops_across_engines;
           case "packet shard behaviour" test_packet_shard_behaviour;
           case "failover tie-break pinned" test_crash_tiebreak_pinned;
+          case "route validator rejects bad paths"
+            test_route_validator_rejects;
         ];
     ]
