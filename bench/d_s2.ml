@@ -180,8 +180,8 @@ let run s =
      after its storm.  The tape is the churn model of
      {!Lr_routing.Churn} — unlike [gen_storm]'s pair toggles, whose
      removal probability vanishes at scale, half the events are real
-     link-downs, so the membership paths (split probes, attaches,
-     partition reports) carry the cost.  The ladder runs at full rung
+     link-downs, so the membership paths (probes, attaches, partition
+     reports) carry the cost.  The ladder runs at full rung
      sizes even under --trials smoke (fewer events, fewer rungs): CI
      is exactly where a scale regression would otherwise hide. *)
   let churn ~seed ~events n =

@@ -45,12 +45,10 @@ type t = {
   (* BFS scratch. *)
   queue : int array;
   seen : bool array;
-  (* Split-check scratch: two queues plus timestamped visit marks, so
-     a bidirectional probe costs its frontier, not an O(n) clear. *)
+  (* Probe scratch: [bq_a] is the probe's and the attach BFS's queue,
+     [bq_b] a failed node's upstream neighbours. *)
   bq_a : int array;
   bq_b : int array;
-  bstamp : int array;
-  mutable stamp : int;
 }
 
 let destination t = t.dest
@@ -288,74 +286,42 @@ let stabilize ?budget t =
 
 (* {1 Component maintenance} *)
 
-(* Bidirectional alternating BFS after the edge [{a, b}] was removed
-   from inside the destination's component.  Expands one node per side
-   per round, so a reconnection is found in O(min side) and a split
-   costs the smaller side plus the lost side.  Answers [None] when the
-   endpoints are still connected; otherwise [Some (q, k)] where
-   [q.(0 .. k-1)] enumerates the side NOT containing the destination —
-   exactly the lost set. *)
-let split_after_removal t a b =
-  t.stamp <- t.stamp + 2;
-  let sa = t.stamp - 1 and sb = t.stamp in
-  let qa = t.bq_a and qb = t.bq_b in
-  t.bstamp.(a) <- sa;
-  qa.(0) <- a;
-  t.bstamp.(b) <- sb;
-  qb.(0) <- b;
-  let ha = ref 0 and ta = ref 1 and hb = ref 0 and tb = ref 1 in
-  let da = ref (a = t.dest) and db = ref (b = t.dest) in
-  let meet = ref false in
-  let expand st other q h tl found_dest =
-    let x = q.(!h) in
-    incr h;
+(* After a removal inside the destination's component, is [start]
+   still attached?  Between ops every member descends strictly in
+   height to the destination (its component's only sink), so a member
+   lower than [bound] — the removed link's upper endpoint, or the
+   failed node — still reaches it without what was removed.  A BFS
+   from [start] over the current links, whose visit marks are the
+   cleared membership bits, stops at the first such node and marks
+   back what it visited.  If it runs out of nodes instead, [t.bq_a]
+   lists exactly the lost side: it stays unmarked and joins [lost]. *)
+let probe t start ~bound lost =
+  let q = t.bq_a in
+  t.comp.(start) <- false;
+  q.(0) <- start;
+  let head = ref 0 and tail = ref 1 and attached = ref false in
+  while (not !attached) && !head < !tail do
+    let x = q.(!head) in
+    incr head;
     let d = G.Dyn.degree t.adj x in
     let i = ref 0 in
-    while (not !meet) && !i < d do
+    while (not !attached) && !i < d do
       let w = G.Dyn.nbr t.adj x !i in
       incr i;
-      if t.bstamp.(w) = other then meet := true
-      else if t.bstamp.(w) <> st then begin
-        t.bstamp.(w) <- st;
-        if w = t.dest then found_dest := true;
-        q.(!tl) <- w;
-        incr tl
+      if compare_heights t w bound < 0 then attached := true
+      else if t.comp.(w) then begin
+        t.comp.(w) <- false;
+        q.(!tail) <- w;
+        incr tail
       end
     done
-  in
-  let exhausted = ref 0 in
-  while !exhausted = 0 && not !meet do
-    if !ha < !ta then expand sa sb qa ha ta da else exhausted := 1;
-    if !exhausted = 0 && not !meet then begin
-      if !hb < !tb then expand sb sa qb hb tb db else exhausted := 2
-    end
   done;
-  if !meet then None
-  else if !exhausted = 1 then
-    if not !da then Some (qa, !ta)
-    else begin
-      (* Side [a] is the destination's — flush [b] to enumerate the
-         lost side (the sides are disjoint, so no meet can fire). *)
-      while !hb < !tb do
-        expand sb sa qb hb tb db
-      done;
-      Some (qb, !tb)
-    end
-  else if not !db then Some (qb, !tb)
-  else begin
-    while !ha < !ta do
-      expand sa sb qa ha ta da
-    done;
-    Some (qa, !ta)
-  end
-
-(* Unmark a lost side the probe enumerated and add it to [lost]. *)
-let detach t q k lost =
-  for i = 0 to k - 1 do
-    t.comp.(q.(i)) <- false;
-    lost := Node.Set.add q.(i) !lost
+  let lost = ref lost in
+  for i = 0 to !tail - 1 do
+    if !attached then t.comp.(q.(i)) <- true else lost := Node.Set.add q.(i) !lost
   done;
-  t.comp_size <- t.comp_size - k
+  if not !attached then t.comp_size <- t.comp_size - !tail;
+  !lost
 
 (* A new link joined [x]'s side to the destination's component.  The
    link is the side's only way in, so a BFS from [x] through unmarked
@@ -388,22 +354,22 @@ let fail_link t u v =
   G.Dyn.remove_edge t.adj u v;
   (* The lower endpoint loses an incoming edge; the upper one may have
      lost its last outgoing edge and become a sink. *)
-  (if compare_heights t u v > 0 then t.in_deg.(v) <- t.in_deg.(v) - 1
-   else t.in_deg.(u) <- t.in_deg.(u) - 1);
+  let upper, lower = if compare_heights t u v > 0 then (u, v) else (v, u) in
+  t.in_deg.(lower) <- t.in_deg.(lower) - 1;
   invalidate t u;
   invalidate t v;
   push_if_sink t u;
   push_if_sink t v;
-  (* A removal inside a cut-off side changes no membership bit. *)
-  if not t.comp.(u) then stabilize t
-  else
-    match split_after_removal t u v with
-    | None -> stabilize t
-    | Some (q, k) ->
-        let lost = ref Node.Set.empty in
-        detach t q k lost;
-        ignore (stabilize t);
-        Maintenance.Partitioned !lost
+  (* The lower endpoint still descends to the destination, and so does
+     the upper one while it keeps an out-edge.  A removal inside a
+     cut-off side changes no membership bit. *)
+  let lost =
+    if t.comp.(upper) && G.Dyn.degree t.adj upper = t.in_deg.(upper) then
+      probe t upper ~bound:upper Node.Set.empty
+    else Node.Set.empty
+  in
+  let r = stabilize t in
+  if Node.Set.is_empty lost then r else Maintenance.Partitioned lost
 
 let add_link t u v =
   if u = v then invalid_arg "Maintenance.add_link: self-loop";
@@ -427,26 +393,37 @@ let add_link t u v =
 let fail_node t u =
   if u = t.dest then invalid_arg "Maintenance.fail_node: cannot fail the destination";
   if not (mem_node t u) then invalid_arg "Maintenance.fail_node: unknown node";
-  (* Sequentially: each removal either keeps [u] attached (cheap
-     bidirectional probe), splits off a side (enumerated exactly — its
-     nodes accumulate into the lost set, matching the reference's
-     before-minus-after component difference), or happens inside an
-     already cut-off side (nothing to do).  The last removal always
-     strands [u] itself. *)
-  let lost = ref Node.Set.empty in
+  (* Strip [u], keeping its upstream neighbours in [t.bq_b]: the
+     downstream ones still descend to the destination below [u]. *)
+  let ups = ref 0 in
   while G.Dyn.degree t.adj u > 0 do
     let w = G.Dyn.nbr t.adj u 0 in
     G.Dyn.remove_edge t.adj u w;
-    if compare_heights t u w > 0 then t.in_deg.(w) <- t.in_deg.(w) - 1;
+    if compare_heights t u w > 0 then t.in_deg.(w) <- t.in_deg.(w) - 1
+    else begin
+      t.bq_b.(!ups) <- w;
+      incr ups
+    end;
     invalidate t w;
-    push_if_sink t w;
-    if t.comp.(u) then
-      match split_after_removal t u w with
-      | None -> ()
-      | Some (q, k) -> detach t q k lost
+    push_if_sink t w
   done;
   t.in_deg.(u) <- 0;
   invalidate t u;
+  (* [u] is lost with every side its upstream neighbours cannot leave.
+     A node between [u] and a neighbour may have descended through [u],
+     so only one lower than [u] proves the neighbour attached.  A
+     neighbour an earlier probe unmarked lies on that probe's lost side
+     already. *)
+  let lost = ref Node.Set.empty in
+  if t.comp.(u) then begin
+    t.comp.(u) <- false;
+    t.comp_size <- t.comp_size - 1;
+    lost := Node.Set.singleton u;
+    for i = 0 to !ups - 1 do
+      let w = t.bq_b.(i) in
+      if t.comp.(w) then lost := probe t w ~bound:u !lost
+    done
+  end;
   let r = stabilize t in
   if Node.Set.is_empty !lost then r else Maintenance.Partitioned !lost
 
@@ -523,8 +500,6 @@ let create rule config =
       seen = Array.make n false;
       bq_a = Array.make (max n 1) 0;
       bq_b = Array.make (max n 1) 0;
-      bstamp = Array.make (max n 1) 0;
-      stamp = 0;
     }
   in
   seed t rank;
@@ -569,8 +544,8 @@ let survivor_components t =
    derived orientation exactly: a LIFO stack seeded with the
    zero-in-degree nodes in ascending id (the largest pops first), each
    popped node pushing its newly freed out-neighbours in ascending id.
-   The counts, stack and rank live in the BFS and split-probe queues;
-   the counts are spent before [seed] runs, and [seed] reads the rank
+   The counts, stack and rank live in the BFS and probe queues; the
+   counts are spent before [seed] runs, and [seed] reads the rank
    before its labelling BFS reuses [t.queue]. *)
 let reroot t ~leader =
   if (not (mem_node t leader)) || leader = t.dest then

@@ -22,10 +22,16 @@
       exact at all times, plus the component's size (which sets the
       stabilization budget).  Repair, here as in the reference, never
       enters a cut-off side, so these are the only component facts
-      kept: a link-down inside the component runs a bidirectional
-      probe that unmarks the side it cuts off, a link-down inside a
-      cut-off side changes nothing, and a link-up that reattaches a
-      side marks it by BFS and queues the sinks it left unrepaired;
+      kept.  Between operations every member descends strictly in
+      height to the destination, so a member lower than the node that
+      lost a link still reaches it: a link-down inside the component
+      probes nothing while its upper endpoint keeps an out-edge, and
+      otherwise runs a one-sided BFS from that endpoint that stops at
+      the first lower node or lists, and unmarks, exactly the side it
+      cut off; a node failure probes from each upstream neighbour,
+      bounded by the failed node.  A link-down inside a cut-off side
+      changes nothing, and a link-up that reattaches a side marks it
+      by BFS and queues the sinks it left unrepaired;
     - a per-node {e next-hop cache} makes repeated route queries on a
       quiescent engine O(path length) array hops with zero height
       comparisons; entries are invalidated exactly where a height or an
@@ -123,13 +129,18 @@ val route : t -> Node.t -> Node.t list option
     cache. *)
 
 val fail_link : t -> Node.t -> Node.t -> Maintenance.change_result
-(** @raise Invalid_argument if absent. *)
+(** Like {!Maintenance.fail_link}.  Precondition, as for {!fail_node}:
+    the engine is stabilized, so the destination is the only sink of
+    its component.  Every operation here leaves it so, unless it raises
+    [Failure] (a budget overrun), after which the session is unusable.
+    @raise Invalid_argument if absent. *)
 
 val add_link : t -> Node.t -> Node.t -> unit
 (** @raise Invalid_argument if already present or a self-loop. *)
 
 val fail_node : t -> Node.t -> Maintenance.change_result
-(** @raise Invalid_argument for the destination. *)
+(** Same precondition as {!fail_link}.
+    @raise Invalid_argument for the destination. *)
 
 val adopt_heights : t -> (Node.t -> int * int) -> Maintenance.change_result
 (** [adopt_heights t f] overwrites every node's [(pa, pb)] height with

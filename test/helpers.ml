@@ -27,6 +27,24 @@ let random_config ?(extra_edges = 8) ~seed n =
   Config.of_instance
     (Generators.random_connected_dag (rng seed) ~n ~extra_edges)
 
+(* Every connected graph on one to five nodes, with every destination:
+   every acyclic orientation up to four nodes, the one with each link
+   pointing at its lower id ([Edge.lo]) at five. *)
+let small_instances () =
+  List.concat_map
+    (fun n ->
+      List.concat_map
+        (fun skel ->
+          let graphs =
+            if n <= 4 then List.filter Digraph.is_acyclic (Generators.all_orientations skel)
+            else [ Digraph.orient skel ~toward:Edge.lo ]
+          in
+          List.concat_map
+            (fun g -> List.init n (fun d -> Config.make_exn g ~destination:d))
+            graphs)
+        (Generators.all_connected_graphs n))
+    [ 1; 2; 3; 4; 5 ]
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 

@@ -354,28 +354,13 @@ let test_shard_bookkeeping_agrees () =
 
 (* {1 Exhaustive small graphs} *)
 
-(* Every connected graph on at most five nodes (every acyclic
-   orientation up to four, the lowest-id-sink one at five) x every
-   destination x PR/FR: crash until [Noop].  After each native
+(* Every connected graph on at most five nodes ([small_instances]) x
+   every destination x PR/FR: crash until [Noop].  After each native
    failover the fast shard must be acyclic, hold a consistent engine,
    and route every member of the leader's component to the leader; and
    every crash and route answer must equal the reference tier's. *)
 let test_exhaustive_small_graphs () =
-  let instances =
-    List.concat_map
-      (fun n ->
-        List.concat_map
-          (fun skel ->
-            let graphs =
-              if n <= 4 then List.filter Digraph.is_acyclic (Generators.all_orientations skel)
-              else [ Digraph.orient skel ~toward:Edge.lo ]
-            in
-            List.concat_map
-              (fun g -> List.init n (fun d -> Config.make_exn g ~destination:d))
-              graphs)
-          (Generators.all_connected_graphs n))
-      [ 1; 2; 3; 4; 5 ]
-  in
+  let instances = small_instances () in
   let checked = ref 0 in
   List.iter
     (fun rule ->

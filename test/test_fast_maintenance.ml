@@ -75,7 +75,10 @@ let check_result what rm rf =
 
 (* Seeded churn in lockstep.  Every event is applied to both engines
    and the full state compared; node failures every 23rd event keep
-   partitions and reconnections frequent. *)
+   partitions and reconnections frequent.  Every 17th event both
+   engines adopt the same hostile height assignment and heal, so the
+   link-downs and node-fails after it start from a healed state, not
+   only from one that churn alone reached. *)
 let churn ~rule ~seed ~events ~extra_edges n =
   let config = random_config ~extra_edges ~seed n in
   let sys = make rule config in
@@ -85,7 +88,11 @@ let churn ~rule ~seed ~events ~extra_edges n =
     let u = Random.State.int rand n and v = Random.State.int rand n in
     if u <> v then begin
       let what = Printf.sprintf "event %d (%d,%d)" k u v in
-      if k mod 23 = 0 then begin
+      if k mod 17 = 0 then begin
+        let h = Lr_service.Shard.hostile_height ~seed:(seed + k) ~magnitude:16 in
+        check_result what (M.adopt_heights sys.m h) (FM.adopt_heights sys.f h)
+      end
+      else if k mod 23 = 0 then begin
         let victim = if u = M.destination sys.m then v else u in
         check_result what (M.fail_node sys.m victim) (FM.fail_node sys.f victim)
       end
@@ -368,6 +375,77 @@ let test_churn_tape_fixed () =
   check_bool "link-downs are ordered pairs" true
     (Array.for_all (function Churn.Down (u, v) -> u < v | _ -> true) a)
 
+(* {1 Exhaustive small graphs} *)
+
+let same_result a b =
+  match (a, b) with
+  | M.Stabilized { node_steps = s1 }, M.Stabilized { node_steps = s2 } -> s1 = s2
+  | M.Partitioned a, M.Partitioned b -> Node.Set.equal a b
+  | _ -> false
+
+type removal = Down of int * int | Fail of int
+
+let removal_to_string = function
+  | Down (u, v) -> Printf.sprintf "down %d-%d" u v
+  | Fail u -> Printf.sprintf "fail %d" u
+
+(* [ops] on fresh sessions of both tiers.  After every op the change
+   results must be equal, so must the oriented graphs, and the fast
+   engine must be consistent. *)
+let lockstep_removals rule config ops =
+  let m = M.create rule config and f = FM.create rule config in
+  List.iteri
+    (fun i op ->
+      let rm, rf =
+        match op with
+        | Down (u, v) -> (M.fail_link m u v, FM.fail_link f u v)
+        | Fail u -> (M.fail_node m u, FM.fail_node f u)
+      in
+      let what () =
+        Format.asprintf "%a dest %d, %s" Digraph.pp config.Config.initial
+          config.Config.destination
+          (String.concat ", " (List.map removal_to_string (List.filteri (fun j _ -> j <= i) ops)))
+      in
+      if not (same_result rm rf) then check_result (what ()) rm rf;
+      if not (Digraph.equal (M.graph m) (FM.graph f)) then
+        Alcotest.failf "%s: oriented graphs differ" (what ());
+      if not (FM.consistent f) then Alcotest.failf "%s: fast engine inconsistent" (what ()))
+    ops
+
+(* Every single link-down and node-fail on every instance of
+   [small_instances], and up to four nodes every pair of link-downs and
+   every link-down followed by a node-fail: the one-sided probe must
+   cut off exactly what the reference's before-minus-after component
+   difference loses. *)
+let test_exhaustive_removals rule () =
+  let checked = ref 0 in
+  List.iter
+    (fun config ->
+      let g = config.Config.initial in
+      let downs =
+        List.map
+          (fun e -> Down (Edge.lo e, Edge.hi e))
+          (Edge.Set.elements (Undirected.edges (Digraph.skeleton g)))
+      in
+      let fails =
+        List.filter_map
+          (fun u -> if u = config.Config.destination then None else Some (Fail u))
+          (Node.Set.elements (Digraph.nodes g))
+      in
+      let run ops =
+        lockstep_removals rule config ops;
+        checked := !checked + List.length ops
+      in
+      List.iter (fun op -> run [ op ]) (downs @ fails);
+      if Digraph.num_nodes g <= 4 then
+        List.iter
+          (fun d ->
+            List.iter (fun d' -> if d' <> d then run [ d; d' ]) downs;
+            List.iter (fun f -> run [ d; f ]) fails)
+          downs)
+    (small_instances ());
+  check_int "ops checked" 139_502 !checked
+
 let () =
   Alcotest.run "fast_maintenance"
     [
@@ -404,5 +482,12 @@ let () =
           case "FR tape: both tiers agree"
             (test_churn_tiers_agree M.Full_reversal);
           case "a fixed RNG gives a fixed tape" test_churn_tape_fixed;
+        ];
+      suite "exhaustive"
+        [
+          case "PR: every removal on <= 5 nodes matches the reference"
+            (test_exhaustive_removals M.Partial_reversal);
+          case "FR: every removal on <= 5 nodes matches the reference"
+            (test_exhaustive_removals M.Full_reversal);
         ];
     ]
