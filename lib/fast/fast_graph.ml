@@ -127,10 +127,15 @@ module Dyn = struct
   let degree t u = t.deg.(u)
   let nbr t u i = t.nbr.(u).(i)
 
+  (* A loop, not a local recursive function: the latter would allocate
+     a closure per call, and route validation calls this once per hop. *)
   let slot_of t u v =
     let row = t.nbr.(u) and d = t.deg.(u) in
-    let rec find i = if i >= d then -1 else if row.(i) = v then i else find (i + 1) in
-    find 0
+    let i = ref 0 in
+    while !i < d && row.(!i) <> v do
+      incr i
+    done;
+    if !i < d then !i else -1
 
   let mem_edge t u v = u >= 0 && u < t.n && v >= 0 && v < t.n && slot_of t u v >= 0
 

@@ -13,7 +13,6 @@ type t = {
   queues : Fifo.t array;
   (* Packet store: struct-of-arrays plus a free-id stack, grown by
      doubling, so the steady-state slot loop never allocates. *)
-  mutable psrc : int array;
   mutable pdist : int array;
   mutable phops : int array;
   mutable free : int array;
@@ -25,11 +24,17 @@ type t = {
   stage_node : int array;
   stage_pkt : int array;
   rev_list : int array;
-  (* BFS hop distance from the destination over the current skeleton,
-     recomputed lazily after churn (birth distances for stretch). *)
+  (* Birth distances: BFS hop distance from the destination over the
+     current skeleton, run on demand.  [dist.(u)] is a label of the
+     current BFS iff [stamp.(u) = epoch]; a link change bumps [epoch].
+     The queue [bfs_q.(bfs_head .. bfs_tail - 1)] survives between
+     injects. *)
   dist : int array;
-  mutable dist_valid : bool;
+  stamp : int array;
+  mutable epoch : int;
   bfs_q : int array;
+  mutable bfs_head : int;
+  mutable bfs_tail : int;
   mutable injected : int;
   mutable dropped : int;
   mutable delivered : int;
@@ -43,8 +48,6 @@ type t = {
 
 let num_nodes t = t.n
 let destination t = t.dest
-let queue_capacity t = t.qcap
-let queue_length t u = Fifo.length t.queues.(u)
 let queued t = t.queued
 let high_water t = t.high_water
 
@@ -119,7 +122,6 @@ let create ?(qcap = 64) ?(cap = 1) ?heights config =
     ha;
     hb;
     queues = Array.init n (fun _ -> Fifo.create ~capacity:qcap);
-    psrc = Array.make pcap 0;
     pdist = Array.make pcap 0;
     phops = Array.make pcap 0;
     free;
@@ -129,9 +131,12 @@ let create ?(qcap = 64) ?(cap = 1) ?heights config =
     stage_node = Array.make (n * cap) 0;
     stage_pkt = Array.make (n * cap) 0;
     rev_list = Array.make n 0;
-    dist = Array.make n (-1);
-    dist_valid = false;
+    dist = Array.make n 0;
+    stamp = Array.make n (-1);
+    epoch = 0;
     bfs_q = Array.make n 0;
+    bfs_head = 0;
+    bfs_tail = 0;
     injected = 0;
     dropped = 0;
     delivered = 0;
@@ -153,7 +158,6 @@ let alloc t =
       Array.blit a 0 b 0 t.pcap;
       b
     in
-    t.psrc <- ext t.psrc;
     t.pdist <- ext t.pdist;
     t.phops <- ext t.phops;
     let nfree = Array.make ncap 0 in
@@ -173,58 +177,70 @@ let free_pkt t id =
 
 (* {1 Birth distances} *)
 
-let ensure_dist t =
-  if not t.dist_valid then begin
-    Array.fill t.dist 0 t.n (-1);
-    t.dist.(t.dest) <- 0;
-    t.bfs_q.(0) <- t.dest;
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
-      let u = t.bfs_q.(!head) in
-      incr head;
-      for i = 0 to G.Dyn.degree t.adj u - 1 do
-        let w = G.Dyn.nbr t.adj u i in
-        if t.dist.(w) < 0 then begin
-          t.dist.(w) <- t.dist.(u) + 1;
-          t.bfs_q.(!tail) <- w;
-          incr tail
-        end
-      done
-    done;
-    t.dist_valid <- true
-  end
+(* [src]'s hop distance from the destination, or -1 if the skeleton
+   does not connect them.  The BFS restarts from the destination when
+   the destination carries an old stamp (a link changed since) and
+   otherwise resumes where it stopped, expanding only until [src] is
+   labelled; a label is final when it is set, so every answer equals a
+   full BFS's. *)
+let birth_distance t src =
+  let dist = t.dist and stamp = t.stamp and q = t.bfs_q and epoch = t.epoch in
+  if stamp.(t.dest) <> epoch then begin
+    stamp.(t.dest) <- epoch;
+    dist.(t.dest) <- 0;
+    q.(0) <- t.dest;
+    t.bfs_head <- 0;
+    t.bfs_tail <- 1
+  end;
+  let head = ref t.bfs_head and tail = ref t.bfs_tail in
+  while stamp.(src) <> epoch && !head < !tail do
+    let u = q.(!head) in
+    incr head;
+    for i = 0 to G.Dyn.degree t.adj u - 1 do
+      let w = G.Dyn.nbr t.adj u i in
+      if stamp.(w) <> epoch then begin
+        stamp.(w) <- epoch;
+        dist.(w) <- dist.(u) + 1;
+        q.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  t.bfs_head <- !head;
+  t.bfs_tail <- !tail;
+  if stamp.(src) = epoch then dist.(src) else -1
 
 (* {1 Traffic} *)
 
 let inject t ~src ~count =
   if src < 0 || src >= t.n then invalid_arg "Plane.inject: src out of range";
   if count < 0 then invalid_arg "Plane.inject: negative count";
-  ensure_dist t;
-  let accepted = ref 0 and dropped = ref 0 in
-  for _ = 1 to count do
-    if src = t.dest then begin
-      t.injected <- t.injected + 1;
-      t.delivered <- t.delivered + 1;
-      incr accepted
-    end
-    else if Fifo.is_full t.queues.(src) then begin
-      t.dropped <- t.dropped + 1;
-      incr dropped
-    end
-    else begin
-      let id = alloc t in
-      t.psrc.(id) <- src;
-      t.pdist.(id) <- (if t.dist.(src) > 0 then t.dist.(src) else 0);
-      t.phops.(id) <- 0;
-      ignore (Fifo.push t.queues.(src) id : bool);
-      t.queued <- t.queued + 1;
-      t.injected <- t.injected + 1;
-      incr accepted;
-      let l = Fifo.length t.queues.(src) in
+  if src = t.dest then begin
+    t.injected <- t.injected + count;
+    t.delivered <- t.delivered + count;
+    (count, 0)
+  end
+  else begin
+    (* Nothing leaves a queue during an inject, so once the source
+       queue fills, the rest of the burst is dropped. *)
+    let q = t.queues.(src) in
+    let accepted = min count (t.qcap - Fifo.length q) in
+    if accepted > 0 then begin
+      let d = max 0 (birth_distance t src) in
+      for _ = 1 to accepted do
+        let id = alloc t in
+        t.pdist.(id) <- d;
+        t.phops.(id) <- 0;
+        ignore (Fifo.push q id : bool)
+      done;
+      t.queued <- t.queued + accepted;
+      t.injected <- t.injected + accepted;
+      let l = Fifo.length q in
       if l > t.high_water then t.high_water <- l
-    end
-  done;
-  (!accepted, !dropped)
+    end;
+    t.dropped <- t.dropped + (count - accepted);
+    (accepted, count - accepted)
+  end
 
 (* One partial-reversal height raise — the maintenance engine's own,
    without its worklist (reversal scheduling here is queue-driven). *)
@@ -325,11 +341,11 @@ let mem_edge t u v = G.Dyn.mem_edge t.adj u v
 
 let remove_link t u v =
   G.Dyn.remove_edge t.adj u v;
-  t.dist_valid <- false
+  t.epoch <- t.epoch + 1
 
 let add_link t u v =
   G.Dyn.add_edge t.adj u v;
-  t.dist_valid <- false
+  t.epoch <- t.epoch + 1
 
 (* {1 Observation} *)
 
@@ -353,9 +369,6 @@ let counters (t : t) =
     dist_sum = t.dist_sum;
     slots = t.slots;
   }
-
-let stretch (t : t) =
-  if t.dist_sum = 0 then 0. else float_of_int t.hops_sum /. float_of_int t.dist_sum
 
 let consistent (t : t) =
   let total = ref 0 and ok = ref true in

@@ -34,7 +34,19 @@
 
     Link churn ({!remove_link} / {!add_link}) changes the skeleton in
     O(degree); queued packets stay put and, if their region lost its
-    route, reversals re-point the DAG around the outage. *)
+    route, reversals re-point the DAG around the outage.
+
+    {2 Birth distances}
+
+    Every accepted packet records its source's shortest hop distance
+    to the destination over the skeleton at injection; [dist_sum] and
+    [hops_sum] ({!counters}) give the mean path stretch.  One BFS from
+    the destination serves every inject between two link changes: a
+    link change only marks it stale, and an inject resumes it just
+    until the source is labelled.  So an inject costs O(accepted) plus
+    the part of that BFS it resumes — O(n + m) summed over all injects
+    between two link changes, nothing for a source already labelled —
+    and each birth distance equals a full BFS's. *)
 
 type t
 
@@ -53,7 +65,6 @@ val create :
 
 val num_nodes : t -> int
 val destination : t -> int
-val queue_capacity : t -> int
 
 (** {2 Traffic} *)
 
@@ -61,8 +72,11 @@ val inject : t -> src:int -> count:int -> int * int
 (** [inject t ~src ~count] offers [count] packets at [src]; returns
     [(accepted, dropped)] — packets refused by a full source queue are
     dropped on the spot.  Injection at the destination delivers
-    immediately (zero hops).  @raise Invalid_argument on an
-    out-of-range [src] or negative [count]. *)
+    immediately (zero hops).  O(accepted) plus the birth-distance BFS
+    it resumes (see above); a source the skeleton does not connect to
+    the destination gives its packets birth distance 0.
+    @raise Invalid_argument on an out-of-range [src] or negative
+    [count]. *)
 
 type slot_outcome = { delivered : int; reversals : int }
 
@@ -83,7 +97,6 @@ val add_link : t -> int -> int -> unit
 val edge_out : t -> int -> int -> bool
 (** Derived orientation: the (present) edge [{u,v}] points [u -> v]. *)
 
-val queue_length : t -> int -> int
 val queued : t -> int
 (** Packets currently in flight (sum of all queue lengths). *)
 
@@ -101,10 +114,6 @@ type counters = {
 }
 
 val counters : t -> counters
-
-val stretch : t -> float
-(** Mean path stretch over delivered packets: [hops_sum / dist_sum],
-    or [0.] before any such delivery. *)
 
 val consistent : t -> bool
 (** Accounting audit for tests: [injected = delivered + queued], every

@@ -619,19 +619,29 @@ let adopt_heights t f =
 
 (* {1 Queries} *)
 
+(* The next hops are walked into [t.queue] and the path is consed from
+   its end, so the list is built once.  Heights fall strictly along
+   next hops, so a walk repeats no node and the bound [n] never cuts a
+   path short. *)
 let route t u =
   if not (mem_node t u) then None
-  else if u = t.dest then Some [ u ]
-  else
-    let rec descend v acc fuel =
-      if fuel = 0 then None
-      else if v = t.dest then Some (List.rev (v :: acc))
-      else
-        match next_hop t v with
-        | -1 -> None
-        | w -> descend w (v :: acc) (fuel - 1)
-    in
-    descend u [] (t.n + 1)
+  else begin
+    let q = t.queue in
+    let len = ref 0 and v = ref u in
+    while !v >= 0 && !v <> t.dest && !len < t.n do
+      q.(!len) <- !v;
+      incr len;
+      v := next_hop t !v
+    done;
+    if !v <> t.dest then None
+    else begin
+      let path = ref [ t.dest ] in
+      for i = !len - 1 downto 0 do
+        path := q.(i) :: !path
+      done;
+      Some !path
+    end
+  end
 
 (* Every node the destination's component can still route from: the
    backward closure of the destination along directed edges. *)

@@ -307,6 +307,10 @@ let crash_destination (Shard s) =
 (* Per-node queue bound of every forwarding plane. *)
 let packet_queue = 64
 
+(* A forward sweeps the plane once per slot, so an op's cost grows with
+   its count; parsed workloads stay below this. *)
+let max_burst = 1 lsl 16
+
 (* The shard's forwarding plane, snapshotting the current graph and
    destination on first use.  [Config.make] failing means the serving
    graph went inconsistent — surfaced as a validation failure, like the

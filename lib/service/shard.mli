@@ -101,6 +101,12 @@ val elect : live:(Node.t -> bool) -> (int * Node.t) list -> Node.t option
     leader is [live], the one with the most members, then the greater
     leader id.  [None] when no component has a live leader. *)
 
+val max_burst : int
+(** [2^16], the most packets an [Inject] op may offer and the most
+    slots a [Forward] op may run: a forward sweeps the plane once per
+    slot, so its cost grows with its count.  Specs and lrw1 workloads
+    above it are rejected when parsed ({!Workload.valid_op}). *)
+
 val max_magnitude : int
 (** [2^29 - 1], the largest magnitude {!hostile_height} can draw.  A
     [Corrupt] op above it answers [Noop], as a [Flip] of a bit outside

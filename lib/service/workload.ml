@@ -33,6 +33,8 @@ let validate_spec s =
      <= 0
   then invalid_arg "Workload: empty mix";
   if s.burst < 1 then invalid_arg "Workload: burst must be >= 1";
+  if s.burst > Shard.max_burst then
+    invalid_arg (Printf.sprintf "Workload: burst must be <= %d" Shard.max_burst);
   if s.skew < 0.0 then invalid_arg "Workload: negative skew";
   if s.stats_every < 0 then invalid_arg "Workload: negative stats_every"
 
@@ -146,10 +148,12 @@ let valid_op spec = function
       if shard < 0 || shard >= spec.shards then Error "shard out of range"
       else if src < 0 || src >= spec.nodes then Error "source out of range"
       else if count < 0 then Error "negative inject count"
+      else if count > Shard.max_burst then Error "inject count out of range"
       else Ok ()
   | Op.Forward { shard; slots } ->
       if shard < 0 || shard >= spec.shards then Error "shard out of range"
       else if slots < 1 then Error "non-positive forward slots"
+      else if slots > Shard.max_burst then Error "forward slots out of range"
       else Ok ()
   | Op.Corrupt { shard; seed = _; magnitude } ->
       if shard < 0 || shard >= spec.shards then Error "shard out of range"

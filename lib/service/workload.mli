@@ -28,7 +28,8 @@ type spec = {
   pmix : pmix;  (** Packet-op weights, rolled with [mix] in one die. *)
   burst : int;
       (** Packets per [Inject] op and slots per [Forward] op
-          (must be [>= 1] even when [pmix] is all zeros). *)
+          (must be in [1 .. Shard.max_burst] even when [pmix] is all
+          zeros). *)
   skew : float;  (** Zipf exponent; [0.] = uniform shard popularity. *)
   stats_every : int;  (** Emit a [Stats] op every K ops; [0] = never. *)
 }
@@ -44,7 +45,8 @@ val default_pmix : pmix
 
 val generate : spec -> Op.t array
 (** The spec's op stream.  @raise Invalid_argument on a nonsensical
-    spec (no shards, fewer than 2 nodes, negative counts, empty mix). *)
+    spec (no shards, fewer than 2 nodes, negative counts, empty mix,
+    a burst outside [1 .. Shard.max_burst]). *)
 
 val shard_config : spec -> int -> Linkrev.Config.t
 (** The initial instance of one shard: a random connected DAG seeded
@@ -53,7 +55,9 @@ val shard_config : spec -> int -> Linkrev.Config.t
 val shard_configs : spec -> Linkrev.Config.t array
 
 val valid_op : spec -> Op.t -> (unit, string) result
-(** Check one op against the spec's shard and node ranges. *)
+(** Check one op against the spec's shard and node ranges, and its
+    packet count, forward slots or corruption magnitude against
+    {!Shard.max_burst} and {!Shard.max_magnitude}. *)
 
 val save : string -> spec -> Op.t array -> unit
 (** Write the [lrw1] text format: a spec header followed by one

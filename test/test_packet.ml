@@ -192,6 +192,93 @@ let test_plane_reversal_is_the_pr_raise () =
     [ 0; 1; 3 ];
   check_bool "2 stays below 1" false (Plane.edge_out p 2 1)
 
+(* Birth distances under churn: a seeded walk of link removals and
+   additions and injects on a 24-node plane.  Each inject is drained at
+   once (after its links are restored, if the source was cut off), so
+   its [dist_sum] delta is [accepted] times the source's hop distance
+   at injection, by a BFS over the links this test tracks.  A source
+   cut off from the destination, or the destination itself, adds
+   nothing: its packets carry birth distance 0, also when a restored
+   link lets them through.  Injects without a link change between them
+   resume one BFS. *)
+let test_plane_birth_distances_under_churn () =
+  let n = 24 in
+  let config = random_config ~extra_edges:4 ~seed:23 n in
+  let p = Plane.create ~qcap:16 config in
+  let dest = Plane.destination p in
+  let base = Array.make_matrix n n false in
+  for u = 0 to n - 1 do
+    Lr_graph.Node.Set.iter (fun v -> base.(u).(v) <- true) (Linkrev.Config.nbrs config u)
+  done;
+  let link = Array.map Array.copy base in
+  let distance src =
+    let d = Array.make n (-1) and q = Queue.create () in
+    d.(dest) <- 0;
+    Queue.add dest q;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      for w = 0 to n - 1 do
+        if link.(u).(w) && d.(w) < 0 then begin
+          d.(w) <- d.(u) + 1;
+          Queue.add w q
+        end
+      done
+    done;
+    d.(src)
+  in
+  let set_link u v present =
+    if present then Plane.add_link p u v else Plane.remove_link p u v;
+    link.(u).(v) <- present;
+    link.(v).(u) <- present
+  in
+  let st = rng 23 in
+  let pairs present =
+    let l = ref [] in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if link.(u).(v) = present then l := (u, v) :: !l
+      done
+    done;
+    !l
+  in
+  let toggle present =
+    match pairs present with
+    | [] -> ()
+    | l ->
+        let u, v = List.nth l (Random.State.int st (List.length l)) in
+        set_link u v (not present)
+  in
+  let reached = ref 0 and cut_off = ref 0 and at_dest = ref 0 in
+  for _ = 1 to 600 do
+    match Random.State.int st 5 with
+    | 0 | 1 -> toggle true
+    | 2 -> toggle false
+    | _ ->
+        let src = Random.State.int st n and count = 1 + Random.State.int st 4 in
+        let before = (Plane.counters p).Plane.dist_sum in
+        let accepted, _ = Plane.inject p ~src ~count in
+        let d = distance src in
+        if src = dest then incr at_dest
+        else if d < 0 then begin
+          incr cut_off;
+          List.iter (fun (u, v) -> if base.(u).(v) then set_link u v true) (pairs false)
+        end
+        else incr reached;
+        let slots = ref 0 in
+        while Plane.queued p > 0 && !slots < 50 * n do
+          ignore (Plane.slot p : Plane.slot_outcome);
+          incr slots
+        done;
+        check_int "drained" 0 (Plane.queued p);
+        check_int "dist_sum delta = accepted x BFS distance"
+          (if d > 0 then accepted * d else 0)
+          ((Plane.counters p).Plane.dist_sum - before)
+  done;
+  check_bool "some sources reached the destination" true (!reached > 0);
+  check_bool "some sources were cut off" true (!cut_off > 0);
+  check_bool "some injects were at the destination" true (!at_dest > 0);
+  check_bool "consistent" true (Plane.consistent p)
+
 (* {1 Geo} *)
 
 let test_geo_generate_connected () =
@@ -269,6 +356,7 @@ let () =
           case "churn strands then recovers" test_plane_churn_strands_then_recovers;
           case "engine height seeding" test_plane_engine_height_seeding;
           case "reversal is the shared PR raise" test_plane_reversal_is_the_pr_raise;
+          case "birth distances under churn" test_plane_birth_distances_under_churn;
         ];
       suite "geo"
         [
