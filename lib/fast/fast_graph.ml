@@ -13,12 +13,13 @@ type t = {
    each [nbrs.(w)] in row order: a per-node cursor is exactly the index
    of [u] in [nbrs.(w)].  O(sum of degrees).  A final pass checks every
    slot against its mirror, which rejects unsorted, asymmetric or
-   out-of-range rows in the same O(sum of degrees). *)
-let of_rows ~destination ~out nbrs =
+   out-of-range rows in the same O(sum of degrees).  [who] names the
+   constructor in the rejection. *)
+let mirrors ~who nbrs =
   let n = Array.length nbrs in
   let mirror = Array.map (fun row -> Array.make (Array.length row) 0) nbrs in
   let cursor = Array.make n 0 in
-  let malformed () = invalid_arg "Fast_graph.of_rows: rows not sorted and symmetric" in
+  let malformed () = invalid_arg (who ^ ": rows not sorted and symmetric") in
   for u = 0 to n - 1 do
     let row = nbrs.(u) in
     for i = 0 to Array.length row - 1 do
@@ -35,18 +36,18 @@ let of_rows ~destination ~out nbrs =
       if k >= Array.length nbrs.(row.(i)) || nbrs.(row.(i)).(k) <> u then malformed ()
     done
   done;
+  mirror
+
+let of_rows ~destination ~out nbrs =
+  let mirror = mirrors ~who:"Fast_graph.of_rows" nbrs in
   let out0 = Array.mapi (fun u row -> Array.map (fun w -> out u w) row) nbrs in
-  { n; destination; nbrs; mirror; out0 }
+  { n = Array.length nbrs; destination; nbrs; mirror; out0 }
 
 let of_instance inst =
   let g = inst.Generators.graph in
-  let nodes = Digraph.nodes g in
-  let n = Node.Set.cardinal nodes in
-  if not (Node.Set.equal nodes (Node.Set.of_range 0 (n - 1))) then
-    invalid_arg "Fast_graph.of_instance: node ids must be 0..n-1";
   let nbrs =
-    Array.init n (fun u ->
-        Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
+    try Undirected.rows (Digraph.skeleton g)
+    with Invalid_argument _ -> invalid_arg "Fast_graph.of_instance: node ids must be 0..n-1"
   in
   of_rows ~destination:inst.Generators.destination
     ~out:(fun u w -> Digraph.direction_equal (Digraph.dir g u w) Digraph.Out)
@@ -115,13 +116,15 @@ module Dyn = struct
     deg : int array;
   }
 
-  let of_graph (g : graph) =
+  let of_rows nbr =
     {
-      n = g.n;
-      nbr = Array.map Array.copy g.nbrs;
-      mir = Array.map Array.copy g.mirror;
-      deg = Array.map Array.length g.nbrs;
+      n = Array.length nbr;
+      nbr;
+      mir = mirrors ~who:"Fast_graph.Dyn.of_rows" nbr;
+      deg = Array.map Array.length nbr;
     }
+
+  let of_graph (g : graph) = of_rows (Array.map Array.copy g.nbrs)
 
   let num_nodes t = t.n
   let degree t u = t.deg.(u)

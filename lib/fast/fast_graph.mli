@@ -23,8 +23,10 @@ type t = private {
 }
 
 val of_instance : Generators.instance -> t
-(** Node ids must be [0 .. n-1]; @raise Invalid_argument otherwise
-    (use {!Lr_graph.Generators} outputs, which satisfy this). *)
+(** {!of_rows} over {!Lr_graph.Undirected.rows} of the instance's
+    skeleton.  Node ids must be [0 .. n-1]; @raise Invalid_argument
+    otherwise (use {!Lr_graph.Generators} outputs, which satisfy
+    this). *)
 
 val of_config : Linkrev.Config.t -> t
 
@@ -77,7 +79,18 @@ module Dyn : sig
   type t
 
   val of_graph : graph -> t
-  (** A fresh mutable copy of the adjacency (the source is unchanged). *)
+  (** A fresh mutable copy of the adjacency (the source is unchanged):
+      {!of_rows} over copies of its rows. *)
+
+  val of_rows : int array array -> t
+  (** [of_rows rows] adopts [rows] (sorted and symmetric, as
+      {!Fast_graph.of_rows} takes them) as the adjacency, without a
+      copy: the dynamic graph owns and mutates them from then on.  It
+      runs the same mirror and validation pass as {!Fast_graph.of_rows}
+      and builds no initial orientation, so it is the cheap entry point
+      for an engine that derives its orientation itself.  O(sum of
+      degrees).
+      @raise Invalid_argument as {!Fast_graph.of_rows} does. *)
 
   val num_nodes : t -> int
   val degree : t -> int -> int
@@ -101,8 +114,8 @@ module Dyn : sig
 
   val sort_rows : t -> scratch:int array -> unit
   (** Puts every row back in ascending order and recomputes the mirror
-      slots, in place, so the adjacency order is again the one
-      {!of_graph} gives a fresh {!of_rows} of the same edge set.
+      slots, in place, so the adjacency order is again the one {!of_rows}
+      gives the same edge set's sorted rows.
       O(n + sum of degrees), with no allocation.  [scratch] must hold
       at least [num_nodes t] ints; its contents are overwritten. *)
 end

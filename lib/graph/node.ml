@@ -15,10 +15,6 @@ module Set = struct
          ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
          Format.pp_print_int)
       (elements s)
-
-  let of_range lo hi =
-    let rec loop acc i = if i < lo then acc else loop (add i acc) (i - 1) in
-    loop empty hi
 end
 
 module Map = struct

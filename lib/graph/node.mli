@@ -16,9 +16,6 @@ module Set : sig
   include Set.S with type elt = t
 
   val pp : Format.formatter -> t -> unit
-  val of_range : int -> int -> t
-  (** [of_range lo hi] is the set [{lo, lo+1, ..., hi}]; empty when
-      [hi < lo]. *)
 end
 
 module Map : sig

@@ -39,6 +39,19 @@ let mem_edge g u v =
 
 let neighbors g u = Node.Map.find_or ~default:Node.Set.empty u g.adj
 let degree g u = Node.Set.cardinal (neighbors g u)
+
+(* The map folds in ascending key order, so the ids are 0..n-1 exactly
+   when the i-th key is i. *)
+let rows g =
+  let rows = Array.make (Node.Map.cardinal g.adj) [||] in
+  let fill u nbrs i =
+    if u <> i then invalid_arg "Undirected.rows: node ids must be 0..n-1";
+    rows.(i) <- Array.of_list (Node.Set.elements nbrs);
+    i + 1
+  in
+  ignore (Node.Map.fold fill g.adj 0);
+  rows
+
 let fold_edges f g acc = Edge.Set.fold f g.edges acc
 let iter_edges f g = Edge.Set.iter f g.edges
 

@@ -29,6 +29,14 @@ val neighbors : t -> Node.t -> Node.Set.t
 (** [nbrs_u] of the paper; empty for unknown nodes. *)
 
 val degree : t -> Node.t -> int
+
+val rows : t -> int array array
+(** [rows g] is the adjacency as flat rows: [(rows g).(u)] lists [u]'s
+    neighbours in ascending id ([[||]] for an isolated node).  One fold
+    over the adjacency map, in ascending id.  The rows are fresh, so a
+    caller may keep or mutate them.
+    @raise Invalid_argument unless the node ids are [0 .. n-1]. *)
+
 val fold_edges : (Edge.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_edges : (Edge.t -> unit) -> t -> unit
 

@@ -8,7 +8,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Fifo.create: capacity < 1";
   { buf = Array.make capacity 0; head = 0; len = 0 }
 
-let capacity t = Array.length t.buf
 let length t = t.len
 let is_empty t = t.len = 0
 let is_full t = t.len = Array.length t.buf
@@ -34,10 +33,6 @@ let pop t =
   end
 
 let peek t = if t.len = 0 then -1 else t.buf.(t.head)
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0
 
 let iter f t =
   let cap = Array.length t.buf in

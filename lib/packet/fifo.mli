@@ -9,7 +9,6 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument when [capacity < 1]. *)
 
-val capacity : t -> int
 val length : t -> int
 val is_empty : t -> bool
 val is_full : t -> bool
@@ -23,8 +22,6 @@ val pop : t -> int
 
 val peek : t -> int
 (** The head without removing it, or [-1] when empty. *)
-
-val clear : t -> unit
 
 val iter : (int -> unit) -> t -> unit
 (** Head-to-tail order. *)

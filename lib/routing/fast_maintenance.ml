@@ -25,12 +25,14 @@ type t = {
      fact is kept. *)
   comp : bool array;
   mutable comp_size : int;
-  (* Min-id sink worklist: binary heap + membership bits.  Lazily
-     validated — a popped node steps only if it is still a non-
-     destination sink inside the destination's component. *)
-  heap : int array;
-  mutable heap_len : int;
-  inq : bool array;
+  (* Min-id sink worklist: a two-level bitset, 32 ids per word.  Bit
+     [u land 31] of [wl.(u lsr 5)] queues [u]; bit [k land 31] of
+     [wl_sum.(k lsr 5)] says [wl.(k)] is non-zero; no summary word below
+     [wl_lo] is.  Lazily validated — a popped node steps only if it is
+     still a non-destination sink inside the destination's component. *)
+  wl : int array;
+  wl_sum : int array;
+  mutable wl_lo : int;
   (* Next-hop cache: nh_unset, nh_none, or the cached hop. *)
   nh : int array;
   (* Step observer (trace recording): called after every reversal with
@@ -113,62 +115,56 @@ let label_dest_component t mark =
 
 (* {1 Worklist} *)
 
-let heap_push t u =
-  if not t.inq.(u) then begin
-    t.inq.(u) <- true;
-    let a = t.heap in
-    let i = ref t.heap_len in
-    t.heap_len <- t.heap_len + 1;
-    a.(!i) <- u;
-    let sifting = ref true in
-    while !sifting && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if a.(p) > a.(!i) then begin
-        let tmp = a.(p) in
-        a.(p) <- a.(!i);
-        a.(!i) <- tmp;
-        i := p
-      end
-      else sifting := false
-    done
+(* The index of the lowest set bit of a non-zero 32-bit [x], by de
+   Bruijn multiplication with the standard 32-entry table: no branch,
+   and the product of a 32-bit power of two and the 27-bit constant fits
+   an OCaml int, which is why a word holds 32 ids and not 63. *)
+let debruijn =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let lowest_bit x =
+  Char.code (String.unsafe_get debruijn (((x land -x) * 0x077CB531) lsr 27 land 31))
+
+let wl_push t u =
+  let k = u lsr 5 in
+  let x = t.wl.(k) in
+  if x = 0 then begin
+    let s = k lsr 5 in
+    t.wl_sum.(s) <- t.wl_sum.(s) lor (1 lsl (k land 31));
+    if s < t.wl_lo then t.wl_lo <- s
+  end;
+  t.wl.(k) <- x lor (1 lsl (u land 31))
+
+(* Removes and answers the lowest queued id, or -1 when none is. *)
+let wl_pop t =
+  let sum = t.wl_sum in
+  let s = ref t.wl_lo in
+  while !s < Array.length sum && sum.(!s) = 0 do
+    incr s
+  done;
+  t.wl_lo <- !s;
+  if !s = Array.length sum then -1
+  else begin
+    let m = sum.(!s) in
+    let k = (!s lsl 5) lor lowest_bit m in
+    let x = t.wl.(k) in
+    let rest = x land (x - 1) in
+    t.wl.(k) <- rest;
+    if rest = 0 then sum.(!s) <- m land (m - 1);
+    (k lsl 5) lor lowest_bit x
   end
 
-let heap_pop t =
-  let a = t.heap in
-  let top = a.(0) in
-  t.heap_len <- t.heap_len - 1;
-  t.inq.(top) <- false;
-  if t.heap_len > 0 then begin
-    a.(0) <- a.(t.heap_len);
-    let i = ref 0 in
-    let sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < t.heap_len && a.(l) < a.(!m) then m := l;
-      if r < t.heap_len && a.(r) < a.(!m) then m := r;
-      if !m <> !i then begin
-        let tmp = a.(!m) in
-        a.(!m) <- a.(!i);
-        a.(!i) <- tmp;
-        i := !m
-      end
-      else sifting := false
-    done
-  end;
-  top
-
-let push_if_sink t u = if u <> t.dest && is_sink t u then heap_push t u
+let push_if_sink t u = if u <> t.dest && is_sink t u then wl_push t u
 
 (* The minimum-id valid sink, or -1: exactly the node the reference's
    ascending-order component scan would select.  A popped sink outside
    the destination's component is dropped: the link that reattaches its
    side queues it again (see [attach]). *)
 let rec pop_sink t =
-  if t.heap_len = 0 then -1
-  else
-    let u = heap_pop t in
-    if u <> t.dest && t.comp.(u) && is_sink t u then u else pop_sink t
+  match wl_pop t with
+  | -1 -> -1
+  | u -> if u <> t.dest && t.comp.(u) && is_sink t u then u else pop_sink t
 
 (* {1 Next-hop cache} *)
 
@@ -430,11 +426,11 @@ let fail_node t u =
 (* {1 Construction} *)
 
 (* The seeding core of [create] and [reroot].  [rank] is a topological
-   order of the orientation on [t.adj]; heights are seeded from it
-   exactly as the reference seeds them from its embedding, so that
+   order of the orientation wanted on [t.adj]; heights are seeded from
+   it exactly as the reference seeds them from its embedding, so that
    orientation becomes the height order.  Everything else — in-degrees,
    component index, next-hop cache, counters — is derived or reset in
-   place, and the session stabilizes.  [reroot] passes [t.bq_b] as
+   place, and the session stabilizes.  Both callers pass [t.bq_b] as
    [rank], so nothing here may write that queue before the height loop
    has read it. *)
 let seed t rank =
@@ -461,34 +457,30 @@ let seed t rank =
   done;
   ignore (stabilize t)
 
-(* A configuration enters as its sorted adjacency rows and its
-   embedding's ranks. *)
+(* A configuration enters as its sorted adjacency rows, which the
+   dynamic graph adopts, and its embedding's ranks, written into
+   [t.bq_b] as [reroot] writes its own. *)
 let create rule config =
-  let g = config.Config.initial in
-  let nodes = Digraph.nodes g in
-  let n = Node.Set.cardinal nodes in
-  if not (Node.Set.equal nodes (Node.Set.of_range 0 (n - 1))) then
-    invalid_arg "Fast_maintenance.create: node ids must be 0..n-1";
   let rows =
-    Array.init n (fun u -> Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
+    try Undirected.rows (Digraph.skeleton config.Config.initial)
+    with Invalid_argument _ -> invalid_arg "Fast_maintenance.create: node ids must be 0..n-1"
   in
-  let rank = Array.init n (fun u -> Embedding.rank config.Config.embedding u) in
-  let dest = config.Config.destination in
-  let core = G.of_rows ~destination:dest ~out:(fun u w -> rank.(u) < rank.(w)) rows in
+  let n = Array.length rows in
+  let words = (n + 31) / 32 in
   let t =
     {
       n;
       rule;
-      dest;
-      adj = G.Dyn.of_graph core;
+      dest = config.Config.destination;
+      adj = G.Dyn.of_rows rows;
       ha = Array.make n 0;
       hb = Array.make n 0;
       in_deg = Array.make n 0;
       comp = Array.make n false;
       comp_size = 0;
-      heap = Array.make n 0;
-      heap_len = 0;
-      inq = Array.make n false;
+      wl = Array.make words 0;
+      wl_sum = Array.make ((words + 31) / 32) 0;
+      wl_lo = 0;
       nh = Array.make n nh_unset;
       obs = None;
       obs_buf = Array.make (max n 1) 0;
@@ -502,7 +494,8 @@ let create rule config =
       bq_b = Array.make (max n 1) 0;
     }
   in
-  seed t rank;
+  List.iteri (fun r u -> t.bq_b.(u) <- r) (Embedding.order config.Config.embedding);
+  seed t t.bq_b;
   t
 
 (* {1 Failover} *)

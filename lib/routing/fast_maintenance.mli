@@ -14,10 +14,13 @@
       orientation bits to keep in sync;
     - adjacency is a {!Lr_fast.Fast_graph.Dyn} flat array that survives
       link churn in O(degree) per change;
-    - sinks are found by a min-id {e worklist} (binary heap with lazy
-      revalidation) seeded from the endpoints of each topology change
-      and refilled only with the neighbours of just-reversed nodes — no
-      per-step component rescan;
+    - sinks are found by a min-id {e worklist} (a two-level bitset, one
+      bit per id plus one summary bit per 32-id word, whose pop answers
+      the lowest queued id; lazily revalidated) seeded from the
+      endpoints of each topology change and refilled only with the
+      neighbours of just-reversed nodes — no per-step component rescan,
+      and about [n/31] words where a heap and its membership bits took
+      [2n];
     - membership in the destination's component is one bit per node,
       exact at all times, plus the component's size (which sets the
       stabilization budget).  Repair, here as in the reference, never
@@ -44,9 +47,14 @@ type t
 
 val create : Maintenance.rule -> Config.t -> t
 (** Starts from [G'_init] and stabilizes it, like
-    {!Maintenance.create}.  Node ids must be [0 .. n-1]
-    ({!Lr_graph.Generators} outputs and service shard configs satisfy
-    this); @raise Invalid_argument otherwise. *)
+    {!Maintenance.create}.  The configuration enters once, as the
+    skeleton's sorted rows ({!Lr_graph.Undirected.rows}, one fold of its
+    adjacency map), which the dynamic graph adopts
+    ({!Lr_fast.Fast_graph.Dyn.of_rows}), and as ranks from one pass over
+    the embedding's order; then O(n + m) seeding and the initial
+    stabilization, which dominates at n = 10{^5}.  Node ids must be
+    [0 .. n-1] ({!Lr_graph.Generators} outputs and service shard
+    configs satisfy this); @raise Invalid_argument otherwise. *)
 
 val destination : t -> Node.t
 val num_nodes : t -> int

@@ -62,7 +62,9 @@ type ring_totals = {
 }
 
 (* Growable latency sample buffer — one per shard, appended to only by
-   the worker currently owning that shard. *)
+   the worker currently owning that shard.  A sample arrives as int
+   nanoseconds, so no float is boxed per op, and is kept in a float
+   array, which the major GC never scans, unlike an int array. *)
 type samples = { mutable data : float array; mutable len : int }
 
 type t = {
@@ -133,17 +135,17 @@ let note_steal_attempt t ~shard =
 let note_stolen t ~shard n =
   ignore (Atomic.fetch_and_add t.rings.(shard).stolen n)
 
-let push_sample b dt =
+let push_sample b ns =
   if b.len = Array.length b.data then begin
     let grown = Array.make (2 * b.len) 0.0 in
     Array.blit b.data 0 grown 0 b.len;
     b.data <- grown
   end;
-  b.data.(b.len) <- dt;
+  b.data.(b.len) <- float_of_int ns;
   b.len <- b.len + 1
 
-let record_latency t ~shard dt = push_sample t.latencies.(shard) dt
-let record_recovery t ~shard dt = push_sample t.recoveries.(shard) dt
+let record_latency t ~shard ns = push_sample t.latencies.(shard) ns
+let record_recovery t ~shard ns = push_sample t.recoveries.(shard) ns
 
 let totals_of_counters ~stats_ops (c : counters) =
   {
@@ -245,7 +247,7 @@ type snapshot = {
 let collect buffers =
   Array.fold_left
     (fun acc b ->
-      let rec take i acc = if i < 0 then acc else take (i - 1) (b.data.(i) :: acc) in
+      let rec take i acc = if i < 0 then acc else take (i - 1) ((b.data.(i) *. 1e-9) :: acc) in
       take (b.len - 1) acc)
     [] buffers
 

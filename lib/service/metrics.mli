@@ -106,12 +106,12 @@ val note_steal_attempt : t -> shard:int -> unit
 val note_stolen : t -> shard:int -> int -> unit
 (** [n] ops drained from the shard's ring by a thief. *)
 
-val record_latency : t -> shard:int -> float -> unit
-(** Append one admission-to-completion latency sample (seconds). *)
+val record_latency : t -> shard:int -> int -> unit
+(** Append one admission-to-completion latency sample (nanoseconds). *)
 
-val record_recovery : t -> shard:int -> float -> unit
-(** Append one chaos-heal duration sample (seconds, fault adoption to
-    re-stabilization) — the recovery-time SLO's sample set. *)
+val record_recovery : t -> shard:int -> int -> unit
+(** Append one chaos-heal duration sample (nanoseconds, fault adoption
+    to re-stabilization) — the recovery-time SLO's sample set. *)
 
 val totals : t -> totals
 (** Aggregated over shards in index order (deterministic). *)

@@ -88,7 +88,6 @@ let metrics t = Metrics.snapshot t.metrics
    admission, most ops take well under a microsecond, which
    [Unix.gettimeofday]'s whole-microsecond ticks would read as 0. *)
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
-let seconds_since t0 = float_of_int (now_ns () - t0) *. 1e-9
 
 (* One op, admitted at [admitted] (a {!now_ns} stamp), on the domain
    holding shard [s]: the dispatcher itself at one domain, otherwise
@@ -131,12 +130,12 @@ let serve_op t s op ~admitted =
         c.Metrics.packet_queue_peak <- queued
   | Op.Healed _ ->
       c.Metrics.faults <- c.Metrics.faults + 1;
-      Metrics.record_recovery t.metrics ~shard:s (seconds_since chaos_t0)
+      Metrics.record_recovery t.metrics ~shard:s (now_ns () - chaos_t0)
   | Op.Noop -> c.Metrics.noops <- c.Metrics.noops + 1
   | Op.Snapshot _ | Op.Rejected _ ->
       (* shards never produce dispatcher-level responses *)
       assert false);
-  Metrics.record_latency t.metrics ~shard:s (seconds_since admitted);
+  Metrics.record_latency t.metrics ~shard:s (now_ns () - admitted);
   o.Shard.response
 
 let shard_of_op t i op =

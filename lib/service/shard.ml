@@ -191,16 +191,22 @@ let noop = { response = Op.Noop; work = 0; validation_failures = 0 }
    destination, and descend at every hop ([E.descends]: a link, oriented
    down it, strictly down the height order).  Strict height descent
    rules out loops on its own, so a validated path is a witness of
-   acyclicity along the route. *)
+   acyclicity along the route.  The walk is a top-level function: a
+   local one would allocate a closure on every route. *)
+let rec descends_to :
+    type e. (module ENGINE with type t = e) -> e -> Node.t -> Node.t list -> bool =
+ fun engine m dest -> function
+  | a :: (b :: _ as rest) ->
+      let module E = (val engine) in
+      E.descends m a b && descends_to engine m dest rest
+  | [ last ] -> Node.equal last dest
+  | [] -> false
+
 let valid_route (Shard s) ~src path =
   let module E = (val s.engine) in
-  let dest = E.destination s.m in
-  let rec hops = function
-    | a :: (b :: _ as rest) -> E.descends s.m a b && hops rest
-    | [ last ] -> Node.equal last dest
-    | [] -> false
-  in
-  match path with first :: _ -> Node.equal first src && hops path | [] -> false
+  match path with
+  | first :: _ -> Node.equal first src && descends_to s.engine s.m (E.destination s.m) path
+  | [] -> false
 
 let route (Shard s as t) src =
   let module E = (val s.engine) in

@@ -98,12 +98,7 @@ let reversed_by before after u =
       not (Digraph.direction_equal (Digraph.dir before u w) (Digraph.dir after u w)))
     (Digraph.neighbors before u)
 
-(* Sorted adjacency rows of the (static) topology, one per node — the
-   slot universe the wire format indexes into. *)
-let rows_of_config config =
-  let g = config.Linkrev.Config.initial in
-  Array.init (Digraph.num_nodes g) (fun u ->
-      Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
+let rows_of_config config = Undirected.rows (Digraph.skeleton config.Linkrev.Config.initial)
 
 let slot_of (row : int array) w =
   (* invariant: if present, w is in row.[lo, hi) *)

@@ -40,9 +40,10 @@ val fast :
     [0 .. n-1]. *)
 
 val rows_of_config : Linkrev.Config.t -> int array array
-(** Sorted adjacency rows of the topology — the slot universe the wire
-    format indexes into (row [u], slot [i] = [u]'s [i]-th neighbour in
-    ascending id order). *)
+(** Sorted adjacency rows of the topology ({!Lr_graph.Undirected.rows})
+    — the slot universe the wire format indexes into (row [u], slot [i]
+    = [u]'s [i]-th neighbour in ascending id order).
+    @raise Invalid_argument when the node ids are not [0 .. n-1]. *)
 
 val slot_of : int array -> int -> int
 (** [slot_of row w] is the slot index of neighbour [w] in a sorted

@@ -100,7 +100,9 @@ let test_already_oriented_no_work () =
 
 (* [of_rows] is [of_instance] without the persistent graph: the same
    adjacency, mirrors and orientation from the same sorted rows, and a
-   typed rejection of rows that would corrupt the mirror slots. *)
+   typed rejection of rows that would corrupt the mirror slots.
+   [Dyn.of_rows] adopts the same rows into the same dynamic adjacency
+   [Dyn.of_graph] copies, and rejects the same malformed rows. *)
 let test_of_rows () =
   let module G = Lr_fast.Fast_graph in
   let config = random_config ~seed:17 12 in
@@ -115,14 +117,30 @@ let test_of_rows () =
   check_bool "same rows" true (got.G.nbrs = want.G.nbrs);
   check_bool "same mirrors" true (got.G.mirror = want.G.mirror);
   check_bool "same orientation" true (got.G.out0 = want.G.out0);
+  let dyn = G.Dyn.of_rows (Array.map Array.copy want.G.nbrs)
+  and copy = G.Dyn.of_graph want in
+  check_int "dyn: same size" (G.Dyn.num_nodes copy) (G.Dyn.num_nodes dyn);
+  for u = 0 to want.G.n - 1 do
+    check_int "dyn: same degree" (G.Dyn.degree copy u) (G.Dyn.degree dyn u);
+    for i = 0 to G.Dyn.degree copy u - 1 do
+      check_int "dyn: same neighbour" (G.Dyn.nbr copy u i) (G.Dyn.nbr dyn u i)
+    done
+  done;
+  let rejected build rows =
+    match build rows with () -> false | exception Invalid_argument _ -> true
+  in
   let rejects rows =
-    try ignore (G.of_rows ~destination:0 ~out:(fun u w -> u < w) rows); false
-    with Invalid_argument _ -> true
+    let by_graph = rejected (fun r -> ignore (G.of_rows ~destination:0 ~out:(fun u w -> u < w) r))
+    and by_dyn = rejected (fun r -> ignore (G.Dyn.of_rows r)) in
+    check_bool "Dyn.of_rows rejects what of_rows rejects" (by_graph (Array.map Array.copy rows))
+      (by_dyn rows);
+    by_graph rows
   in
   check_bool "unsorted row rejected" true (rejects [| [| 2; 1 |]; [| 0 |]; [| 0 |] |]);
   check_bool "asymmetric rows rejected" true (rejects [| [| 1 |]; [||] |]);
   check_bool "self-loop rejected" true (rejects [| [| 0 |] |]);
   check_bool "out-of-range id rejected" true (rejects [| [| 5 |] |]);
+  check_bool "negative id rejected" true (rejects [| [| -1 |] |]);
   check_bool "well-formed rows accepted" false (rejects [| [| 1; 2 |]; [| 0 |]; [| 0 |] |])
 
 let () =

@@ -446,6 +446,61 @@ let test_exhaustive_removals rule () =
     (small_instances ());
   check_int "ops checked" 139_502 !checked
 
+(* The bitset worklist pops exactly what the heap it replaced popped:
+   the lowest-id sink.  On 8,192 nodes (256 words, 8 summary words), a
+   hostile adoption lowers runs of ids in every eighth word, so each
+   word queues several sinks at once and every summary word is used.
+   Each node that steps must be the lowest-id sink of the destination's
+   component at that moment, found by a scan over the test's own rows
+   and its own copy of the heights; and when the engine stops, that scan
+   must find no sink left. *)
+let test_worklist_order rule () =
+  let config = random_config ~seed:5 8192 in
+  let f = FM.create rule config in
+  let n = FM.num_nodes f and dest = FM.destination f in
+  check_int "one component" n (FM.component_size f);
+  let rows = Undirected.rows (Digraph.skeleton config.Config.initial) in
+  let hostile u =
+    let a, b = FM.height f u in
+    if (u lsr 5) land 7 = 3 && u mod 3 <> 1 then (a - 50, b) else (a, b)
+  in
+  let ha = Array.init n (fun u -> fst (hostile u)) in
+  let hb = Array.init n (fun u -> snd (hostile u)) in
+  let higher u w =
+    ha.(u) > ha.(w) || (ha.(u) = ha.(w) && (hb.(u) > hb.(w) || (hb.(u) = hb.(w) && u > w)))
+  in
+  let is_sink u =
+    let row = rows.(u) in
+    let i = ref 0 in
+    while !i < Array.length row && higher row.(!i) u do
+      incr i
+    done;
+    u <> dest && Array.length row > 0 && !i = Array.length row
+  in
+  let rec min_sink u = if u = n then -1 else if is_sink u then u else min_sink (u + 1) in
+  let steps = ref 0 and wrong = ref None and summary_words = Array.make 8 false in
+  FM.set_observer f
+    (Some
+       (fun u _ _ ->
+         (if !wrong = None then
+            let want = min_sink 0 in
+            if want <> u then wrong := Some (!steps, want, u));
+         let a, b = FM.height f u in
+         ha.(u) <- a;
+         hb.(u) <- b;
+         summary_words.(u lsr 10) <- true;
+         incr steps));
+  let r = FM.adopt_heights f hostile in
+  FM.set_observer f None;
+  (match !wrong with
+  | None -> ()
+  | Some (i, want, got) -> Alcotest.failf "step %d: node %d stepped, lowest sink %d" i got want);
+  let node_steps = match r with M.Stabilized { node_steps } -> node_steps | _ -> -1 in
+  check_int "every step observed" node_steps !steps;
+  check_bool "steps in every summary word" true (Array.for_all Fun.id summary_words);
+  check_int "no sink left" (-1) (min_sink 0);
+  check_bool "consistent" true (FM.consistent f)
+
 let () =
   Alcotest.run "fast_maintenance"
     [
@@ -468,6 +523,11 @@ let () =
             test_partition_heal_footprint;
           case "membership answers reachability"
             test_membership_answers_reachability;
+        ];
+      suite "worklist"
+        [
+          case "PR: each step is the lowest-id sink" (test_worklist_order M.Partial_reversal);
+          case "FR: each step is the lowest-id sink" (test_worklist_order M.Full_reversal);
         ];
       suite "route cache"
         [

@@ -13,13 +13,6 @@ let test_equal () =
 let test_to_string () =
   Alcotest.(check string) "to_string" "42" (Node.to_string 42)
 
-let test_set_of_range () =
-  check_int "cardinal" 5 (Node.Set.cardinal (Node.Set.of_range 2 6));
-  check_bool "mem lo" true (Node.Set.mem 2 (Node.Set.of_range 2 6));
-  check_bool "mem hi" true (Node.Set.mem 6 (Node.Set.of_range 2 6));
-  check_bool "not below" false (Node.Set.mem 1 (Node.Set.of_range 2 6));
-  check_bool "empty when hi < lo" true (Node.Set.is_empty (Node.Set.of_range 4 3))
-
 let test_set_pp () =
   let s = Format.asprintf "%a" Node.Set.pp (Node.Set.of_list [ 3; 1; 2 ]) in
   Alcotest.(check string) "sorted render" "{1, 2, 3}" s
@@ -42,7 +35,6 @@ let () =
           case "compare orders integers" test_compare;
           case "equal" test_equal;
           case "to_string" test_to_string;
-          case "Set.of_range" test_set_of_range;
           case "Set.pp renders sorted" test_set_pp;
           case "Map.find_or" test_map_find_or;
           case "Map.pp" test_map_pp;

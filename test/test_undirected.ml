@@ -70,6 +70,39 @@ let test_equal () =
   check_bool "different" false
     (Undirected.equal (path4 ()) (Undirected.of_edges [ (0, 1) ]))
 
+(* [rows] is the sorted neighbour sets as arrays, one per id. *)
+let check_rows what g =
+  let rows = Undirected.rows g in
+  check_int (what ^ ": one row per node") (Undirected.num_nodes g) (Array.length rows);
+  Array.iteri
+    (fun u row ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: row %d" what u)
+        (Node.Set.elements (Undirected.neighbors g u))
+        (Array.to_list row))
+    rows
+
+let test_rows () =
+  for seed = 0 to 19 do
+    let inst =
+      Generators.random_connected_dag (rng seed) ~n:(5 + (7 * seed)) ~extra_edges:(seed mod 9)
+    in
+    check_rows (Printf.sprintf "random seed %d" seed) (Digraph.skeleton inst.Generators.graph)
+  done;
+  List.iteri
+    (fun i config ->
+      check_rows (Printf.sprintf "small instance %d" i)
+        (Digraph.skeleton config.Linkrev.Config.initial))
+    (small_instances ());
+  let g = Undirected.add_node (Undirected.of_edges [ (0, 1) ]) 2 in
+  check_int "isolated node has an empty row" 0 (Array.length (Undirected.rows g).(2));
+  let rejected g =
+    match Undirected.rows g with _ -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "ids {0, 2} rejected" true (rejected (Undirected.of_edges [ (0, 2) ]));
+  check_bool "negative id rejected" true (rejected (Undirected.of_edges [ (-1, 0) ]));
+  check_bool "ids {0, 1} accepted" false (rejected (Undirected.of_edges [ (0, 1) ]))
+
 let () =
   Alcotest.run "undirected"
     [
@@ -86,5 +119,6 @@ let () =
           case "components partition the nodes" test_components_partition_nodes;
           case "fold_edges" test_fold_edges;
           case "equal ignores insertion order" test_equal;
+          case "rows are the sorted neighbour sets" test_rows;
         ];
     ]
