@@ -128,7 +128,7 @@ module Dyn = struct
 
   let num_nodes t = t.n
   let degree t u = t.deg.(u)
-  let nbr t u i = t.nbr.(u).(i)
+  let row t u = t.nbr.(u)
 
   (* A loop, not a local recursive function: the latter would allocate
      a closure per call, and route validation calls this once per hop. *)

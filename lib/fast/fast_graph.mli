@@ -95,8 +95,12 @@ module Dyn : sig
   val num_nodes : t -> int
   val degree : t -> int -> int
 
-  val nbr : t -> int -> int -> int
-  (** [nbr t u i] is [u]'s [i]-th neighbour, [0 <= i < degree t u]. *)
+  val row : t -> int -> int array
+  (** [row t u] is [u]'s adjacency row itself, not a copy: its first
+      [degree t u] entries are [u]'s neighbours, in adjacency order, and
+      the entries past them are spare capacity.  A neighbour loop fetches
+      it once and reads it directly.  Read it only: a later {!add_edge}
+      may replace the row, and a removal reorders it. *)
 
   val mem_edge : t -> int -> int -> bool
   (** Linear in [degree u]; false for out-of-range ids. *)

@@ -51,13 +51,17 @@ let destination t = t.dest
 let queued t = t.queued
 let high_water t = t.high_water
 
-(* Same order as Fast_maintenance.compare_heights. *)
-let compare_heights t u v =
-  if t.ha.(u) <> t.ha.(v) then compare t.ha.(u) t.ha.(v)
-  else if t.hb.(u) <> t.hb.(v) then compare t.hb.(u) t.hb.(v)
-  else compare u v
+(* [above ha hb u w]: [u]'s (ha, hb, id) triple is the greater one, so
+   the link {u, w} points u -> w.  Fast_maintenance has the same test;
+   this copy, inlined, saves the per-neighbour scans a call into
+   another library, which dune's dev profile (-opaque) never inlines.
+   The arrays are annotated so that every comparison is on ints, not a
+   call to the polymorphic compare. *)
+let[@inline] above (ha : int array) (hb : int array) u w =
+  let a = ha.(u) and a' = ha.(w) in
+  a > a' || (a = a' && (let b = hb.(u) and b' = hb.(w) in b > b' || (b = b' && u > w)))
 
-let edge_out t u v = compare_heights t u v > 0
+let edge_out t u v = above t.ha t.hb u v
 
 (* Deterministic topological seeding from the initial orientation:
    Kahn's algorithm with a FIFO queue seeded in ascending id order.
@@ -196,11 +200,12 @@ let birth_distance t src =
   while stamp.(src) <> epoch && !head < !tail do
     let u = q.(!head) in
     incr head;
+    let row = G.Dyn.row t.adj u and du = dist.(u) in
     for i = 0 to G.Dyn.degree t.adj u - 1 do
-      let w = G.Dyn.nbr t.adj u i in
+      let w = row.(i) in
       if stamp.(w) <> epoch then begin
         stamp.(w) <- epoch;
-        dist.(w) <- dist.(u) + 1;
+        dist.(w) <- du + 1;
         q.(!tail) <- w;
         incr tail
       end
@@ -255,29 +260,29 @@ type slot_outcome = { delivered : int; reversals : int }
 
 let slot (t : t) =
   let delivered0 = t.delivered and rev0 = t.reversals in
-  Array.fill t.in_add 0 t.n 0;
+  let ha = t.ha and hb = t.hb and queues = t.queues and in_add = t.in_add in
+  let dest = t.dest and qcap = t.qcap in
+  Array.fill in_add 0 t.n 0;
   let staged = ref 0 and nrev = ref 0 in
   for u = 0 to t.n - 1 do
-    if u <> t.dest && not (Fifo.is_empty t.queues.(u)) then begin
+    if u <> dest && not (Fifo.is_empty queues.(u)) then begin
+      let row = G.Dyn.row t.adj u and d = G.Dyn.degree t.adj u in
       let sent = ref 0 and blocked = ref false in
-      while (not !blocked) && !sent < t.cap && not (Fifo.is_empty t.queues.(u)) do
-        let qu = Fifo.length t.queues.(u) in
-        let d = G.Dyn.degree t.adj u in
+      while (not !blocked) && !sent < t.cap && not (Fifo.is_empty queues.(u)) do
+        let qu = Fifo.length queues.(u) in
         (* Max positive differential among out-neighbours with receive
            room; ties to the lower id.  [best_raw] ignores room — it
            separates congestion from orientation below. *)
         let best_w = ref (-1) and best_diff = ref 0 and best_raw = ref min_int in
         for i = 0 to d - 1 do
-          let w = G.Dyn.nbr t.adj u i in
-          if edge_out t u w then begin
-            let qw =
-              if w = t.dest then 0 else Fifo.length t.queues.(w) + t.in_add.(w)
-            in
+          let w = row.(i) in
+          if above ha hb u w then begin
+            let qw = if w = dest then 0 else Fifo.length queues.(w) + in_add.(w) in
             let raw = qu - qw in
             if raw > !best_raw then best_raw := raw;
             if
               raw > 0
-              && (w = t.dest || qw < t.qcap)
+              && (w = dest || qw < qcap)
               && (raw > !best_diff || (raw = !best_diff && (!best_w < 0 || w < !best_w)))
             then begin
               best_diff := raw;
@@ -287,9 +292,9 @@ let slot (t : t) =
         done;
         if !best_w >= 0 then begin
           let w = !best_w in
-          let pkt = Fifo.pop t.queues.(u) in
+          let pkt = Fifo.pop queues.(u) in
           t.phops.(pkt) <- t.phops.(pkt) + 1;
-          if w = t.dest then begin
+          if w = dest then begin
             t.delivered <- t.delivered + 1;
             t.queued <- t.queued - 1;
             if t.pdist.(pkt) > 0 then begin
@@ -302,7 +307,7 @@ let slot (t : t) =
             t.stage_node.(!staged) <- w;
             t.stage_pkt.(!staged) <- pkt;
             incr staged;
-            t.in_add.(w) <- t.in_add.(w) + 1
+            in_add.(w) <- in_add.(w) + 1
           end;
           incr sent
         end
@@ -325,8 +330,8 @@ let slot (t : t) =
      can fail. *)
   for i = 0 to !staged - 1 do
     let w = t.stage_node.(i) in
-    ignore (Fifo.push t.queues.(w) t.stage_pkt.(i) : bool);
-    let l = Fifo.length t.queues.(w) in
+    ignore (Fifo.push queues.(w) t.stage_pkt.(i) : bool);
+    let l = Fifo.length queues.(w) in
     if l > t.high_water then t.high_water <- l
   done;
   for i = 0 to !nrev - 1 do

@@ -61,28 +61,38 @@ let mem_edge t u v = G.Dyn.mem_edge t.adj u v
 let cache_stats t = { hits = t.hits; misses = t.misses; invalidations = t.invalidations }
 let index_stats t = { slots = t.n; rebuilds = 0 }
 
-(* Same order as Heights.compare_pr_height on (pa, pb, pid). *)
-let compare_heights t u v =
-  Order.lex3 (compare t.ha.(u) t.ha.(v)) (compare t.hb.(u) t.hb.(v))
-    (compare u v)
+(* [above ha hb u w]: [u]'s (pa, pb, id) triple is the greater one in
+   the order of Heights.compare_pr_height, so the link {u, w} points
+   u -> w.  Neighbour loops run it once per entry, so it lives here: a
+   call into another library module is never inlined under dune's dev
+   profile, which compiles each module -opaque; and it is inlined, as
+   is [edge_out], so that no row loop here makes a call per neighbour.
+   The arrays are annotated because unannotated ones would make it
+   polymorphic, and each comparison a call to the polymorphic compare. *)
+let[@inline] above (ha : int array) (hb : int array) u w =
+  let a = ha.(u) and a' = ha.(w) in
+  a > a' || (a = a' && (let b = hb.(u) and b' = hb.(w) in b > b' || (b = b' && u > w)))
 
-let edge_out t u v = compare_heights t u v > 0
-let descends t u v = mem_edge t u v && compare_heights t u v > 0
+let[@inline] edge_out t u v = above t.ha t.hb u v
+let descends t u v = mem_edge t u v && above t.ha t.hb u v
 let height t u = (t.ha.(u), t.hb.(u))
 
 let is_sink t u =
   let d = G.Dyn.degree t.adj u in
   d > 0 && t.in_deg.(u) = d
 
-(* In-degrees recounted from the derived orientation. *)
+(* [u]'s in-degree recounted from the derived orientation. *)
+let count_incoming t u =
+  let row = G.Dyn.row t.adj u and ha = t.ha and hb = t.hb in
+  let incoming = ref 0 in
+  for i = 0 to G.Dyn.degree t.adj u - 1 do
+    if above ha hb row.(i) u then incr incoming
+  done;
+  !incoming
+
 let recount_in_degrees t =
   for u = 0 to t.n - 1 do
-    let d = G.Dyn.degree t.adj u in
-    let incoming = ref 0 in
-    for i = 0 to d - 1 do
-      if compare_heights t u (G.Dyn.nbr t.adj u i) < 0 then incr incoming
-    done;
-    t.in_deg.(u) <- !incoming
+    t.in_deg.(u) <- count_incoming t u
   done
 
 (* {1 Component membership} *)
@@ -102,8 +112,9 @@ let label_dest_component t mark =
   while !head < !tail do
     let x = q.(!head) in
     incr head;
+    let row = G.Dyn.row t.adj x in
     for i = 0 to G.Dyn.degree t.adj x - 1 do
-      let w = G.Dyn.nbr t.adj x i in
+      let w = row.(i) in
       if not mark.(w) then begin
         mark.(w) <- true;
         q.(!tail) <- w;
@@ -176,13 +187,11 @@ let invalidate t u =
 
 (* Steepest descent: the lowest out-neighbour of [v], or -1. *)
 let compute_next t v =
-  let d = G.Dyn.degree t.adj v in
+  let row = G.Dyn.row t.adj v and ha = t.ha and hb = t.hb in
   let best = ref (-1) in
-  for i = 0 to d - 1 do
-    let w = G.Dyn.nbr t.adj v i in
-    if compare_heights t v w > 0
-       && (!best < 0 || compare_heights t w !best < 0)
-    then best := w
+  for i = 0 to G.Dyn.degree t.adj v - 1 do
+    let w = row.(i) in
+    if above ha hb v w && (!best < 0 || above ha hb !best w) then best := w
   done;
   !best
 
@@ -201,58 +210,70 @@ let next_hop t v =
 
 (* {1 Repair} *)
 
-(* {!Maintenance.raise_height} on flat arrays. *)
-let raise_height rule adj ha hb u =
-  let d = G.Dyn.degree adj u in
+(* {!Maintenance.raise_height} on flat arrays, in one pass over [u]'s
+   row.  PR keeps the least [pa] seen, the least [pb] at it, and the
+   least [pb] one level above it, if any neighbour is there: when the
+   least [pa] drops by exactly one, the old least level becomes the one
+   above, and when it drops further, no neighbour seen is above it. *)
+let raise_height rule adj (ha : int array) (hb : int array) u =
+  let row = G.Dyn.row adj u and d = G.Dyn.degree adj u in
   match rule with
   | Maintenance.Partial_reversal ->
-      let min_a = ref max_int in
+      let min_a = ref 0 and b0 = ref 0 and b1 = ref 0 and at1 = ref false in
       for i = 0 to d - 1 do
-        let w = G.Dyn.nbr adj u i in
-        if ha.(w) < !min_a then min_a := ha.(w)
-      done;
-      let new_a = !min_a + 1 in
-      let min_b = ref max_int and same = ref false in
-      for i = 0 to d - 1 do
-        let w = G.Dyn.nbr adj u i in
-        if ha.(w) = new_a then begin
-          same := true;
-          if hb.(w) < !min_b then min_b := hb.(w)
+        let w = row.(i) in
+        let a = ha.(w) and b = hb.(w) in
+        if i = 0 || a < !min_a then begin
+          at1 := i > 0 && a = !min_a - 1;
+          b1 := !b0;
+          min_a := a;
+          b0 := b
+        end
+        else if a = !min_a then (if b < !b0 then b0 := b)
+        else if a = !min_a + 1 && ((not !at1) || b < !b1) then begin
+          b1 := b;
+          at1 := true
         end
       done;
-      ha.(u) <- new_a;
-      if !same then hb.(u) <- !min_b - 1
+      ha.(u) <- !min_a + 1;
+      if !at1 then hb.(u) <- !b1 - 1
   | Maintenance.Full_reversal ->
       let max_a = ref min_int in
       for i = 0 to d - 1 do
-        let w = G.Dyn.nbr adj u i in
-        if ha.(w) > !max_a then max_a := ha.(w)
+        let a = ha.(row.(i)) in
+        if a > !max_a then max_a := a
       done;
       ha.(u) <- !max_a + 1;
       hb.(u) <- 0
 
-(* One reversal at the sink [u]: raise its height per the rule, adjust
-   in-degrees along the (derived) flipped edges, queue any neighbour
-   that just became a sink, and drop the cache entries whose choice the
-   raise can change — [u]'s own, and every neighbour's ([u] was in every
-   neighbour's out-set, being a sink). *)
+(* One reversal at the sink [u]: raise its height per the rule, then
+   one pass over its row drops every neighbour's cache entry ([u] was in
+   every neighbour's out-set, being a sink, so any choice may change)
+   and, for each neighbour now below [u] — the edge flipped from w -> u
+   to u -> w — moves the in-degrees, lists it in [t.obs_buf] in row
+   order and queues it if it became a sink.  The height test decides
+   the flips, so they are exact for any heights, a raise that wraps
+   past [max_int] included. *)
 let step t u =
-  let d = G.Dyn.degree t.adj u in
   raise_height t.rule t.adj t.ha t.hb u;
   invalidate t u;
-  let flipped = ref 0 in
-  for i = 0 to d - 1 do
-    let w = G.Dyn.nbr t.adj u i in
-    invalidate t w;
-    if compare_heights t u w > 0 then begin
-      (* This edge flipped from w -> u to u -> w. *)
-      t.in_deg.(u) <- t.in_deg.(u) - 1;
+  let row = G.Dyn.row t.adj u and ha = t.ha and hb = t.hb and nh = t.nh in
+  let dropped = ref 0 and flipped = ref 0 in
+  for i = 0 to G.Dyn.degree t.adj u - 1 do
+    let w = row.(i) in
+    if nh.(w) <> nh_unset then begin
+      nh.(w) <- nh_unset;
+      incr dropped
+    end;
+    if above ha hb u w then begin
       t.in_deg.(w) <- t.in_deg.(w) + 1;
       t.obs_buf.(!flipped) <- w;
       incr flipped;
       push_if_sink t w
     end
   done;
+  t.invalidations <- t.invalidations + !dropped;
+  t.in_deg.(u) <- t.in_deg.(u) - !flipped;
   (match t.obs with None -> () | Some f -> f u t.obs_buf !flipped);
   push_if_sink t u
 
@@ -299,12 +320,12 @@ let probe t start ~bound lost =
   while (not !attached) && !head < !tail do
     let x = q.(!head) in
     incr head;
-    let d = G.Dyn.degree t.adj x in
+    let row = G.Dyn.row t.adj x and d = G.Dyn.degree t.adj x in
     let i = ref 0 in
     while (not !attached) && !i < d do
-      let w = G.Dyn.nbr t.adj x !i in
+      let w = row.(!i) in
       incr i;
-      if compare_heights t w bound < 0 then attached := true
+      if above t.ha t.hb bound w then attached := true
       else if t.comp.(w) then begin
         t.comp.(w) <- false;
         q.(!tail) <- w;
@@ -332,8 +353,9 @@ let attach t x =
     let y = q.(!head) in
     incr head;
     push_if_sink t y;
+    let row = G.Dyn.row t.adj y in
     for i = 0 to G.Dyn.degree t.adj y - 1 do
-      let w = G.Dyn.nbr t.adj y i in
+      let w = row.(i) in
       if not t.comp.(w) then begin
         t.comp.(w) <- true;
         q.(!tail) <- w;
@@ -350,7 +372,7 @@ let fail_link t u v =
   G.Dyn.remove_edge t.adj u v;
   (* The lower endpoint loses an incoming edge; the upper one may have
      lost its last outgoing edge and become a sink. *)
-  let upper, lower = if compare_heights t u v > 0 then (u, v) else (v, u) in
+  let upper, lower = if edge_out t u v then (u, v) else (v, u) in
   t.in_deg.(lower) <- t.in_deg.(lower) - 1;
   invalidate t u;
   invalidate t v;
@@ -376,7 +398,7 @@ let add_link t u v =
   (* Oriented by the current heights: the lower endpoint gains an
      incoming edge, so no sink appears except a previously isolated
      endpoint — the pushes below cover it. *)
-  (if compare_heights t u v > 0 then t.in_deg.(v) <- t.in_deg.(v) + 1
+  (if edge_out t u v then t.in_deg.(v) <- t.in_deg.(v) + 1
    else t.in_deg.(u) <- t.in_deg.(u) + 1);
   invalidate t u;
   invalidate t v;
@@ -390,12 +412,13 @@ let fail_node t u =
   if u = t.dest then invalid_arg "Maintenance.fail_node: cannot fail the destination";
   if not (mem_node t u) then invalid_arg "Maintenance.fail_node: unknown node";
   (* Strip [u], keeping its upstream neighbours in [t.bq_b]: the
-     downstream ones still descend to the destination below [u]. *)
-  let ups = ref 0 in
+     downstream ones still descend to the destination below [u].  A
+     removal swap-deletes within the row, which stays the same array. *)
+  let row = G.Dyn.row t.adj u and ups = ref 0 in
   while G.Dyn.degree t.adj u > 0 do
-    let w = G.Dyn.nbr t.adj u 0 in
+    let w = row.(0) in
     G.Dyn.remove_edge t.adj u w;
-    if compare_heights t u w > 0 then t.in_deg.(w) <- t.in_deg.(w) - 1
+    if edge_out t u w then t.in_deg.(w) <- t.in_deg.(w) - 1
     else begin
       t.bq_b.(!ups) <- w;
       incr ups
@@ -516,8 +539,9 @@ let survivor_components t =
         let x = q.(!head) in
         incr head;
         if x > !top then top := x;
+        let row = G.Dyn.row t.adj x in
         for i = 0 to G.Dyn.degree t.adj x - 1 do
-          let w = G.Dyn.nbr t.adj x i in
+          let w = row.(i) in
           if not seen.(w) then begin
             seen.(w) <- true;
             q.(!tail) <- w;
@@ -544,8 +568,9 @@ let reroot t ~leader =
   if (not (mem_node t leader)) || leader = t.dest then
     invalid_arg "Fast_maintenance.reroot: leader must be a node other than the destination";
   let n = t.n and old = t.dest in
+  let row = G.Dyn.row t.adj old in
   for i = 0 to G.Dyn.degree t.adj old - 1 do
-    let w = G.Dyn.nbr t.adj old i in
+    let w = row.(i) in
     if edge_out t old w then t.in_deg.(w) <- t.in_deg.(w) - 1
   done;
   G.Dyn.isolate t.adj old;
@@ -566,8 +591,9 @@ let reroot t ~leader =
     let u = stack.(!sp) in
     rank.(u) <- !next;
     incr next;
+    let row = G.Dyn.row t.adj u in
     for i = 0 to G.Dyn.degree t.adj u - 1 do
-      let w = G.Dyn.nbr t.adj u i in
+      let w = row.(i) in
       if edge_out t u w then begin
         indeg.(w) <- indeg.(w) - 1;
         if indeg.(w) = 0 then begin
@@ -647,9 +673,10 @@ let reaches_destination t =
   while !head < !tail do
     let x = q.(!head) in
     incr head;
+    let row = G.Dyn.row t.adj x in
     for i = 0 to G.Dyn.degree t.adj x - 1 do
-      let w = G.Dyn.nbr t.adj x i in
-      if compare_heights t w x > 0 && not seen.(w) then begin
+      let w = row.(i) in
+      if edge_out t w x && not seen.(w) then begin
         seen.(w) <- true;
         q.(!tail) <- w;
         incr tail
@@ -672,9 +699,10 @@ let graph t =
     g := Digraph.add_node !g u
   done;
   for u = 0 to t.n - 1 do
+    let row = G.Dyn.row t.adj u in
     for i = 0 to G.Dyn.degree t.adj u - 1 do
-      let w = G.Dyn.nbr t.adj u i in
-      if compare_heights t u w > 0 then g := Digraph.add_directed_edge !g u w
+      let w = row.(i) in
+      if edge_out t u w then g := Digraph.add_directed_edge !g u w
     done
   done;
   !g
@@ -685,11 +713,7 @@ let consistent t =
   let ok = ref true in
   (* In-degrees match a recount of the derived orientation. *)
   for u = 0 to t.n - 1 do
-    let incoming = ref 0 in
-    for i = 0 to G.Dyn.degree t.adj u - 1 do
-      if compare_heights t u (G.Dyn.nbr t.adj u i) < 0 then incr incoming
-    done;
-    if !incoming <> t.in_deg.(u) then ok := false
+    if count_incoming t u <> t.in_deg.(u) then ok := false
   done;
   (* The component index matches a fresh BFS from the destination. *)
   if label_dest_component t t.seen <> t.comp_size then ok := false;

@@ -13,7 +13,10 @@
       endpoint to its lower one at all times), so there are no
       orientation bits to keep in sync;
     - adjacency is a {!Lr_fast.Fast_graph.Dyn} flat array that survives
-      link churn in O(degree) per change;
+      link churn in O(degree) per change; every neighbour loop fetches
+      a node's row once ({!Lr_fast.Fast_graph.Dyn.row}) and compares
+      heights with this module's own test on int arrays, so reading a
+      neighbour and testing its height call into no other module;
     - sinks are found by a min-id {e worklist} (a two-level bitset, one
       bit per id plus one summary bit per 32-id word, whose pop answers
       the lowest queued id; lazily revalidated) seeded from the
@@ -63,10 +66,8 @@ val mem_edge : t -> Node.t -> Node.t -> bool
 
 val edge_out : t -> Node.t -> Node.t -> bool
 (** [edge_out t u v] iff the (present) edge [{u,v}] is directed
-    [u -> v] — i.e. [u]'s height is the greater one. *)
-
-val compare_heights : t -> Node.t -> Node.t -> int
-(** Same order as {!Maintenance.compare_heights}. *)
+    [u -> v] — i.e. [u]'s height is the greater one, in the order of
+    {!Maintenance.compare_heights}. *)
 
 val descends : t -> Node.t -> Node.t -> bool
 (** [descends t u v] iff [{u,v}] is a link and [u] is strictly higher
@@ -175,16 +176,24 @@ val cache_stats : t -> cache_stats
     [invalidations] entries discarded. *)
 
 val consistent : t -> bool
-(** Internal invariant check for tests: in-degrees match a recount;
-    the membership bits and the component size match a fresh BFS from
-    the destination; the destination's component holds no sink but the
+(** Full invariant check: in-degrees match a recount; the membership
+    bits and the component size match a fresh BFS from the
+    destination; the destination's component holds no sink but the
     destination; no cached next hop is stale; and the destination's
-    component is destination-oriented. *)
+    component is destination-oriented.  O(n + m): a recount over every
+    row, two BFSs and a next-hop recomputation per cached entry.  Tests
+    and storms call it, and so does the serving path: [Shard.heal] runs
+    it after every [Corrupt] and [Flip] fault to validate the recovery,
+    and counts a failure as a validation failure. *)
 
 val raise_height :
   Maintenance.rule -> Lr_fast.Fast_graph.Dyn.t -> int array -> int array -> Node.t -> unit
 (** [raise_height rule adj ha hb u] is one reversal's height raise at
     [u] on flat [(pa, pb)] arrays: {!Maintenance.raise_height} over
-    [u]'s neighbours in [adj], written into [ha.(u)] and [hb.(u)].  The
+    [u]'s neighbours in [adj], written into [ha.(u)] and [hb.(u)], in
+    one pass over [u]'s row.  Under PR the pass keeps the least [pa],
+    the least [pb] at it and the least [pb] one level above it: when
+    the least [pa] drops by exactly one the old least level becomes the
+    one above, and when it drops further nothing seen is above it.  The
     engine's own step and the {e lr_packet} forwarding plane's
     reversals share it.  [u] must have at least one neighbour. *)

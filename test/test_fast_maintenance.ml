@@ -45,10 +45,10 @@ let agree what sys =
       (M.height_pair sys.m u) (FM.height sys.f u);
     for v = 0 to sys.n - 1 do
       if u <> v then
-        check_int
+        check_bool
           (Printf.sprintf "%s: height order %d/%d" what u v)
-          (compare (M.compare_heights sys.m u v) 0)
-          (compare (FM.compare_heights sys.f u v) 0)
+          (M.compare_heights sys.m u v > 0)
+          (FM.edge_out sys.f u v)
     done;
     Alcotest.check route_testable
       (Printf.sprintf "%s: route from %d" what u)
@@ -111,6 +111,52 @@ let test_lockstep_churn_pr () =
 
 let test_lockstep_churn_fr () =
   churn ~rule:M.Full_reversal ~seed:12 ~events:160 ~extra_edges:12 14
+
+(* Dense churn in lockstep.  [Workload] draws a distinct pair and a
+   coin: heads takes the link down if present, tails brings it up if
+   absent, which drives a shard toward density 1/2 — degree ~n/2, where
+   a raise meets ties at the least [pa] and one above it in long rows.
+   The shard starts near-tree and runs from there; every [k]-th event
+   both tiers adopt the same hostile heights instead.  After every
+   event the change results, every height and [FM.consistent] are
+   compared. *)
+let dense_churn ~rule ~seed ~events ~k n =
+  let config = random_config ~extra_edges:2 ~seed n in
+  let sys = make rule config in
+  let rand = rng (seed + 99) in
+  for e = 1 to events do
+    let what = Printf.sprintf "event %d" e in
+    (if e mod k = 0 then begin
+       let h = Lr_service.Shard.hostile_height ~seed:(seed + e) ~magnitude:16 in
+       check_result what (M.adopt_heights sys.m h) (FM.adopt_heights sys.f h)
+     end
+     else begin
+       let u = Random.State.int rand n in
+       let v = (u + 1 + Random.State.int rand (n - 1)) mod n in
+       let present = FM.mem_edge sys.f u v in
+       if Random.State.bool rand then begin
+         if present then check_result what (M.fail_link sys.m u v) (FM.fail_link sys.f u v)
+       end
+       else if not present then begin
+         M.add_link sys.m u v;
+         FM.add_link sys.f u v
+       end
+     end);
+    for u = 0 to n - 1 do
+      if M.height_pair sys.m u <> FM.height sys.f u then
+        Alcotest.failf "%s: height of %d differs" what u
+    done;
+    if not (FM.consistent sys.f) then Alcotest.failf "%s: fast engine inconsistent" what
+  done;
+  check_int "total work" (M.total_work sys.m) (FM.total_work sys.f);
+  let links = Digraph.num_edges (M.graph sys.m) in
+  check_bool
+    (Printf.sprintf "density near 1/2 (%d of %d links)" links (n * (n - 1) / 2))
+    true
+    (5 * links > 2 * (n * (n - 1) / 2))
+
+let test_dense_churn_pr () = dense_churn ~rule:M.Partial_reversal ~seed:41 ~events:4000 ~k:25 48
+let test_dense_churn_fr () = dense_churn ~rule:M.Full_reversal ~seed:42 ~events:4000 ~k:25 48
 
 let test_lockstep_churn_sparse () =
   (* A near-tree graph partitions on almost every removal, exercising
@@ -501,6 +547,121 @@ let test_worklist_order rule () =
   check_int "no sink left" (-1) (min_sink 0);
   check_bool "consistent" true (FM.consistent f)
 
+(* {1 The one-pass raise} *)
+
+(* [FM.raise_height] at node 0 of a star whose leaves 1..k carry
+   [nbrs] in row order, against [M.raise_height] on the same heights. *)
+let check_raise what rule (a, b) nbrs =
+  let k = Array.length nbrs in
+  let rows = Array.init (k + 1) (fun v -> if v = 0 then Array.init k succ else [| 0 |]) in
+  let ha = Array.init (k + 1) (fun v -> if v = 0 then a else fst nbrs.(v - 1)) in
+  let hb = Array.init (k + 1) (fun v -> if v = 0 then b else snd nbrs.(v - 1)) in
+  FM.raise_height rule (Lr_fast.Fast_graph.Dyn.of_rows rows) ha hb 0;
+  let h (a, b) pid = { Heights.pa = a; pb = b; pid } in
+  let want =
+    M.raise_height rule (h (a, b) 0) (Array.to_list (Array.mapi (fun i x -> h x (i + 1)) nbrs))
+  in
+  Alcotest.(check (pair int int)) what (want.Heights.pa, want.Heights.pb) (ha.(0), hb.(0))
+
+(* Row orders where the running minimum moves: ties at the least [pa]
+   and at one above it (equal [pb] included), the least [pa] dropping
+   by exactly one mid-row — the level it leaves is then the one above —
+   and by more, a single neighbour, and values at the ends of the int
+   range, where [pb = max_int] one level up must still count and the
+   raise wraps. *)
+let adversarial_rows =
+  [
+    ("single neighbour", [| (3, 5) |]);
+    ("ties at the least pa", [| (2, 4); (2, -1); (5, 0); (2, 7) |]);
+    ("equal pb one above", [| (1, 0); (2, 3); (2, 3); (4, 0) |]);
+    ("drop by one", [| (5, 2); (6, 1); (4, 9); (6, -3); (5, 8) |]);
+    ("drop by more", [| (5, 2); (6, 1); (3, 9); (5, -3) |]);
+    ("drop by one, then more", [| (5, 2); (4, 1); (2, 0); (3, 7) |]);
+    ("drop by one twice", [| (6, 0); (5, 4); (4, 9); (5, -2) |]);
+    ("one above first", [| (7, 1); (6, 3) |]);
+    ("drop by one onto a tie", [| (4, 0); (3, 5); (3, 2); (4, -1) |]);
+    ("max_int pb one above", [| (0, 0); (1, max_int) |]);
+    ("max_int pa", [| (max_int, 0); (max_int, -4) |]);
+    ("min_int pa", [| (min_int + 1, 0); (min_int, 2); (min_int + 1, -7) |]);
+  ]
+
+let test_raise_adversarial () =
+  List.iter
+    (fun (name, nbrs) ->
+      List.iter
+        (fun (rule, r) ->
+          check_raise (Printf.sprintf "%s: %s" r name) rule (9, 4) nbrs;
+          (* The same neighbourhood in reverse row order. *)
+          let rev = Array.of_list (List.rev (Array.to_list nbrs)) in
+          check_raise (Printf.sprintf "%s: %s, reversed" r name) rule (9, 4) rev)
+        [ (M.Partial_reversal, "PR"); (M.Full_reversal, "FR") ])
+    adversarial_rows
+
+(* Random neighbourhoods with [pa] drawn from four adjacent levels and
+   [pb] from seven values, so ties and one-level drops are the rule. *)
+let test_raise_random () =
+  let rand = rng 606 in
+  for i = 1 to 20_000 do
+    let base = Random.State.int rand 10 - 5 in
+    let nbrs =
+      Array.init
+        (1 + Random.State.int rand 12)
+        (fun _ -> (base + Random.State.int rand 4, Random.State.int rand 7 - 3))
+    in
+    let rule = if i land 1 = 0 then M.Partial_reversal else M.Full_reversal in
+    check_raise (Printf.sprintf "neighbourhood %d" i) rule (base, Random.State.int rand 7 - 3) nbrs
+  done
+
+(* On a dense graph (64 nodes, about half of all pairs linked), every
+   step of a hostile adoption must report as flipped exactly the
+   neighbours now below the stepped node, in row order: [create] adopts
+   the skeleton's sorted rows and an adoption changes no link, so row
+   order is ascending id. *)
+let test_flipped_lists rule () =
+  let n = 64 in
+  let config = random_config ~extra_edges:(n * n / 4) ~seed:9 n in
+  let f = FM.create rule config in
+  let rows = Undirected.rows (Digraph.skeleton config.Config.initial) in
+  let links = Array.fold_left (fun m row -> m + Array.length row) 0 rows / 2 in
+  check_bool "dense" true (3 * links > n * (n - 1) / 2);
+  let steps = ref 0 in
+  FM.set_observer f
+    (Some
+       (fun u flipped len ->
+         let got = Array.to_list (Array.sub flipped 0 len) in
+         let want = List.filter (fun w -> FM.edge_out f u w) (Array.to_list rows.(u)) in
+         if got <> want then Alcotest.failf "step %d at node %d: wrong flipped list" !steps u;
+         incr steps));
+  let r = FM.adopt_heights f (Lr_service.Shard.hostile_height ~seed:3 ~magnitude:16) in
+  FM.set_observer f None;
+  let node_steps = match r with M.Stabilized { node_steps } -> node_steps | _ -> -1 in
+  check_int "every step observed" node_steps !steps;
+  check_bool "the adoption stepped" true (!steps > 0);
+  check_bool "consistent" true (FM.consistent f)
+
+(* A raise whose [pb] wraps: the sink 0 at (0, -5) has neighbours 1 at
+   (0, 0) and 2 at (1, min_int), so PR raises it to (1, min_int - 1),
+   which wraps to (1, max_int), above both.  Both links flip although
+   only 1 is at the least [pa]: the step must list and count both, as
+   the reference orients them. *)
+let test_wrapped_raise () =
+  let config =
+    Config.make_exn
+      (Digraph.of_directed_edges [ (0, 1); (0, 2); (1, 3); (2, 3) ])
+      ~destination:3
+  in
+  let sys = make M.Partial_reversal config in
+  let h = function 0 -> (0, -5) | 1 -> (0, 0) | 2 -> (1, min_int) | _ -> (-10, 0) in
+  let steps = ref [] in
+  FM.set_observer sys.f
+    (Some (fun u flipped len -> steps := (u, Array.to_list (Array.sub flipped 0 len)) :: !steps));
+  check_result "adopt" (M.adopt_heights sys.m h) (FM.adopt_heights sys.f h);
+  FM.set_observer sys.f None;
+  Alcotest.(check (list (pair int (list int)))) "one step, both flipped" [ (0, [ 1; 2 ]) ] !steps;
+  Alcotest.(check (pair int int)) "wrapped height" (1, max_int) (FM.height sys.f 0);
+  agree "after the wrapped raise" sys;
+  check_bool "consistent" true (FM.consistent sys.f)
+
 let () =
   Alcotest.run "fast_maintenance"
     [
@@ -509,6 +670,8 @@ let () =
           case "PR churn matches reference" test_lockstep_churn_pr;
           case "FR churn matches reference" test_lockstep_churn_fr;
           case "sparse churn (partition-heavy)" test_lockstep_churn_sparse;
+          case "PR dense churn with hostile adoptions" test_dense_churn_pr;
+          case "FR dense churn with hostile adoptions" test_dense_churn_fr;
           case "reconnection repairs stale sinks"
             test_reconnection_finds_stale_sinks;
           case "invalid calls rejected like the reference"
@@ -528,6 +691,14 @@ let () =
         [
           case "PR: each step is the lowest-id sink" (test_worklist_order M.Partial_reversal);
           case "FR: each step is the lowest-id sink" (test_worklist_order M.Full_reversal);
+        ];
+      suite "one-pass raise"
+        [
+          case "adversarial rows match the reference" test_raise_adversarial;
+          case "random rows match the reference" test_raise_random;
+          case "PR: flipped lists on a dense graph" (test_flipped_lists M.Partial_reversal);
+          case "FR: flipped lists on a dense graph" (test_flipped_lists M.Full_reversal);
+          case "PR: a raise that wraps pb flips every neighbour below" test_wrapped_raise;
         ];
       suite "route cache"
         [
