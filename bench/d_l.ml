@@ -1,7 +1,7 @@
-(* D-L1: the static analyser over the whole library tree — wall clock
-   and a hard failure if the tree stopped linting clean.  D-L2: the
-   interprocedural domain-safety pass (call-graph construction plus
-   rules L5-L8), gated at five seconds end to end. *)
+(* D-L1: the static analyser over the whole library tree — wall clock,
+   L9's export counts and a hard failure if the tree stopped linting
+   clean.  D-L2: the interprocedural domain-safety pass (call-graph
+   construction plus rules L5-L8), gated at five seconds end to end. *)
 
 open Harness
 module T = Lr_analysis.Table
@@ -112,6 +112,31 @@ let run s =
             Json.Null
         | Some safety -> domain_safety g r safety
       in
+      let surface_json =
+        match r.Lint.surface with
+        | None ->
+            fail g "the unused-surface rule did not run";
+            Json.Null
+        | Some s ->
+            T.print ~title:"unused surface (L9): lib/ exports and their uses"
+              (T.make
+                 ~headers:[ "exports"; "optional params"; "findings"; "test-only" ]
+                 [
+                   [
+                     string_of_int s.Lr_lint.Surface.exports;
+                     string_of_int s.Lr_lint.Surface.optionals;
+                     string_of_int (List.length s.Lr_lint.Surface.findings);
+                     string_of_int (List.length s.Lr_lint.Surface.test_only);
+                   ];
+                 ]);
+            Json.Obj
+              [
+                ("exports", Json.Int s.Lr_lint.Surface.exports);
+                ("optionals", Json.Int s.Lr_lint.Surface.optionals);
+                ("findings", Json.Int (List.length s.Lr_lint.Surface.findings));
+                ("test_only", Json.Int (List.length s.Lr_lint.Surface.test_only));
+              ]
+      in
       let file = file_of "lint" in
       Out_channel.with_open_text file (fun oc ->
           Out_channel.output_string oc
@@ -124,6 +149,7 @@ let run s =
                       ("warnings", Json.Int warnings);
                       ("seconds", Json.Float seconds);
                       ("domain_safety", safety_json);
+                      ("unused_surface", surface_json);
                     ]))));
       Printf.printf "wrote %s\n" file;
       List.iter

@@ -1093,7 +1093,7 @@ module Lint_cli = struct
               | Some r -> go (r :: acc) rest
               | None ->
                   Error
-                    (Printf.sprintf "unknown rule %S (expected l1..l8 or all)"
+                    (Printf.sprintf "unknown rule %S (expected l1..l9 or all)"
                        id))
         in
         go [] (String.split_on_char ',' s)
@@ -1114,8 +1114,8 @@ module Lint_cli = struct
               "Comma-separated subset of rules to run (l1 poly-ops, l2 \
                domain-race surface, l3 interface hygiene, l4 forbidden \
                constructs, l5 race candidates, l6 resident-loop blocking, \
-               l7 escaping exceptions, l8 atomic overhead), or $(b,all). \
-               Default: all eight.")
+               l7 escaping exceptions, l8 atomic overhead, l9 unused \
+               surface), or $(b,all). Default: all nine.")
     in
     let json_arg =
       Arg.(
@@ -1209,7 +1209,7 @@ module Lint_cli = struct
           let units = report.Lint.units in
           let doc =
             Lint.report_json ~units ~suppressed ~safety:report.Lint.safety
-              kept
+              ~surface:report.Lint.surface kept
           in
           Option.iter
             (fun file ->
@@ -1256,7 +1256,8 @@ module Lint_cli = struct
             forbidden constructs (l4), plus the interprocedural \
             domain-safety rules over the cross-module call graph: race \
             candidates (l5), resident-loop blocking (l6), escaping \
-            exceptions (l7), single-context atomics (l8).")
+            exceptions (l7), single-context atomics (l8); and unused \
+            exports and never-passed optional parameters (l9).")
       term
 
   let callgraph_cmd =

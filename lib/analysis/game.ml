@@ -3,8 +3,6 @@ open Linkrev
 
 type strategy = Full | Partial
 
-let strategy_name = function Full -> "FR" | Partial -> "PR"
-
 type profile = strategy Node.Map.t
 
 type result = {
@@ -40,11 +38,9 @@ let step_of config (s : Pr.state) u strategy =
       in
       { Pr.graph; lists = Node.Map.add u Node.Set.empty lists }
 
-let play ?max_steps config profile =
+let play config profile =
   let n = Node.Set.cardinal (Config.nodes config) in
-  let budget =
-    match max_steps with Some m -> m | None -> (4 * n * n) + 1000
-  in
+  let budget = (4 * n * n) + 1000 in
   let dest = config.Config.destination in
   let rec loop s costs steps acyclic =
     let sinks = Node.Set.remove dest (Digraph.sinks s.Pr.graph) in
@@ -87,30 +83,30 @@ let all_profiles config =
 
 let flip = function Full -> Partial | Partial -> Full
 
-let best_response_violations ?max_steps config profile =
-  let base = play ?max_steps config profile in
+let best_response_violations config profile =
+  let base = play config profile in
   Node.Map.fold
     (fun u strategy acc ->
       let deviated = Node.Map.add u (flip strategy) profile in
-      let dev = play ?max_steps config deviated in
+      let dev = play config deviated in
       let here = cost_of base u and there = cost_of dev u in
       (* A deviation into a non-terminating run is not an improvement. *)
       if dev.terminated && there < here then (u, here, there) :: acc else acc)
     profile []
 
-let is_nash ?max_steps config profile =
-  match best_response_violations ?max_steps config profile with
+let is_nash config profile =
+  match best_response_violations config profile with
   | [] -> true
   | _ :: _ -> false
 
-let social_optimum ?max_steps config =
+let social_optimum config =
   match all_profiles config with
   | [] -> invalid_arg "Game.social_optimum: no players"
   | p0 :: rest ->
-      let r0 = play ?max_steps config p0 in
+      let r0 = play config p0 in
       List.fold_left
         (fun (bp, br) p ->
-          let r = play ?max_steps config p in
+          let r = play config p in
           if r.terminated && r.social_cost < br.social_cost then (p, r)
           else (bp, br))
         (p0, r0) rest

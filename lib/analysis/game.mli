@@ -20,8 +20,6 @@ open Lr_graph
 
 type strategy = Full | Partial
 
-val strategy_name : strategy -> string
-
 type profile = strategy Node.Map.t
 
 type result = {
@@ -33,22 +31,20 @@ type result = {
 
 val uniform : strategy -> Linkrev.Config.t -> profile
 
-val play : ?max_steps:int -> Linkrev.Config.t -> profile -> result
-(** Default budget: [4·n² + 1000] steps. *)
-
-val cost_of : result -> Node.t -> int
+val play : Linkrev.Config.t -> profile -> result
+(** Budget: [4·n² + 1000] steps. *)
 
 val all_profiles : Linkrev.Config.t -> profile list
 (** All [2^(n-1)] strategy assignments to non-destination nodes (the
     destination never plays).  Intended for small [n]. *)
 
 val best_response_violations :
-  ?max_steps:int -> Linkrev.Config.t -> profile -> (Node.t * int * int) list
+  Linkrev.Config.t -> profile -> (Node.t * int * int) list
 (** Nodes that can strictly lower their own cost by switching strategy:
     [(node, current cost, deviation cost)].  Empty iff the profile is a
     Nash equilibrium. *)
 
-val is_nash : ?max_steps:int -> Linkrev.Config.t -> profile -> bool
+val is_nash : Linkrev.Config.t -> profile -> bool
 
-val social_optimum : ?max_steps:int -> Linkrev.Config.t -> profile * result
+val social_optimum : Linkrev.Config.t -> profile * result
 (** Exhaustive minimum over {!all_profiles} (small graphs only). *)

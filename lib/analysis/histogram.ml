@@ -8,7 +8,7 @@ let bar width max_value value =
     in
     String.make (max 0 n) '#'
 
-let render ?(width = 50) ?(unit_name = "") series =
+let render ?(width = 50) series =
   match series with
   | [] -> "(no data)\n"
   | _ ->
@@ -22,16 +22,17 @@ let render ?(width = 50) ?(unit_name = "") series =
       List.iter
         (fun s ->
           Buffer.add_string buf
-            (Printf.sprintf "%-*s | %-*s %g%s\n" label_w s.label width
+            (Printf.sprintf "%-*s | %-*s %g\n" label_w s.label width
                (bar width max_value s.value)
-               s.value unit_name))
+               s.value))
         series;
       Buffer.contents buf
 
 let of_int_series rows =
   List.map (fun (label, v) -> { label; value = float_of_int v }) rows
 
-let render_compare ?(width = 40) ~labels rows =
+let render_compare ~labels rows =
+  let width = 40 in
   match rows with
   | [] -> "(no data)\n"
   | _ ->

@@ -42,7 +42,8 @@ let to_csv t =
   let line row = String.concat "," (List.map csv_escape row) ^ "\n" in
   String.concat "" (line t.headers :: List.map line t.rows)
 
-let print ?(ppf = Format.std_formatter) ?title t =
+let print ?title t =
+  let ppf = Format.std_formatter in
   (match title with
   | Some s ->
       Format.fprintf ppf "%s@\n%s@\n" s (String.make (String.length s) '=')

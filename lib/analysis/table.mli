@@ -11,6 +11,6 @@ val render : t -> string
 
 val to_csv : t -> string
 
-val print : ?ppf:Format.formatter -> ?title:string -> t -> unit
-(** Render to [ppf] (default [Format.std_formatter]) with an optional
-    underlined title, flushing at the end. *)
+val print : ?title:string -> t -> unit
+(** Render to [Format.std_formatter] with an optional underlined title,
+    flushing at the end. *)

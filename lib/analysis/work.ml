@@ -10,25 +10,25 @@ let algorithm_name = function
   | FR_heights -> "FR-heights"
   | PR_heights -> "PR-heights"
 
-let run_one ?(seed = 0) ?max_steps algorithm config =
+let run_one ?(seed = 0) algorithm config =
   let rng = Random.State.make [| 0x5eed; seed |] in
   let scheduler () = Lr_automata.Scheduler.random rng in
   let destination = config.Config.destination in
   match algorithm with
   | FR ->
-      Executor.run ?max_steps ~scheduler:(scheduler ()) ~destination
+      Executor.run ~scheduler:(scheduler ()) ~destination
         (Full_reversal.algo config)
   | PR ->
-      Executor.run ?max_steps ~scheduler:(scheduler ()) ~destination
+      Executor.run ~scheduler:(scheduler ()) ~destination
         (Pr.algo ~mode:Pr.Singletons config)
   | NewPR ->
-      Executor.run ?max_steps ~scheduler:(scheduler ()) ~destination
+      Executor.run ~scheduler:(scheduler ()) ~destination
         (New_pr.algo config)
   | FR_heights ->
-      Executor.run ?max_steps ~scheduler:(scheduler ()) ~destination
+      Executor.run ~scheduler:(scheduler ()) ~destination
         (Heights.fr_algo config)
   | PR_heights ->
-      Executor.run ?max_steps ~scheduler:(scheduler ()) ~destination
+      Executor.run ~scheduler:(scheduler ()) ~destination
         (Heights.pr_algo config)
 
 type row = {
@@ -41,12 +41,12 @@ type row = {
   oriented : bool;
 }
 
-let sweep ?seed ?max_steps ?(jobs = 1) algorithm ~family ~sizes () =
+let sweep ?seed ?(jobs = 1) algorithm ~family ~sizes () =
   let sizes = Array.of_list sizes in
   let one n =
     let inst = family n in
     let config = Config.of_instance inst in
-    let out = run_one ?seed ?max_steps algorithm config in
+    let out = run_one ?seed algorithm config in
     {
       n;
       nodes = Node.Set.cardinal (Config.nodes config);
@@ -63,7 +63,7 @@ let sweep ?seed ?max_steps ?(jobs = 1) algorithm ~family ~sizes () =
     (Lr_parallel.Pool.map_range ~jobs (Array.length sizes) (fun i ->
          one sizes.(i)))
 
-let sweep_fast ?max_steps ?(jobs = 1) algorithm ~family ~sizes () =
+let sweep_fast ?(jobs = 1) algorithm ~family ~sizes () =
   let module F = Lr_fast.Fast_engine in
   let rule =
     match algorithm with
@@ -79,7 +79,7 @@ let sweep_fast ?max_steps ?(jobs = 1) algorithm ~family ~sizes () =
   let one n =
     let inst = family n in
     let config = Config.of_instance inst in
-    let out = F.run ?max_steps (F.of_config rule config) in
+    let out = F.run (F.of_config rule config) in
     {
       n;
       nodes = Node.Set.cardinal (Config.nodes config);

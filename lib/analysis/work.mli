@@ -11,7 +11,6 @@ val algorithm_name : algorithm -> string
 
 val run_one :
   ?seed:int ->
-  ?max_steps:int ->
   algorithm ->
   Linkrev.Config.t ->
   Linkrev.Executor.outcome
@@ -29,7 +28,6 @@ type row = {
 
 val sweep :
   ?seed:int ->
-  ?max_steps:int ->
   ?jobs:int ->
   algorithm ->
   family:(int -> Generators.instance) ->
@@ -43,7 +41,6 @@ val sweep :
     state. *)
 
 val sweep_fast :
-  ?max_steps:int ->
   ?jobs:int ->
   algorithm ->
   family:(int -> Generators.instance) ->

@@ -11,13 +11,14 @@ type ('s, 'a) t = {
 
 let opaque what ppf _ = Format.fprintf ppf "<%s>" what
 
-let make ~name ~initial ~enabled ~step ?equal_action ?is_enabled ?equal_state
-    ?pp_state ?pp_action () =
-  let eq_action = match equal_action with Some f -> f | None -> ( = ) in
+let make ~name ~initial ~enabled ~step ?is_enabled ?equal_state ?pp_state
+    ?pp_action () =
   let is_enabled =
     match is_enabled with
     | Some f -> f
-    | None -> fun s a -> List.exists (eq_action a) (enabled s)
+    | None ->
+        let eq_action = ( = ) in
+        fun s a -> List.exists (eq_action a) (enabled s)
   in
   {
     name;

@@ -28,17 +28,16 @@ val make :
   initial:'s ->
   enabled:('s -> 'a list) ->
   step:('s -> 'a -> 's) ->
-  ?equal_action:('a -> 'a -> bool) ->
   ?is_enabled:('s -> 'a -> bool) ->
   ?equal_state:('s -> 's -> bool) ->
   ?pp_state:(Format.formatter -> 's -> unit) ->
   ?pp_action:(Format.formatter -> 'a -> unit) ->
   unit ->
   ('s, 'a) t
-(** [is_enabled] defaults to membership in [enabled], compared with
-    [equal_action] (itself defaulting to structural equality — pass a
-    monomorphic [equal_action] on hot paths); [equal_state] defaults to
-    structural equality; printers to opaque placeholders. *)
+(** [is_enabled] defaults to membership in [enabled] under structural
+    equality (pass a monomorphic [is_enabled] on hot paths);
+    [equal_state] defaults to structural equality; printers to opaque
+    placeholders. *)
 
 val quiescent : ('s, 'a) t -> 's -> bool
 (** No action enabled. *)

@@ -6,8 +6,7 @@ type ('s, 'a) t = {
   steps : ('s, 'a) step list;
 }
 
-let run_from ?(max_steps = 100_000) ~scheduler (aut : ('s, 'a) Automaton.t)
-    init =
+let run_within ~max_steps ~scheduler (aut : ('s, 'a) Automaton.t) init =
   let rec loop s steps n =
     if n >= max_steps then List.rev steps
     else
@@ -19,8 +18,10 @@ let run_from ?(max_steps = 100_000) ~scheduler (aut : ('s, 'a) Automaton.t)
   in
   { automaton = aut; init; steps = loop init [] 0 }
 
-let run ?max_steps ~scheduler aut =
-  run_from ?max_steps ~scheduler aut aut.Automaton.initial
+let run ?(max_steps = 100_000) ~scheduler aut =
+  run_within ~max_steps ~scheduler aut aut.Automaton.initial
+
+let run_from ~scheduler aut init = run_within ~max_steps:100_000 ~scheduler aut init
 
 let final e =
   match List.rev e.steps with [] -> e.init | { after; _ } :: _ -> after
@@ -47,13 +48,3 @@ let replay (aut : ('s, 'a) Automaton.t) init actions =
             rest
   in
   loop init [] 0 actions
-
-let pp ppf e =
-  let aut = e.automaton in
-  Format.fprintf ppf "@[<v>%a" aut.Automaton.pp_state e.init;
-  List.iter
-    (fun st ->
-      Format.fprintf ppf "@,-- %a -->@,%a" aut.Automaton.pp_action st.action
-        aut.Automaton.pp_state st.after)
-    e.steps;
-  Format.fprintf ppf "@]"

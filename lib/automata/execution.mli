@@ -20,12 +20,12 @@ val run :
     is enabled, or [max_steps] (default [100_000]) steps have fired. *)
 
 val run_from :
-  ?max_steps:int ->
   scheduler:('s, 'a) Scheduler.t ->
   ('s, 'a) Automaton.t ->
   's ->
   ('s, 'a) t
-(** Like {!run} but starting from an arbitrary state. *)
+(** Like {!run} with the default budget, but starting from an
+    arbitrary state. *)
 
 val replay : ('s, 'a) Automaton.t -> 's -> 'a list -> (('s, 'a) t, string) result
 (** Apply a fixed action sequence, failing with a message on the first
@@ -41,4 +41,3 @@ val actions : ('s, 'a) t -> 'a list
 val quiescent : ('s, 'a) t -> bool
 (** Did the run end because nothing was enabled? *)
 
-val pp : Format.formatter -> ('s, 'a) t -> unit

@@ -34,18 +34,6 @@ let build b =
   let hash = Array.fold_left mix 0xcbf29ce4 words land max_int in
   { hash; words }
 
-let of_ints ws =
-  let b = builder () in
-  List.iter (add b) ws;
-  build b
-
-let pp ppf t =
-  Format.fprintf ppf "#%x[@[%a@]]" t.hash
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       Format.pp_print_int)
-    (Array.to_list t.words)
-
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 

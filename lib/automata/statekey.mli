@@ -14,10 +14,6 @@
 
 type t
 
-val equal : t -> t -> bool
-val hash : t -> int
-val pp : Format.formatter -> t -> unit
-
 (** {1 Building} *)
 
 type builder
@@ -29,8 +25,6 @@ val add_array : builder -> int array -> unit
 val build : builder -> t
 (** Freezes the words added so far; the builder may be reused but keys
     already built are unaffected. *)
-
-val of_ints : int list -> t
 
 (** {1 Hashed containers} *)
 

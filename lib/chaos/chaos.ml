@@ -169,7 +169,7 @@ let differential_of ?trace rule config ~seed ~height =
 let differential ?trace rule config ~seed ~magnitude =
   differential_of ?trace rule config ~seed ~height:(hostile ~seed ~magnitude)
 
-let differential_flip ?trace rule config ~node ~bit =
+let differential_flip rule config ~node ~bit =
   if bit < 0 || bit > 61 then invalid_arg "Chaos.differential_flip: bad bit";
   let base =
     let fm = Fast_maintenance.create rule config in
@@ -183,7 +183,7 @@ let differential_flip ?trace rule config ~node ~bit =
       (a lxor (1 lsl bit), b)
     else base.(u)
   in
-  differential_of ?trace rule config ~seed:(-1) ~height
+  differential_of rule config ~seed:(-1) ~height
 
 type scenario = {
   name : string;

@@ -54,33 +54,6 @@ type differential = {
   trace_path : string option;
 }
 
-val hostile : seed:int -> magnitude:int -> int -> int * int
-(** The canonical adversarial height assignment
-    ({!Lr_service.Shard.hostile_height}): a pure function of
-    [(seed, node)], identical across engines and processes. *)
-
-val recover_fast :
-  ?trace:string ->
-  Maintenance.rule ->
-  Linkrev.Config.t ->
-  seed:int ->
-  height:(int -> int * int) ->
-  recovery
-(** Stabilize the fast engine on [config], adopt [height] everywhere,
-    and measure the recovery.  With [?trace], record it as an LRT1
-    [Maint] trace: header = pre-corruption orientation, [Perturb]
-    events = the corruption's orientation diff, [Step] events = the
-    recovery ([seed] is stamped into the header).  If adoption raises,
-    the trace is aborted (left truncated) and the exception rethrown. *)
-
-val recover_reference :
-  Maintenance.rule ->
-  Linkrev.Config.t ->
-  height:(int -> int * int) ->
-  int * int * int64
-(** Reference-engine recovery from the same corruption:
-    [(steps, wall_ns, recovered fingerprint)]. *)
-
 val differential :
   ?trace:string ->
   Maintenance.rule ->
@@ -88,11 +61,16 @@ val differential :
   seed:int ->
   magnitude:int ->
   differential
-(** Corrupt every node with [hostile ~seed ~magnitude] and recover on
-    both engines. *)
+(** Corrupt every node with {!Lr_service.Shard.hostile_height} [~seed
+    ~magnitude] and recover on both engines: the fast engine adopts the
+    heights and stabilizes, then the reference engine does the same.
+    With [?trace], the fast recovery is recorded as an LRT1 [Maint]
+    trace: header = pre-corruption orientation, [Perturb] events = the
+    corruption's orientation diff, [Step] events = the recovery ([seed]
+    is stamped into the header).  If adoption raises, the trace is
+    aborted (left truncated) and the exception rethrown. *)
 
 val differential_flip :
-  ?trace:string ->
   Maintenance.rule ->
   Linkrev.Config.t ->
   node:int ->

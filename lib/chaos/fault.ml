@@ -18,22 +18,6 @@ let shard_of = function
   | Poison_queue { shard; _ } ->
       shard
 
-let describe = function
-  | Corrupt_heights { shard; seed; magnitude } ->
-      Printf.sprintf "corrupt-heights shard %d (seed %d, magnitude %d)" shard
-        seed magnitude
-  | Flip_route_bit { shard; node; bit } ->
-      Printf.sprintf "flip-route-bit shard %d node %d bit %d" shard node bit
-  | Partition { shard; seed } ->
-      Printf.sprintf "partition shard %d (seed %d)" shard seed
-  | Heal_partition { shard; seed } ->
-      Printf.sprintf "heal-partition shard %d (seed %d)" shard seed
-  | Crash_burst { shard; count } ->
-      Printf.sprintf "crash-burst shard %d (%d crashes)" shard count
-  | Poison_queue { shard; src; count } ->
-      Printf.sprintf "poison-queue shard %d from node %d (%d packets)" shard
-        src count
-
 (* The deterministic component cut behind [Partition]/[Heal_partition]:
    a BFS ball of ~n/4 nodes grown from a seeded pivot, and the edge
    set crossing its boundary.  Both endpoints iterate in ascending id

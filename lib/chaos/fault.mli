@@ -34,7 +34,6 @@ type t =
   | Poison_queue of { shard : int; src : int; count : int }
 
 val shard_of : t -> int
-val describe : t -> string
 
 val cut : Digraph.t -> seed:int -> (Node.t * Node.t) list
 (** The deterministic boundary-edge list of a seeded BFS ball of

@@ -43,10 +43,9 @@ let spec_of_string text =
   else Ok spec
 
 type entry = { at : float; fault : Fault.t }
-type t = { spec : spec; entries : entry list }
+type t = entry list
 
-let entries t = t.entries
-let spec t = t.spec
+let entries t = t
 
 (* One fresh fault.  The weights lean on the height faults (they are
    what the convergence SLO measures); the structural faults keep the
@@ -104,10 +103,7 @@ let generate spec ~shards ~nodes =
           :: { at; fault = Fault.Partition { shard; seed = cut_seed } }
           :: !entries
   done;
-  let entries =
-    List.stable_sort (fun a b -> Float.compare a.at b.at) (List.rev !entries)
-  in
-  { spec; entries }
+  List.stable_sort (fun a b -> Float.compare a.at b.at) (List.rev !entries)
 
 (* Weave the schedule into a base op stream with the simulation event
    queue: base op [i] fires at integer time [i + 1], each fault at its
@@ -124,7 +120,7 @@ let weave t ~graphs base =
       List.iter
         (fun op -> Lr_sim.Event_queue.add q ~time:(e.at *. horizon) op)
         (Fault.compile ~graphs e.fault))
-    t.entries;
+    t;
   let out = Array.make (Lr_sim.Event_queue.size q) Op.Stats in
   let i = ref 0 in
   let rec drain () =

@@ -31,7 +31,6 @@ type entry = { at : float; fault : Fault.t }
 
 type t
 
-val spec : t -> spec
 val entries : t -> entry list
 (** Ascending by [at]; ties keep generation order. *)
 

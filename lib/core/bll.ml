@@ -68,10 +68,3 @@ let automaton ?labels policy config =
     ~equal_state:(fun s1 s2 -> Digraph.equal s1.graph s2.graph)
     ~pp_state:(fun ppf s -> Digraph.pp ppf s.graph)
     ~pp_action ()
-
-let algo ?labels policy config =
-  {
-    Algo.automaton = automaton ?labels policy config;
-    graph_of = (fun s -> s.graph);
-    actors = (fun (Reverse u) -> Node.Set.singleton u);
-  }

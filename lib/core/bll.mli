@@ -45,11 +45,3 @@ val automaton :
   policy ->
   Config.t ->
   (state, action) Lr_automata.Automaton.t
-
-val algo :
-  ?labels:(Node.t -> Node.t -> bool) ->
-  policy ->
-  Config.t ->
-  (state, action) Algo.t
-
-val pp_action : Format.formatter -> action -> unit

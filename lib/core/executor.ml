@@ -19,7 +19,7 @@ let count_flips g1 g2 =
       else acc + 1)
     (Digraph.skeleton g1) 0
 
-let run_execution ?observe ~destination (algo : ('s, 'a) Algo.t) exec =
+let measure ~observe ~destination (algo : ('s, 'a) Algo.t) exec =
   let node_steps, edge_reversals =
     List.fold_left
       (fun (ns, flips) ({ Lr_automata.Execution.before; action; after } as step) ->
@@ -45,11 +45,14 @@ let run_execution ?observe ~destination (algo : ('s, 'a) Algo.t) exec =
       Digraph.is_destination_oriented final_graph destination;
   }
 
+let run_execution ~destination algo exec =
+  measure ~observe:None ~destination algo exec
+
 let run ?max_steps ?observe ~scheduler ~destination algo =
   let exec =
     Lr_automata.Execution.run ?max_steps ~scheduler algo.Algo.automaton
   in
-  run_execution ?observe ~destination algo exec
+  measure ~observe ~destination algo exec
 
 let work o = o.total_node_steps
 

@@ -30,7 +30,6 @@ val run :
     persistent runs. *)
 
 val run_execution :
-  ?observe:(('s, 'a) Lr_automata.Execution.step -> unit) ->
   destination:Node.t -> ('s, 'a) Algo.t -> ('s, 'a) Lr_automata.Execution.t -> outcome
 (** Metrics of an already-recorded execution. *)
 

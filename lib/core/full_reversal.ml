@@ -14,7 +14,6 @@ let enabled config s =
   |> Node.Set.elements
   |> List.map (fun u -> Reverse u)
 
-let canonical_key s = Digraph.canonical_key s.graph
 let pp_state ppf s = Digraph.pp ppf s.graph
 let pp_action ppf (Reverse u) = Format.fprintf ppf "reverse(%a)" Node.pp u
 

@@ -12,6 +12,3 @@ val initial : Config.t -> state
 val apply : state -> Node.t -> state
 val automaton : Config.t -> (state, action) Lr_automata.Automaton.t
 val algo : Config.t -> (state, action) Algo.t
-val canonical_key : state -> string
-val pp_state : Format.formatter -> state -> unit
-val pp_action : Format.formatter -> action -> unit

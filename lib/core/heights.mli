@@ -56,5 +56,3 @@ val pr_apply : Config.t -> pr_state -> Node.t -> pr_state
 val pr_automaton : Config.t -> (pr_state, action) Lr_automata.Automaton.t
 val pr_algo : Config.t -> (pr_state, action) Algo.t
 val pr_consistent : pr_state -> bool
-
-val pp_action : Format.formatter -> action -> unit

@@ -114,6 +114,7 @@ let pr_cor_3_3 config =
             (Format.asprintf "list[%a] is in neither in-nbrs nor out-nbrs"
                Node.pp u))
 
+(* At a sink, list[u] = in-nbrs_u or list[u] = out-nbrs_u. *)
 let pr_cor_3_4 config =
   Invariant.make ~name:"Corollary 3.4" (fun (s : Pr.state) ->
       let g = s.Pr.graph in

@@ -21,12 +21,6 @@ val skeleton_preserved :
 
 (** {1 PR (Section 3)} *)
 
-val pr_inv_3_1 : Config.t -> Pr.state Lr_automata.Invariant.t
-(** Invariant 3.1: [dir\[u,v\] = in] iff [dir\[v,u\] = out], for every
-    skeleton edge.  (Our orientation representation discharges this by
-    construction; the executable check confirms both views are
-    consistent and every skeleton edge is oriented.) *)
-
 val pr_inv_3_2 : Config.t -> Pr.state Lr_automata.Invariant.t
 (** Invariant 3.2: for every node exactly one of the two list
     characterizations holds.  A node with no neighbours, which
@@ -36,12 +30,12 @@ val pr_inv_3_2 : Config.t -> Pr.state Lr_automata.Invariant.t
 val pr_cor_3_3 : Config.t -> Pr.state Lr_automata.Invariant.t
 (** Corollary 3.3: [list\[u\] ⊆ in-nbrs_u] or [list\[u\] ⊆ out-nbrs_u]. *)
 
-val pr_cor_3_4 : Config.t -> Pr.state Lr_automata.Invariant.t
-(** Corollary 3.4: at a sink, [list\[u\] = in-nbrs_u] or
-    [= out-nbrs_u]. *)
-
 val pr_all : Config.t -> Pr.state Lr_automata.Invariant.t
-(** Conjunction of all PR invariants plus acyclicity. *)
+(** Conjunction of all PR invariants plus acyclicity: Invariant 3.1
+    ([dir\[u,v\] = in] iff [dir\[v,u\] = out] for every skeleton edge,
+    which the orientation representation discharges by construction and
+    the check confirms), Invariant 3.2, Corollary 3.3 and Corollary 3.4
+    (at a sink, [list\[u\] = in-nbrs_u] or [= out-nbrs_u]). *)
 
 (** {1 NewPR (Section 4)} *)
 

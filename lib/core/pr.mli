@@ -51,4 +51,3 @@ val state_key : state -> Lr_automata.Statekey.t
     a string. *)
 
 val pp_state : Format.formatter -> state -> unit
-val pp_action : Format.formatter -> action -> unit

@@ -145,30 +145,30 @@ let r_reverse config =
         else [ One_step_pr.Reverse w ]);
   }
 
-let check_r_prime ?max_steps ~scheduler config =
+let check_r_prime ~scheduler config =
   let exec =
-    Lr_automata.Execution.run ?max_steps ~scheduler (Pr.automaton config)
+    Lr_automata.Execution.run ~scheduler (Pr.automaton config)
   in
   Simulation.check_guided ~b:(One_step_pr.automaton config) (r_prime config)
     exec
 
-let check_r ?max_steps ~scheduler config =
+let check_r ~scheduler config =
   let exec =
-    Lr_automata.Execution.run ?max_steps ~scheduler
+    Lr_automata.Execution.run ~scheduler
       (One_step_pr.automaton config)
   in
   Simulation.check_guided ~b:(New_pr.automaton config) (r config) exec
 
-let check_r_composed ?max_steps ~scheduler config =
+let check_r_composed ~scheduler config =
   let exec =
-    Lr_automata.Execution.run ?max_steps ~scheduler (Pr.automaton config)
+    Lr_automata.Execution.run ~scheduler (Pr.automaton config)
   in
   Simulation.check_guided ~b:(New_pr.automaton config) (r_composed config)
     exec
 
-let check_r_reverse ?max_steps ~scheduler config =
+let check_r_reverse ~scheduler config =
   let exec =
-    Lr_automata.Execution.run ?max_steps ~scheduler (New_pr.automaton config)
+    Lr_automata.Execution.run ~scheduler (New_pr.automaton config)
   in
   Simulation.check_guided ~b:(One_step_pr.automaton config) (r_reverse config)
     exec

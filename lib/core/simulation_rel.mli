@@ -47,26 +47,22 @@ val r_reverse :
     matching right-hand execution. *)
 
 val check_r_prime :
-  ?max_steps:int ->
   scheduler:(Pr.state, Pr.action) Lr_automata.Scheduler.t ->
   Config.t ->
   ((One_step_pr.state, One_step_pr.action) Lr_automata.Execution.t, string)
   result
 
 val check_r :
-  ?max_steps:int ->
   scheduler:(One_step_pr.state, One_step_pr.action) Lr_automata.Scheduler.t ->
   Config.t ->
   ((New_pr.state, New_pr.action) Lr_automata.Execution.t, string) result
 
 val check_r_composed :
-  ?max_steps:int ->
   scheduler:(Pr.state, Pr.action) Lr_automata.Scheduler.t ->
   Config.t ->
   ((New_pr.state, New_pr.action) Lr_automata.Execution.t, string) result
 
 val check_r_reverse :
-  ?max_steps:int ->
   scheduler:(New_pr.state, New_pr.action) Lr_automata.Scheduler.t ->
   Config.t ->
   ((One_step_pr.state, One_step_pr.action) Lr_automata.Execution.t, string)

@@ -1,64 +1,55 @@
 open Lr_graph
 module A = Lr_automata
 
-let schedulers ~seed k =
-  let base =
+(* Five schedulers: lowest id first, then highest id first, round
+   robin and two seeded random ones, as (first, rest). *)
+let schedulers ~seed =
+  let random i () = A.Scheduler.random (Random.State.make [| 0x7e; seed; i |]) in
+  ( (fun () -> A.Scheduler.first ()),
     [
-      (fun () -> A.Scheduler.first ());
       (fun () -> A.Scheduler.last ());
       (fun () ->
         A.Scheduler.round_robin
           ~index:(fun (One_step_pr.Reverse u) -> u)
           ());
-    ]
-  in
-  let rec randoms i =
-    if i >= k then []
-    else
-      (fun () -> A.Scheduler.random (Random.State.make [| 0x7e; seed; i |]))
-      :: randoms (i + 1)
-  in
-  let all = base @ randoms (List.length base) in
-  List.filteri (fun i _ -> i < k) all
+      random 3;
+      random 4;
+    ] )
 
 let run_pr config sched =
   Executor.run ~scheduler:(sched ()) ~destination:config.Config.destination
     (One_step_pr.algo config)
 
-let confluence ?(schedules = 5) ?(seed = 0) config =
-  match schedulers ~seed schedules with
-  | [] -> Ok ()
-  | first :: rest ->
-      let reference = run_pr config first in
-      let mismatch =
-        List.find_map
-          (fun sched ->
-            let out = run_pr config sched in
-            if not (Digraph.equal out.Executor.final_graph reference.Executor.final_graph)
-            then Some "final orientations differ between schedules"
-            else if
-              not
-                (Node.Map.equal Int.equal out.Executor.node_steps
-                   reference.Executor.node_steps)
-            then Some "per-node step counts differ between schedules"
-            else None)
-          rest
-      in
-      (match mismatch with None -> Ok () | Some m -> Error m)
+let confluence ?(seed = 0) config =
+  let first, rest = schedulers ~seed in
+  let reference = run_pr config first in
+  let mismatch =
+    List.find_map
+      (fun sched ->
+        let out = run_pr config sched in
+        if not (Digraph.equal out.Executor.final_graph reference.Executor.final_graph)
+        then Some "final orientations differ between schedules"
+        else if
+          not
+            (Node.Map.equal Int.equal out.Executor.node_steps
+               reference.Executor.node_steps)
+        then Some "per-node step counts differ between schedules"
+        else None)
+      rest
+  in
+  match mismatch with None -> Ok () | Some m -> Error m
 
-let schedule_independent_work ?(schedules = 5) ?(seed = 0) config =
-  match schedulers ~seed schedules with
-  | [] -> Ok ()
-  | first :: rest ->
-      let reference = (run_pr config first).Executor.node_steps in
-      if
-        List.for_all
-          (fun sched ->
-            Node.Map.equal Int.equal (run_pr config sched).Executor.node_steps
-              reference)
-          rest
-      then Ok ()
-      else Error "per-node work depends on the schedule"
+let schedule_independent_work ?(seed = 0) config =
+  let first, rest = schedulers ~seed in
+  let reference = (run_pr config first).Executor.node_steps in
+  if
+    List.for_all
+      (fun sched ->
+        Node.Map.equal Int.equal (run_pr config sched).Executor.node_steps
+          reference)
+      rest
+  then Ok ()
+  else Error "per-node work depends on the schedule"
 
 let good_nodes_never_reverse ?(seed = 0) config =
   let good =

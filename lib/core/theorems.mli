@@ -7,14 +7,12 @@
     expected to ever fail on correct algorithms (that is the point). *)
 
 
-val confluence :
-  ?schedules:int -> ?seed:int -> Config.t -> (unit, string) result
+val confluence : ?seed:int -> Config.t -> (unit, string) result
 (** Gafni–Bertsekas determinism: every fair execution of PR reaches the
     {e same} quiescent orientation with the {e same} per-node step
-    counts.  Compares [schedules] (default 5) different schedulers. *)
+    counts.  Compares five different schedulers. *)
 
-val schedule_independent_work :
-  ?schedules:int -> ?seed:int -> Config.t -> (unit, string) result
+val schedule_independent_work : ?seed:int -> Config.t -> (unit, string) result
 (** The per-node work part of {!confluence} alone. *)
 
 val good_nodes_never_reverse :

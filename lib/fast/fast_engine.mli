@@ -61,10 +61,6 @@ val create : rule -> Generators.instance -> t
 
 val of_config : rule -> Linkrev.Config.t -> t
 
-val of_core : rule -> Fast_graph.t -> t
-(** A fresh engine over an already-built flat graph (shares the
-    immutable adjacency, copies the orientation). *)
-
 val count : t -> int -> int
 (** NewPR's per-node counter in the current state; 0 under the other
     rules, which keep none. *)

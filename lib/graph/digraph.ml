@@ -1,9 +1,5 @@
 type direction = In | Out
 
-let pp_direction ppf = function
-  | In -> Format.pp_print_string ppf "in"
-  | Out -> Format.pp_print_string ppf "out"
-
 let flip = function In -> Out | Out -> In
 
 let direction_equal a b =

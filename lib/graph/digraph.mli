@@ -12,7 +12,6 @@ type direction = In | Out
     Out] means the edge is directed [u -> v] (the paper's
     [dir\[u,v\] = out]). *)
 
-val pp_direction : Format.formatter -> direction -> unit
 val flip : direction -> direction
 
 val direction_equal : direction -> direction -> bool
@@ -115,7 +114,6 @@ val bad_nodes : t -> Node.t -> Node.Set.t
 (** {1 Equality and keys} *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val canonical_key : t -> string
 (** Deterministic key usable for hashing states in a model checker:

@@ -19,9 +19,9 @@ let of_digraph ?(name = "G") ?(highlight = Node.Set.empty) ?destination g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let of_undirected ?(name = "G") g =
+let of_undirected g =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "graph %s {\n" name);
+  Buffer.add_string buf "graph G {\n";
   Node.Set.iter
     (fun u -> Buffer.add_string buf (Printf.sprintf "  %d;\n" u))
     (Undirected.nodes g);

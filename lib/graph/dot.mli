@@ -10,7 +10,7 @@ val of_digraph :
     drawn as a double circle, highlighted nodes (e.g. current sinks) are
     filled. *)
 
-val of_undirected : ?name:string -> Undirected.t -> string
+val of_undirected : Undirected.t -> string
 
 val to_file : string -> string -> unit
 (** [to_file path dot_source] writes the source to [path]. *)

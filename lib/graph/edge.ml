@@ -28,13 +28,6 @@ module Ord = struct
   let compare = compare
 end
 
-module Set = struct
-  include Set.Make (Ord)
-
-  let pp ppf s =
-    Format.fprintf ppf "{@[%a@]}"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp)
-      (elements s)
-end
+module Set = Set.Make (Ord)
 
 module Map = Map.Make (Ord)

@@ -26,11 +26,7 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-module Set : sig
-  include Set.S with type elt = t
-
-  val pp : Format.formatter -> t -> unit
-end
+module Set : Set.S with type elt = t
 
 module Map : sig
   include Map.S with type key = t

@@ -2,7 +2,6 @@ type t = int
 
 let compare = Int.compare
 let equal = Int.equal
-let hash (u : t) = u land max_int
 let pp = Format.pp_print_int
 let to_string = string_of_int
 

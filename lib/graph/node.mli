@@ -8,7 +8,6 @@ type t = int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -81,7 +81,3 @@ let connected_components g =
 
 let is_connected g = List.length (connected_components g) <= 1
 let equal g1 g2 = Node.Map.equal Node.Set.equal g1.adj g2.adj
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>nodes: %a@,edges: %a@]" Node.Set.pp (nodes g)
-    Edge.Set.pp g.edges

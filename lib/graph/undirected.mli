@@ -49,4 +49,3 @@ val component_of : t -> Node.t -> Node.Set.t
 
 val connected_components : t -> Node.Set.t list
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -67,8 +67,6 @@ let load path =
       | Error e -> Error (Printf.sprintf "%s: %s" path e)
       | Ok t -> Ok t)
 
-let size t = List.length t
-
 let unused t =
   List.filter_map
     (fun e ->

@@ -21,7 +21,6 @@ val mem : t -> rule:Rule.t -> string -> bool
 
 val of_lines : string list -> (t, string) result
 val load : string -> (t, string) result
-val size : t -> int
 
 val unused : t -> string list
 (** Entries never matched by any {!mem} call since loading, rendered

@@ -79,5 +79,3 @@ let apply t diags =
       ([], 0) diags
   in
   (List.rev kept, suppressed)
-
-let size t = List.length t

@@ -15,5 +15,3 @@ val load : string -> (t, string) result
 val apply : t -> Diagnostic.t list -> Diagnostic.t list * int
 (** [apply t diags] is [(kept, suppressed)]: the findings not covered
     by the baseline, in input order, and how many were suppressed. *)
-
-val size : t -> int

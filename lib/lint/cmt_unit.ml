@@ -7,20 +7,7 @@ type t = {
   imports : string list;
 }
 
-let pretty_of_modname m =
-  let b = Buffer.create (String.length m) in
-  let n = String.length m in
-  let i = ref 0 in
-  while !i < n do
-    if !i + 1 < n && Char.equal m.[!i] '_' && Char.equal m.[!i + 1] '_' then (
-      Buffer.add_char b '.';
-      i := !i + 2)
-    else (
-      Buffer.add_char b m.[!i];
-      incr i)
-  done;
-  Buffer.contents b
-
+(* [None] for unreadable cmts and dune-generated alias units. *)
 let load_file cmt_path =
   match Cmt_format.read_cmt cmt_path with
   | exception _ -> None
@@ -38,7 +25,7 @@ let load_file cmt_path =
             {
               cmt_path;
               modname = cmt.Cmt_format.cmt_modname;
-              pretty = pretty_of_modname cmt.Cmt_format.cmt_modname;
+              pretty = Walk.flatten_dunder cmt.Cmt_format.cmt_modname;
               source;
               structure;
               imports = List.map fst cmt.Cmt_format.cmt_imports;

@@ -10,9 +10,6 @@ type t = {
   imports : string list;  (** unit names this unit depends on *)
 }
 
-val load_file : string -> t option
-(** [None] for unreadable cmts and dune-generated alias units. *)
-
 val load_tree : string -> t list * string list
 (** [load_tree build_dir] recursively loads every [.cmt] under
     [build_dir] (deduplicated, sorted by path) and also returns every

@@ -3,8 +3,6 @@
 
 type severity = Error | Warning
 
-val severity_id : severity -> string
-
 type t = {
   rule : Rule.t;
   severity : severity;
@@ -29,12 +27,9 @@ val make :
 
 val of_location : rule:Rule.t -> severity:severity -> Location.t -> string -> t
 
-val compare : t -> t -> int
-(** Orders by file, line, column, rule, message. *)
-
 val finalize : t list -> t list
-(** Sorts and assigns baseline keys (occurrence-indexed per
-    rule/file/message). *)
+(** Sorts by file, line, column, rule, message and assigns baseline
+    keys (occurrence-indexed per rule/file/message). *)
 
 val to_human : t -> string
 (** [file:line:col: [rule/severity] message]. *)

@@ -27,6 +27,7 @@ type report = {
   diagnostics : Diagnostic.t list;
   units : int;
   safety : safety option;
+  surface : Surface.t option;
 }
 
 (* Directories on the request/repair hot path: L1 findings there are
@@ -222,6 +223,24 @@ let safety_diags config units =
         },
       List.rev !diags )
 
+(* --- L9: unused surface --------------------------------------------- *)
+
+(* Every directory whose units can use an export.  With one of them
+   unbuilt, each value only it uses would read as unused. *)
+let caller_dirs = [ "lib"; "bin"; "bench"; "benchmark"; "examples"; "test" ]
+
+let unbuilt_callers units =
+  List.filter
+    (fun d -> not (List.exists (Cmt_unit.in_dirs [ d ]) units))
+    caller_dirs
+
+let l9_diags (s : Surface.t) =
+  List.map
+    (fun (f : Surface.finding) ->
+      Diagnostic.of_location ~rule:Rule.L9 ~severity:Diagnostic.Error
+        f.Surface.loc f.Surface.message)
+    s.Surface.findings
+
 (* --- driver -------------------------------------------------------- *)
 
 let load_units config =
@@ -246,13 +265,16 @@ let callgraph_analysis config =
     (load_units config)
 
 let run config =
-  let units, cmi_dirs = Cmt_unit.load_tree config.build_dir in
-  if List.compare_length_with units 0 = 0 then
+  let ( let* ) = Result.bind in
+  let* units = load_units config in
+  let unbuilt = if enabled config Rule.L9 then unbuilt_callers units else [] in
+  if List.compare_length_with unbuilt 0 > 0 then
     Error
-      (Printf.sprintf "no .cmt files under %s (run 'dune build' first)"
-         config.build_dir)
-  else (
-    init_load_path cmi_dirs;
+      (Printf.sprintf
+         "L9 needs the .cmt files of every caller directory; none under %s \
+          for %s (run 'dune build @check' first)"
+         config.build_dir (String.concat ", " unbuilt))
+  else
     let report_units =
       List.filter (Cmt_unit.in_dirs config.dirs) units
     in
@@ -291,6 +313,11 @@ let run config =
     let safety, sdiags =
       safety_diags config (report_units @ capture_units)
     in
+    let surface =
+      if enabled config Rule.L9 then
+        Some (Surface.analyse ~report_dirs:config.dirs units)
+      else None
+    in
     let diags =
       List.concat
         [
@@ -305,6 +332,7 @@ let run config =
              List.concat_map (fun (u, f) -> l4_diags config u f) report_facts
            else []);
           sdiags;
+          Option.fold ~none:[] ~some:l9_diags surface;
         ]
     in
     Ok
@@ -312,7 +340,8 @@ let run config =
         diagnostics = Diagnostic.finalize diags;
         units = List.length report_units;
         safety;
-      })
+        surface;
+      }
 
 (* --- rendering ----------------------------------------------------- *)
 
@@ -362,7 +391,16 @@ let safety_json diags s =
              s.timings) );
     ]
 
-let report_json ~units ~suppressed ~safety diags =
+let surface_json (s : Surface.t) =
+  Json.Obj
+    [
+      ("exports", Json.Int s.Surface.exports);
+      ("optionals", Json.Int s.Surface.optionals);
+      ("findings", Json.Int (List.length s.Surface.findings));
+      ("test_only", Json.Arr (List.map (fun n -> Json.Str n) s.Surface.test_only));
+    ]
+
+let report_json ~units ~suppressed ~safety ~surface diags =
   Json.Obj
     ([
        ("version", Json.Int 2);
@@ -373,5 +411,8 @@ let report_json ~units ~suppressed ~safety diags =
      ]
     @ (match safety with
       | Some s -> [ ("domain_safety", safety_json diags s) ]
+      | None -> [])
+    @ (match surface with
+      | Some s -> [ ("unused_surface", surface_json s) ]
       | None -> [])
     @ [ ("findings", Json.Arr (List.map Diagnostic.to_json diags)) ])

@@ -7,7 +7,9 @@
     executables count as L2 roots without their own findings being
     reported.  The interprocedural domain-safety rules (L5–L8,
     {!Domain_safety}) report over [dirs] {e and} [capture_dirs]: a
-    race seeded from a CLI driver is just as much a race. *)
+    race seeded from a CLI driver is just as much a race.  L9
+    ({!Surface}) reports on the interfaces under [dirs] and counts uses
+    from every unit under the build dir. *)
 
 type config = {
   root : string;  (** repo root (where [lib/] lives) *)
@@ -32,11 +34,13 @@ type report = {
   diagnostics : Diagnostic.t list;
   units : int;
   safety : safety option;  (** present when any of L5–L8 ran *)
+  surface : Surface.t option;  (** present when L9 ran *)
 }
 
 val run : config -> (report, string) result
-(** [Error _] only for environmental failures (no cmts found); findings
-    are data, not errors. *)
+(** [Error _] only for environmental failures: no cmts found, or, with
+    L9 on, a caller directory ([lib], [bin], [bench], [benchmark],
+    [examples], [test]) without any; findings are data, not errors. *)
 
 val callgraph_analysis : config -> (Domain_safety.t, string) result
 (** Build the call graph over [dirs @ capture_dirs] and analyse it,
@@ -46,5 +50,11 @@ val count : Diagnostic.severity -> Diagnostic.t list -> int
 val summary : units:int -> suppressed:int -> Diagnostic.t list -> string
 
 val report_json :
-  units:int -> suppressed:int -> safety:safety option -> Diagnostic.t list ->
+  units:int ->
+  suppressed:int ->
+  safety:safety option ->
+  surface:Surface.t option ->
+  Diagnostic.t list ->
   Json.t
+(** With L9's counts and the exports only [test/] uses under
+    ["unused_surface"]. *)

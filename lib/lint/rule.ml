@@ -1,6 +1,6 @@
-type t = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8
+type t = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9
 
-let all = [ L1; L2; L3; L4; L5; L6; L7; L8 ]
+let all = [ L1; L2; L3; L4; L5; L6; L7; L8; L9 ]
 
 let id = function
   | L1 -> "L1"
@@ -11,6 +11,7 @@ let id = function
   | L6 -> "L6"
   | L7 -> "L7"
   | L8 -> "L8"
+  | L9 -> "L9"
 
 let of_string s =
   match String.uppercase_ascii (String.trim s) with
@@ -22,31 +23,8 @@ let of_string s =
   | "L6" -> Some L6
   | "L7" -> Some L7
   | "L8" -> Some L8
+  | "L9" -> Some L9
   | _ -> None
-
-let describe = function
-  | L1 ->
-      "poly-ops: applications of polymorphic =, <>, compare, <, >, <=, >=, \
-       Hashtbl.hash, List.mem/assoc at non-immediate types"
-  | L2 ->
-      "domain-race surface: toplevel refs, Hashtbls, arrays and mutable \
-       records in modules reachable from Pool worker closures"
-  | L3 -> "interface hygiene: every .ml in the linted tree has a matching .mli"
-  | L4 ->
-      "forbidden constructs: Obj.magic, printing to stdout, and bare exit \
-       inside library code"
-  | L5 ->
-      "race candidates: writes to non-atomic mutable state from functions in \
-       the domain-crossing set without an lr:owner discipline"
-  | L6 ->
-      "resident-loop blocking: Mutex.lock, Condition.wait, sleeps, select \
-       and shared-channel printing reachable from resident loop bodies"
-  | L7 ->
-      "escaping exceptions: raise sites that can escape a resident loop body \
-       with no handler inside the loop (a silently dead domain)"
-  | L8 ->
-      "atomic overhead smell: Atomic.t values only ever accessed from \
-       single-domain code, where plain mutable state would do"
 
 let compare a b = Stdlib.compare (id a) (id b)
 let equal a b = Int.equal 0 (compare a b)

@@ -1,6 +1,6 @@
 (** Lint rule identifiers.
 
-    Eight rules, individually toggleable from the CLI:
+    Nine rules, individually toggleable from the CLI:
 
     - {b L1 poly-ops} — applications of the polymorphic comparison and
       hashing primitives at non-immediate types.  A generic structural
@@ -37,15 +37,23 @@
       exception handler count as deliberate propagation.
     - {b L8 atomic overhead smell} — [Atomic.t] values all of whose
       access sites sit outside the domain-crossing set; the fences buy
-      nothing a plain [ref] would not. *)
+      nothing a plain [ref] would not.
 
-type t = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8
+    One rule reads every unit dune builds ({!Surface}):
+
+    - {b L9 unused surface} — a value an interface under the linted
+      tree exports that no other unit uses, and an optional parameter
+      of an exported function that no other unit's call supplies.
+      Uses count from [lib/], [bin/], [bench/], [benchmark/],
+      [examples/] and [test/]; an export only [test/] uses is listed in
+      the JSON report, not flagged. *)
+
+type t = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9
 
 val all : t list
 val id : t -> string
 val of_string : string -> t option
 (** Case-insensitive; [None] on an unknown id. *)
 
-val describe : t -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -55,13 +55,13 @@ let check_invariant_on_reachable ~max_states ~key aut inv config name =
             violation;
       }
 
-let check_pr_invariants ?(max_states = 500_000) config =
-  check_invariant_on_reachable ~max_states ~key:Pr.state_key
+let check_pr_invariants config =
+  check_invariant_on_reachable ~max_states:500_000 ~key:Pr.state_key
     (Pr.automaton ~mode:Pr.All_subsets config)
     (Invariants.pr_all config) config "PR invariants"
 
-let check_one_step_pr_invariants ?(max_states = 500_000) config =
-  check_invariant_on_reachable ~max_states ~key:Pr.state_key
+let check_one_step_pr_invariants config =
+  check_invariant_on_reachable ~max_states:500_000 ~key:Pr.state_key
     (One_step_pr.automaton config)
     (Invariants.pr_all config) config "OneStepPR invariants"
 
@@ -130,24 +130,24 @@ let check_existential ~max_states ~key_a ~key_b ~bits_a ~bits_b aut_a aut_b
 let pr_bits (s : Pr.state) = Digraph.orientation_bits s.Pr.graph
 let newpr_bits (t : New_pr.state) = Digraph.orientation_bits t.New_pr.graph
 
-let check_theorem_5_2 ?(max_states = 200_000) config =
-  check_existential ~max_states ~key_a:Pr.state_key ~key_b:Pr.state_key
+let check_theorem_5_2 config =
+  check_existential ~max_states:200_000 ~key_a:Pr.state_key ~key_b:Pr.state_key
     ~bits_a:pr_bits ~bits_b:pr_bits
     (Pr.automaton ~mode:Pr.All_subsets config)
     (One_step_pr.automaton config)
     (fun s t -> Result.is_ok ((Simulation_rel.r_prime config).relation s t))
     config "Theorem 5.2 (R' existence)"
 
-let check_theorem_5_4 ?(max_states = 200_000) config =
-  check_existential ~max_states ~key_a:Pr.state_key ~key_b:New_pr.state_key
+let check_theorem_5_4 config =
+  check_existential ~max_states:200_000 ~key_a:Pr.state_key ~key_b:New_pr.state_key
     ~bits_a:pr_bits ~bits_b:newpr_bits
     (One_step_pr.automaton config)
     (New_pr.automaton config)
     (fun s t -> Result.is_ok ((Simulation_rel.r config).relation s t))
     config "Theorem 5.4 (R existence)"
 
-let check_reverse_theorem ?(max_states = 200_000) config =
-  check_existential ~max_states ~key_a:New_pr.state_key ~key_b:Pr.state_key
+let check_reverse_theorem config =
+  check_existential ~max_states:200_000 ~key_a:New_pr.state_key ~key_b:Pr.state_key
     ~bits_a:newpr_bits ~bits_b:pr_bits
     (New_pr.automaton config)
     (One_step_pr.automaton config)
@@ -191,7 +191,7 @@ let longest_path keys succs =
   try Some (List.fold_left (fun acc k -> max acc (depth k)) 0 keys)
   with Cycle -> None
 
-let check_termination ?(max_states = 200_000) config =
+let check_termination config =
   let name = "Termination (state graph acyclic, terminal states oriented)" in
   let fail violation =
     {
@@ -202,7 +202,8 @@ let check_termination ?(max_states = 200_000) config =
     }
   in
   match
-    state_graph ~max_states ~key:Pr.state_key (One_step_pr.automaton config)
+    state_graph ~max_states:200_000 ~key:Pr.state_key
+      (One_step_pr.automaton config)
   with
   | Error e -> fail e
   | Ok (keys, succs) -> (
@@ -241,8 +242,9 @@ type space_stats = {
   longest_execution : int;
 }
 
-let state_space_stats ?(max_states = 200_000) config =
+let state_space_stats config =
   let ( let* ) = Result.bind in
+  let max_states = 200_000 in
   let* keys, succs =
     state_graph ~max_states ~key:Pr.state_key (One_step_pr.automaton config)
   in
@@ -255,15 +257,15 @@ let state_space_stats ?(max_states = 200_000) config =
   in
   Ok { pr_states = List.length keys; newpr_states; longest_execution = longest }
 
-let check_all ?max_states config =
+let check_all config =
   [
-    check_pr_invariants ?max_states config;
-    check_one_step_pr_invariants ?max_states config;
-    check_newpr_invariants ?max_states config;
-    check_theorem_5_2 ?max_states config;
-    check_theorem_5_4 ?max_states config;
-    check_reverse_theorem ?max_states config;
-    check_termination ?max_states config;
+    check_pr_invariants config;
+    check_one_step_pr_invariants config;
+    check_newpr_invariants config;
+    check_theorem_5_2 config;
+    check_theorem_5_4 config;
+    check_reverse_theorem config;
+    check_termination config;
   ]
 
 let exhaustive_families ~max_nodes =

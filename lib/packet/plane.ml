@@ -317,8 +317,11 @@ let slot (t : t) =
              and the block is orientational — no out-edge at all, or no
              out-neighbour with a positive differential.  A positive
              differential into a full queue is congestion: wait, do not
-             re-point the DAG. *)
-          if !sent = 0 && d > 0 && !best_raw <= 0 then begin
+             re-point the DAG.  Nor where the skeleton cuts [u] off
+             from the destination: no orientation reaches it from
+             there, and each raise would only climb. *)
+          if !sent = 0 && d > 0 && !best_raw <= 0 && birth_distance t u >= 0
+          then begin
             t.rev_list.(!nrev) <- u;
             incr nrev
           end

@@ -72,7 +72,7 @@ let pick_dest rng cum =
    popped as the slot loop crosses them. *)
 type tick = Churn_toggle | Sample_mid
 
-let run_backpressure ?trace_dir spec =
+let run_traced ~trace_dir spec =
   if spec.nodes < 2 || spec.dests < 1 || spec.dests > spec.nodes then
     invalid_arg "Scenario.run_backpressure: bad nodes/dests";
   if spec.slots < 1 || spec.rate < 0 || spec.qcap < 1 || spec.cap < 1 then
@@ -212,11 +212,12 @@ let run_backpressure ?trace_dir spec =
       || queued_end > (2 * !queued_mid) + (2 * spec.rate);
   }
 
+let run_backpressure spec = run_traced ~trace_dir:None spec
+
 let sweep ?trace_dir spec ~rates =
   List.mapi
     (fun i rate ->
-      let trace_dir = if i = 0 then trace_dir else None in
-      run_backpressure ?trace_dir { spec with rate })
+      run_traced ~trace_dir:(if i = 0 then trace_dir else None) { spec with rate })
     rates
 
 let delivery r =

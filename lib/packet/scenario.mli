@@ -47,17 +47,18 @@ type bp_result = {
           the mid-point sample (plus two slots' rate of slack). *)
 }
 
-val run_backpressure : ?trace_dir:string -> bp_spec -> bp_result
+val run_backpressure : bp_spec -> bp_result
 (** One run at [spec.rate].  Each plane's heights seed from a stabilized
-    {!Lr_routing.Fast_maintenance} engine via its [height] hook.  When
-    [trace_dir] is given, each plane's initial stabilization is recorded
-    there as a replayable LRT1 trace ([plane-NNN.lrt]) — the
-    queue-driven reversals themselves are not replayable events (replay
-    enforces sink preconditions; these reversals re-point non-sinks).
+    {!Lr_routing.Fast_maintenance} engine via its [height] hook.
     @raise Invalid_argument on non-positive sizes or [dests > nodes]. *)
 
 val sweep : ?trace_dir:string -> bp_spec -> rates:int list -> bp_result list
-(** [run_backpressure] at each rate ([spec.rate] ignored). *)
+(** [run_backpressure] at each rate ([spec.rate] ignored).  When
+    [trace_dir] is given, each plane's initial stabilization at the
+    first rate is recorded there as a replayable LRT1 trace
+    ([plane-NNN.lrt]) — the queue-driven reversals themselves are not
+    replayable events (replay enforces sink preconditions; these
+    reversals re-point non-sinks). *)
 
 val stability_threshold : bp_result list -> int option
 (** The largest swept rate [r] such that every result at rate [<= r]

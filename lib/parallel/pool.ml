@@ -65,9 +65,9 @@ let () =
              (Printexc.to_string exn))
     | _ -> None)
 
-let run_trials ?chunk ~jobs ~trials f =
+let run_trials ~jobs ~trials f =
   Array.to_list
-    (map_range ?chunk ~jobs trials (fun trial ->
+    (map_range ~jobs trials (fun trial ->
          try f ~trial ~rng:(trial_rng trial)
          with e ->
            let bt = Printexc.get_raw_backtrace () in

@@ -34,7 +34,6 @@ exception Trial_error of { trial : int; exn : exn }
     ["Pool.run_trials: trial 57 raised ..."]. *)
 
 val run_trials :
-  ?chunk:int ->
   jobs:int ->
   trials:int ->
   (trial:int -> rng:Random.State.t -> 'a) ->

@@ -181,10 +181,9 @@ val consistent : t -> bool
     destination; the destination's component holds no sink but the
     destination; no cached next hop is stale; and the destination's
     component is destination-oriented.  O(n + m): a recount over every
-    row, two BFSs and a next-hop recomputation per cached entry.  Tests
-    and storms call it, and so does the serving path: [Shard.heal] runs
-    it after every [Corrupt] and [Flip] fault to validate the recovery,
-    and counts a failure as a validation failure. *)
+    row, two BFSs and a next-hop recomputation per cached entry.  Tests,
+    storms and the chaos differentials call it; the serving path does
+    not (a heal's recovery is checked by the tests). *)
 
 val raise_height :
   Maintenance.rule -> Lr_fast.Fast_graph.Dyn.t -> int array -> int array -> Node.t -> unit

@@ -67,7 +67,7 @@ let handler rule config =
         activate rule ~destination st);
   }
 
-let run ?latency ?jitter ?drop ?beacon ?until ?max_deliveries ~rule config =
+let run ?latency ?jitter ?drop ?beacon ?until ~rule config =
   let latency = match latency with Some f -> f | None -> fun _ _ -> 1.0 in
   let topology = Config.skeleton config in
   let timer =
@@ -86,7 +86,7 @@ let run ?latency ?jitter ?drop ?beacon ?until ?max_deliveries ~rule config =
     Lr_sim.Network.create ~topology ~latency ?jitter ?drop ?timer
       (handler rule config)
   in
-  let stats = Lr_sim.Network.run ?max_deliveries ?until net in
+  let stats = Lr_sim.Network.run ?until net in
   let final_heights =
     List.fold_left
       (fun m (u, st) -> Node.Map.add u st.height m)

@@ -41,7 +41,6 @@ val run :
   ?drop:Random.State.t * float ->
   ?beacon:float ->
   ?until:float ->
-  ?max_deliveries:int ->
   rule:Maintenance.rule ->
   Config.t ->
   result

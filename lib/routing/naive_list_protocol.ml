@@ -71,13 +71,14 @@ let handler config =
         activate ~destination st);
   }
 
-let run ?latency ?jitter ?drop ?max_deliveries config =
-  let latency = match latency with Some f -> f | None -> fun _ _ -> 1.0 in
+let run_lossy ?jitter ?drop config =
   let topology = Config.skeleton config in
   let net =
-    Lr_sim.Network.create ~topology ~latency ?jitter ?drop (handler config)
+    Lr_sim.Network.create ~topology
+      ~latency:(fun _ _ -> 1.0)
+      ?jitter ?drop (handler config)
   in
-  let stats = Lr_sim.Network.run ?max_deliveries net in
+  let stats = Lr_sim.Network.run net in
   let state u = Lr_sim.Network.state net u in
   let view_consistent =
     Undirected.fold_edges
@@ -113,6 +114,8 @@ let run ?latency ?jitter ?drop ?max_deliveries config =
   in
   { stats; view_consistent; destination_oriented; reversals }
 
+let run ?jitter config = run_lossy ?jitter config
+
 let find_inconsistency ?(attempts = 100) ?drop_rate ~n () =
   let p = Option.value ~default:0.3 drop_rate in
   let rec hunt seed =
@@ -125,7 +128,7 @@ let find_inconsistency ?(attempts = 100) ?drop_rate ~n () =
       in
       let config = Config.of_instance inst in
       let r =
-        run
+        run_lossy
           ~jitter:(Random.State.make [| 0x8b; seed |], 4.0)
           ~drop:(Random.State.make [| 0x8c; seed |], p)
           config

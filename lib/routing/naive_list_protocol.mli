@@ -22,7 +22,6 @@
       account of why deployed link reversal (Gafni–Bertsekas, TORA)
       ships totally ordered heights rather than raw edge flips. *)
 
-open Lr_graph
 
 type result = {
   stats : Lr_sim.Network.stats;
@@ -34,13 +33,8 @@ type result = {
   reversals : int;
 }
 
-val run :
-  ?latency:(Node.t -> Node.t -> float) ->
-  ?jitter:Random.State.t * float ->
-  ?drop:Random.State.t * float ->
-  ?max_deliveries:int ->
-  Linkrev.Config.t ->
-  result
+val run : ?jitter:Random.State.t * float -> Linkrev.Config.t -> result
+(** One run over reliable links of latency [1.0]. *)
 
 val find_inconsistency :
   ?attempts:int -> ?drop_rate:float -> n:int -> unit -> (int * result) option

@@ -59,6 +59,7 @@ let is_routed t u = not (is_null (height t u))
 let routed_neighbors t u =
   Node.Set.filter (is_routed t) (Undirected.neighbors t.skel u)
 
+(* Neighbours with strictly lower non-[Null] height. *)
 let downstream t u =
   let hu = height t u in
   if is_null hu then Node.Set.empty

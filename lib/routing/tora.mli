@@ -59,9 +59,6 @@ val destination : t -> Node.t
 val height : t -> Node.t -> height
 val skeleton : t -> Undirected.t
 
-val downstream : t -> Node.t -> Node.Set.t
-(** Neighbours with strictly lower non-[Null] height. *)
-
 val route : t -> Node.t -> Node.t list option
 (** Greedy steepest-descent route to the destination. *)
 

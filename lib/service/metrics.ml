@@ -118,9 +118,7 @@ let create ~shards =
     stats_ops = 0;
   }
 
-let num_shards t = Array.length t.counters
 let shard t i = t.counters.(i)
-let ring t i = t.rings.(i)
 let bump_stats t = t.stats_ops <- t.stats_ops + 1
 
 let record_depth t ~shard depth =
@@ -209,6 +207,8 @@ let ring_totals_of (r : ring_counters) =
 
 let per_shard_rings t = Array.map ring_totals_of t.rings
 
+(* Aggregate ring observability: max of maxes, global mean, summed
+   steal counters. *)
 let rings_total t =
   let max_depth = ref 0
   and depth_sum = ref 0

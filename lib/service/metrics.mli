@@ -86,13 +86,9 @@ type ring_totals = {
 type t
 
 val create : shards:int -> t
-val num_shards : t -> int
 
 val shard : t -> int -> counters
 (** The mutable counter record of one shard. *)
-
-val ring : t -> int -> ring_counters
-(** The mutable ring-observability record of one shard. *)
 
 val bump_stats : t -> unit
 (** Count one served [Stats] snapshot. *)
@@ -115,14 +111,6 @@ val record_recovery : t -> shard:int -> int -> unit
 
 val totals : t -> totals
 (** Aggregated over shards in index order (deterministic). *)
-
-val per_shard : t -> totals array
-(** Each shard's counters as immutable totals ([stats_ops = 0]). *)
-
-val per_shard_rings : t -> ring_totals array
-val rings_total : t -> ring_totals
-(** Aggregate ring observability: max of maxes, global mean, summed
-    steal counters. *)
 
 type snapshot = {
   snapshot_totals : totals;

@@ -106,5 +106,3 @@ let response_to_string = function
   | Snapshot totals -> "snapshot " ^ Metrics.totals_line totals
   | Rejected `Overloaded -> "rejected overloaded"
 
-let pp ppf op = Format.pp_print_string ppf (to_line op)
-let pp_response ppf r = Format.pp_print_string ppf (response_to_string r)

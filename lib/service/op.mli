@@ -77,6 +77,3 @@ val of_line : string -> (t, string) result
 
 val response_to_string : response -> string
 (** Canonical deterministic rendering (used for fingerprints). *)
-
-val pp : Format.formatter -> t -> unit
-val pp_response : Format.formatter -> response -> unit

@@ -80,7 +80,6 @@ let create ?trace_dir cfg configs =
 
 let num_shards t = Array.length t.shards
 let shard t i = t.shards.(i)
-let config t = t.cfg
 let metrics t = Metrics.snapshot t.metrics
 
 (* The service's one clock.  Admission, completion and the chaos heal

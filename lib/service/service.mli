@@ -99,7 +99,6 @@ val create : ?trace_dir:string -> config -> Linkrev.Config.t array -> t
 
 val num_shards : t -> int
 val shard : t -> int -> Shard.t
-val config : t -> config
 
 val run : t -> Op.t array -> Op.response array
 (** Execute the stream; slot [i] answers op [i].  Ops must name shards

@@ -39,7 +39,8 @@ type engine_kind = Fast | Reference
 val create :
   ?engine:engine_kind -> rule:Maintenance.rule -> id:int -> Linkrev.Config.t -> t
 (** Stabilizes the initial instance (like [Maintenance.create]).
-    [engine] defaults to [Fast].  Each node's queue on the shard's
+    [engine] defaults to [Fast].  [id] is the shard's index in its
+    service; the shard does not keep it.  Each node's queue on the shard's
     packet-forwarding plane holds at most 64 packets; an inject op
     drops the overflow.
 
@@ -51,7 +52,6 @@ val create :
     packet responses — like all others — are byte-identical across
     engine tiers. *)
 
-val id : t -> int
 val destination : t -> Node.t
 val graph : t -> Digraph.t
 val dead : t -> Node.Set.t
@@ -90,9 +90,11 @@ val valid_route : t -> src:Node.t -> Node.t list -> bool
 
 val apply : t -> Op.t -> outcome
 (** Execute one op ([Stats] and [Rejected] never reach a shard; [Stats]
-    raises [Invalid_argument]).  Every returned route is validated, and
-    the chaos ops ([Corrupt]/[Flip]) re-run the full consistency check
-    after their heal; a failure counts in [validation_failures]. *)
+    raises [Invalid_argument]).  Every returned route is validated; a
+    failure counts in [validation_failures].  The chaos ops
+    ([Corrupt]/[Flip]) adopt the faulty heights and re-stabilize
+    without re-running the engine's O(n + m) {!consistent} check, which
+    the tests run after every heal instead. *)
 
 val elect : live:(Node.t -> bool) -> (int * Node.t) list -> Node.t option
 (** The failover election rule both tiers share.  Given the components
@@ -120,9 +122,6 @@ val hostile_height : seed:int -> magnitude:int -> int -> int * int
     drive engines outside the service through the {e same} corruption
     and compare recoveries byte for byte.
     @raise Invalid_argument when [magnitude > max_magnitude]. *)
-
-val height_pair : t -> Node.t -> int * int
-(** The node's current [(pa, pb)] height on the shard's engine. *)
 
 val consistent : t -> bool
 (** The shard's structural invariant, for tests: graph acyclic and the

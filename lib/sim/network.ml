@@ -151,5 +151,4 @@ let run ?(max_deliveries = 1_000_000) ?until t =
 
 let state t u = Node.Map.find u t.node_states
 let states t = Node.Map.bindings t.node_states
-let now t = t.clock
 let dropped t = t.dropped

@@ -60,4 +60,3 @@ val state : ('state, 'msg) t -> Node.t -> 'state
 (** @raise Not_found for nodes outside the topology. *)
 
 val states : ('state, 'msg) t -> (Node.t * 'state) list
-val now : ('state, 'msg) t -> float

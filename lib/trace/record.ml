@@ -58,7 +58,7 @@ let engine_of_rule = function
 (* The engine and the header, which both refuse node ids other than
    0..n-1, are built before the file is created: an instance the wire
    format cannot carry leaves no file behind. *)
-let fast ?max_steps ?seed ~path ~rule config =
+let fast ?seed ~path ~rule config =
   let engine = F.of_config rule config in
   let writer =
     Writer.create path
@@ -68,7 +68,7 @@ let fast ?max_steps ?seed ~path ~rule config =
     let s, flush = sink writer in
     F.set_sink engine (Some s);
     let t0 = Unix.gettimeofday () in
-    let out = F.run ?max_steps engine in
+    let out = F.run engine in
     let dt = wall_ns t0 in
     F.set_sink engine None;
     flush ();
@@ -129,13 +129,13 @@ let observer ~writer ~rows ~graph_of ~actors =
           Writer.step writer ~node:u ~slots ~len:(Array.length slots))
       (actors action)
 
-let persistent (type s a) ?max_steps ?seed ~path ~engine ~scheduler config
+let persistent (type s a) ?seed ~path ~engine ~scheduler config
     (algo : (s, a) Linkrev.Algo.t) =
   let writer = Writer.create path (Event.header_of_config ?seed engine config) in
   match
     let t0 = Unix.gettimeofday () in
     let out =
-      Linkrev.Executor.run ?max_steps
+      Linkrev.Executor.run
         ~observe:
           (observer ~writer ~rows:(rows_of_config config)
              ~graph_of:algo.Linkrev.Algo.graph_of

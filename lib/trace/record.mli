@@ -27,15 +27,14 @@ val engine_of_rule : Lr_fast.Fast_engine.rule -> Event.engine
 (** The trace's engine tag for a flat-engine rule. *)
 
 val fast :
-  ?max_steps:int ->
   ?seed:int ->
   path:string ->
   rule:Lr_fast.Fast_engine.rule ->
   Linkrev.Config.t ->
   Lr_fast.Fast_engine.outcome * Writer.stats
 (** Run [Fast_engine] on [config] under [rule], recording to [path].
-    Without [max_steps] the run goes to quiescence, which never comes
-    when a linked node is outside the destination's component.
+    The run goes to quiescence, which never comes when a linked node
+    is outside the destination's component.
     @raise Invalid_argument, writing nothing, when the node ids are not
     [0 .. n-1]. *)
 
@@ -51,7 +50,6 @@ val slot_of : int array -> int -> int
     not in the row. *)
 
 val persistent :
-  ?max_steps:int ->
   ?seed:int ->
   path:string ->
   engine:Event.engine ->

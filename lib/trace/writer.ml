@@ -120,6 +120,7 @@ let perturb (t : t) ~node ~slots ~len =
     put_varint t (Array.unsafe_get slots i)
   done
 
+(* Events and bytes written so far (buffered bytes included). *)
 let stats (t : t) = { events = t.events; bytes = t.flushed + t.pos }
 
 let close t (s : Event.summary) =

@@ -60,9 +60,6 @@ val perturb : t -> node:int -> slots:int array -> len:int -> unit
     [len] entries of [slots] are the ascending adjacency-row indices of
     the incoming edges of [node] that were forcibly flipped outward. *)
 
-val stats : t -> stats
-(** Events and bytes written so far (buffered bytes included). *)
-
 val close : t -> Event.summary -> stats
 (** Writes the end record, flushes and closes the file. *)
 

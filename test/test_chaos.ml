@@ -140,6 +140,51 @@ let test_weave_deterministic () =
    stream is ordinary ops, so responses and fingerprint stay
    byte-identical across job counts and engine tiers, and every
    response is the sequential reference's. *)
+(* The serving path does not re-check a heal, so this does: a dense
+   chaos-woven stream (CI's dense differential spec, cut to 5,000 base
+   ops) replayed op by op through [Shard.apply] on both tiers, with the
+   engine's full consistency check after every heal. *)
+let test_heals_stay_consistent () =
+  let wspec =
+    { W.shards = 2; nodes = 48; extra_edges = 16; seed = 1; ops = 5_000;
+      mix = { W.route = 40; churn = 60; crash = 0 };
+      pmix = { W.inject = 10; forward = 10 }; burst = 4; skew = 0.8;
+      stats_every = 0 }
+  in
+  let configs = W.shard_configs wspec in
+  let graphs =
+    Array.map (fun (c : Linkrev.Config.t) -> c.Linkrev.Config.initial) configs
+  in
+  let sched =
+    Schedule.generate
+      { Schedule.count = 60; seed = 1; magnitude = 16 }
+      ~shards:wspec.W.shards ~nodes:wspec.W.nodes
+  in
+  let ops = Schedule.weave sched ~graphs (W.generate wspec) in
+  List.iter
+    (fun engine ->
+      let shards =
+        Array.mapi
+          (fun id config -> Shard.create ~engine ~rule:M.Partial_reversal ~id config)
+          configs
+      in
+      let heals = ref 0 in
+      Array.iter
+        (fun op ->
+          match Op.shard_of op with
+          | None -> ()
+          | Some s -> (
+              let shard = shards.(s) in
+              match (Shard.apply shard op).Shard.response with
+              | Op.Healed _ ->
+                  incr heals;
+                  check_bool "consistent after the heal" true
+                    (Shard.consistent shard)
+              | _ -> ()))
+        ops;
+      check_bool "the stream heals" true (!heals > 0))
+    [ Shard.Fast; Shard.Reference ]
+
 let test_service_fingerprint_under_chaos () =
   let wspec =
     { W.shards = 4; nodes = 12; extra_edges = 8; seed = 5; ops = 300;
@@ -370,6 +415,7 @@ let () =
           case "schedule determinism" test_schedule_deterministic;
           case "partition cut / heal symmetry" test_cut_partition_heal_symmetry;
           case "weave determinism" test_weave_deterministic;
+          case "heals stay consistent on both tiers" test_heals_stay_consistent;
           case "service fingerprint under chaos"
             test_service_fingerprint_under_chaos;
           case "pinned recovery step counts" test_differential_pinned_counts;

@@ -240,11 +240,63 @@ let test_l8_single_domain_atomic () =
   if not (contains ~sub:"lonely" msg) then
     Alcotest.failf "L8 should name the atomic: %s" msg
 
+(* {1 Unused surface (L9)} *)
+
+(* Fix_surface's exports: its sibling Fix_surface_user calls one,
+   reaches three more only through a functor argument, a first-class
+   pack and an include, and passes one of [knobs]' two optional
+   arguments; this suite alone calls [tested]. *)
+let test_l9_unused_surface () =
+  let report = run_report (config ~rules:[ Rule.L9 ] ()) in
+  let here =
+    List.filter
+      (fun (file, _) -> String.equal file "fix_surface.mli")
+      (locs Rule.L9 report.Lint.diagnostics)
+  in
+  Alcotest.check loc_list
+    "L9 fires on the nested and the top-level unused value and the \
+     never-passed optional argument"
+    [ ("fix_surface.mli", 15); ("fix_surface.mli", 18); ("fix_surface.mli", 23) ]
+    here;
+  List.iter
+    (fun sub ->
+      if
+        not
+          (List.exists
+             (fun (d : Diagnostic.t) -> contains ~sub d.Diagnostic.message)
+             report.Lint.diagnostics)
+      then Alcotest.failf "no L9 finding mentions %s" sub)
+    [ "Fix_surface.Sub.forgotten"; "Fix_surface.unused"; "?never" ];
+  match report.Lint.surface with
+  | None -> Alcotest.fail "L9 ran but the report has no surface section"
+  | Some s ->
+      Alcotest.(check int) "the test-only value is not flagged" 0
+        (Lint_fixtures.Fix_surface.tested 0);
+      Alcotest.(check (list string)) "and is listed as test-only"
+        [ "Fix_surface.tested" ] s.Lr_lint.Surface.test_only
+
+let test_l9_needs_every_caller () =
+  (* Only lib/'s cmts: the callers in bin/, bench/, ... are unseen, so
+     L9 must refuse rather than flag what only they use. *)
+  let cfg =
+    {
+      (config ~rules:[ Rule.L9 ] ()) with
+      Lint.build_dir = Filename.concat context_root "lib";
+    }
+  in
+  match Lint.run cfg with
+  | Ok r ->
+      Alcotest.failf "L9 ran without the callers' cmts (%d finding(s))"
+        (List.length r.Lint.diagnostics)
+  | Error e ->
+      if not (contains ~sub:"examples" e) then
+        Alcotest.failf "the error should name the unbuilt dirs: %s" e
+
 (* {1 Driver behaviour} *)
 
 let test_rules_filter () =
   let all = run (config ()) in
-  Alcotest.(check int) "all eight rules together" 25 (List.length all);
+  Alcotest.(check int) "all nine rules together" 59 (List.length all);
   let some = run (config ~rules:[ Rule.L1; Rule.L3 ] ()) in
   Alcotest.(check int) "a subset runs only those rules" 6 (List.length some);
   List.iter
@@ -272,7 +324,7 @@ let test_baseline_roundtrip () =
       let kept, suppressed = Baseline.apply b all in
       Alcotest.(check int) "a full baseline suppresses everything" 0
         (List.length kept);
-      Alcotest.(check int) "all findings accounted for" 25 suppressed)
+      Alcotest.(check int) "all findings accounted for" 59 suppressed)
 
 let test_baseline_redetects () =
   with_tmp (fun path ->
@@ -287,20 +339,22 @@ let test_baseline_redetects () =
       in
       let kept, suppressed = Baseline.apply b all in
       Alcotest.(check int) "one finding re-detected" 1 (List.length kept);
-      Alcotest.(check int) "the rest stays suppressed" 24 suppressed;
+      Alcotest.(check int) "the rest stays suppressed" 58 suppressed;
       let reappeared = List.hd kept and dropped = List.hd all in
       Alcotest.(check string) "and it is the un-baselined one"
         dropped.Diagnostic.key reappeared.Diagnostic.key)
 
 let test_report_json_roundtrip () =
   let diags = run (config ()) in
-  let doc = Lint.report_json ~units:4 ~suppressed:0 ~safety:None diags in
+  let doc =
+    Lint.report_json ~units:4 ~suppressed:0 ~safety:None ~surface:None diags
+  in
   match Json.parse (Json.to_string doc) with
   | Error e -> Alcotest.failf "report JSON does not parse back: %s" e
   | Ok doc' -> (
       match Option.bind (Json.member "findings" doc') Json.to_list with
       | Some items ->
-          Alcotest.(check int) "findings survive the roundtrip" 25
+          Alcotest.(check int) "findings survive the roundtrip" 59
             (List.length items)
       | None -> Alcotest.fail "findings array missing")
 
@@ -308,7 +362,7 @@ let test_report_json_safety_section () =
   let report = run_report (config ~rules:Rule.all ()) in
   let doc =
     Lint.report_json ~units:6 ~suppressed:0 ~safety:report.Lint.safety
-      report.Lint.diagnostics
+      ~surface:report.Lint.surface report.Lint.diagnostics
   in
   match Json.parse (Json.to_string doc) with
   | Error e -> Alcotest.failf "report JSON does not parse back: %s" e
@@ -434,6 +488,12 @@ let () =
             test_l7_through_first_class_modules;
           Alcotest.test_case "L8 single-domain atomic" `Quick
             test_l8_single_domain_atomic;
+        ] );
+      ( "unused surface",
+        [
+          Alcotest.test_case "L9 unused surface" `Quick test_l9_unused_surface;
+          Alcotest.test_case "L9 needs every caller's cmts" `Quick
+            test_l9_needs_every_caller;
         ] );
       ( "driver",
         [

@@ -122,9 +122,9 @@ let test_plane_random_backpressure () =
   check_int "all accepted packets delivered" !accepted c.Plane.delivered;
   check_bool "consistent" true (Plane.consistent p)
 
-(* Churn: cutting the chain strands packets behind the cut; reversals
-   churn in place but cannot deliver; restoring the link lets the
-   backlog drain completely. *)
+(* Churn: cutting the chain strands packets behind the cut; no node
+   there raises, since no orientation can reach the destination across
+   the cut; restoring the link lets the backlog drain completely. *)
 let test_plane_churn_strands_then_recovers () =
   let p = Plane.create ~qcap:8 (good_chain 5) in
   ignore (Plane.inject p ~src:4 ~count:3 : int * int);
@@ -135,13 +135,44 @@ let test_plane_churn_strands_then_recovers () =
   done;
   let mid = Plane.counters p in
   check_int "stranded" 0 mid.Plane.delivered;
-  check_bool "reversing at the cut" true (mid.Plane.reversals > 0);
+  check_int "no raise while cut off" 0 mid.Plane.reversals;
   Plane.add_link p 1 2;
   for _ = 1 to 200 do
     ignore (Plane.slot p : Plane.slot_outcome)
   done;
   let fin = Plane.counters p in
   check_int "backlog drained after repair" 3 fin.Plane.delivered;
+  check_bool "consistent" true (Plane.consistent p)
+
+(* A long cut: packets wait behind it for 10,000 slots while the cut-off
+   side keeps its heights — no raise there (the counter counts every
+   one) and no edge among its nodes turns — and after the repair the
+   backlog arrives within 4n slots. *)
+let test_plane_long_cut_keeps_heights () =
+  let n = 8 in
+  let p = Plane.create ~qcap:8 (good_chain n) in
+  let side = [ (4, 5); (5, 6); (6, 7) ] in
+  let orientation () = List.map (fun (u, v) -> Plane.edge_out p u v) side in
+  let before = orientation () in
+  let accepted, _ = Plane.inject p ~src:(n - 1) ~count:5 in
+  Plane.remove_link p 3 4;
+  for s = 1 to 10_000 do
+    ignore (Plane.slot p : Plane.slot_outcome);
+    if s mod 1_000 = 0 then
+      check_bool "cut-off side keeps its orientation" true
+        (List.equal Bool.equal before (orientation ()))
+  done;
+  let mid = Plane.counters p in
+  check_int "nothing crosses the cut" 0 mid.Plane.delivered;
+  check_int "no raise behind the cut" 0 mid.Plane.reversals;
+  Plane.add_link p 3 4;
+  let slots = ref 0 in
+  while (Plane.counters p).Plane.delivered < accepted && !slots < 4 * n do
+    ignore (Plane.slot p : Plane.slot_outcome);
+    incr slots
+  done;
+  check_int "backlog delivered within 4n slots of the repair" accepted
+    (Plane.counters p).Plane.delivered;
   check_bool "consistent" true (Plane.consistent p)
 
 (* Height seeding from the stabilized fast engine must agree with the
@@ -354,6 +385,7 @@ let () =
           case "zero-hop at destination" test_plane_inject_at_destination_is_zero_hop;
           case "random backpressure stays acyclic" test_plane_random_backpressure;
           case "churn strands then recovers" test_plane_churn_strands_then_recovers;
+          case "a long cut keeps the cut-off heights" test_plane_long_cut_keeps_heights;
           case "engine height seeding" test_plane_engine_height_seeding;
           case "reversal is the shared PR raise" test_plane_reversal_is_the_pr_raise;
           case "birth distances under churn" test_plane_birth_distances_under_churn;
