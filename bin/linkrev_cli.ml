@@ -1112,7 +1112,7 @@ module Lint_cli = struct
         & info [ "rules" ] ~docv:"IDS"
             ~doc:
               "Comma-separated subset of rules to run (l1 poly-ops, l2 \
-               domain-race surface, l3 interface hygiene, l4 forbidden \
+               toplevel mutable state, l3 interface hygiene, l4 forbidden \
                constructs, l5 race candidates, l6 resident-loop blocking, \
                l7 escaping exceptions, l8 atomic overhead, l9 unused \
                surface), or $(b,all). Default: all nine.")
@@ -1252,7 +1252,7 @@ module Lint_cli = struct
       (Cmd.info "lint"
          ~doc:
            "Static analysis over the dune-produced typed trees: hot-path \
-            purity (l1), domain-race surface (l2), interface hygiene (l3), \
+            purity (l1), toplevel mutable state (l2), interface hygiene (l3), \
             forbidden constructs (l4), plus the interprocedural \
             domain-safety rules over the cross-module call graph: race \
             candidates (l5), resident-loop blocking (l6), escaping \

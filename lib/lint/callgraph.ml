@@ -12,9 +12,9 @@
    Cross-module references in the typed tree are fully qualified
    (dune's [Lib__Module] mangling flattens to [Lib.Module]), including
    through [open]; the indirections left are local module aliases
-   ([module P = Lr_parallel.Pool]) and functor instantiations
-   ([module H = Order.Make (...)]), both handled by a per-unit alias
-   table expanded at lookup time; values an [include] brings in,
+   ([module P = Lr_parallel.Pool], [let module F = Fast_engine in])
+   and functor instantiations ([module H = Order.Make (...)]), all
+   expanded by the unit's {!Alias} table; values an [include] brings in,
    linked to the included module's nodes once every unit is
    registered; and calls through a first-class module ([let module E
    = (val e)] or a [(module E : S)] parameter), where [E.f] resolves
@@ -168,7 +168,7 @@ let alloc_prims =
   ]
 
 (* Domain-crossing entry points, identified by declaration site so
-   aliases and [open] cannot hide them (same trick as Walk). *)
+   aliases and [open] cannot hide them. *)
 let decl_file (vd : Types.value_description) =
   Filename.basename vd.Types.val_loc.Location.loc_start.Lexing.pos_fname
 
@@ -194,9 +194,7 @@ type unit_ctx = {
   (* Ident.unique_name -> node id, for every binding turned into a
      node in this unit (toplevel and local children alike). *)
   idents : (string, int) Hashtbl.t;
-  (* local module name -> expansion (dotted), for [module P = ...]
-     aliases and functor instantiations. *)
-  aliases : (string, string) Hashtbl.t;
+  aliases : Alias.t;
   (* binding-location key -> node id, to reattach pass-2 traversal to
      the nodes pass 1 registered. *)
   anchors : (string, int) Hashtbl.t;
@@ -246,29 +244,25 @@ let loc_key (loc : Location.t) =
   Printf.sprintf "%s:%d:%d" p.Lexing.pos_fname p.Lexing.pos_lnum
     p.Lexing.pos_cnum
 
-let rec module_head (me : Typedtree.module_expr) =
-  match me.Typedtree.mod_desc with
-  | Typedtree.Tmod_ident (p, _) -> Some (Walk.flatten_dunder (Path.name p))
-  | Typedtree.Tmod_apply (f, _, _) -> module_head f
-  | Typedtree.Tmod_constraint (me, _, _, _) -> module_head me
-  | _ -> None
+let module_head ctx me = Option.map (Alias.qualify ctx.aliases) (Alias.head me)
 
 (* A module type's qualified name; a path rooted in the unit itself
    gets the unit prefix. *)
-let qualify ctx p =
+let mty_name ctx p =
   let name = Walk.flatten_dunder (Path.name p) in
   if Ident.global (Path.head p) then name else ctx.pretty ^ "." ^ name
 
-(* Pass 1: register a node for every toplevel binding (and per-unit
-   alias table entries), so pass-2 bodies can resolve references into
-   any unit regardless of scan order. *)
+(* Pass 1: bind the unit's module aliases, note its first-class
+   packings and register a node for every toplevel binding, so pass-2
+   bodies can resolve references into any unit regardless of scan
+   order. *)
 let register_unit b (u : Cmt_unit.t) (str : Typedtree.structure) =
   let ctx =
     {
       unit_name = u.Cmt_unit.modname;
       pretty = u.Cmt_unit.pretty;
       idents = Hashtbl.create 64;
-      aliases = Hashtbl.create 8;
+      aliases = Alias.create ();
       anchors = Hashtbl.create 64;
       unpacked = Hashtbl.create 8;
     }
@@ -314,7 +308,7 @@ let register_unit b (u : Cmt_unit.t) (str : Typedtree.structure) =
         in
         register_module prefix mod_name mb.Typedtree.mb_expr
     | Typedtree.Tstr_include incl -> (
-        match module_head incl.Typedtree.incl_mod with
+        match module_head ctx incl.Typedtree.incl_mod with
         | Some target ->
             List.iter
               (function
@@ -352,32 +346,36 @@ let register_unit b (u : Cmt_unit.t) (str : Typedtree.structure) =
         register_module prefix mod_name me
     | Typedtree.Tmod_functor (_, body) ->
         (* Functor bodies become nodes under the functor's own name;
-           [module M = F (X)] aliases M to F below, so [M.f] resolves
-           to the (shared) body node [F.f]. *)
+           [module M = F (X)] aliases M to F, so [M.f] resolves to the
+           (shared) body node [F.f]. *)
         register_module prefix mod_name body
-    | Typedtree.Tmod_ident (p, _) -> (
-        match mod_name with
-        | Some n ->
-            Hashtbl.replace ctx.aliases n (Walk.flatten_dunder (Path.name p))
-        | None -> ())
-    | Typedtree.Tmod_apply (_, _, _) -> (
-        match (mod_name, module_head me) with
-        | Some n, Some head -> Hashtbl.replace ctx.aliases n head
-        | _ -> ())
     | _ -> ()
   in
-  List.iter (register_item "") str.Typedtree.str_items;
+  let default = Tast_iterator.default_iterator in
+  let bind (mb : Typedtree.module_binding) =
+    Option.iter
+      (fun id -> Alias.bind ctx.aliases id mb.Typedtree.mb_expr)
+      mb.Typedtree.mb_id
+  in
+  let structure_item it (si : Typedtree.structure_item) =
+    (match si.Typedtree.str_desc with
+    | Typedtree.Tstr_module mb -> bind mb
+    | Typedtree.Tstr_recmodule mbs -> List.iter bind mbs
+    | _ -> ());
+    default.Tast_iterator.structure_item it si
+  in
   let expr it (e : Typedtree.expression) =
     (match (e.Typedtree.exp_desc, Types.get_desc e.Typedtree.exp_type) with
-    | Typedtree.Texp_pack me, Types.Tpackage (mty, _) -> (
-        match module_head me with
-        | Some head -> b.packs <- (qualify ctx mty, ctx, head) :: b.packs
-        | None -> ())
+    | Typedtree.Texp_letmodule (Some id, _, _, me, _), _ -> Alias.bind ctx.aliases id me
+    | Typedtree.Texp_pack me, Types.Tpackage (mty, _) ->
+        Option.iter (fun head -> b.packs <- (mty_name ctx mty, ctx, head) :: b.packs)
+          (module_head ctx me)
     | _ -> ());
-    Tast_iterator.default_iterator.Tast_iterator.expr it e
+    default.Tast_iterator.expr it e
   in
-  let it = { Tast_iterator.default_iterator with Tast_iterator.expr } in
+  let it = { default with Tast_iterator.expr; structure_item } in
   it.Tast_iterator.structure it str;
+  List.iter (register_item "") str.Typedtree.str_items;
   b.ctxs <- (u, ctx) :: b.ctxs
 
 (* After every unit is registered: an included value resolves to the
@@ -398,35 +396,15 @@ let link_includes b =
 let resolve_name b ctx name =
   match Hashtbl.find_opt b.by_qname name with
   | Some id -> Some id
-  | None -> (
-      (* expand a leading local-module alias and retry *)
-      let rec expand name fuel =
-        if fuel = 0 then None
-        else
-          match String.index_opt name '.' with
-          | None -> None
-          | Some i -> (
-              let head = String.sub name 0 i in
-              let rest = String.sub name i (String.length name - i) in
-              match Hashtbl.find_opt ctx.aliases head with
-              | None -> None
-              | Some target -> (
-                  let name' = target ^ rest in
-                  match Hashtbl.find_opt b.by_qname name' with
-                  | Some id -> Some id
-                  | None -> expand name' (fuel - 1)))
-      in
-      match expand name 4 with
-      | Some id -> Some id
-      | None ->
-          (* same-unit nested module: [Persistent.launch] inside
-             pool.ml is [Lr_parallel.Pool.Persistent.launch] *)
-          Hashtbl.find_opt b.by_qname (ctx.pretty ^ "." ^ name))
+  | None ->
+      (* same-unit nested module: [Persistent.launch] inside pool.ml
+         is [Lr_parallel.Pool.Persistent.launch] *)
+      Hashtbl.find_opt b.by_qname (ctx.pretty ^ "." ^ name)
 
 let resolve b ctx path =
   match path with
   | Path.Pident id -> Hashtbl.find_opt ctx.idents (Ident.unique_name id)
-  | _ -> resolve_name b ctx (Walk.flatten_dunder (Path.name path))
+  | _ -> resolve_name b ctx (Alias.qualify ctx.aliases path)
 
 (* [E.f] through a module unpacked from a first-class value: [f] of
    every module packed at [E]'s module type. *)
@@ -443,8 +421,6 @@ let resolve_packed b ctx path =
   | _ -> []
 
 let node_of b id = Hashtbl.find b.by_id id
-
-let first_explicit_arg args = List.find_map (fun (_, a) -> a) args
 
 let label_key (lbl : Types.label_description) =
   let p = lbl.Types.lbl_loc.Location.loc_start in
@@ -542,7 +518,7 @@ let is_alloc_expr (e : Typedtree.expression) =
 let record_unpack ctx id ty =
   match Types.get_desc ty with
   | Types.Tpackage (mty, _) ->
-      Hashtbl.replace ctx.unpacked (Ident.unique_name id) (qualify ctx mty)
+      Hashtbl.replace ctx.unpacked (Ident.unique_name id) (mty_name ctx mty)
   | _ -> ()
 
 (* [fun (module E : S) -> ...] binds [E] by a pattern, not a
@@ -729,7 +705,7 @@ and walk_apply st it e f args =
               }
               :: st.current.raises
           else if List.mem full ref_assign_prims then (
-            match first_explicit_arg args with
+            match Walk.first_explicit_arg args with
             | Some target -> (
                 match mutation_target st target with
                 | Some (display, key) ->
@@ -738,7 +714,7 @@ and walk_apply st it e f args =
                 | None -> ())
             | None -> ())
           else if List.mem full container_mutator_prims then (
-            match first_explicit_arg args with
+            match Walk.first_explicit_arg args with
             | Some target -> (
                 match mutation_target st target with
                 | Some (display, key) ->
@@ -749,7 +725,7 @@ and walk_apply st it e f args =
                 | None -> ())
             | None -> ())
           else if List.mem full atomic_prims then (
-            match first_explicit_arg args with
+            match Walk.first_explicit_arg args with
             | Some target -> (
                 match atomic_target st.ctx target with
                 | Some (display, key) ->

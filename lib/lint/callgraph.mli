@@ -5,7 +5,10 @@
     of their enclosing node), and synthetic nodes for function literals
     passed directly to a domain-crossing entry point.  An edge [a → b]
     means [a]'s body references an identifier resolving to [b],
-    applied or not.  A value brought in by [include] resolves to the
+    applied or not.  Local module aliases ([module P =
+    Lr_parallel.Pool], [module M = F (X)] and [let module F =
+    Lr_fast.Fast_engine in]) resolve through {!Alias}, the resolver
+    {!Surface} shares.  A value brought in by [include] resolves to the
     included module's binding, and [E.f] on a module unpacked from a
     first-class value resolves to [f] of every module packed at [E]'s
     module type — so a caller that picks its implementation at run

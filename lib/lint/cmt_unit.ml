@@ -4,7 +4,6 @@ type t = {
   pretty : string;
   source : string option;
   structure : Typedtree.structure option;
-  imports : string list;
 }
 
 (* [None] for unreadable cmts and dune-generated alias units. *)
@@ -28,7 +27,6 @@ let load_file cmt_path =
               pretty = Walk.flatten_dunder cmt.Cmt_format.cmt_modname;
               source;
               structure;
-              imports = List.map fst cmt.Cmt_format.cmt_imports;
             })
 
 let is_dir p =

@@ -7,7 +7,6 @@ type t = {
   source : string option;  (** repo-relative, e.g. ["lib/automata/automaton.ml"] *)
   structure : Typedtree.structure option;
       (** [Some] for implementation cmts *)
-  imports : string list;  (** unit names this unit depends on *)
 }
 
 val load_tree : string -> t list * string list

@@ -77,46 +77,22 @@ let l1_diags config (u : Cmt_unit.t) (facts : Walk.facts) =
                 p.Walk.arg_type)))
     facts.Walk.poly_apps
 
-(* --- L2: mutable toplevel state on the domain-parallel surface ---- *)
+(* --- L2: toplevel mutable state ------------------------------------ *)
 
-let l2_reachable units roots =
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun (u : Cmt_unit.t) -> Hashtbl.replace by_name u.Cmt_unit.modname u)
-    units;
-  let seen = Hashtbl.create 64 in
-  let rec visit name =
-    if not (Hashtbl.mem seen name) then (
-      Hashtbl.replace seen name ();
-      match Hashtbl.find_opt by_name name with
-      | Some u ->
-          List.iter
-            (fun i -> if Hashtbl.mem by_name i then visit i)
-            u.Cmt_unit.imports
-      | None -> ())
-  in
-  List.iter visit roots;
-  seen
-
-let l2_diags config scanned reachable =
-  List.concat_map
-    (fun ((u : Cmt_unit.t), (facts : Walk.facts)) ->
-      if not (Hashtbl.mem reachable u.Cmt_unit.modname) then []
+(* Every domain sees a unit's toplevel state, so L2 asks no question of
+   reachability: which calls cross domains is L5's to decide. *)
+let l2_diags config (u : Cmt_unit.t) (facts : Walk.facts) =
+  List.filter_map
+    (fun (m : Walk.mutable_binding) ->
+      let qname = u.Cmt_unit.pretty ^ "." ^ m.Walk.binding in
+      if allowed config Rule.L2 [ u.Cmt_unit.pretty; qname ] then None
       else
-        List.filter_map
-          (fun (m : Walk.mutable_binding) ->
-            let qname = u.Cmt_unit.pretty ^ "." ^ m.Walk.binding in
-            if allowed config Rule.L2 [ u.Cmt_unit.pretty; qname ] then None
-            else
-              Some
-                (Diagnostic.of_location ~rule:Rule.L2
-                   ~severity:Diagnostic.Error m.Walk.bind_loc
-                   (Printf.sprintf
-                      "toplevel mutable state %s (%s) is reachable from \
-                       domain-parallel code"
-                      qname m.Walk.kind)))
-          facts.Walk.mutables)
-    scanned
+        Some
+          (Diagnostic.of_location ~rule:Rule.L2 ~severity:Diagnostic.Error
+             m.Walk.bind_loc
+             (Printf.sprintf "toplevel mutable state %s (%s) is shared by every domain"
+                qname m.Walk.kind)))
+    facts.Walk.mutables
 
 (* --- L3: every .ml under lib/ needs an .mli ----------------------- *)
 
@@ -278,40 +254,15 @@ let run config =
     let report_units =
       List.filter (Cmt_unit.in_dirs config.dirs) units
     in
-    let capture_units =
-      List.filter (Cmt_unit.in_dirs config.capture_dirs) units
-    in
-    let scan_facts us =
+    let report_facts =
       List.filter_map
         (fun (u : Cmt_unit.t) ->
-          match u.Cmt_unit.structure with
-          | Some s -> Some (u, Walk.of_structure resolver s)
-          | None -> None)
-        us
+          Option.map (fun s -> (u, Walk.of_structure resolver s)) u.Cmt_unit.structure)
+        report_units
     in
-    let report_facts = scan_facts report_units in
-    let capture_facts = scan_facts capture_units in
-    let all_facts = report_facts @ capture_facts in
-    let known = Hashtbl.create 64 in
-    List.iter
-      (fun (u : Cmt_unit.t) -> Hashtbl.replace known u.Cmt_unit.modname ())
-      units;
-    let roots =
-      List.concat_map
-        (fun ((u : Cmt_unit.t), (facts : Walk.facts)) ->
-          match facts.Walk.pool_uses with
-          | [] -> []
-          | uses ->
-              u.Cmt_unit.modname
-              :: List.concat_map
-                   (fun (p : Walk.pool_use) ->
-                     List.filter (Hashtbl.mem known) p.Walk.captured_units)
-                   uses)
-        all_facts
-    in
-    let reachable = l2_reachable units (List.sort_uniq String.compare roots) in
     let safety, sdiags =
-      safety_diags config (report_units @ capture_units)
+      safety_diags config
+        (report_units @ List.filter (Cmt_unit.in_dirs config.capture_dirs) units)
     in
     let surface =
       if enabled config Rule.L9 then
@@ -325,7 +276,7 @@ let run config =
              List.concat_map (fun (u, f) -> l1_diags config u f) report_facts
            else []);
           (if enabled config Rule.L2 then
-             l2_diags config report_facts reachable
+             List.concat_map (fun (u, f) -> l2_diags config u f) report_facts
            else []);
           (if enabled config Rule.L3 then l3_diags config else []);
           (if enabled config Rule.L4 then

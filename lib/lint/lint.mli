@@ -1,13 +1,12 @@
 (** The lint driver: loads dune-produced [.cmt] typed trees and checks
     the rules ({!Rule.t}) over the configured source dirs.
 
-    For the intraprocedural rules (L1–L4), [dirs] (default [lib]) are
-    reported on and [capture_dirs] (default [bin], [bench]) are
-    additionally scanned so Pool-parallel regions launched from
-    executables count as L2 roots without their own findings being
-    reported.  The interprocedural domain-safety rules (L5–L8,
-    {!Domain_safety}) report over [dirs] {e and} [capture_dirs]: a
-    race seeded from a CLI driver is just as much a race.  L9
+    The intraprocedural rules (L1–L4) scan and report on [dirs]
+    (default [lib]) only.  [capture_dirs] (default [bin], [bench])
+    feed the interprocedural domain-safety rules (L5–L8,
+    {!Domain_safety}) alone, which report over [dirs] {e and}
+    [capture_dirs]: a race seeded from a CLI driver is just as much a
+    race.  L9
     ({!Surface}) reports on the interfaces under [dirs] and counts uses
     from every unit under the build dir. *)
 

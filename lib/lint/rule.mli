@@ -7,10 +7,11 @@
       walk over graph state is both a performance trap and a
       determinism hazard (it traverses arbitrarily deep structure and
       distinguishes representations the code considers equal).
-    - {b L2 domain-race surface} — toplevel mutable state ([ref]s,
-      [Hashtbl]s, arrays, mutable records, ...) in modules whose values
-      are reachable from [Lr_parallel.Pool] worker closures, minus an
-      explicit allowlist of serialized-by-design state.
+    - {b L2 toplevel mutable state} — toplevel mutable state under
+      the linted dirs ([ref]s, [Hashtbl]s, arrays, mutable records,
+      ...), minus an explicit allowlist of serialized-by-design state.
+      Every domain sees a unit's toplevel state; which calls cross
+      domains is L5's question, not this rule's.
     - {b L3 interface hygiene} — every [.ml] under the linted tree is
       sealed by a matching [.mli].
     - {b L4 forbidden constructs} — [Obj.magic], printing primitives

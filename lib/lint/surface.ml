@@ -13,9 +13,8 @@
    records cannot serve: a library module arrives behind dune's alias,
    as an alias coercion that names nothing.
 
-   Names are dotted and unmangled ([Lr_graph.Node.compare]).  Module
-   aliases ([module P = Lr_parallel.Pool], [module M = F (X)], and
-   their [let module] forms) expand at lookup, as in {!Callgraph}. *)
+   Names are dotted and unmangled ([Lr_graph.Node.compare]), with
+   module aliases expanded by {!Alias}, as in {!Callgraph}. *)
 
 type finding = { loc : Location.t; message : string }
 
@@ -96,21 +95,7 @@ let note tbl key reach =
   | Some Real, _ | Some Test, Test -> ()
   | _ -> Hashtbl.replace tbl key reach
 
-type scope = {
-  tables : tables;
-  unit_name : string;
-  reach : reach;
-  aliases : (string, string) Hashtbl.t;  (* Ident.unique_name -> module *)
-}
-
-let rec qualify sc (p : Path.t) =
-  match p with
-  | Path.Pident id -> (
-      match Hashtbl.find_opt sc.aliases (Ident.unique_name id) with
-      | Some target -> target
-      | None -> Walk.flatten_dunder (Ident.name id))
-  | Path.Pdot (p, s) -> qualify sc p ^ "." ^ s
-  | Path.Papply (f, _) | Path.Pextra_ty (f, _) -> qualify sc f
+type scope = { tables : tables; unit_name : string; reach : reach }
 
 let use sc name =
   match Hashtbl.find_opt sc.tables.exports_by_name name with
@@ -146,53 +131,33 @@ let rec use_module sc modname env (target : Types.module_type) =
         sg
   | _ -> use_all sc modname
 
-(* The module a module expression names, through the constraints the
-   type checker adds. *)
-let rec named (me : Typedtree.module_expr) =
-  match me.Typedtree.mod_desc with
-  | Typedtree.Tmod_ident (p, _) -> Some p
-  | Typedtree.Tmod_constraint (me, _, Typedtree.Tmodtype_implicit, _) -> named me
-  | _ -> None
-
-(* [module M = P] and [module M = F (X)] make [M] stand for [P] and
-   [F]. *)
-let alias sc id (me : Typedtree.module_expr) =
-  let head =
-    match me.Typedtree.mod_desc with
-    | Typedtree.Tmod_apply (f, _, _) -> named f
-    | _ -> named me
-  in
-  Option.iter
-    (fun p -> Hashtbl.replace sc.aliases (Ident.unique_name id) (qualify sc p))
-    head
-
 (* An omitted optional argument of a full application is filled in by
    the type checker as a [None] with no location. *)
 let supplies (e : Typedtree.expression) =
   not e.Typedtree.exp_loc.Location.loc_ghost
 
 let scan_unit tables ~reach (u : Cmt_unit.t) (str : Typedtree.structure) =
-  let sc =
-    { tables; unit_name = u.Cmt_unit.modname; reach; aliases = Hashtbl.create 16 }
-  in
+  let sc = { tables; unit_name = u.Cmt_unit.modname; reach } in
+  let aliases = Alias.create () in
+  let qualify = Alias.qualify aliases in
   let default = Tast_iterator.default_iterator in
   let expr it (e : Typedtree.expression) =
     (match e.Typedtree.exp_desc with
-    | Typedtree.Texp_ident (p, _, _) -> use sc (qualify sc p)
+    | Typedtree.Texp_ident (p, _, _) -> use sc (qualify p)
     | Typedtree.Texp_apply
         ({ Typedtree.exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) ->
-        let name = qualify sc p in
+        let name = qualify p in
         List.iter
           (function
             | Asttypes.Optional l, Some a when supplies a ->
                 note tables.supplied (name, l) reach
             | _ -> ())
           args
-    | Typedtree.Texp_letmodule (Some id, _, _, me, _) -> alias sc id me
+    | Typedtree.Texp_letmodule (Some id, _, _, me, _) -> Alias.bind aliases id me
     | Typedtree.Texp_pack me -> (
-        match (named me, Types.get_desc e.Typedtree.exp_type) with
+        match (Alias.head me, Types.get_desc e.Typedtree.exp_type) with
         | Some p, Types.Tpackage (mty, _) ->
-            use_module sc (qualify sc p) e.Typedtree.exp_env (Types.Mty_ident mty)
+            use_module sc (qualify p) e.Typedtree.exp_env (Types.Mty_ident mty)
         | _ -> ())
     | _ -> ());
     default.Tast_iterator.expr it e
@@ -200,14 +165,14 @@ let scan_unit tables ~reach (u : Cmt_unit.t) (str : Typedtree.structure) =
   let module_expr it (me : Typedtree.module_expr) =
     (match me.Typedtree.mod_desc with
     | Typedtree.Tmod_apply (f, arg, _) -> (
-        match (named arg, scrape arg.Typedtree.mod_env f.Typedtree.mod_type) with
+        match (Alias.head arg, scrape arg.Typedtree.mod_env f.Typedtree.mod_type) with
         | Some p, Types.Mty_functor (Types.Named (_, param), _) ->
-            use_module sc (qualify sc p) arg.Typedtree.mod_env param
-        | Some p, _ -> use_all sc (qualify sc p)
+            use_module sc (qualify p) arg.Typedtree.mod_env param
+        | Some p, _ -> use_all sc (qualify p)
         | None, _ -> ())
     | Typedtree.Tmod_constraint (arg, mty, Typedtree.Tmodtype_explicit _, _) -> (
-        match named arg with
-        | Some p -> use_module sc (qualify sc p) arg.Typedtree.mod_env mty
+        match Alias.head arg with
+        | Some p -> use_module sc (qualify p) arg.Typedtree.mod_env mty
         | None -> ())
     | _ -> ());
     default.Tast_iterator.module_expr it me
@@ -215,9 +180,9 @@ let scan_unit tables ~reach (u : Cmt_unit.t) (str : Typedtree.structure) =
   let structure_item it (si : Typedtree.structure_item) =
     (match si.Typedtree.str_desc with
     | Typedtree.Tstr_module { Typedtree.mb_id = Some id; mb_expr; _ } ->
-        alias sc id mb_expr
+        Alias.bind aliases id mb_expr
     | Typedtree.Tstr_include { Typedtree.incl_mod; _ } ->
-        Option.iter (fun p -> use_all sc (qualify sc p)) (named incl_mod)
+        Option.iter (fun p -> use_all sc (qualify p)) (Alias.head incl_mod)
     | _ -> ());
     default.Tast_iterator.structure_item it si
   in

@@ -18,17 +18,10 @@ type mutable_binding = {
   bind_loc : Location.t;
 }
 
-type pool_use = {
-  entry : string;
-  use_loc : Location.t;
-  captured_units : string list;
-}
-
 type facts = {
   poly_apps : poly_app list;
   forbiddens : forbidden list;
   mutables : mutable_binding list;
-  pool_uses : pool_use list;
 }
 
 type env_resolver = Env.t -> Env.t
@@ -187,53 +180,9 @@ let rec mutable_kind resolve env local_mutable_records depth ty =
 let first_explicit_arg args =
   List.find_map (fun (_, arg) -> arg) args
 
-(* Pool entry points are identified by declaration site, not path text,
-   so aliases and [open Lr_parallel] cannot hide them. *)
-let pool_entry_names = [ "map_range"; "run_trials" ]
-let pool_files = [ "pool.ml"; "pool.mli" ]
-
-let is_pool_entry path (vd : Types.value_description) =
-  List.mem (Path.last path) pool_entry_names
-  && List.mem
-       (Filename.basename vd.Types.val_loc.Location.loc_start.Lexing.pos_fname)
-       pool_files
-
-let unit_candidates_of_path p =
-  let rec split p acc =
-    match p with
-    | Path.Pident id -> (Ident.name id, acc)
-    | Path.Pdot (p, s) -> split p (s :: acc)
-    | Path.Papply (f, _) -> split f acc
-    | Path.Pextra_ty (p, _) -> split p acc
-  in
-  let head, rest = split p [] in
-  if String.equal head "" || not (Char.uppercase_ascii head.[0] = head.[0])
-  then []
-  else
-    match rest with
-    | next :: _ -> [ head; head ^ "__" ^ next ]
-    | [] -> [ head ]
-
-let captured_units_of_args args =
-  let acc = ref [] in
-  let expr sub (e : Typedtree.expression) =
-    (match e.Typedtree.exp_desc with
-    | Typedtree.Texp_ident (p, _, _) ->
-        acc := List.rev_append (unit_candidates_of_path p) !acc
-    | _ -> ());
-    Tast_iterator.default_iterator.Tast_iterator.expr sub e
-  in
-  let it = { Tast_iterator.default_iterator with Tast_iterator.expr } in
-  List.iter
-    (fun (_, arg) ->
-      match arg with Some e -> it.Tast_iterator.expr it e | None -> ())
-    args;
-  List.sort_uniq String.compare !acc
-
 let collect_exprs resolve structure =
   let poly_apps = ref [] in
   let forbiddens = ref [] in
-  let pool_uses = ref [] in
   let expr sub (e : Typedtree.expression) =
     (match e.Typedtree.exp_desc with
     | Typedtree.Texp_ident (p, _, _) when stdlib_value p forbidden_idents ->
@@ -242,7 +191,7 @@ let collect_exprs resolve structure =
           :: !forbiddens
     | Typedtree.Texp_apply (f, args) -> (
         match f.Typedtree.exp_desc with
-        | Typedtree.Texp_ident (p, _, vd) ->
+        | Typedtree.Texp_ident (p, _, _) ->
             if stdlib_value p poly_ops then (
               match first_explicit_arg args with
               | Some arg ->
@@ -265,21 +214,13 @@ let collect_exprs resolve structure =
                   forbid_loc = e.exp_loc;
                 }
                 :: !forbiddens
-            else if is_pool_entry p vd then
-              pool_uses :=
-                {
-                  entry = Path.last p;
-                  use_loc = e.exp_loc;
-                  captured_units = captured_units_of_args args;
-                }
-                :: !pool_uses
         | _ -> ())
     | _ -> ());
     Tast_iterator.default_iterator.Tast_iterator.expr sub e
   in
   let it = { Tast_iterator.default_iterator with Tast_iterator.expr } in
   it.Tast_iterator.structure it structure;
-  (List.rev !poly_apps, List.rev !forbiddens, List.rev !pool_uses)
+  (List.rev !poly_apps, List.rev !forbiddens)
 
 (* --- toplevel mutable state -------------------------------------- *)
 
@@ -361,6 +302,6 @@ let collect_mutables resolve structure =
   List.rev !acc
 
 let of_structure resolve structure =
-  let poly_apps, forbiddens, pool_uses = collect_exprs resolve structure in
+  let poly_apps, forbiddens = collect_exprs resolve structure in
   let mutables = collect_mutables resolve structure in
-  { poly_apps; forbiddens; mutables; pool_uses }
+  { poly_apps; forbiddens; mutables }

@@ -1,9 +1,10 @@
-(** Typed-tree fact extraction for the lint rules.
+(** Typed-tree fact extraction for the intraprocedural lint rules
+    (L1, L2, L4).
 
     Identifiers are classified by their {e resolved} [Path.t] (stdlib
-    values always resolve through the [Stdlib] unit) and, for Pool entry
-    points, by declaration site, so neither shadowing nor module aliases
-    change what fires. *)
+    values always resolve through the [Stdlib] unit), so neither
+    shadowing nor module aliases change what fires.  Which calls cross
+    domains is {!Callgraph}'s question, not this module's. *)
 
 (** An application of a polymorphic structural operation ([=],
     [compare], [Hashtbl.hash], [List.mem], ...).  [exempt] is true when
@@ -26,20 +27,10 @@ type mutable_binding = {
   bind_loc : Location.t;
 }
 
-(** An application of [Pool.map_range] / [Pool.run_trials].
-    [captured_units] are compilation-unit name candidates referenced
-    anywhere in the argument subtree. *)
-type pool_use = {
-  entry : string;
-  use_loc : Location.t;
-  captured_units : string list;
-}
-
 type facts = {
   poly_apps : poly_app list;
   forbiddens : forbidden list;
   mutables : mutable_binding list;
-  pool_uses : pool_use list;
 }
 
 val flatten_dunder : string -> string
@@ -47,6 +38,10 @@ val flatten_dunder : string -> string
 
 val strip_stdlib : string -> string
 (** Drops a leading ["Stdlib."] prefix, if any. *)
+
+val first_explicit_arg :
+  ('l * Typedtree.expression option) list -> Typedtree.expression option
+(** The first argument an application supplies. *)
 
 type env_resolver = Env.t -> Env.t
 (** Rebuilds a usable typing environment from a cmt summary env

@@ -256,10 +256,7 @@ let pr_step t u =
     t.reversals <- t.reversals + 1
   end
 
-type slot_outcome = { delivered : int; reversals : int }
-
 let slot (t : t) =
-  let delivered0 = t.delivered and rev0 = t.reversals in
   let ha = t.ha and hb = t.hb and queues = t.queues and in_add = t.in_add in
   let dest = t.dest and qcap = t.qcap in
   Array.fill in_add 0 t.n 0;
@@ -340,8 +337,7 @@ let slot (t : t) =
   for i = 0 to !nrev - 1 do
     pr_step t t.rev_list.(i)
   done;
-  t.slots <- t.slots + 1;
-  { delivered = t.delivered - delivered0; reversals = t.reversals - rev0 }
+  t.slots <- t.slots + 1
 
 (* {1 Topology churn} *)
 

@@ -78,10 +78,9 @@ val inject : t -> src:int -> count:int -> int * int
     @raise Invalid_argument on an out-of-range [src] or negative
     [count]. *)
 
-type slot_outcome = { delivered : int; reversals : int }
-
-val slot : t -> slot_outcome
-(** One synchronous transmit-then-reverse round (see above). *)
+val slot : t -> unit
+(** One synchronous transmit-then-reverse round (see above); its
+    deliveries and reversals show in {!counters}. *)
 
 (** {2 Topology churn} *)
 

@@ -1,6 +1,5 @@
 module G = Lr_fast.Fast_graph
 module FM = Lr_routing.Fast_maintenance
-module Eq = Lr_sim.Event_queue
 
 type bp_spec = {
   nodes : int;
@@ -67,11 +66,6 @@ let pick_dest rng cum =
   while Float.compare cum.(!i) r <= 0 do incr i done;
   !i
 
-(* The scenario clock: churn toggles and the mid-run occupancy sample
-   are scheduled on the simulator's event queue (slot number as time),
-   popped as the slot loop crosses them. *)
-type tick = Churn_toggle | Sample_mid
-
 let run_traced ~trace_dir spec =
   if spec.nodes < 2 || spec.dests < 1 || spec.dests > spec.nodes then
     invalid_arg "Scenario.run_backpressure: bad nodes/dests";
@@ -122,15 +116,6 @@ let run_traced ~trace_dir spec =
     done;
     Array.of_list !out
   in
-  let ticks = Eq.create () in
-  if spec.churn_every > 0 then begin
-    let k = ref spec.churn_every in
-    while !k <= spec.slots do
-      Eq.add ticks ~time:(float_of_int !k) Churn_toggle;
-      k := !k + spec.churn_every
-    done
-  end;
-  Eq.add ticks ~time:(float_of_int (spec.slots / 2)) Sample_mid;
   let rng = rng_of spec 2 in
   let churn_rng = rng_of spec 3 in
   let cum = zipf_cum ~dests:spec.dests ~skew:spec.skew in
@@ -149,16 +134,10 @@ let run_traced ~trace_dir spec =
   let offered = ref 0 and dropped = ref 0 in
   let queued_mid = ref 0 in
   for s = 0 to spec.slots - 1 do
-    let ticking = ref true in
-    while !ticking do
-      match Eq.peek_time ticks with
-      | Some time when Float.compare time (float_of_int s) <= 0 -> (
-          match Eq.pop ticks with
-          | Some (_, Churn_toggle) -> toggle ()
-          | Some (_, Sample_mid) -> queued_mid := total_queued ()
-          | None -> ticking := false)
-      | _ -> ticking := false
-    done;
+    (* At the start of a slot: the churn toggle due then, if any, and
+       after it the mid-run occupancy sample. *)
+    if spec.churn_every > 0 && s > 0 && s mod spec.churn_every = 0 then toggle ();
+    if s = spec.slots / 2 then queued_mid := total_queued ();
     for _ = 1 to spec.rate do
       let d = pick_dest rng cum in
       let src = ref (Random.State.int rng spec.nodes) in
@@ -169,7 +148,7 @@ let run_traced ~trace_dir spec =
       incr offered;
       dropped := !dropped + dr
     done;
-    Array.iter (fun p -> ignore (Plane.slot p : Plane.slot_outcome)) planes
+    Array.iter Plane.slot planes
   done;
   let queued_end = total_queued () in
   (* Restore a mid-churn outage before draining, so stranded regions
@@ -181,7 +160,7 @@ let run_traced ~trace_dir spec =
   | None -> ());
   let d = ref 0 in
   while !d < spec.drain && total_queued () > 0 do
-    Array.iter (fun p -> ignore (Plane.slot p : Plane.slot_outcome)) planes;
+    Array.iter Plane.slot planes;
     incr d
   done;
   let fold f = Array.fold_left (fun acc p -> acc + f (Plane.counters p)) 0 planes in

@@ -3,8 +3,8 @@
     and the D-B1 packet bench.
 
     Both are single-threaded and fully deterministic from their spec
-    (seeded RNG, {!Lr_sim.Event_queue} scheduling with insertion-order
-    tie-breaks, synchronous plane slots). *)
+    (seeded RNG, synchronous plane slots; churn toggles and the mid-run
+    occupancy sample fall on fixed slot indices). *)
 
 (** {2 Backpressure rate sweep} *)
 

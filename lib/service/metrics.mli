@@ -9,8 +9,8 @@
 
     Two families are deliberately {e non}-deterministic and therefore
     excluded from {!totals_line} (which determinism fingerprints
-    hash): latency samples, and the ring-occupancy / steal counters of
-    {!ring_counters} — queue depth under free-running dispatch is a
+    hash): latency samples, and the ring-occupancy / steal counters
+    ({!ring_totals}) — queue depth under free-running dispatch is a
     wall-clock fact, not a function of the op stream. *)
 
 type counters = {
@@ -62,25 +62,16 @@ type totals = {
   stats_ops : int;
 }
 
-(** Per-shard op-ring observability.  Occupancy fields are sampled by
-    the single dispatcher after each push; steal counters are atomics
-    because any idle loop may act as the thief. *)
-type ring_counters = {
-  mutable max_depth : int;  (** High-water occupancy. *)
-  mutable depth_sum : int;
-  mutable depth_samples : int;
-  steal_attempts : int Atomic.t;
-      (** Token claims tried by non-owner loops (successful or not). *)
-  stolen : int Atomic.t;  (** Ops drained from this ring by thieves. *)
-}
-
-(** Immutable aggregate of {!ring_counters}. *)
+(** Per-shard op-ring observability, aggregated.  Occupancy is sampled
+    by the single dispatcher after each push; steals are counted by
+    whichever idle loop acts as the thief. *)
 type ring_totals = {
-  max_depth : int;
-  mean_depth : float;  (** [depth_sum / depth_samples] ([0.] if none). *)
+  max_depth : int;  (** High-water occupancy. *)
+  mean_depth : float;  (** Mean sampled occupancy ([0.] if none). *)
   depth_samples : int;
   steal_attempts : int;
-  stolen : int;
+      (** Token claims tried by non-owner loops (successful or not). *)
+  stolen : int;  (** Ops drained from rings by thieves. *)
 }
 
 type t

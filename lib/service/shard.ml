@@ -345,7 +345,7 @@ let forward t slots =
     | Some p ->
         let before = Lr_packet.Plane.counters p in
         for _ = 1 to slots do
-          ignore (Lr_packet.Plane.slot p : Lr_packet.Plane.slot_outcome)
+          Lr_packet.Plane.slot p
         done;
         let after = Lr_packet.Plane.counters p in
         {

@@ -429,34 +429,63 @@ let same_result a b =
   | M.Partitioned a, M.Partitioned b -> Node.Set.equal a b
   | _ -> false
 
-type removal = Down of int * int | Fail of int
+type op = Down of int * int | Up of int * int | Fail of int
 
-let removal_to_string = function
+let op_to_string = function
   | Down (u, v) -> Printf.sprintf "down %d-%d" u v
+  | Up (u, v) -> Printf.sprintf "up %d-%d" u v
   | Fail u -> Printf.sprintf "fail %d" u
 
 (* [ops] on fresh sessions of both tiers.  After every op the change
-   results must be equal, so must the oriented graphs, and the fast
-   engine must be consistent. *)
-let lockstep_removals rule config ops =
+   results must be equal, so must the oriented graphs and the work, the
+   fast engine must be consistent, and the quiescent state must be
+   acyclic and destination-oriented within the destination's component
+   (Thm 4.3/5.5). *)
+let lockstep rule config ops =
   let m = M.create rule config and f = FM.create rule config in
   List.iteri
     (fun i op ->
-      let rm, rf =
-        match op with
-        | Down (u, v) -> (M.fail_link m u v, FM.fail_link f u v)
-        | Fail u -> (M.fail_node m u, FM.fail_node f u)
-      in
       let what () =
         Format.asprintf "%a dest %d, %s" Digraph.pp config.Config.initial
           config.Config.destination
-          (String.concat ", " (List.map removal_to_string (List.filteri (fun j _ -> j <= i) ops)))
+          (String.concat ", "
+             (List.map op_to_string (List.filteri (fun j _ -> j <= i) ops)))
       in
-      if not (same_result rm rf) then check_result (what ()) rm rf;
+      let compare_results rm rf =
+        if not (same_result rm rf) then check_result (what ()) rm rf
+      in
+      (match op with
+      | Down (u, v) -> compare_results (M.fail_link m u v) (FM.fail_link f u v)
+      | Fail u -> compare_results (M.fail_node m u) (FM.fail_node f u)
+      | Up (u, v) ->
+          M.add_link m u v;
+          FM.add_link f u v);
       if not (Digraph.equal (M.graph m) (FM.graph f)) then
         Alcotest.failf "%s: oriented graphs differ" (what ());
-      if not (FM.consistent f) then Alcotest.failf "%s: fast engine inconsistent" (what ()))
+      if M.total_work m <> FM.total_work f then
+        Alcotest.failf "%s: work differs" (what ());
+      if not (FM.consistent f) then
+        Alcotest.failf "%s: fast engine inconsistent" (what ());
+      if not (Digraph.is_acyclic (M.graph m) && M.is_destination_oriented m) then
+        Alcotest.failf "%s: not acyclic and destination-oriented" (what ()))
     ops
+
+let links g =
+  List.map
+    (fun e -> (Edge.lo e, Edge.hi e))
+    (Edge.Set.elements (Undirected.edges (Digraph.skeleton g)))
+
+(* Every op sequence [sequences config] lists, in lockstep on every
+   instance of [small_instances]; returns the number of ops run. *)
+let exhaustive rule sequences =
+  List.fold_left
+    (fun n config ->
+      List.fold_left
+        (fun n ops ->
+          lockstep rule config ops;
+          n + List.length ops)
+        n (sequences config))
+    0 (small_instances ())
 
 (* Every single link-down and node-fail on every instance of
    [small_instances], and up to four nodes every pair of link-downs and
@@ -464,33 +493,53 @@ let lockstep_removals rule config ops =
    cut off exactly what the reference's before-minus-after component
    difference loses. *)
 let test_exhaustive_removals rule () =
-  let checked = ref 0 in
-  List.iter
-    (fun config ->
-      let g = config.Config.initial in
-      let downs =
-        List.map
-          (fun e -> Down (Edge.lo e, Edge.hi e))
-          (Edge.Set.elements (Undirected.edges (Digraph.skeleton g)))
-      in
-      let fails =
-        List.filter_map
-          (fun u -> if u = config.Config.destination then None else Some (Fail u))
-          (Node.Set.elements (Digraph.nodes g))
-      in
-      let run ops =
-        lockstep_removals rule config ops;
-        checked := !checked + List.length ops
-      in
-      List.iter (fun op -> run [ op ]) (downs @ fails);
-      if Digraph.num_nodes g <= 4 then
-        List.iter
-          (fun d ->
-            List.iter (fun d' -> if d' <> d then run [ d; d' ]) downs;
-            List.iter (fun f -> run [ d; f ]) fails)
-          downs)
-    (small_instances ());
-  check_int "ops checked" 139_502 !checked
+  let sequences config =
+    let g = config.Config.initial in
+    let downs = List.map (fun (u, v) -> Down (u, v)) (links g) in
+    let fails =
+      List.filter_map
+        (fun u -> if u = config.Config.destination then None else Some (Fail u))
+        (Node.Set.elements (Digraph.nodes g))
+    in
+    List.map (fun op -> [ op ]) (downs @ fails)
+    @
+    if Digraph.num_nodes g > 4 then []
+    else
+      List.concat_map
+        (fun d ->
+          List.filter_map (fun d' -> if d' <> d then Some [ d; d' ] else None) downs
+          @ List.map (fun f -> [ d; f ]) fails)
+        downs
+  in
+  check_int "ops checked" 139_502 (exhaustive rule sequences)
+
+(* Every link-up of an absent pair on every instance of
+   [small_instances], and up to four nodes every link-down followed by
+   every link-up, the removed link included: an up that rejoins a side
+   the down cut off drives [attach]. *)
+let test_exhaustive_link_ups rule () =
+  let sequences config =
+    let g = config.Config.initial in
+    let nodes = Node.Set.elements (Digraph.nodes g) in
+    let ups =
+      List.concat_map
+        (fun u ->
+          List.filter_map
+            (fun v ->
+              if u < v && not (Digraph.mem_edge g u v) then Some (Up (u, v))
+              else None)
+            nodes)
+        nodes
+    in
+    List.map (fun op -> [ op ]) ups
+    @
+    if Digraph.num_nodes g > 4 then []
+    else
+      List.concat_map
+        (fun (u, v) -> List.map (fun up -> [ Down (u, v); up ]) (Up (u, v) :: ups))
+        (links g)
+  in
+  check_int "ops checked" 59_532 (exhaustive rule sequences)
 
 (* The bitset worklist pops exactly what the heap it replaced popped:
    the lowest-id sink.  On 8,192 nodes (256 words, 8 summary words), a
@@ -720,5 +769,9 @@ let () =
             (test_exhaustive_removals M.Partial_reversal);
           case "FR: every removal on <= 5 nodes matches the reference"
             (test_exhaustive_removals M.Full_reversal);
+          case "PR: every link-up on <= 5 nodes matches the reference"
+            (test_exhaustive_link_ups M.Partial_reversal);
+          case "FR: every link-up on <= 5 nodes matches the reference"
+            (test_exhaustive_link_ups M.Full_reversal);
         ];
     ]

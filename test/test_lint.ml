@@ -73,7 +73,7 @@ let test_l1_poly_ops () =
 let test_l2_race_surface () =
   let diags = run (config ~rules:[ Rule.L2 ] ()) in
   Alcotest.check loc_list
-    "L2 fires on every toplevel mutable of the Pool-calling units"
+    "L2 fires on every toplevel mutable under the linted dir"
     [
       ("fix_domain_race.ml", 8);
       ("fix_domain_race.ml", 9);
@@ -154,8 +154,15 @@ let message rule diags =
   | Some d -> d.Diagnostic.message
   | None -> Alcotest.failf "no %s finding" (Rule.id rule)
 
+(* The let-module fixture's findings, kept apart from the others: the
+   next test asserts them. *)
+let in_alias_fixture (d : Diagnostic.t) =
+  String.starts_with ~prefix:"fix_alias_" (Filename.basename d.Diagnostic.file)
+
 let test_l5_race_candidates () =
-  let diags = run (config ~rules:[ Rule.L5 ] ()) in
+  let diags =
+    List.filter (Fun.negate in_alias_fixture) (run (config ~rules:[ Rule.L5 ] ()))
+  in
   Alcotest.check loc_list
     "L5 fires on the helper write and the three closure writes"
     [
@@ -168,6 +175,18 @@ let test_l5_race_candidates () =
   let msg = message Rule.L5 diags in
   if not (contains ~sub:"Fix_domain_race.record" msg) then
     Alcotest.failf "L5 should name the writing function: %s" msg
+
+(* Fix_alias_race's Pool closure calls Fix_alias_sink's writer only as
+   [M.bump] under [let module M = Fix_alias_sink in]: the call graph
+   must resolve the alias to see the race. *)
+let test_l5_through_let_module () =
+  let diags = List.filter in_alias_fixture (run (config ~rules:[ Rule.L5 ] ())) in
+  Alcotest.check loc_list "L5 fires on the write behind the alias"
+    [ ("fix_alias_sink.ml", 9) ]
+    (locs Rule.L5 diags);
+  let msg = message Rule.L5 diags in
+  if not (contains ~sub:"Fix_alias_sink.bump" msg) then
+    Alcotest.failf "L5 should name the writer behind the alias: %s" msg
 
 let test_l5_owner_annotation () =
   (* [record_owned] races exactly like [record] but carries an
@@ -296,7 +315,7 @@ let test_l9_needs_every_caller () =
 
 let test_rules_filter () =
   let all = run (config ()) in
-  Alcotest.(check int) "all nine rules together" 59 (List.length all);
+  Alcotest.(check int) "all nine rules together" 60 (List.length all);
   let some = run (config ~rules:[ Rule.L1; Rule.L3 ] ()) in
   Alcotest.(check int) "a subset runs only those rules" 6 (List.length some);
   List.iter
@@ -324,7 +343,7 @@ let test_baseline_roundtrip () =
       let kept, suppressed = Baseline.apply b all in
       Alcotest.(check int) "a full baseline suppresses everything" 0
         (List.length kept);
-      Alcotest.(check int) "all findings accounted for" 59 suppressed)
+      Alcotest.(check int) "all findings accounted for" 60 suppressed)
 
 let test_baseline_redetects () =
   with_tmp (fun path ->
@@ -339,7 +358,7 @@ let test_baseline_redetects () =
       in
       let kept, suppressed = Baseline.apply b all in
       Alcotest.(check int) "one finding re-detected" 1 (List.length kept);
-      Alcotest.(check int) "the rest stays suppressed" 58 suppressed;
+      Alcotest.(check int) "the rest stays suppressed" 59 suppressed;
       let reappeared = List.hd kept and dropped = List.hd all in
       Alcotest.(check string) "and it is the un-baselined one"
         dropped.Diagnostic.key reappeared.Diagnostic.key)
@@ -354,7 +373,7 @@ let test_report_json_roundtrip () =
   | Ok doc' -> (
       match Option.bind (Json.member "findings" doc') Json.to_list with
       | Some items ->
-          Alcotest.(check int) "findings survive the roundtrip" 59
+          Alcotest.(check int) "findings survive the roundtrip" 60
             (List.length items)
       | None -> Alcotest.fail "findings array missing")
 
@@ -396,7 +415,7 @@ let test_report_json_safety_section () =
           Alcotest.(check (list (pair (option string) (option int))))
             "per-rule finding counts"
             [
-              (Some "L5", Some 4);
+              (Some "L5", Some 5);
               (Some "L6", Some 1);
               (Some "L7", Some 1);
               (Some "L8", Some 1);
@@ -478,6 +497,8 @@ let () =
         [
           Alcotest.test_case "L5 race candidates" `Quick
             test_l5_race_candidates;
+          Alcotest.test_case "L5 through a let-module alias" `Quick
+            test_l5_through_let_module;
           Alcotest.test_case "L5 owner annotation" `Quick
             test_l5_owner_annotation;
           Alcotest.test_case "L6 blocking in resident loop" `Quick
