@@ -11,6 +11,10 @@ type t = {
   ha : int array;
   hb : int array;
   queues : Fifo.t array;
+  (* Backlog bits, 32 ids per word: bit [u land 31] of [busy.(u lsr 5)]
+     is set iff [queues.(u)] is non-empty.  The destination's queue is
+     always empty, so its bit is never set. *)
+  busy : int array;
   (* Packet store: struct-of-arrays plus a free-id stack, grown by
      doubling, so the steady-state slot loop never allocates. *)
   mutable pdist : int array;
@@ -126,6 +130,7 @@ let create ?(qcap = 64) ?(cap = 1) ?heights config =
     ha;
     hb;
     queues = Array.init n (fun _ -> Fifo.create ~capacity:qcap);
+    busy = Array.make ((n + 31) / 32) 0;
     pdist = Array.make pcap 0;
     phops = Array.make pcap 0;
     free;
@@ -151,6 +156,11 @@ let create ?(qcap = 64) ?(cap = 1) ?heights config =
     high_water = 0;
     slots = 0;
   }
+
+(* {1 Backlog bits} *)
+
+let[@inline] mark_busy busy u = busy.(u lsr 5) <- busy.(u lsr 5) lor (1 lsl (u land 31))
+let[@inline] is_busy busy u = busy.(u lsr 5) land (1 lsl (u land 31)) <> 0
 
 (* {1 Packet store} *)
 
@@ -238,6 +248,7 @@ let inject t ~src ~count =
         t.phops.(id) <- 0;
         ignore (Fifo.push q id : bool)
       done;
+      mark_busy t.busy src;
       t.queued <- t.queued + accepted;
       t.injected <- t.injected + accepted;
       let l = Fifo.length q in
@@ -256,17 +267,27 @@ let pr_step t u =
     t.reversals <- t.reversals + 1
   end
 
+(* The sweep visits only the nodes whose backlog bit is set, in
+   ascending id: each bitset word is read once, before its nodes send,
+   and the lowest set bit of that snapshot is the next node.  A node
+   clears its own bit when its queue drains; arrivals are staged, so no
+   bit is set until the merge.  The visited nodes are therefore exactly
+   those a scan of all [n] queues would find non-empty, in the same
+   order, and [in_add] sees the same sends. *)
 let slot (t : t) =
   let ha = t.ha and hb = t.hb and queues = t.queues and in_add = t.in_add in
-  let dest = t.dest and qcap = t.qcap in
-  Array.fill in_add 0 t.n 0;
+  let busy = t.busy and dest = t.dest and qcap = t.qcap in
   let staged = ref 0 and nrev = ref 0 in
-  for u = 0 to t.n - 1 do
-    if u <> dest && not (Fifo.is_empty queues.(u)) then begin
-      let row = G.Dyn.row t.adj u and d = G.Dyn.degree t.adj u in
-      let sent = ref 0 and blocked = ref false in
-      while (not !blocked) && !sent < t.cap && not (Fifo.is_empty queues.(u)) do
-        let qu = Fifo.length queues.(u) in
+  for k = 0 to Array.length busy - 1 do
+    let pending = ref busy.(k) in
+    while !pending <> 0 do
+      let u = (k lsl 5) lor Lr_routing.Fast_maintenance.lowest_bit !pending in
+      pending := !pending land (!pending - 1);
+      let q = queues.(u) and row = G.Dyn.row t.adj u and d = G.Dyn.degree t.adj u in
+      (* Only [u]'s own sends change its queue during the sweep, so
+         [qu] tracks its length. *)
+      let qu = ref (Fifo.length q) and sent = ref 0 and blocked = ref false in
+      while (not !blocked) && !sent < t.cap && !qu > 0 do
         (* Max positive differential among out-neighbours with receive
            room; ties to the lower id.  [best_raw] ignores room — it
            separates congestion from orientation below. *)
@@ -275,7 +296,7 @@ let slot (t : t) =
           let w = row.(i) in
           if above ha hb u w then begin
             let qw = if w = dest then 0 else Fifo.length queues.(w) + in_add.(w) in
-            let raw = qu - qw in
+            let raw = !qu - qw in
             if raw > !best_raw then best_raw := raw;
             if
               raw > 0
@@ -289,7 +310,9 @@ let slot (t : t) =
         done;
         if !best_w >= 0 then begin
           let w = !best_w in
-          let pkt = Fifo.pop queues.(u) in
+          let pkt = Fifo.pop q in
+          decr qu;
+          if !qu = 0 then busy.(k) <- busy.(k) land lnot (1 lsl (u land 31));
           t.phops.(pkt) <- t.phops.(pkt) + 1;
           if w = dest then begin
             t.delivered <- t.delivered + 1;
@@ -324,12 +347,15 @@ let slot (t : t) =
           end
         end
       done
-    end
+    done
   done;
   (* Merge staged arrivals: room was reserved via [in_add], so no push
-     can fail. *)
+     can fail.  The staged nodes are the only ones whose [in_add] moved,
+     so resetting theirs leaves it all zero for the next slot. *)
   for i = 0 to !staged - 1 do
     let w = t.stage_node.(i) in
+    in_add.(w) <- 0;
+    mark_busy busy w;
     ignore (Fifo.push queues.(w) t.stage_pkt.(i) : bool);
     let l = Fifo.length queues.(w) in
     if l > t.high_water then t.high_water <- l
@@ -375,12 +401,12 @@ let counters (t : t) =
   }
 
 let consistent (t : t) =
-  let total = ref 0 and ok = ref true in
+  let total = ref 0 and ok = ref (not (is_busy t.busy t.dest)) in
   let seen = Array.make t.pcap false in
   for u = 0 to t.n - 1 do
     let q = t.queues.(u) in
     let l = Fifo.length q in
-    if l > t.qcap then ok := false;
+    if l > t.qcap || is_busy t.busy u <> (l > 0) || t.in_add.(u) <> 0 then ok := false;
     total := !total + l;
     Fifo.iter
       (fun id ->

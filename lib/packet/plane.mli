@@ -80,7 +80,13 @@ val inject : t -> src:int -> count:int -> int * int
 
 val slot : t -> unit
 (** One synchronous transmit-then-reverse round (see above); its
-    deliveries and reversals show in {!counters}. *)
+    deliveries and reversals show in {!counters}.  The transmit phase
+    visits only the backlogged nodes, in ascending id, through one bit
+    per node, set exactly while that node's queue is non-empty: it
+    reads O(n/32) bitset words plus the row of each backlogged node,
+    once per send attempt (at most [cap]).  The merge costs O(1) per
+    staged arrival and the reverse phase one row pass per raise; no
+    empty queue is read. *)
 
 (** {2 Topology churn} *)
 
@@ -116,4 +122,6 @@ val counters : t -> counters
 
 val consistent : t -> bool
 (** Accounting audit for tests: [injected = delivered + queued], every
-    queue within bound, and no packet id queued twice. *)
+    queue within bound, and no packet id queued twice; a node's backlog
+    bit is set iff its queue is non-empty, the destination's never is,
+    and no staged-arrival count survives the slot. *)

@@ -196,3 +196,12 @@ val raise_height :
     one above, and when it drops further nothing seen is above it.  The
     engine's own step and the {e lr_packet} forwarding plane's
     reversals share it.  [u] must have at least one neighbour. *)
+
+val lowest_bit : int -> int
+(** [lowest_bit x] is the index of the lowest set bit of [x], by de
+    Bruijn multiplication with a 32-entry table: no branch and no loop.
+    That bit must be one of bits 0–31; the answer is unspecified
+    otherwise, and for [0].  The sink worklist pops with it, and the
+    {e lr_packet} forwarding plane walks its backlog bits with it; both
+    keep 32 ids per word, since the product of a 32-bit power of two
+    and the table's multiplier fits an OCaml int. *)

@@ -429,20 +429,26 @@ let same_result a b =
   | M.Partitioned a, M.Partitioned b -> Node.Set.equal a b
   | _ -> false
 
-type op = Down of int * int | Up of int * int | Fail of int
+(* [Flip (u, bit)] is a single fault: both tiers adopt their own
+   heights with bit [bit] of [u]'s [pa] toggled. *)
+type op = Down of int * int | Up of int * int | Fail of int | Flip of int * int
 
 let op_to_string = function
   | Down (u, v) -> Printf.sprintf "down %d-%d" u v
   | Up (u, v) -> Printf.sprintf "up %d-%d" u v
   | Fail u -> Printf.sprintf "fail %d" u
+  | Flip (u, bit) -> Printf.sprintf "flip %d bit %d" u bit
 
 (* [ops] on fresh sessions of both tiers.  After every op the change
    results must be equal, so must the oriented graphs and the work, the
    fast engine must be consistent, and the quiescent state must be
    acyclic and destination-oriented within the destination's component
-   (Thm 4.3/5.5). *)
+   (Thm 4.3/5.5).  Around a flip both tiers also answer the route from
+   every node: before it, to fill the next-hop cache that the adoption
+   must invalidate, and after it, where the answers must be equal. *)
 let lockstep rule config ops =
   let m = M.create rule config and f = FM.create rule config in
+  let n = Digraph.num_nodes config.Config.initial in
   List.iteri
     (fun i op ->
       let what () =
@@ -454,12 +460,30 @@ let lockstep rule config ops =
       let compare_results rm rf =
         if not (same_result rm rf) then check_result (what ()) rm rf
       in
+      let compare_routes () =
+        for v = 0 to n - 1 do
+          if M.route m v <> FM.route f v then
+            Alcotest.failf "%s: routes from %d differ" (what ()) v
+        done
+      in
       (match op with
       | Down (u, v) -> compare_results (M.fail_link m u v) (FM.fail_link f u v)
       | Fail u -> compare_results (M.fail_node m u) (FM.fail_node f u)
       | Up (u, v) ->
           M.add_link m u v;
-          FM.add_link f u v);
+          FM.add_link f u v
+      | Flip (u, bit) ->
+          compare_routes ();
+          let flipped height =
+            let h = Array.init n height in
+            fun v ->
+              let a, b = h.(v) in
+              if v = u then (a lxor (1 lsl bit), b) else (a, b)
+          in
+          compare_results
+            (M.adopt_heights m (flipped (M.height_pair m)))
+            (FM.adopt_heights f (flipped (FM.height f)));
+          compare_routes ());
       if not (Digraph.equal (M.graph m) (FM.graph f)) then
         Alcotest.failf "%s: oriented graphs differ" (what ());
       if M.total_work m <> FM.total_work f then
@@ -540,6 +564,19 @@ let test_exhaustive_link_ups rule () =
         (links g)
   in
   check_int "ops checked" 59_532 (exhaustive rule sequences)
+
+(* Every single flip of one of bits 0-5 of a node's [pa] (the
+   benchmark's fault range), the destination's included, on every
+   instance of [small_instances]: the adoption must drop every cached
+   next hop it makes stale and recount the in-degrees, and both tiers
+   must heal to the same heights. *)
+let test_exhaustive_flips rule () =
+  let sequences config =
+    List.concat_map
+      (fun u -> List.init 6 (fun bit -> [ Flip (u, bit) ]))
+      (Node.Set.elements (Digraph.nodes config.Config.initial))
+  in
+  check_int "ops checked" 153_042 (exhaustive rule sequences)
 
 (* The bitset worklist pops exactly what the heap it replaced popped:
    the lowest-id sink.  On 8,192 nodes (256 words, 8 summary words), a
@@ -773,5 +810,9 @@ let () =
             (test_exhaustive_link_ups M.Partial_reversal);
           case "FR: every link-up on <= 5 nodes matches the reference"
             (test_exhaustive_link_ups M.Full_reversal);
+          case "PR: every single flip on <= 5 nodes matches the reference"
+            (test_exhaustive_flips M.Partial_reversal);
+          case "FR: every single flip on <= 5 nodes matches the reference"
+            (test_exhaustive_flips M.Full_reversal);
         ];
     ]

@@ -311,6 +311,55 @@ let test_plane_birth_distances_under_churn () =
   check_bool "some injects were at the destination" true (!at_dest > 0);
   check_bool "consistent" true (Plane.consistent p)
 
+(* A seeded dense plane under a random mix of injects, slots and link
+   toggles, audited by [consistent] after every op: 40 nodes and about
+   300 links, and queues of 4, so that both congestion (a positive
+   differential into a full queue) and reversals occur.  Injects land
+   on any node, the destination included, and a burst of up to 7 may
+   exceed the room its source has left.  The final counters are pinned:
+   visiting only backlogged nodes must make every forwarding decision
+   the sweep over all nodes made. *)
+let test_plane_dense_mix ~cap ~want () =
+  let n = 40 in
+  let config = random_config ~extra_edges:270 ~seed:29 n in
+  let p = Plane.create ~qcap:4 ~cap config in
+  let dest = Plane.destination p in
+  let st = rng 29 in
+  let at_dest = ref 0 and oversized = ref 0 and churn = ref 0 in
+  for i = 1 to 3000 do
+    (match Random.State.int st 10 with
+    | 0 | 1 | 2 ->
+        let src = Random.State.int st n and count = 1 + Random.State.int st 7 in
+        if src = dest then incr at_dest;
+        let _, dropped = Plane.inject p ~src ~count in
+        if dropped > 0 then incr oversized
+    | 3 | 4 | 5 | 6 | 7 -> Plane.slot p
+    | _ ->
+        let u = Random.State.int st n and v = Random.State.int st n in
+        if u <> v then begin
+          incr churn;
+          if Plane.mem_edge p u v then Plane.remove_link p u v else Plane.add_link p u v
+        end);
+    if not (Plane.consistent p) then Alcotest.failf "op %d: plane inconsistent" i
+  done;
+  check_bool "injects at the destination" true (!at_dest > 0);
+  check_bool "bursts over the room left" true (!oversized > 0);
+  check_bool "link churn" true (!churn > 0);
+  let c = Plane.counters p in
+  Alcotest.(check (list int))
+    "injected, dropped, delivered, reversals, hops, dist, slots, high water, queued" want
+    [
+      c.Plane.injected;
+      c.Plane.dropped;
+      c.Plane.delivered;
+      c.Plane.reversals;
+      c.Plane.hops_sum;
+      c.Plane.dist_sum;
+      c.Plane.slots;
+      Plane.high_water p;
+      Plane.queued p;
+    ]
+
 (* {1 Geo} *)
 
 let test_geo_generate_connected () =
@@ -390,6 +439,10 @@ let () =
           case "engine height seeding" test_plane_engine_height_seeding;
           case "reversal is the shared PR raise" test_plane_reversal_is_the_pr_raise;
           case "birth distances under churn" test_plane_birth_distances_under_churn;
+          case "dense mix, cap 1: consistent after every op"
+            (test_plane_dense_mix ~cap:1 ~want:[ 2757; 859; 2750; 658; 6877; 4138; 1498; 4; 7 ]);
+          case "dense mix, cap 3: consistent after every op"
+            (test_plane_dense_mix ~cap:3 ~want:[ 2801; 815; 2800; 535; 6460; 4217; 1498; 4; 1 ]);
         ];
       suite "geo"
         [
